@@ -1,8 +1,10 @@
 """Content-addressed artifact cache.
 
 Entries are JSON files keyed by the sha256 of the canonical form of the
-semantic inputs; each file stores the payload hash so corrupted entries
-are detected, discarded with a warning, and recomputed.
+semantic inputs and the cache format; each file stores the payload hash
+so corrupted entries are detected, discarded with a warning, and
+recomputed.  Entries are written through a unique temporary file and
+renamed into place, so concurrent writers never share a partial file.
 """
 
 from __future__ import annotations
@@ -11,9 +13,14 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ENV_VAR = "SEGRECALC_CACHE_DIR"
+
+# bump when the payload layout or the meaning of a key changes, so that
+# entries written by older code are never read back
+CACHE_FORMAT = 2
 
 
 def canonical_json(obj) -> str:
@@ -21,7 +28,8 @@ def canonical_json(obj) -> str:
 
 
 def content_key(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    keyed = {"cache_format": CACHE_FORMAT, "key": obj}
+    return hashlib.sha256(canonical_json(keyed).encode()).hexdigest()
 
 
 def cache_dir() -> Path:
@@ -56,7 +64,12 @@ def cache(key_obj, producer, warn=None) -> dict:
         "payload": payload,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(record, sort_keys=True, indent=1) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return payload

@@ -24,7 +24,7 @@ from .complexes import (
     truncate_split,
 )
 from .modules import DiagonalModule
-from .resolution import Resolution, ext_dims, free_resolution, stable_hom_dims, HomCalculator
+from .resolution import ext_dims, free_resolution, stable_hom_dims, HomCalculator
 
 
 RINGS: dict[str, tuple[WeightedRingSpec, WeightedRingSpec]] = {
@@ -175,10 +175,6 @@ def claim3_core_sequence(window) -> NamedSequence:
     return NamedSequence(
         "kernel-complex diagonal core sequence", extend_diagonal(dc, a), (0, 1)
     )
-
-
-def omega_resolution(depth: int, lo: int, hi: int) -> Resolution:
-    return free_resolution(diagonal_module("k2_k3", 1), depth, lo, hi)
 
 
 def rigidity_ext_table(d_range=range(-4, 3), hi: int = 8) -> dict:

@@ -485,10 +485,7 @@ class DegreewiseComplex:
                     {i: v for i, v in enumerate(sol) if v} if sol else {}
                 )
             dims[j] = len(basis)
-            mats[j] = [
-                {k: int(v) if v.denominator == 1 else v for k, v in col.items()}
-                for col in newcols
-            ]
+            mats[j] = newcols
         labels = self.labels[:-1] + [f"im({self.labels[-1]})"]
         return DegreewiseComplex(
             labels, self.dims[:-1] + [dims], self.mats[:-1] + [mats], self.window
@@ -727,9 +724,8 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
                     raise AssertionError("top map misses the kernel")
                 for k, v in enumerate(coords):
                     if v:
-                        iv = int(v) if getattr(v, "denominator", 1) == 1 else v
                         key = k * nduals + mi_idx
-                        col[key] = col.get(key, 0) + iv
+                        col[key] = col.get(key, 0) + v
             cols.append(col)
         first[j] = cols
     mats.append(first)
@@ -779,9 +775,8 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
                             raise AssertionError("contraction leaves the kernel")
                         for k, v in enumerate(coords):
                             if v:
-                                iv = int(v) if getattr(v, "denominator", 1) == 1 else v
                                 key = k * len(tduals) + tdual_idx[mu2]
-                                col[key] = col.get(key, 0) + iv
+                                col[key] = col.get(key, 0) + v
                     tcols.append(col)
             step[j] = tcols
         mats.append(step)

@@ -32,6 +32,31 @@ def r_index(specA, specB, p: int) -> dict:
     return {m: i for i, m in enumerate(r_basis(specA, specB, p))}
 
 
+@lru_cache(maxsize=None)
+def semigroup_generators(specA: WeightedRingSpec, specB: WeightedRingSpec):
+    """Minimal generators of the monomial-pair semigroup of A # B, as
+    (degree, pair) in increasing degree, r_basis order within a degree.
+
+    A pair is irreducible when no generator of lower degree divides it
+    componentwise.  The list is complete: an irreducible pair of degree p
+    is a primitive partition identity a_1 + ... + a_k = p = b_1 + ... + b_l
+    with parts among the variable weights, and Lambert's theorem
+    (Diaconis-Graham-Sturmfels, "Primitive partition identities", 1993)
+    gives k <= wB and l <= wA for the largest weights wA, wB, so
+    p <= wA * wB.  The enumeration stops at that bound.
+    """
+    top = max(w[0] for w in specA.weights) * max(w[0] for w in specB.weights)
+    gens = []
+    for p in range(1, top + 1):
+        for ma, mb in r_basis(specA, specB, p):
+            if not any(
+                all(x <= y for x, y in zip(ga, ma)) and all(x <= y for x, y in zip(gb, mb))
+                for _, (ga, gb) in gens
+            ):
+                gens.append((p, (ma, mb)))
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class DiagonalModule:
     """The twisted diagonal summand with pieces A_(shift+j-twist) ⊗ B_(j-twist)."""

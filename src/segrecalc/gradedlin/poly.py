@@ -55,23 +55,3 @@ def mono_degree(spec: WeightedRingSpec, m: Mono) -> int:
 
 def variable(spec: WeightedRingSpec, i: int) -> Mono:
     return tuple(1 if j == i else 0 for j in range(len(spec.variables)))
-
-
-Poly = dict  # Mono -> int coefficient
-PairPoly = dict  # (MonoA, MonoB) -> int coefficient
-
-
-def poly_from_var(spec: WeightedRingSpec, i: int, coeff: int = 1) -> Poly:
-    return {variable(spec, i): coeff}
-
-
-def pair_poly(pa: Poly, pb: Poly) -> PairPoly:
-    out = {}
-    for ma, ca in pa.items():
-        for mb, cb in pb.items():
-            out[(ma, mb)] = out.get((ma, mb), 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def unit_pair(specA: WeightedRingSpec, specB: WeightedRingSpec) -> tuple:
-    return ((0,) * len(specA.variables), (0,) * len(specB.variables))

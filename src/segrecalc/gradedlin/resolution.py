@@ -6,19 +6,24 @@ that would need data above the window raises CertificationError instead
 of silently truncating.  Within the window all numbers are exact: each
 kernel, generator count, and Ext dimension at internal degree j only
 consumes data in degrees <= j, so the window certifies itself.
+
+Minimal generators in degree j are the basis vectors of M_j outside
+R_+ M, and since R = A # B is a monomial algebra, (R_+ M)_j is spanned
+by g * M_(j - deg g) with g running over the minimal generators of the
+monomial-pair semigroup (`semigroup_generators`).  Their degree is at
+most wA * wB by Lambert's bound on primitive partition identities, which
+certifies that no multiplier is missed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .. import linalg
-from .modules import DiagonalModule, FreeModule, SyzygyModule, r_basis
-
-
-class CertificationError(RuntimeError):
-    """The requested quantity is not determined by the computed window."""
+from ..linalg import CertificationError
+from .modules import DiagonalModule, FreeModule, SyzygyModule, r_basis, semigroup_generators
 
 
 def rings_of(module):
@@ -58,39 +63,39 @@ def _image_echelon(module, ringA, ringB, j: int, lo: int) -> linalg.Echelon:
             "window does not reach the bottom degree of the module"
         )
     ech = linalg.Echelon()
-    for p in range(1, j - module.min_degree + 1):
-        vecs = _work_vectors(module, j - p)
-        if not vecs:
-            continue
-        for pair in r_basis(ringA, ringB, p):
-            for w in vecs:
-                ech.add(_act_vector(module, pair, p, j - p, w))
+    for p, pair in semigroup_generators(ringA, ringB):
+        for w in _work_vectors(module, j - p):
+            ech.add(_act_vector(module, pair, p, j - p, w))
     return ech
 
 
-def generation_degrees(module, lo: int, hi: int) -> dict:
-    """Multiset of minimal generator degrees on the window.
+def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
+    """Degrees and representative vectors of a minimal generating set.
 
-    The report is complete when the module has a certified generation
-    bound inside the window; otherwise it is exact degree by degree up
-    to hi.
+    The basis vector w_i of M_j is a generator when it lies outside the
+    span of the image and w_0 .. w_(i-1); its representative is {i: 1}.
+    The list is complete when the module has a certified generation
+    bound inside the window (CertificationError otherwise); without a
+    bound it is exact degree by degree up to hi.
     """
-    ringA, ringB = rings_of(module)
-    out = {}
-    for j in range(max(lo, module.min_degree), hi + 1):
-        ech = _image_echelon(module, ringA, ringB, j, lo)
-        count = 0
-        for w in _work_vectors(module, j):
-            if ech.add(w):
-                count += 1
-        if count:
-            out[j] = count
     bound = getattr(module, "generation_bound", lambda: None)()
     if bound is not None and bound > hi:
         raise CertificationError(
-            f"window top {hi} below the generation bound {bound}"
+            f"window top {hi} below the generation bound {bound} of the module"
         )
-    return out
+    ringA, ringB = rings_of(module)
+    gens = []
+    for j in range(max(lo, module.min_degree), hi + 1):
+        ech = _image_echelon(module, ringA, ringB, j, lo)
+        for i, w in enumerate(_work_vectors(module, j)):
+            if ech.add(w):
+                gens.append((j, {i: 1}))
+    return gens
+
+
+def generation_degrees(module, lo: int, hi: int) -> dict:
+    """Multiset of minimal generator degrees on the window, degree -> count."""
+    return dict(Counter(j for j, _ in minimal_generators(module, lo, hi)))
 
 
 @dataclass
@@ -135,18 +140,6 @@ class Resolution:
         }
 
 
-def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
-    """Degrees and representative vectors of a minimal generating set."""
-    ringA, ringB = rings_of(module)
-    gens = []
-    for j in range(max(lo, module.min_degree), hi + 1):
-        ech = _image_echelon(module, ringA, ringB, j, lo)
-        for i, w in enumerate(_work_vectors(module, j)):
-            if ech.add(w):
-                gens.append((j, {i: 1}))
-    return gens
-
-
 def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     """Resolve to homological depth `depth`, exactly on [lo, hi].
 
@@ -155,11 +148,6 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     with explicit bases and remains usable as a module afterwards.
     """
     ringA, ringB = rings_of(module)
-    bound = getattr(module, "generation_bound", lambda: None)()
-    if bound is not None and bound > hi:
-        raise CertificationError(
-            f"window top {hi} below the generation bound {bound} of the module"
-        )
     cur = module
     frees, betti, diffs, syzygies = [], [], [], []
     res = Resolution(module, lo, hi, frees, betti, diffs, syzygies)
@@ -385,19 +373,30 @@ def hom_segre_check(Mi: DiagonalModule, Mj: DiagonalModule, d_values, lo, hi) ->
 class HomCalculator:
     """Caches resolutions, hom bases, sections and element matrices for a
     fixed window; the workhorse behind endomorphism quivers and stable
-    hom computations."""
+    hom computations.
+
+    The caches are keyed by the id() of each module, and every keyed
+    module is pinned for the life of the calculator, so that an id
+    cannot be reused by another module and hit a stale entry."""
 
     def __init__(self, ringA, ringB, lo: int, hi: int):
         self.ringA = ringA
         self.ringB = ringB
         self.lo = lo
         self.hi = hi
+        self.free_rank_one = FreeModule(ringA, ringB, (0,))
+        self._pinned = {}
         self._res = {}
         self._hom = {}
         self._section = {}
+        self._elem_cache = {}
+
+    def _id(self, M) -> int:
+        self._pinned.setdefault(id(M), M)
+        return id(M)
 
     def resolution(self, M, depth: int = 1) -> Resolution:
-        key = (id(M), )
+        key = self._id(M)
         res = self._res.get(key)
         if res is None or len(res.frees) < depth + 1:
             res = free_resolution(M, depth, self.lo, self.hi)
@@ -405,14 +404,14 @@ class HomCalculator:
         return res
 
     def hom_basis(self, M, N, d: int) -> list[dict]:
-        key = (id(M), id(N), d)
+        key = (self._id(M), self._id(N), d)
         if key not in self._hom:
             self._hom[key] = hom_space(M, N, d, self.lo, self.hi, self.resolution(M)).basis
         return self._hom[key]
 
     def section(self, M, j: int):
         """CoordSolver expressing the degree-j piece through the cover."""
-        key = (id(M), j)
+        key = (self._id(M), j)
         if key not in self._section:
             res = self.resolution(M)
             cols = res.cover_columns[0].get(j)
@@ -423,10 +422,8 @@ class HomCalculator:
 
     def element_matrix(self, M, N, d: int, vec: dict, t: int) -> list[dict]:
         """Columns of the degree-d map on the degree-t piece of M."""
-        key = (id(M), id(N), d, t, tuple(sorted(vec.items())))
-        cached = getattr(self, "_elem_cache", None)
-        if cached is None:
-            cached = self._elem_cache = {}
+        key = (self._id(M), self._id(N), d, t, tuple(sorted(vec.items())))
+        cached = self._elem_cache
         if key in cached:
             return cached[key]
         res = self.resolution(M)
@@ -526,7 +523,7 @@ def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi: dict, psi: di
 def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:
     """Generator-value vectors of maps a -> b of degree d factoring
     through some twist of the free module R."""
-    R = FreeModule(calc.ringA, calc.ringB, (0,))
+    R = calc.free_rank_one
     res_a = calc.resolution(a)
     F0 = res_a.frees[0]
     gmax = max(F0.gens) if F0.gens else 0

@@ -487,17 +487,9 @@ def _rational_rank(vectors) -> int:
 def _lattice_coords(solver, target) -> Degree | None:
     """Integer coordinates of target in the span of the solver's basis."""
     sol = solver.solve({i: x for i, x in enumerate(target) if x})
-    if sol is None:
+    if sol is None or any(isinstance(c, Fraction) for c in sol):
         return None
-    out = []
-    for c in sol:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                return None
-            out.append(int(c))
-        else:
-            out.append(int(c))
-    return tuple(out)
+    return tuple(sol)
 
 
 def verify_exact_form(a: HilbertSeries) -> bool:
@@ -530,14 +522,6 @@ def _expand_form(form: ExactForm, win: Window) -> dict:
             if win.contains(tot):
                 table[tot] = table.get(tot, 0) + nv * v
     return {d: v for d, v in table.items() if v}
-
-
-def series_table_str(a: HilbertSeries) -> str:
-    lines = []
-    for d, v in a.coeffs:
-        dtxt = str(d[0]) if a.rank == 1 else str(d)
-        lines.append(f"{dtxt}\t{v}")
-    return "\n".join(lines) if lines else "(zero on window)"
 
 
 def rational_form_str(a: HilbertSeries) -> str:
@@ -656,11 +640,6 @@ def local_cohomology_poly(
     per = {p: zero_series(spec.rank, win, certified=True) for p in range(d)}
     per[d] = top
     return LocalCohomologyProfile(ring_dim=d, per_degree=per)
-
-
-def a_invariant_poly(spec: WeightedRingSpec) -> Degree:
-    """a-invariant of a weighted polynomial ring: minus the weight sum."""
-    return vec_neg(spec.weight_sum)
 
 
 def gw_segre_cohomology(

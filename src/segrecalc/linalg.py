@@ -4,7 +4,8 @@ Matrices are stored column-wise: a matrix is a list of sparse columns,
 each a dict mapping row index to a nonzero integer.  Rational
 eliminations are integer-preserving (cross-multiply, divide by the
 content), so results are exact.  A prime characteristic can be supplied
-to run the same computations over F_p as a fast pre-check.
+to run the same computations over F_p as a fast pre-check; a rational
+entry n/d enters F_p as n * d^-1.
 """
 
 from __future__ import annotations
@@ -13,6 +14,30 @@ from fractions import Fraction
 from math import gcd
 
 Col = dict  # row index -> nonzero int
+
+
+class CertificationError(RuntimeError):
+    """The requested quantity is not determined by the computed window."""
+
+
+def reduce_mod(vec: Col, char: int) -> Col:
+    """The nonzero entries of vec in F_char.
+
+    A Fraction entry n/d becomes n * d^-1; CertificationError when char
+    divides d, because the entry has no image in F_char.
+    """
+    out = {}
+    for k, v in vec.items():
+        if v.__class__ is Fraction:
+            if not v.denominator % char:
+                raise CertificationError(
+                    f"entry {v} has a denominator divisible by {char}"
+                )
+            v = v.numerator * pow(v.denominator, -1, char)
+        v %= char
+        if v:
+            out[k] = v
+    return out
 
 
 def combine(a: Col, b: Col, ca: int, cb: int, char: int = 0) -> Col:
@@ -100,7 +125,7 @@ class Echelon:
     def add(self, body: Col, tag=None) -> bool:
         """Insert a column; return True when it enlarges the span."""
         if self.char:
-            body = {k: v % self.char for k, v in body.items() if v % self.char}
+            body = reduce_mod(body, self.char)
         else:
             body = {k: v for k, v in body.items() if v}
         aug = {("c", tag if tag is not None else self.count): 1} if self.track else None
@@ -114,12 +139,9 @@ class Echelon:
         return True
 
     def contains(self, body: Col) -> bool:
-        body, _ = self._reduce(dict(body), None)
+        body = reduce_mod(body, self.char) if self.char else dict(body)
+        body, _ = self._reduce(body, None)
         return not body
-
-    def residual(self, body: Col) -> Col:
-        body, _ = self._reduce(dict(body), None)
-        return body
 
 
 def rank_of(cols: list[Col], char: int = 0) -> int:
@@ -172,10 +194,14 @@ class CoordSolver:
         self.size = len(basis)
 
     def solve(self, vec: Col) -> list | None:
-        """Coordinates of vec in the basis, or None when not in the span."""
+        """Coordinates of vec in the basis, or None when not in the span.
+
+        Over Q a coordinate is an int when it is integral and a Fraction
+        only otherwise.
+        """
         char = self.char
         if char:
-            body = {k: v % char for k, v in vec.items() if v % char}
+            body = reduce_mod(vec, char)
         else:
             body = {k: v for k, v in vec.items() if v}
         aug = {("q", 0): 1}
@@ -190,7 +216,8 @@ class CoordSolver:
                 coords[k[1]] = (-v * inv) % char
         else:
             for k, v in aug.items():
-                coords[k[1]] = Fraction(-v, alpha)
+                q, r = divmod(-v, alpha)
+                coords[k[1]] = Fraction(-v, alpha) if r else q
         return coords
 
 

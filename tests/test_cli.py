@@ -56,6 +56,12 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     # distinct key recomputes
     cache_mod.cache({"kind": "test", "n": 2}, produce)
     assert len(calls) == 2
+    # entries of another cache format are not read back
+    monkeypatch.setattr(cache_mod, "CACHE_FORMAT", cache_mod.CACHE_FORMAT + 1)
+    cache_mod.cache(key, produce)
+    assert len(calls) == 3
+    # every write goes through a temporary file that is renamed away
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json"] * 3
 
 
 def test_cache_corruption_recovers(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from segrecalc import linalg
@@ -73,12 +74,20 @@ def test_coord_solver_roundtrip():
     target = {0: 2, 1: 5, 2: 3}
     coords = solver.solve(target)
     assert coords == [2, 1]
+    assert all(type(c) is int for c in coords)
     assert solver.solve({0: 1}) is None
 
 
 def test_coord_solver_fractional():
     solver = linalg.CoordSolver([{0: 2}, {1: 3}])
     assert solver.solve({0: 1, 1: 1}) == [Fraction(1, 2), Fraction(1, 3)]
+
+
+def test_fractions_over_prime_field():
+    assert linalg.reduce_mod({0: Fraction(1, 2), 1: Fraction(4, 2), 2: 7}, 7) == {0: 4, 1: 2}
+    assert linalg.rank_of([{0: Fraction(1, 2)}, {0: 3}], char=5) == 1
+    with pytest.raises(linalg.CertificationError):
+        linalg.rank_of([{0: Fraction(1, 5)}], char=5)
 
 
 def test_echelon_contains():

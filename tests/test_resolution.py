@@ -1,7 +1,16 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from segrecalc import linalg
 from segrecalc.hilbert import ring
-from segrecalc.gradedlin.modules import DiagonalModule, FreeModule
+from segrecalc.gradedlin import catalog, resolution
+from segrecalc.gradedlin.modules import (
+    DiagonalModule,
+    FreeModule,
+    r_basis,
+    semigroup_generators,
+)
 from segrecalc.gradedlin.resolution import (
     CertificationError,
     HomCalculator,
@@ -10,6 +19,7 @@ from segrecalc.gradedlin.resolution import (
     generation_degrees,
     hom_segre_check,
     hom_space,
+    minimal_generators,
     stable_hom_dims,
 )
 
@@ -129,3 +139,86 @@ def test_syzygy_requires_window():
     res = free_resolution(M(1), 2, 0, 5)
     with pytest.raises(KeyError):
         res.syzygy(1).dim(9)
+
+
+def all_pairs_image_echelon(module, ringA, ringB, j, lo):
+    """Reference for resolution._image_echelon: the image of every
+    monomial pair of every positive degree, not only the semigroup
+    generators."""
+    if lo > module.min_degree:
+        raise CertificationError("window does not reach the bottom degree of the module")
+    ech = linalg.Echelon()
+    for p in range(1, j - module.min_degree + 1):
+        vecs = resolution._work_vectors(module, j - p)
+        for pair in r_basis(ringA, ringB, p):
+            for w in vecs:
+                ech.add(resolution._act_vector(module, pair, p, j - p, w))
+    return ech
+
+
+@pytest.mark.parametrize("key", sorted(catalog.RINGS))
+def test_minimal_generators_match_all_pairs_reference(key, monkeypatch):
+    hi = 5
+    modules = [catalog.diagonal_module(key, i) for i in range(-3, 4)]
+    # syzygies of M_1, the canonical module over k2_k3 (over the
+    # Gorenstein pairs the canonical module is free)
+    res = free_resolution(catalog.diagonal_module(key, 1), 3, 0, hi)
+    modules += [res.syzygy(k) for k in (1, 2, 3)]
+    fast = [minimal_generators(m, 0, hi) for m in modules]
+    monkeypatch.setattr(resolution, "_image_echelon", all_pairs_image_echelon)
+    assert fast == [minimal_generators(m, 0, hi) for m in modules]
+
+
+def irreducible_pairs(specA, specB, top):
+    """Reference enumeration of the irreducible monomial pairs of degree
+    at most top, by divisibility against all lower irreducibles."""
+    found = []
+    for p in range(1, top + 1):
+        for ma, mb in r_basis(specA, specB, p):
+            if not any(
+                all(x <= y for x, y in zip(ga, ma)) and all(x <= y for x, y in zip(gb, mb))
+                for _, (ga, gb) in found
+            ):
+                found.append((p, (ma, mb)))
+    return found
+
+
+def test_semigroup_generators_of_bundled_pairs():
+    counts = {key: len(semigroup_generators(*catalog.RINGS[key])) for key in catalog.RINGS}
+    assert counts == {"k2_k3": 6, "k3_w12": 9, "k3_k3": 9}
+
+
+weight_lists = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weight_lists, weight_lists)
+def test_lambert_bound_leaves_no_generator_out(wa, wb):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    bound = max(wa) * max(wb)
+    found = irreducible_pairs(specA, specB, 2 * bound + 2)
+    assert max(p for p, _ in found) <= bound
+    assert tuple(found) == semigroup_generators(specA, specB)
+
+
+def test_ext_over_prime_field_with_syzygy_target():
+    # the syzygy action has integral coordinates; over F_p it used to
+    # reach Echelon._reduce as Fractions and crash
+    res = free_resolution(catalog.diagonal_module("k2_k3", 1), 2, 0, 6)
+    s2 = res.syzygy(2)
+    assert ext_dims(s2, s2, [1], [0], 0, 6, char=101) == {(1, 0): 0}
+    d_range = range(-3, 3)
+    assert ext_dims(s2, s2, [1], d_range, 0, 6, char=101) == ext_dims(s2, s2, [1], d_range, 0, 6)
+
+
+def test_hom_calculator_caches_repeat():
+    calc = HomCalculator(A2, B3, 0, 6)
+    omega = M(1)
+    first = stable_hom_dims(calc, omega, omega, range(0, 3))
+    entries = len(calc._hom)
+    assert stable_hom_dims(calc, omega, omega, range(0, 3)) == first
+    assert len(calc._hom) == entries
+    # targets built and dropped one after another never share a key
+    for i in range(-1, 4):
+        assert len(calc.hom_basis(omega, M(i), 0)) == M(i - 1).dim(0)
