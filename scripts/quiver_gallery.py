@@ -11,7 +11,7 @@ from segrecalc import kronecker
 from segrecalc.cli import _gorenstein_endo_quiver, check_folding
 from segrecalc.gradedlin import catalog
 from segrecalc.gradedlin.modules import DiagonalModule
-from segrecalc.gradedlin.resolution import free_resolution
+from segrecalc.gradedlin.resolution import HomCalculator
 from segrecalc.hilbert import ring
 from segrecalc.quivers import EndoQuiver, Quiver, VeroneseSideData, p_segre_quiver
 
@@ -26,11 +26,13 @@ def main(out="quiver-gallery"):
               f"{quiver.arrow_count()} arrows)")
 
     a, b = catalog.ring_pair("k2_k3")
+    calc = HomCalculator(a, b, 0, 8)
     omega = DiagonalModule(a, b, 1)
-    res = free_resolution(omega, 3, 0, 8)
+    syz2 = calc.resolution(omega, 3).syzygy(2)
     eq = EndoQuiver(
-        [("R", DiagonalModule(a, b, 0)), ("omega", omega), ("syz2", res.syzygy(2))],
-        0, 8, degree_top=3,
+        calc,
+        [("R", DiagonalModule(a, b, 0)), ("omega", omega), ("syz2", syz2)],
+        degree_top=3,
     )
     dump("nongorenstein_tilting", eq.quiver)
 

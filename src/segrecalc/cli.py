@@ -18,7 +18,7 @@ from . import hilbert, kronecker, numsgp
 from .config import ConfigError, parse_config, want_int, want_ints, want_str
 from .gradedlin import catalog
 from .gradedlin.modules import DiagonalModule
-from .gradedlin.resolution import CertificationError, free_resolution
+from .gradedlin.resolution import CertificationError, HomCalculator, free_resolution
 from .quivers import EndoQuiver, VeroneseSideData, fold_d3, fold_d4, middle_multiplicities, p_segre_quiver
 
 JSON_KW = {"sort_keys": True, "indent": 2}
@@ -117,7 +117,7 @@ def check_almost_split(key: str, opts) -> dict:
     out = {}
     ok = True
     for seq in catalog.almost_split_suite(key, window):
-        v = seq.verify(char, opts.get("parallel", 0))
+        v = seq.verify(char)
         out[seq.name] = v
         ok = ok and v["exact"]
     return {"cases": out, "pass": ok}
@@ -148,7 +148,7 @@ def _gorenstein_endo_quiver(key: str, hi: int):
         ("R", DiagonalModule(a, b, 0)),
         ("M1", DiagonalModule(a, b, 1)),
     ]
-    return EndoQuiver(mods, 0, hi, degree_top=3)
+    return EndoQuiver(HomCalculator(a, b, 0, hi), mods, degree_top=3)
 
 
 def check_gorenstein_quivers(opts) -> dict:
@@ -324,13 +324,13 @@ def check_contraction_suite(opts) -> dict:
     return {"cases": cases, "window": [0, opts.get("window", 5)], "pass": ok}
 
 
-def _ext_table(opts) -> dict:
-    key = ("ext-table", opts.get("window", 5), opts.get("hi", 8))
-    memo = _ext_table.__dict__.setdefault("memo", {})
-    if key not in memo:
-        d_hi = 3 if opts.get("window", 5) >= 5 else 2
-        memo[key] = catalog.rigidity_ext_table(range(-4, d_hi), hi=opts.get("hi", 8))
-    return memo[key]
+def _ext_calc(opts) -> HomCalculator:
+    return HomCalculator(*catalog.ring_pair("k2_k3"), 0, opts.get("hi", 8))
+
+
+def _ext_table(calc: HomCalculator, opts) -> dict:
+    d_hi = 3 if opts.get("window", 5) >= 5 else 2
+    return catalog.rigidity_ext_table(calc, range(-4, d_hi))
 
 
 def check_main_suite(opts) -> dict:
@@ -346,7 +346,7 @@ def check_main_suite(opts) -> dict:
         v = builder(window).verify(char)
         seqs[v["name"]] = v
         ok = ok and v["exact"]
-    table = _ext_table(opts)
+    table = _ext_table(_ext_calc(opts), opts)
     x_pairs = [
         "omega,omega", "omega,R", "omega,syz2", "syz2,R", "syz2,omega", "syz2,syz2",
     ]
@@ -373,12 +373,13 @@ def check_nongor_quiver(opts) -> dict:
     results = {}
     ok = True
     for D, hi in ((4, 7), (5, 8), (6, 9)):
+        calc = HomCalculator(a, b, 0, hi)
         omega = DiagonalModule(a, b, 1)
-        res = free_resolution(omega, 3, 0, hi)
+        # depth 3 registers the tail from step 2 as the resolution of syz2
+        syz2 = calc.resolution(omega, 3).syzygy(2)
         eq = EndoQuiver(
-            [("R", DiagonalModule(a, b, 0)), ("om", omega), ("syz2", res.syzygy(2))],
-            0,
-            hi,
+            calc,
+            [("R", DiagonalModule(a, b, 0)), ("om", omega), ("syz2", syz2)],
             degree_top=3,
         )
         good = eq.quiver.arrows == expected
@@ -406,13 +407,14 @@ def check_kronecker_suite(opts) -> dict:
         and all(not e["rigid"] for e in pairs["skip"])
         and all(not e["rigid"] for e in pairs["mixed"])
     )
-    table = _ext_table(opts)
+    calc = _ext_calc(opts)
+    table = _ext_table(calc, opts)
     report = kronecker.classification_report(
         ctx,
         10,
         {
             "rigid_triples": catalog.rigid_triples_check(
-                range(-4, 3 if opts.get("window", 5) >= 5 else 2), hi=opts.get("hi", 8)
+                calc, range(-4, 3 if opts.get("window", 5) >= 5 else 2)
             ),
             "syz3_self_extension": table["syz3_self_extension"],
             "stable_end_omega": table["stable_end_omega"],
@@ -554,7 +556,7 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
                 catalog.koszul_diagonal(pair, variant, shift, (0, hi)),
                 None,
             )
-        art = seq.verify(char, opts.get("parallel", 0))
+        art = seq.verify(char)
         write_artifact(out_dir, name, art)
         if want_int(job, "assert_exact", 1 if at else 0):
             return art["exact"]
@@ -565,7 +567,7 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         hi = want_int(job, "window", 8)
         a, b = catalog.ring_pair(pair)
         mods = [(f"M{s}" if s else "R", DiagonalModule(a, b, s)) for s in shifts]
-        eq = EndoQuiver(mods, 0, hi, degree_top=want_int(job, "degree_top", 3))
+        eq = EndoQuiver(HomCalculator(a, b, 0, hi), mods, degree_top=want_int(job, "degree_top", 3))
         art = {"quiver": eq.quiver.to_json_dict()}
         if "drop" in job:
             art["stable"] = eq.stable_reduce(job["drop"]).to_json_dict()
@@ -628,7 +630,6 @@ def _common_flags(p):
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--field", default="rational", help="rational or prime:p")
-    p.add_argument("--parallel", type=int, default=0, help="worker processes for per-degree ranks")
 
 
 def _options(args) -> dict:
@@ -642,7 +643,6 @@ def _options(args) -> dict:
         opts["char"] = int(field.split(":", 1)[1])
     elif field != "rational":
         raise ValueError("--field must be 'rational' or 'prime:p'")
-    opts["parallel"] = getattr(args, "parallel", 0)
     return opts
 
 

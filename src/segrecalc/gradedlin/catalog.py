@@ -24,7 +24,7 @@ from .complexes import (
     truncate_split,
 )
 from .modules import DiagonalModule
-from .resolution import ext_dims, free_resolution, stable_hom_dims, HomCalculator
+from .resolution import HomCalculator, stable_hom_dims
 
 
 RINGS: dict[str, tuple[WeightedRingSpec, WeightedRingSpec]] = {
@@ -73,8 +73,8 @@ class NamedSequence:
     complex: DegreewiseComplex
     cokernel: tuple[int, int] | None  # (degree, dim) homology at the right end
 
-    def verify(self, char: int = 0, processes: int = 0) -> dict:
-        h = self.complex.homology(char, processes)
+    def verify(self, char: int = 0) -> dict:
+        h = self.complex.homology(char)
         last = len(self.complex.dims) - 1
         expected = {}
         if self.cokernel is not None:
@@ -177,84 +177,78 @@ def claim3_core_sequence(window) -> NamedSequence:
     )
 
 
-def rigidity_ext_table(d_range=range(-4, 3), hi: int = 8) -> dict:
+def rigidity_ext_table(calc: HomCalculator, d_range=range(-4, 3)) -> dict:
     """Ext^1 table for the maximal rigid modules over k2_k3.
 
-    Returns per-pair graded dimensions of Ext^1 on the degree range,
-    plus the self-extension witness for the third syzygy and the stable
-    endomorphism dimensions of the canonical module.
+    `calc` is a calculator over k2_k3.  Returns per-pair graded
+    dimensions of Ext^1 on the degree range, plus the self-extension
+    witness for the third syzygy and the stable endomorphism dimensions
+    of the canonical module.
     """
-    a, b = ring_pair("k2_k3")
+    a, b = calc.ringA, calc.ringB
     omega = DiagonalModule(a, b, 1)
     R = DiagonalModule(a, b, 0)
     M2 = DiagonalModule(a, b, 2)
     M3 = DiagonalModule(a, b, 3)
-    Mm1 = DiagonalModule(a, b, -1)
-    res = free_resolution(omega, 5, 0, hi)
-    om2, om3 = res.syzygy(2), res.syzygy(3)
+    res = calc.resolution(omega, 5)
+    om1, om2, om3 = res.syzygy(1), res.syzygy(2), res.syzygy(3)
 
-    def table(M, N, rng, reuse=None):
-        t = ext_dims(M, N, [1], rng, 0, hi, resolution=reuse)
+    def table(M, N, rng):
+        t = calc.ext_dims(M, N, [1], rng)
         return {d: v for (i, d), v in t.items() if v}
 
     out = {
         "window": [min(d_range), max(d_range)],
         "ext1": {
-            "omega,omega": table(omega, omega, d_range, res),
-            "omega,R": table(omega, R, d_range, res),
-            "omega,syz2": table(omega, om2, d_range, res),
+            "omega,omega": table(omega, omega, d_range),
+            "omega,R": table(omega, R, d_range),
+            "omega,syz2": table(omega, om2, d_range),
             "syz2,R": table(om2, R, d_range),
             "syz2,omega": table(om2, omega, d_range),
             "syz2,syz2": table(om2, om2, d_range),
             "syz2,M2": table(om2, M2, d_range),
             "syz2,M3": table(om2, M3, d_range),
-            "syz1,R": table(res.syzygy(1), R, d_range),
-            "syz1,syz1": table(res.syzygy(1), res.syzygy(1), d_range),
-            "omega,M2": table(omega, M2, d_range, res),
-            "M2_as_target_of_omega": table(omega, M2, d_range, res),
+            "syz1,R": table(om1, R, d_range),
+            "syz1,syz1": table(om1, om1, d_range),
+            "omega,M2": table(omega, M2, d_range),
+            "M2_as_target_of_omega": table(omega, M2, d_range),
         },
         "syz3_self_extension": table(om3, om3, range(-2, 2)),
     }
-    calc = HomCalculator(a, b, 0, hi)
     stable = stable_hom_dims(calc, omega, omega, range(0, 4))
     out["stable_end_omega"] = {str(d): v[1] for d, v in stable.items()}
     out["betti_omega"] = res.betti_table()
     return out
 
 
-def rigid_triples_check(d_range=range(-4, 3), hi: int = 8) -> dict:
+def rigid_triples_check(calc: HomCalculator, d_range=range(-4, 3)) -> dict:
     """Windowed rigidity of the three maximal rigid modules.
 
     R ⊕ omega ⊕ syz^2(omega), R ⊕ syz(omega), and omega ⊕ M_2: every
     Ext^1 between summands (sources non-free) vanishes on the range.
+    `calc` is a calculator over k2_k3.
     """
-    a, b = ring_pair("k2_k3")
+    a, b = calc.ringA, calc.ringB
     omega = DiagonalModule(a, b, 1)
     R = DiagonalModule(a, b, 0)
     M2 = DiagonalModule(a, b, 2)
-    res = free_resolution(omega, 5, 0, hi)
+    res = calc.resolution(omega, 5)
     om1, om2 = res.syzygy(1), res.syzygy(2)
 
-    def flat(M, N, reuse=None):
-        t = ext_dims(M, N, [1], d_range, 0, hi, resolution=reuse)
-        return sum(t.values())
+    def flat(M, N):
+        return sum(calc.ext_dims(M, N, [1], d_range).values())
 
     triples = {
-        "R+omega+syz2": flat(omega, omega, res)
-        + flat(omega, R, res)
-        + flat(omega, om2, res)
+        "R+omega+syz2": flat(omega, omega)
+        + flat(omega, R)
+        + flat(omega, om2)
         + flat(om2, R)
         + flat(om2, omega)
         + flat(om2, om2),
         "R+syz1": flat(om1, R) + flat(om1, om1),
-        "omega+M2": flat(omega, omega, res)
-        + flat(omega, M2, res)
-        + _ext_total(M2, omega, d_range, hi)
-        + _ext_total(M2, M2, d_range, hi),
+        "omega+M2": flat(omega, omega)
+        + flat(omega, M2)
+        + flat(M2, omega)
+        + flat(M2, M2),
     }
     return {"window": [min(d_range), max(d_range)], "totals": triples}
-
-
-def _ext_total(M, N, d_range, hi) -> int:
-    t = ext_dims(M, N, [1], d_range, 0, hi)
-    return sum(t.values())

@@ -373,30 +373,13 @@ class DegreewiseComplex:
         cols = self.mats[t].get(j)
         return linalg.rank_of(cols, char) if cols else 0
 
-    def homology(self, char: int = 0, processes: int = 0) -> dict:
-        """Exact homology dimensions per (position, degree) on the window.
-
-        With `processes` > 0 the per-degree rank computations run in a
-        process pool; results are merged in a fixed order, so the output
-        is independent of scheduling.
-        """
+    def homology(self, char: int = 0) -> dict:
+        """Exact homology dimensions per (position, degree) on the window."""
         lo, hi = self.window
-        ranks = {}
-        if processes:
-            tasks = {}
-            for t in range(len(self.mats)):
-                for j in range(lo, hi + 1):
-                    cols = self.mats[t].get(j)
-                    if cols:
-                        tasks[(t, j)] = (cols, char)
-            ranks = _pool_ranks(tasks, processes)
         out = {}
         for t in range(len(self.dims)):
             for j in range(lo, hi + 1):
-                if processes:
-                    r = ranks.get((t, j), 0) + ranks.get((t - 1, j), 0)
-                else:
-                    r = self.rank_at(t, j, char) + self.rank_at(t - 1, j, char)
+                r = self.rank_at(t, j, char) + self.rank_at(t - 1, j, char)
                 h = self.dim(t, j) - r
                 if h < 0:
                     raise AssertionError("negative homology dimension")
@@ -492,20 +475,8 @@ class DegreewiseComplex:
         )
 
 
-def _rank_task(item):
-    key, (cols, char) = item
-    return key, linalg.rank_of(cols, char)
-
-
-def _pool_ranks(tasks: dict, processes: int) -> dict:
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return dict(pool.map(_rank_task, sorted(tasks.items())))
-
-
-def homology_dims(c: DegreewiseComplex, char: int = 0, processes: int = 0) -> dict:
-    return c.homology(char, processes)
+def homology_dims(c: DegreewiseComplex, char: int = 0) -> dict:
+    return c.homology(char)
 
 
 def diagonal(

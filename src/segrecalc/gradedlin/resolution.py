@@ -115,6 +115,22 @@ class Resolution:
         """The k-th syzygy module (k >= 1)."""
         return self.syzygies[k - 1]
 
+    def tail(self, k: int) -> "Resolution":
+        """The resolution of the k-th syzygy, read off from step k on.
+
+        `free_resolution` computes step k from exactly this syzygy, so
+        the tail equals resolving it afresh to depth (depth - k)."""
+        return Resolution(
+            self.syzygy(k),
+            self.lo,
+            self.hi,
+            self.frees[k:],
+            self.betti[k:],
+            self.diffs[k:],
+            self.syzygies[k:],
+            {s - k: cols for s, cols in self.cover_columns.items() if s >= k},
+        )
+
     def betti_table(self) -> list[list[int]]:
         return [sorted(b) for b in self.betti]
 
@@ -371,13 +387,17 @@ def hom_segre_check(Mi: DiagonalModule, Mj: DiagonalModule, d_values, lo, hi) ->
 
 
 class HomCalculator:
-    """Caches resolutions, hom bases, sections and element matrices for a
-    fixed window; the workhorse behind endomorphism quivers and stable
-    hom computations.
+    """The one owner of resolutions, hom bases, sections and element
+    matrices for a ring pair and a window; the caller creates it and
+    passes it to every computation on that pair and window.
 
-    The caches are keyed by the id() of each module, and every keyed
-    module is pinned for the life of the calculator, so that an id
-    cannot be reused by another module and hit a stale entry."""
+    Its dicts are keyed by the modules themselves: the frozen
+    DiagonalModule and FreeModule by value, so equal modules built
+    separately share every entry, and SyzygyModule by identity.  A key
+    keeps its module alive, so an entry cannot be hit by another module.
+    Resolving M to depth D also registers, for k < D, the tail from step
+    k on as the resolution of the k-th syzygy, so syzygies of a resolved
+    module are never resolved again."""
 
     def __init__(self, ringA, ringB, lo: int, hi: int):
         self.ringA = ringA
@@ -385,33 +405,36 @@ class HomCalculator:
         self.lo = lo
         self.hi = hi
         self.free_rank_one = FreeModule(ringA, ringB, (0,))
-        self._pinned = {}
         self._res = {}
         self._hom = {}
         self._section = {}
         self._elem_cache = {}
 
-    def _id(self, M) -> int:
-        self._pinned.setdefault(id(M), M)
-        return id(M)
-
     def resolution(self, M, depth: int = 1) -> Resolution:
-        key = self._id(M)
-        res = self._res.get(key)
+        res = self._res.get(M)
         if res is None or len(res.frees) < depth + 1:
             res = free_resolution(M, depth, self.lo, self.hi)
-            self._res[key] = res
+            self._res[M] = res
+            # a tail of depth 0 would serve no request (every one asks
+            # for depth >= 1), so only tails of positive depth are kept
+            for k in range(1, depth):
+                self._res[res.syzygy(k)] = res.tail(k)
         return res
 
+    def ext_dims(self, M, N, i_values, d_values, char: int = 0) -> dict:
+        """`ext_dims` on the window, over the resolution of M held here."""
+        res = self.resolution(M, max(i_values) + 1)
+        return ext_dims(M, N, i_values, d_values, self.lo, self.hi, res, char)
+
     def hom_basis(self, M, N, d: int) -> list[dict]:
-        key = (self._id(M), self._id(N), d)
+        key = (M, N, d)
         if key not in self._hom:
             self._hom[key] = hom_space(M, N, d, self.lo, self.hi, self.resolution(M)).basis
         return self._hom[key]
 
     def section(self, M, j: int):
         """CoordSolver expressing the degree-j piece through the cover."""
-        key = (self._id(M), j)
+        key = (M, j)
         if key not in self._section:
             res = self.resolution(M)
             cols = res.cover_columns[0].get(j)
@@ -422,7 +445,7 @@ class HomCalculator:
 
     def element_matrix(self, M, N, d: int, vec: dict, t: int) -> list[dict]:
         """Columns of the degree-d map on the degree-t piece of M."""
-        key = (self._id(M), self._id(N), d, t, tuple(sorted(vec.items())))
+        key = (M, N, d, t, tuple(sorted(vec.items())))
         cached = self._elem_cache
         if key in cached:
             return cached[key]

@@ -80,6 +80,14 @@ class WeightedRingSpec:
                 raise ValueError("all weights must have the same rank")
             if any(x < 0 for x in w) or all(x == 0 for x in w):
                 raise ValueError("weights must be >= 0 and nonzero")
+        # every memo and calculator dict hashes ring specs, mostly nested in
+        # module keys; the fields are frozen, so the hash is computed once.
+        # String hashes differ between processes: a spec must not be
+        # pickled into another process, where this value would be stale.
+        object.__setattr__(self, "_hash", hash((self.variables, self.field)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:

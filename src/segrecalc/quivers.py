@@ -104,23 +104,16 @@ class EndoQuiver:
     internal degrees up to `degree_top`; each vertex must have scalar
     degree-zero endomorphisms.  `stable_reduce` recomputes the radical in
     the quotient by maps factoring through free modules and drops the
-    named free vertices.
+    named free vertices.  Every resolution and hom basis comes from
+    `calc`, the HomCalculator of the summands' ring pair and window.
     """
 
-    def __init__(self, summands, lo: int, hi: int, degree_top: int = 3):
-        from .gradedlin.modules import SyzygyModule
-        from .gradedlin.resolution import HomCalculator
-
+    def __init__(self, calc, summands, degree_top: int = 3):
         self.summands = list(summands)
         labels = [l for l, _ in self.summands]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate summand labels")
-        first = self.summands[0][1]
-        if isinstance(first, SyzygyModule):
-            ringA, ringB = first.ambient.ringA, first.ambient.ringB
-        else:
-            ringA, ringB = first.ringA, first.ringB
-        self.calc = HomCalculator(ringA, ringB, lo, hi)
+        self.calc = calc
         self.degree_top = degree_top
         for label, mod in self.summands:
             if len(self.calc.hom_basis(mod, mod, 0)) != 1:
@@ -203,25 +196,6 @@ class EndoQuiver:
 
     def stable_reduce(self, free_labels) -> Quiver:
         return self._arrows(drop_free=set(free_labels))
-
-
-def endo_quiver(summands, lo: int, hi: int, degree_top: int = 3) -> Quiver:
-    """Gabriel quiver of End(⊕ summands); the result carries its
-    computation context so that `stable_reduce` can recompute the
-    radical in the stable quotient."""
-    eq = EndoQuiver(summands, lo, hi, degree_top)
-    eq.quiver._endo = eq
-    return eq.quiver
-
-
-def stable_reduce(quiver: Quiver, free_labels) -> Quiver:
-    """Drop the named free vertices and recompute rad/rad^2 modulo maps
-    factoring through free modules.  Accepts a quiver built by
-    `endo_quiver`."""
-    endo = getattr(quiver, "_endo", None)
-    if endo is None:
-        raise ValueError("stable_reduce needs a quiver built by endo_quiver")
-    return endo.stable_reduce(free_labels)
 
 
 def middle_multiplicities(seq, free_shift: int = 0) -> dict:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from segrecalc import cache as cache_mod
-from segrecalc.cli import main
+from segrecalc.cli import check_kronecker_suite, main
+from segrecalc.gradedlin import resolution
 from segrecalc.config import ConfigError, parse_config
 
 
@@ -208,3 +209,17 @@ def test_reproduce_section_six(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
     assert summary["pass"] and summary["checks"] == {"numsgp-suite": True}
+
+
+def test_kronecker_suite_resolves_each_module_once(monkeypatch):
+    # omega to depth 5 (its syzygies are served as tails) and M_2 as a source
+    calls = []
+    real = resolution.free_resolution
+
+    def counted(module, *args):
+        calls.append(module)
+        return real(module, *args)
+
+    monkeypatch.setattr(resolution, "free_resolution", counted)
+    assert check_kronecker_suite({})["pass"]
+    assert len(calls) == 2

@@ -167,11 +167,6 @@ def test_sink_sequences():
         assert cut.complex.dim(3, j) == om2_dims[j]
 
 
-def test_parallel_homology_matches_serial():
-    seq = catalog.almost_split_sequence("k3_w12", "at-R", (0, 4))
-    assert seq.complex.homology(0, processes=2) == seq.complex.homology()
-
-
 def test_extend_diagonal_dims():
     dc = diff_complex(B3, (0, 4))
     ext = extend_diagonal(dc, A2)

@@ -5,18 +5,16 @@ from hypothesis import given, settings
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin import catalog
 from segrecalc.gradedlin.modules import DiagonalModule
-from segrecalc.gradedlin.resolution import free_resolution
+from segrecalc.gradedlin.resolution import HomCalculator
 from segrecalc.quivers import (
     EndoQuiver,
     Quiver,
     VeroneseSideData,
     TRIVIAL_SIDE,
-    endo_quiver,
     fold_d3,
     fold_d4,
     middle_multiplicities,
     p_segre_quiver,
-    stable_reduce,
 )
 
 A2 = ring(("x0", "x1"), (1, 1))
@@ -94,12 +92,12 @@ def test_fold_counts_general(nverts, data):
 
 
 def nongor_quiver(hi=8):
+    calc = HomCalculator(A2, B3, 0, hi)
     omega = DiagonalModule(A2, B3, 1)
-    res = free_resolution(omega, 3, 0, hi)
+    syz2 = calc.resolution(omega, 3).syzygy(2)
     return EndoQuiver(
-        [("R", DiagonalModule(A2, B3, 0)), ("om", omega), ("syz2", res.syzygy(2))],
-        0,
-        hi,
+        calc,
+        [("R", DiagonalModule(A2, B3, 0)), ("om", omega), ("syz2", syz2)],
         degree_top=3,
     )
 
@@ -112,7 +110,7 @@ def test_nongor_endo_quiver():
 def test_single_free_vertex_sees_ring_generators():
     # with no other summands absorbing compositions, the loops count the
     # minimal algebra generators of the ring itself
-    eq = EndoQuiver([("R", DiagonalModule(A2, B3, 0))], 0, 5, degree_top=2)
+    eq = EndoQuiver(HomCalculator(A2, B3, 0, 5), [("R", DiagonalModule(A2, B3, 0))], degree_top=2)
     assert eq.quiver.arrows == {("R", "R"): 6}
 
 
@@ -122,7 +120,7 @@ def test_gorenstein_quivers_and_stable():
         ("R", DiagonalModule(XYZ, UV, 0)),
         ("M1", DiagonalModule(XYZ, UV, 1)),
     ]
-    eq = EndoQuiver(mods, 0, 8, degree_top=3)
+    eq = EndoQuiver(HomCalculator(XYZ, UV, 0, 8), mods, degree_top=3)
     assert eq.quiver.arrows == {
         ("M-1", "R"): 3,
         ("R", "M1"): 3,
@@ -131,19 +129,6 @@ def test_gorenstein_quivers_and_stable():
         ("M1", "M-1"): 1,
     }
     assert eq.stable_reduce(["R"]).arrows == {("M1", "M-1"): 1}
-
-
-def test_endo_quiver_function_and_stable_reduce():
-    mods = [
-        ("M-1", DiagonalModule(XYZ, UV, -1)),
-        ("R", DiagonalModule(XYZ, UV, 0)),
-        ("M1", DiagonalModule(XYZ, UV, 1)),
-    ]
-    q = endo_quiver(mods, 0, 8, degree_top=3)
-    assert q.arrows[("M-1", "R")] == 3
-    assert stable_reduce(q, ["R"]).arrows == {("M1", "M-1"): 1}
-    with pytest.raises(ValueError):
-        stable_reduce(Quiver(("a",), {}), ["a"])
 
 
 def test_middle_multiplicities():

@@ -222,3 +222,27 @@ def test_hom_calculator_caches_repeat():
     # targets built and dropped one after another never share a key
     for i in range(-1, 4):
         assert len(calc.hom_basis(omega, M(i), 0)) == M(i - 1).dim(0)
+
+
+def test_hom_calculator_keys_equal_modules_by_value():
+    calc = HomCalculator(A2, B3, 0, 6)
+    for _ in range(2):
+        calc.hom_basis(M(1), M(1), 0)
+    assert len(calc._res) == 1
+    assert len(calc._hom) == 1
+
+
+@pytest.mark.parametrize("key", sorted(catalog.RINGS))
+def test_resolution_tails_match_fresh_resolutions(key):
+    lo, hi = 0, 5
+    calc = HomCalculator(*catalog.RINGS[key], lo, hi)
+    res = calc.resolution(catalog.diagonal_module(key, 1), 5)
+    for k in (1, 2, 3):
+        syz = res.syzygy(k)
+        tail = calc.resolution(syz, 2)
+        assert tail.frees[0] is res.frees[k]  # served from the tail, not resolved
+        fresh = free_resolution(syz, 2, lo, hi)
+        assert tail.betti[:3] == fresh.betti
+        assert tail.diffs[:2] == fresh.diffs
+        assert {s: tail.cover_columns[s] for s in range(3)} == fresh.cover_columns
+        assert [s.bases for s in tail.syzygies[:3]] == [s.bases for s in fresh.syzygies]
