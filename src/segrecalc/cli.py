@@ -408,7 +408,6 @@ def check_kronecker_suite(opts) -> dict:
         and all(not e["rigid"] for e in pairs["mixed"])
     )
     calc = _ext_calc(opts)
-    table = _ext_table(calc, opts)
     report = kronecker.classification_report(
         ctx,
         10,
@@ -416,8 +415,8 @@ def check_kronecker_suite(opts) -> dict:
             "rigid_triples": catalog.rigid_triples_check(
                 calc, range(-4, 3 if opts.get("window", 5) >= 5 else 2)
             ),
-            "syz3_self_extension": table["syz3_self_extension"],
-            "stable_end_omega": table["stable_end_omega"],
+            "syz3_self_extension": catalog.syz3_self_extension(calc),
+            "stable_end_omega": catalog.stable_end_omega(calc),
         },
     )
     rigid_ok = all(

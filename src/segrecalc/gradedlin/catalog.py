@@ -177,6 +177,27 @@ def claim3_core_sequence(window) -> NamedSequence:
     )
 
 
+def _ext1(calc: HomCalculator, M, N, d_range) -> dict:
+    """Nonzero graded dimensions of Ext^1(M, N) on the degree range."""
+    t = calc.ext_dims(M, N, [1], d_range)
+    return {d: v for (i, d), v in t.items() if v}
+
+
+def syz3_self_extension(calc: HomCalculator) -> dict:
+    """Ext^1 of the third syzygy of omega with itself on [-2, 1]; `calc`
+    is a calculator over k2_k3."""
+    omega = DiagonalModule(calc.ringA, calc.ringB, 1)
+    om3 = calc.resolution(omega, 5).syzygy(3)
+    return _ext1(calc, om3, om3, range(-2, 2))
+
+
+def stable_end_omega(calc: HomCalculator) -> dict:
+    """Stable End of omega in degrees 0..3; `calc` is over k2_k3."""
+    omega = DiagonalModule(calc.ringA, calc.ringB, 1)
+    stable = stable_hom_dims(calc, omega, omega, range(0, 4))
+    return {str(d): v[1] for d, v in stable.items()}
+
+
 def rigidity_ext_table(calc: HomCalculator, d_range=range(-4, 3)) -> dict:
     """Ext^1 table for the maximal rigid modules over k2_k3.
 
@@ -191,34 +212,32 @@ def rigidity_ext_table(calc: HomCalculator, d_range=range(-4, 3)) -> dict:
     M2 = DiagonalModule(a, b, 2)
     M3 = DiagonalModule(a, b, 3)
     res = calc.resolution(omega, 5)
-    om1, om2, om3 = res.syzygy(1), res.syzygy(2), res.syzygy(3)
+    om1, om2 = res.syzygy(1), res.syzygy(2)
 
-    def table(M, N, rng):
-        t = calc.ext_dims(M, N, [1], rng)
-        return {d: v for (i, d), v in t.items() if v}
+    def table(M, N):
+        return _ext1(calc, M, N, d_range)
 
-    out = {
-        "window": [min(d_range), max(d_range)],
-        "ext1": {
-            "omega,omega": table(omega, omega, d_range),
-            "omega,R": table(omega, R, d_range),
-            "omega,syz2": table(omega, om2, d_range),
-            "syz2,R": table(om2, R, d_range),
-            "syz2,omega": table(om2, omega, d_range),
-            "syz2,syz2": table(om2, om2, d_range),
-            "syz2,M2": table(om2, M2, d_range),
-            "syz2,M3": table(om2, M3, d_range),
-            "syz1,R": table(om1, R, d_range),
-            "syz1,syz1": table(om1, om1, d_range),
-            "omega,M2": table(omega, M2, d_range),
-            "M2_as_target_of_omega": table(omega, M2, d_range),
-        },
-        "syz3_self_extension": table(om3, om3, range(-2, 2)),
+    ext1 = {
+        "omega,omega": table(omega, omega),
+        "omega,R": table(omega, R),
+        "omega,syz2": table(omega, om2),
+        "syz2,R": table(om2, R),
+        "syz2,omega": table(om2, omega),
+        "syz2,syz2": table(om2, om2),
+        "syz2,M2": table(om2, M2),
+        "syz2,M3": table(om2, M3),
+        "syz1,R": table(om1, R),
+        "syz1,syz1": table(om1, om1),
+        "omega,M2": table(omega, M2),
     }
-    stable = stable_hom_dims(calc, omega, omega, range(0, 4))
-    out["stable_end_omega"] = {str(d): v[1] for d, v in stable.items()}
-    out["betti_omega"] = res.betti_table()
-    return out
+    ext1["M2_as_target_of_omega"] = ext1["omega,M2"]
+    return {
+        "window": [min(d_range), max(d_range)],
+        "ext1": ext1,
+        "syz3_self_extension": syz3_self_extension(calc),
+        "stable_end_omega": stable_end_omega(calc),
+        "betti_omega": res.betti_table(),
+    }
 
 
 def rigid_triples_check(calc: HomCalculator, d_range=range(-4, 3)) -> dict:
@@ -238,17 +257,15 @@ def rigid_triples_check(calc: HomCalculator, d_range=range(-4, 3)) -> dict:
     def flat(M, N):
         return sum(calc.ext_dims(M, N, [1], d_range).values())
 
+    omega_omega = flat(omega, omega)
     triples = {
-        "R+omega+syz2": flat(omega, omega)
+        "R+omega+syz2": omega_omega
         + flat(omega, R)
         + flat(omega, om2)
         + flat(om2, R)
         + flat(om2, omega)
         + flat(om2, om2),
         "R+syz1": flat(om1, R) + flat(om1, om1),
-        "omega+M2": flat(omega, omega)
-        + flat(omega, M2)
-        + flat(M2, omega)
-        + flat(M2, M2),
+        "omega+M2": omega_omega + flat(omega, M2) + flat(M2, omega) + flat(M2, M2),
     }
     return {"window": [min(d_range), max(d_range)], "totals": triples}

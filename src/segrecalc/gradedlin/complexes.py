@@ -7,7 +7,15 @@ free modules over one weighted ring (polynomial differential entries).
 `BiFreeComplex` is the bigraded analogue over a pair of rings.
 `DegreewiseComplex` is the fully expanded object: per internal degree,
 explicit scalar matrices; homology is computed by exact rank
-calculations, and d∘d = 0 holds as a hard assertion on every window.
+calculations, one per differential and degree, and d∘d = 0 holds as a
+hard assertion on every window.
+
+Scalar matrices are expanded through multiplication tables built once
+per call (`_mul_rows`): for an entry monomial u and a source and target
+degree, one tuple holds the target index of u·m for every source
+monomial m.  The diagonal of a bigraded complex uses one table per
+factor, since the row of (ua·mA)⊗(ub·mB) splits into an A part and a B
+part.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from functools import lru_cache
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
-from .poly import Mono, monomials, monomial_index, mono_mul, variable
+from .poly import Mono, monomials, monomial_index, variable
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +59,18 @@ class FreeComplex:
         src, dst = self.terms[t], self.terms[t + 1]
         src_off = _offsets(self.ring, src, j)
         dst_off = _offsets(self.ring, dst, j)
+        rows = _mul_rows(self.ring, "entry degree mismatch")
         cols = [dict() for _ in range(src_off[-1])]
         for (r, c), poly in self.diffs[t].items():
-            for k, mono in enumerate(monomials(self.ring, j - src[c])):
-                col = cols[src_off[c] + k]
-                for u, coeff in poly.items():
-                    target = mono_mul(u, mono)
-                    idx = monomial_index(self.ring, j - dst[r]).get(target)
-                    if idx is None:
-                        raise AssertionError("entry degree mismatch")
-                    col[dst_off[r] + idx] = col.get(dst_off[r] + idx, 0) + coeff
+            terms = [
+                (rows(u, j - src[c], j - dst[r]), coeff) for u, coeff in poly.items()
+            ]
+            base, off = src_off[c], dst_off[r]
+            for k in range(src_off[c + 1] - base):
+                col = cols[base + k]
+                for targets, coeff in terms:
+                    key = off + targets[k]
+                    col[key] = col.get(key, 0) + coeff
         return [{k: v for k, v in c.items() if v} for c in cols]
 
     def dim_at(self, t: int, j: int) -> int:
@@ -72,6 +82,35 @@ def _offsets(spec: WeightedRingSpec, gens: tuple[int, ...], j: int) -> list[int]
     for g in gens:
         out.append(out[-1] + len(monomials(spec, j - g)))
     return out
+
+
+def _mul_rows(spec: WeightedRingSpec, mismatch: str):
+    """Multiplication tables of one ring, each built once and kept for
+    as long as the caller keeps `rows`.
+
+    `rows(u, d, e)[k]` is the index of u·m_k in the degree-e monomial
+    basis, m_k the k-th monomial of degree d.  A product outside that
+    basis (deg u + d != e) raises AssertionError(mismatch); an empty
+    degree-d basis gives an empty table and raises nothing.
+    """
+    memo = {}
+
+    def rows(u: Mono, d: int, e: int) -> tuple[int, ...]:
+        key = (u, d, e)
+        out = memo.get(key)
+        if out is None:
+            index = monomial_index(spec, e)
+            try:
+                out = tuple(
+                    index[tuple(x + y for x, y in zip(u, m))]
+                    for m in monomials(spec, d)
+                )
+            except KeyError:
+                raise AssertionError(mismatch) from None
+            memo[key] = out
+        return out
+
+    return rows
 
 
 def koszul(spec: WeightedRingSpec) -> FreeComplex:
@@ -377,10 +416,12 @@ class DegreewiseComplex:
         """Exact homology dimensions per (position, degree) on the window."""
         lo, hi = self.window
         out = {}
+        into = dict.fromkeys(range(lo, hi + 1), 0)  # rank of the map into t
         for t in range(len(self.dims)):
             for j in range(lo, hi + 1):
-                r = self.rank_at(t, j, char) + self.rank_at(t - 1, j, char)
-                h = self.dim(t, j) - r
+                r = self.rank_at(t, j, char)
+                h = self.dim(t, j) - r - into[j]
+                into[j] = r
                 if h < 0:
                     raise AssertionError("negative homology dimension")
                 if h:
@@ -516,12 +557,15 @@ def diagonal(
             key = (shift + b - a, -b)
             summ[key] = summ.get(key, 0) + 1
         structured.append(sorted((m, tw, k) for (m, tw), k in summ.items()))
+    rowsA = _mul_rows(specA, "diagonal degree mismatch")
+    rowsB = _mul_rows(specB, "diagonal degree mismatch")
     mats = []
     for t, entries in enumerate(bi.diffs):
+        src, dst = bi.terms[t], bi.terms[t + 1]
         table = {}
         for j in range(lo, hi + 1):
-            soffs, sblocks = basis(bi.terms[t], j)
-            doffs, dblocks = basis(bi.terms[t + 1], j)
+            soffs, sblocks = basis(src, j)
+            doffs, dblocks = basis(dst, j)
             if soffs[-1] == 0:
                 continue
             cols = [dict() for _ in range(soffs[-1])]
@@ -529,19 +573,22 @@ def diagonal(
                 ma, mb = sblocks[c]
                 if not ma or not mb:
                     continue
-                ta, tb = dblocks[r]
-                tib = len(tb)
-                idxA = monomial_index(specA, shift + j - bi.terms[t + 1][r][0])
-                idxB = monomial_index(specB, j - bi.terms[t + 1][r][1])
-                for ia, mA in enumerate(ma):
-                    for ib, mB in enumerate(mb):
-                        col = cols[soffs[c] + ia * len(mb) + ib]
-                        for (ua, ub), coeff in poly.items():
-                            ra = idxA.get(mono_mul(ua, mA))
-                            rb = idxB.get(mono_mul(ub, mB))
-                            if ra is None or rb is None:
-                                raise AssertionError("diagonal degree mismatch")
-                            key = doffs[r] + ra * tib + rb
+                # the row of (ua·mA) ⊗ (ub·mB) is doffs[r] + ra·len(tb) + rb,
+                # ra from the A table of ua and rb from the B table of ub
+                (a, b), (a2, b2) = src[c], dst[r]
+                tib = len(dblocks[r][1])
+                terms = []
+                for (ua, ub), coeff in poly.items():
+                    ras = rowsA(ua, shift + j - a, shift + j - a2)
+                    rbs = rowsB(ub, j - b, j - b2)
+                    terms.append(([doffs[r] + ra * tib for ra in ras], rbs, coeff))
+                base, nb = soffs[c], len(mb)
+                for ia in range(len(ma)):
+                    at_ia = [(keys[ia], rbs, coeff) for keys, rbs, coeff in terms]
+                    for ib in range(nb):
+                        col = cols[base + ia * nb + ib]
+                        for ka, rbs, coeff in at_ia:
+                            key = ka + rbs[ib]
                             val = col.get(key, 0) + coeff
                             if val:
                                 col[key] = val
@@ -678,18 +725,21 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
     # first map: s⊗top ↦ Σ_i d_n(s·m_i ⊗ top) ⊗ μ_i
     first = {}
     sym_top = _sym_monomials(n, n - 1)
+    rows = _mul_rows(spec, "top map degree mismatch")
     for j in range(lo, hi + 1):
         src = monomials(spec, j - n)
         if not src:
             continue
         solver = kernel_solver(n - 1, j + n - 1)
         nduals = len(sym_top)
+        # the deepest koszul differential on (s·m_i) ⊗ top, s·m_i of degree j - 1
+        images = kos.matrix_at(0, j + n - 1)
+        prods = [rows(mi, j - n, j - 1) for mi in sym_top]
         cols = []
-        for s in src:
+        for k_s in range(len(src)):
             col = {}
-            for mi_idx, mi in enumerate(sym_top):
-                prod = mono_mul(s, mi)
-                vec = _koszul_image(kos, spec, j + n - 1, prod)
+            for mi_idx, targets in enumerate(prods):
+                vec = images[targets[k_s]]
                 coords = solver.solve(vec)
                 if coords is None:
                     raise AssertionError("top map misses the kernel")
@@ -780,13 +830,6 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
         last[j] = cols
     mats.append(last)
     return DegreewiseComplex(labels, dims, mats, window)
-
-
-def _koszul_image(kos: FreeComplex, spec: WeightedRingSpec, s: int, mono: Mono):
-    """Image under the deepest koszul differential of mono ⊗ (top wedge)."""
-    cols = kos.matrix_at(0, s)
-    idx = monomial_index(spec, s - kos.terms[0][0])[mono]
-    return cols[idx]
 
 
 def extend_diagonal(

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
 from segrecalc import cache as cache_mod
 from segrecalc.cli import check_kronecker_suite, main
-from segrecalc.gradedlin import resolution
+from segrecalc.gradedlin import catalog, resolution
+from segrecalc.gradedlin.resolution import HomCalculator
 from segrecalc.config import ConfigError, parse_config
 
 
@@ -220,6 +222,33 @@ def test_kronecker_suite_resolves_each_module_once(monkeypatch):
         calls.append(module)
         return real(module, *args)
 
+    def refuse(*args):
+        raise AssertionError("kronecker-suite needs two entries, not the whole table")
+
     monkeypatch.setattr(resolution, "free_resolution", counted)
+    monkeypatch.setattr(catalog, "rigidity_ext_table", refuse)
     assert check_kronecker_suite({})["pass"]
     assert len(calls) == 2
+
+
+def test_ext_tables_compute_each_pair_once(monkeypatch):
+    calls = Counter()
+    real = HomCalculator.ext_dims
+
+    def counted(self, M, N, i_values, d_values, char=0):
+        calls[(M, N, tuple(i_values), tuple(d_values))] += 1
+        return real(self, M, N, i_values, d_values, char)
+
+    monkeypatch.setattr(HomCalculator, "ext_dims", counted)
+    calc = HomCalculator(*catalog.ring_pair("k2_k3"), 0, 8)
+    table = catalog.rigidity_ext_table(calc)
+    assert max(calls.values()) == 1
+    ext1 = table["ext1"]
+    assert ext1["M2_as_target_of_omega"] == ext1["omega,M2"]
+    assert table["syz3_self_extension"] == catalog.syz3_self_extension(calc)
+    assert table["stable_end_omega"] == catalog.stable_end_omega(calc)
+    calls.clear()
+    assert catalog.rigid_triples_check(calc)["totals"] == {
+        "R+omega+syz2": 0, "R+syz1": 0, "omega+M2": 0,
+    }
+    assert max(calls.values()) == 1

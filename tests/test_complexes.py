@@ -1,9 +1,15 @@
+from collections import Counter
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
+from segrecalc import linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin.complexes import (
+    BiFreeComplex,
+    FreeComplex,
     alpha_complex,
     bify,
     diagonal,
@@ -15,6 +21,7 @@ from segrecalc.gradedlin.complexes import (
     truncate_split,
 )
 from segrecalc.gradedlin import catalog
+from segrecalc.gradedlin.poly import monomial_index, monomials, mono_mul
 
 A2 = ring(("x0", "x1"), (1, 1))
 B3 = ring(("y0", "y1", "y2"), (1, 1, 1))
@@ -173,3 +180,242 @@ def test_extend_diagonal_dims():
     for t in range(len(dc.dims)):
         for j in range(0, 5):
             assert ext.dim(t, j) == dc.dim(t, j) * (j + 1)
+
+
+# ---------------------------------------------------------------------------
+# per-factor multiplication tables against the mono_mul expansion
+
+
+def _matrix_at_reference(c, t, j):
+    """FreeComplex.matrix_at as one mono_mul and index lookup per term."""
+    src, dst = c.terms[t], c.terms[t + 1]
+
+    def offsets(gens):
+        out = [0]
+        for g in gens:
+            out.append(out[-1] + len(monomials(c.ring, j - g)))
+        return out
+
+    src_off, dst_off = offsets(src), offsets(dst)
+    cols = [dict() for _ in range(src_off[-1])]
+    for (r, col_i), poly in c.diffs[t].items():
+        for k, mono in enumerate(monomials(c.ring, j - src[col_i])):
+            col = cols[src_off[col_i] + k]
+            for u, coeff in poly.items():
+                idx = monomial_index(c.ring, j - dst[r]).get(mono_mul(u, mono))
+                if idx is None:
+                    raise AssertionError("entry degree mismatch")
+                col[dst_off[r] + idx] = col.get(dst_off[r] + idx, 0) + coeff
+    return [{k: v for k, v in col.items() if v} for col in cols]
+
+
+def _diagonal_reference(bi, shift, window):
+    """The diagonal matrices as one mono_mul per (term, mA, mB) triple."""
+    lo, hi = window
+    specA, specB = bi.ringA, bi.ringB
+
+    def basis(term, j):
+        offs, blocks = [0], []
+        for (a, b) in term:
+            ma, mb = monomials(specA, shift + j - a), monomials(specB, j - b)
+            blocks.append((ma, mb))
+            offs.append(offs[-1] + len(ma) * len(mb))
+        return offs, blocks
+
+    mats = []
+    for t, entries in enumerate(bi.diffs):
+        table = {}
+        for j in range(lo, hi + 1):
+            soffs, sblocks = basis(bi.terms[t], j)
+            doffs, dblocks = basis(bi.terms[t + 1], j)
+            if soffs[-1] == 0:
+                continue
+            cols = [dict() for _ in range(soffs[-1])]
+            for (r, c), poly in entries.items():
+                ma, mb = sblocks[c]
+                if not ma or not mb:
+                    continue
+                tib = len(dblocks[r][1])
+                idxA = monomial_index(specA, shift + j - bi.terms[t + 1][r][0])
+                idxB = monomial_index(specB, j - bi.terms[t + 1][r][1])
+                for ia, mA in enumerate(ma):
+                    for ib, mB in enumerate(mb):
+                        col = cols[soffs[c] + ia * len(mb) + ib]
+                        for (ua, ub), coeff in poly.items():
+                            ra = idxA.get(mono_mul(ua, mA))
+                            rb = idxB.get(mono_mul(ub, mB))
+                            if ra is None or rb is None:
+                                raise AssertionError("diagonal degree mismatch")
+                            key = doffs[r] + ra * tib + rb
+                            val = col.get(key, 0) + coeff
+                            if val:
+                                col[key] = val
+                            elif key in col:
+                                del col[key]
+            table[j] = cols
+        mats.append(table)
+    return mats
+
+
+def _ordered(mats):
+    # column dicts as item lists, so key order is compared too
+    return [{j: [list(col.items()) for col in cols] for j, cols in m.items()} for m in mats]
+
+
+def _assert_diagonal_matches(bi, shift, window):
+    dc = diagonal(bi, shift, window)
+    assert _ordered(dc.mats) == _ordered(_diagonal_reference(bi, shift, window))
+    lo, hi = window
+    for t, term in enumerate(bi.terms):
+        expected = {}
+        for j in range(lo, hi + 1):
+            n = sum(
+                len(monomials(bi.ringA, shift + j - a)) * len(monomials(bi.ringB, j - b))
+                for (a, b) in term
+            )
+            if n:
+                expected[j] = n
+        assert list(dc.dims[t].items()) == list(expected.items())
+        summ = Counter((shift + b - a, -b) for (a, b) in term)
+        assert dc.summands[t] == sorted((m, tw, k) for (m, tw), k in summ.items())
+    return dc
+
+
+def _glued(key, at):
+    a, b = catalog.ring_pair(key)
+    ta, thr_a, tb, thr_b, shift, _ = catalog.AR_RECIPES[key][at]
+    sA = truncate_split(koszul(a).twist(ta), lambda g: g >= thr_a)
+    sB = truncate_split(koszul(b).twist(tb), lambda g: g >= thr_b)
+    return glue_split_tensor(sA, sB), shift
+
+
+def test_diagonal_tables_match_reference_on_almost_split_sequences():
+    for key, recipes in catalog.AR_RECIPES.items():
+        for at in recipes:
+            bi, shift = _glued(key, at)
+            for window in ((0, 4), (-2, 3)):
+                dc = _assert_diagonal_matches(bi, shift, window)
+                seq = catalog.almost_split_sequence(key, at, window)
+                assert dc.labels == seq.complex.labels
+                assert _ordered(dc.mats) == _ordered(seq.complex.mats)
+
+
+def test_diagonal_tables_match_reference_on_koszul_diagonals():
+    a, b = catalog.ring_pair("k2_k3")
+    for variant, bi in ((1, bify(koszul(a), b, "A")), (2, bify(koszul(b), a, "B"))):
+        for shift in range(-2, 4):
+            dc = _assert_diagonal_matches(bi, shift, (-1, 5))
+            kd = catalog.koszul_diagonal("k2_k3", variant, shift, (-1, 5))
+            assert dc.labels == kd.labels and dc.summands == kd.summands
+            assert _ordered(dc.mats) == _ordered(kd.mats)
+
+
+small_weights = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    small_weights,
+    small_weights,
+    st.sampled_from(["tensor", "glue", "bifyA", "bifyB"]),
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(-3, 0),
+    st.integers(0, 4),
+)
+def test_diagonal_tables_match_reference_on_random_complexes(
+    wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
+):
+    A = ring(tuple(f"a{i}" for i in range(len(wa))), tuple(wa))
+    B = ring(tuple(f"b{i}" for i in range(len(wb))), tuple(wb))
+    kA, kB = koszul(A).twist(twist), koszul(B)
+    if kind == "tensor":
+        bi = tensor(kA, kB)
+    elif kind == "glue":
+        sA = truncate_split(kA, lambda g: g >= thr_a)
+        sB = truncate_split(kB, lambda g: g >= thr_b)
+        try:
+            bi = glue_split_tensor(sA, sB)
+        except ValueError:
+            assume(False)
+    elif kind == "bifyA":
+        bi = bify(kA, B, "A")
+    else:
+        bi = bify(kB, A, "B")
+    _assert_diagonal_matches(bi, shift, (lo, lo + width))
+    for t in range(len(kA.diffs)):
+        for j in range(lo, lo + width + 1):
+            assert [list(c.items()) for c in kA.matrix_at(t, j)] == [
+                list(c.items()) for c in _matrix_at_reference(kA, t, j)
+            ]
+
+
+def test_misdegreed_entries_still_raise():
+    a, b = catalog.ring_pair("k2_k3")
+    bi = bify(koszul(a), b, "A")
+    diffs = [dict(d) for d in bi.diffs]
+    (rc, poly), = list(diffs[-1].items())[:1]
+    (ua, ub), coeff = next(iter(poly.items()))
+    diffs[-1][rc] = {(tuple(2 * e for e in ua), ub): coeff}  # degree 2, not 1
+    bad = BiFreeComplex(bi.ringA, bi.ringB, bi.terms, diffs)
+    with pytest.raises(AssertionError, match="diagonal degree mismatch"):
+        _diagonal_reference(bad, 0, (0, 3))
+    with pytest.raises(AssertionError, match="diagonal degree mismatch"):
+        diagonal(bad, 0, (0, 3))
+    k = koszul(a)
+    kdiffs = [dict(d) for d in k.diffs]
+    rc, poly = next(iter(kdiffs[-1].items()))
+    kdiffs[-1][rc] = {tuple(2 * e for e in u): v for u, v in poly.items()}
+    badk = FreeComplex(a, k.terms, kdiffs)
+    with pytest.raises(AssertionError, match="entry degree mismatch"):
+        badk.matrix_at(len(kdiffs) - 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# each degreewise matrix built once and ranked once
+
+
+def test_homology_ranks_each_matrix_once(monkeypatch):
+    ranked = []
+    real = linalg.rank_of
+
+    def counted(cols, char=0):
+        ranked.append(id(cols))
+        return real(cols, char)
+
+    monkeypatch.setattr(linalg, "rank_of", counted)
+    seqs = catalog.almost_split_suite("k3_w12", (-1, 4))
+    seqs.append(catalog.sink_sequence_at_syzygy2((0, 4)))
+    for seq in seqs:
+        dc = seq.complex
+        ranked.clear()
+        dc.homology()
+        lo, hi = dc.window
+        nonempty = [
+            id(m[j]) for m in dc.mats for j in range(lo, hi + 1) if m.get(j)
+        ]
+        assert sorted(ranked) == sorted(nonempty)
+
+
+def test_diff_complex_builds_top_koszul_matrix_once_per_degree(monkeypatch):
+    built = Counter()
+    real = FreeComplex.matrix_at
+
+    def counted(self, t, j):
+        built[(t, j)] += 1
+        return real(self, t, j)
+
+    monkeypatch.setattr(FreeComplex, "matrix_at", counted)
+    for n in (1, 2, 3):
+        built.clear()
+        spec = ring(tuple(f"y{i}" for i in range(n)), (1,) * n)
+        assert diff_complex(spec, (0, 5)).homology() == {(n, 0): 1}
+        top = {j: k for (t, j), k in built.items() if t == 0}
+        assert top and max(top.values()) == 1
+
+
+def test_fourfold_homology_over_prime_field_matches_rationals():
+    for seq in catalog.almost_split_suite("k3_k3", (0, 6)):
+        assert seq.complex.homology(10007) == seq.complex.homology()
