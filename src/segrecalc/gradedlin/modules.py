@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec, dim_at
+from ..linalg import CertificationError
 from .poly import monomials, mono_mul
 
 
@@ -30,31 +31,6 @@ def r_basis(specA: WeightedRingSpec, specB: WeightedRingSpec, p: int):
 @lru_cache(maxsize=None)
 def r_index(specA, specB, p: int) -> dict:
     return {m: i for i, m in enumerate(r_basis(specA, specB, p))}
-
-
-@lru_cache(maxsize=None)
-def semigroup_generators(specA: WeightedRingSpec, specB: WeightedRingSpec):
-    """Minimal generators of the monomial-pair semigroup of A # B, as
-    (degree, pair) in increasing degree, r_basis order within a degree.
-
-    A pair is irreducible when no generator of lower degree divides it
-    componentwise.  The list is complete: an irreducible pair of degree p
-    is a primitive partition identity a_1 + ... + a_k = p = b_1 + ... + b_l
-    with parts among the variable weights, and Lambert's theorem
-    (Diaconis-Graham-Sturmfels, "Primitive partition identities", 1993)
-    gives k <= wB and l <= wA for the largest weights wA, wB, so
-    p <= wA * wB.  The enumeration stops at that bound.
-    """
-    top = max(w[0] for w in specA.weights) * max(w[0] for w in specB.weights)
-    gens = []
-    for p in range(1, top + 1):
-        for ma, mb in r_basis(specA, specB, p):
-            if not any(
-                all(x <= y for x, y in zip(ga, ma)) and all(x <= y for x, y in zip(gb, mb))
-                for _, (ga, gb) in gens
-            ):
-                gens.append((p, (ma, mb)))
-    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -74,10 +50,6 @@ class DiagonalModule:
     @property
     def min_degree(self) -> int:
         return max(0, -self.shift) + self.twist
-
-    @property
-    def max_degree(self):
-        return None  # bases are generated on demand at any degree
 
     def basis(self, j: int):
         return _diag_basis(self.ringA, self.ringB, self.shift + j - self.twist, j - self.twist)
@@ -148,10 +120,6 @@ class FreeModule:
     def min_degree(self) -> int:
         return min(self.gens) if self.gens else 0
 
-    @property
-    def max_degree(self):
-        return None
-
     def offsets(self, j: int) -> list[int]:
         out = [0]
         for g in self.gens:
@@ -189,6 +157,7 @@ class SyzygyModule:
         self.bases = bases  # degree -> list of vectors (dict over ambient coords)
         self.label = label
         self._solvers = {}
+        self._act_cache = {}  # (pair, p, j) -> act columns
         degs = [j for j, b in bases.items() if b]
         self.min_degree = min(degs) if degs else 0
         self.max_degree = max(bases) if bases else None
@@ -207,6 +176,8 @@ class SyzygyModule:
         return self._solvers[j]
 
     def act(self, pair, p: int, j: int) -> list[dict]:
+        if self.max_degree is not None and j + p > self.max_degree:
+            raise CertificationError(f"syzygy basis not computed in degree {j + p}")
         src = self.bases.get(j, [])
         if not src:
             return []

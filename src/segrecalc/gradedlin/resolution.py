@@ -8,11 +8,11 @@ kernel, generator count, and Ext dimension at internal degree j only
 consumes data in degrees <= j, so the window certifies itself.
 
 Minimal generators in degree j are the basis vectors of M_j outside
-R_+ M, and since R = A # B is a monomial algebra, (R_+ M)_j is spanned
-by g * M_(j - deg g) with g running over the minimal generators of the
-monomial-pair semigroup (`semigroup_generators`).  Their degree is at
-most wA * wB by Lambert's bound on primitive partition identities, which
-certifies that no multiplier is missed.
+R_+ M.  Once the generators of degree < j are known they generate M
+below j, so (R_+ M)_j is the sum of R_(j - deg g) * g over them: exactly
+the span of their cover columns in degree j.  One elimination per degree
+therefore finds the new generators and the kernel of the cover together
+(the degree-by-degree strategy of La Scala-Stillman, 1998).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .. import linalg
 from ..linalg import CertificationError
-from .modules import DiagonalModule, FreeModule, SyzygyModule, r_basis, semigroup_generators
+from .modules import DiagonalModule, FreeModule, SyzygyModule, r_basis
 
 
 def rings_of(module):
@@ -56,41 +56,59 @@ def _act_vector(module, pair, p: int, j: int, vec: dict) -> dict:
     return linalg.apply_columns(cols, vec)
 
 
-def _image_echelon(module, ringA, ringB, j: int, lo: int) -> linalg.Echelon:
-    """Echelon of the positive-degree action image inside degree j."""
-    if lo > module.min_degree:
-        raise CertificationError(
-            "window does not reach the bottom degree of the module"
-        )
-    ech = linalg.Echelon()
-    for p, pair in semigroup_generators(ringA, ringB):
-        for w in _work_vectors(module, j - p):
-            ech.add(_act_vector(module, pair, p, j - p, w))
-    return ech
+def _cover_step(module, lo: int, hi: int):
+    """Minimal generators, cover columns and cover kernel on [lo, hi].
 
+    In degree j one tracked echelon takes the cover columns of the
+    generators of degree < j (g times each pair of R_(j - deg g)), which
+    span (R_+ M)_j.  The basis vector w_i of M_j is a new generator
+    (j, {i: 1}) when it lies outside that span and the generators of
+    degree j before it; it then enters as its own cover column.  The
+    tracked dependencies are the kernel basis in degree j.
 
-def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
-    """Degrees and representative vectors of a minimal generating set.
-
-    The basis vector w_i of M_j is a generator when it lies outside the
-    span of the image and w_0 .. w_(i-1); its representative is {i: 1}.
-    The list is complete when the module has a certified generation
-    bound inside the window (CertificationError otherwise); without a
-    bound it is exact degree by degree up to hi.
+    The generators are complete when the module has a certified
+    generation bound inside the window (CertificationError otherwise);
+    without a bound they are exact degree by degree up to hi.
     """
     bound = getattr(module, "generation_bound", lambda: None)()
     if bound is not None and bound > hi:
         raise CertificationError(
             f"window top {hi} below the generation bound {bound} of the module"
         )
+    if module.min_degree < lo <= hi:
+        raise CertificationError(
+            "window does not reach the bottom degree of the module"
+        )
     ringA, ringB = rings_of(module)
-    gens = []
-    for j in range(max(lo, module.min_degree), hi + 1):
-        ech = _image_echelon(module, ringA, ringB, j, lo)
+    gens, reps, cover_columns, bases = [], [], {}, {}
+    for j in range(lo, hi + 1):
+        ech = linalg.Echelon(track=True)
+        cols = [
+            _act_vector(module, pair, j - dg, dg, w)
+            for dg, w in reps
+            for pair in r_basis(ringA, ringB, j - dg)
+        ]
+        for c, col in enumerate(cols):
+            ech.add(col, tag=c)
         for i, w in enumerate(_work_vectors(module, j)):
-            if ech.add(w):
+            if not ech.contains(w):
                 gens.append((j, {i: 1}))
-    return gens
+                reps.append((j, w))
+                ech.add(w, tag=len(cols))
+                cols.append(dict(w))
+        cover_columns[j] = cols
+        bases[j] = ech.kernel_basis()
+    return gens, cover_columns, bases
+
+
+def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
+    """Degrees and representative vectors of a minimal generating set.
+
+    The basis vector w_i of M_j is a generator when it lies outside
+    (R_+ M)_j and the span of w_0 .. w_(i-1); its representative is
+    {i: 1}.  See `_cover_step` for completeness and certification.
+    """
+    return _cover_step(module, lo, hi)[0]
 
 
 def generation_degrees(module, lo: int, hi: int) -> dict:
@@ -168,7 +186,7 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     frees, betti, diffs, syzygies = [], [], [], []
     res = Resolution(module, lo, hi, frees, betti, diffs, syzygies)
     for step in range(depth + 1):
-        gens = minimal_generators(cur, lo, hi)
+        gens, cover_columns, bases = _cover_step(cur, lo, hi)
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         frees.append(free)
         betti.append(tuple(g for g, _ in gens))
@@ -185,24 +203,7 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
                     poly = entries.setdefault((g_idx, col), {})
                     poly[pair] = poly.get(pair, 0) + coeff
             diffs.append(entries)
-        # cover columns in embedded coordinates, then the kernel
-        bases = {}
-        cover_cols_all = {}
-        for j in range(lo, hi + 1):
-            cols = []
-            for (dg, unitvec) in gens:
-                p = j - dg
-                if p < 0:
-                    continue
-                base = _expand_in_work(cur, dg, unitvec)
-                for pair in r_basis(ringA, ringB, p):
-                    if p == 0:
-                        cols.append(dict(base))
-                    else:
-                        cols.append(_act_vector(cur, pair, p, dg, base))
-            cover_cols_all[j] = cols
-            bases[j] = linalg.kernel_of(cols) if cols else []
-        res.cover_columns[step] = cover_cols_all
+        res.cover_columns[step] = cover_columns
         syz = SyzygyModule(free, bases, label=f"syz^{step + 1}")
         syzygies.append(syz)
         cur = syz
@@ -294,10 +295,7 @@ def _hom_block_matrix(res: Resolution, i: int, N, d: int, char: int = 0):
 def _act_cached(N, pair, p: int, j: int):
     if isinstance(N, SyzygyModule):
         key = (pair, p, j)
-        cache = getattr(N, "_act_cache", None)
-        if cache is None:
-            cache = {}
-            N._act_cache = cache
+        cache = N._act_cache
         if key not in cache:
             cache[key] = N.act(pair, p, j)
         return cache[key]
@@ -352,17 +350,6 @@ class HomSpace:
     d: int
     res: Resolution
     basis: list[dict]
-
-    def gen_values(self, vec: dict, g_idx: int) -> dict:
-        Fi = self.res.frees[0]
-        off = 0
-        for gi, g in enumerate(Fi.gens):
-            dim = _module_dim(self.N, self.d + g)
-            if gi == g_idx:
-                return {
-                    k - off: v for k, v in vec.items() if off <= k < off + dim
-                }
-            off += dim
 
 
 def hom_space(M, N, d: int, lo: int, hi: int, resolution=None) -> HomSpace:

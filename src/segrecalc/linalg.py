@@ -143,6 +143,15 @@ class Echelon:
         body, _ = self._reduce(body, None)
         return not body
 
+    def kernel_basis(self) -> list[Col]:
+        """The tracked dependencies as vectors over the column tags,
+        integer and primitive over Q, deterministic (first nonzero
+        coordinate positive; 1 over F_p)."""
+        return [
+            _normalize_vec({k[1]: v for k, v in aug.items()}, self.char)
+            for aug in self.kernel
+        ]
+
 
 def rank_of(cols: list[Col], char: int = 0) -> int:
     ech = Echelon(char)
@@ -160,11 +169,7 @@ def kernel_of(cols: list[Col], char: int = 0) -> list[Col]:
     ech = Echelon(char, track=True)
     for i, c in enumerate(cols):
         ech.add(c, tag=i)
-    out = []
-    for aug in ech.kernel:
-        vec = {k[1]: v for k, v in aug.items()}
-        out.append(_normalize_vec(vec, char))
-    return out
+    return ech.kernel_basis()
 
 
 def _normalize_vec(vec: Col, char: int = 0) -> Col:

@@ -2,7 +2,10 @@
 line with its elapsed time.  All tolerances are exact integer equalities;
 time budgets are asserted with the stated limits."""
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 from segrecalc import cli
 from segrecalc.quivers import fold_d3, fold_d4, middle_multiplicities
@@ -118,6 +121,11 @@ def test_criterion_11_kronecker_suite():
     report(11, "kronecker-suite", art["pass"], dt, 60)
 
 
+# sha256 of every `reproduce-paper --section all` artifact, pinned so that
+# a change of behaviour between commits shows, not only between two runs
+PINNED_DIGESTS = Path(__file__).with_name("reproduce_sha256.json")
+
+
 def test_criterion_12_determinism(tmp_path):
     t0 = time.time()
     rc1 = cli.main(["reproduce-paper", "--section", "all", "--out", str(tmp_path / "a")])
@@ -128,5 +136,12 @@ def test_criterion_12_determinism(tmp_path):
         (tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
         for n in names
     )
-    ok = rc1 == 0 and rc2 == 0 and same
+    digests = {
+        n: hashlib.sha256((tmp_path / "a" / n).read_bytes()).hexdigest() for n in names
+    }
+    table = json.loads(PINNED_DIGESTS.read_text())
+    changed = sorted(n for n in set(digests) | set(table) if digests.get(n) != table.get(n))
+    if changed:
+        print(f"artifacts differing from {PINNED_DIGESTS.name}: {', '.join(changed)}")
+    ok = rc1 == 0 and rc2 == 0 and same and not changed
     report(12, "determinism", ok, dt1, 900)

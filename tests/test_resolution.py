@@ -5,15 +5,11 @@ from hypothesis import given, settings
 from segrecalc import linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin import catalog, resolution
-from segrecalc.gradedlin.modules import (
-    DiagonalModule,
-    FreeModule,
-    r_basis,
-    semigroup_generators,
-)
+from segrecalc.gradedlin.modules import DiagonalModule, FreeModule, SyzygyModule, r_basis
 from segrecalc.gradedlin.resolution import (
     CertificationError,
     HomCalculator,
+    Resolution,
     ext_dims,
     free_resolution,
     generation_degrees,
@@ -44,8 +40,13 @@ def test_generation_degrees():
 
 
 def test_generation_certification_error():
-    with pytest.raises(CertificationError):
-        generation_degrees(M(-3), 0, 2)  # bound above the window top
+    # the bound of M_-3 is its bottom degree 3 plus wA * wB = 1
+    with pytest.raises(CertificationError, match="window top 2 below the generation bound 4"):
+        generation_degrees(M(-3), 0, 2)
+    with pytest.raises(CertificationError, match="window does not reach the bottom degree"):
+        minimal_generators(M(1), 1, 4)  # generated in degree 0, window from 1
+    with pytest.raises(CertificationError, match="window does not reach the bottom degree"):
+        free_resolution(M(1), 1, 1, 4)
 
 
 def test_generation_degrees_of_deep_syzygy():
@@ -142,9 +143,8 @@ def test_syzygy_requires_window():
 
 
 def all_pairs_image_echelon(module, ringA, ringB, j, lo):
-    """Reference for resolution._image_echelon: the image of every
-    monomial pair of every positive degree, not only the semigroup
-    generators."""
+    """The image of every monomial pair of every positive degree inside
+    degree j."""
     if lo > module.min_degree:
         raise CertificationError("window does not reach the bottom degree of the module")
     ech = linalg.Echelon()
@@ -156,8 +156,77 @@ def all_pairs_image_echelon(module, ringA, ringB, j, lo):
     return ech
 
 
+def reference_minimal_generators(module, lo, hi):
+    """Two-pass reference, first pass: a basis vector is a generator when
+    it enlarges the all-pairs image echelon of its degree."""
+    bound = getattr(module, "generation_bound", lambda: None)()
+    if bound is not None and bound > hi:
+        raise CertificationError(
+            f"window top {hi} below the generation bound {bound} of the module"
+        )
+    ringA, ringB = resolution.rings_of(module)
+    gens = []
+    for j in range(max(lo, module.min_degree), hi + 1):
+        ech = all_pairs_image_echelon(module, ringA, ringB, j, lo)
+        for i, w in enumerate(resolution._work_vectors(module, j)):
+            if ech.add(w):
+                gens.append((j, {i: 1}))
+    return gens
+
+
+def reference_free_resolution(module, depth, lo, hi):
+    """Two-pass reference resolution: the generators of each step from
+    `reference_minimal_generators`, then the cover columns and their
+    kernel by `linalg.kernel_of`, degree by degree."""
+    ringA, ringB = resolution.rings_of(module)
+    cur = module
+    res = Resolution(module, lo, hi, [], [], [], [])
+    for step in range(depth + 1):
+        gens = reference_minimal_generators(cur, lo, hi)
+        free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
+        if step >= 1:
+            entries = {}
+            for col, (dg, unitvec) in enumerate(gens):
+                vec = resolution._expand_in_work(cur, dg, unitvec)
+                for flat, coeff in vec.items():
+                    g_idx, pair = resolution._split_flat(res.frees[-1], dg, flat)
+                    poly = entries.setdefault((g_idx, col), {})
+                    poly[pair] = poly.get(pair, 0) + coeff
+            res.diffs.append(entries)
+        res.frees.append(free)
+        res.betti.append(free.gens)
+        bases, cover = {}, {}
+        for j in range(lo, hi + 1):
+            cols = []
+            for dg, unitvec in gens:
+                if j < dg:
+                    continue
+                base = resolution._expand_in_work(cur, dg, unitvec)
+                for pair in r_basis(ringA, ringB, j - dg):
+                    if j == dg:
+                        cols.append(dict(base))
+                    else:
+                        cols.append(resolution._act_vector(cur, pair, j - dg, dg, base))
+            cover[j] = cols
+            bases[j] = linalg.kernel_of(cols) if cols else []
+        res.cover_columns[step] = cover
+        cur = SyzygyModule(free, bases, label=f"syz^{step + 1}")
+        res.syzygies.append(cur)
+    return res
+
+
+def resolution_fields(res):
+    return (
+        res.betti,
+        res.diffs,
+        res.cover_columns,
+        [s.bases for s in res.syzygies],
+        [s.min_degree for s in res.syzygies],
+    )
+
+
 @pytest.mark.parametrize("key", sorted(catalog.RINGS))
-def test_minimal_generators_match_all_pairs_reference(key, monkeypatch):
+def test_minimal_generators_match_all_pairs_reference(key):
     hi = 5
     modules = [catalog.diagonal_module(key, i) for i in range(-3, 4)]
     # syzygies of M_1, the canonical module over k2_k3 (over the
@@ -165,41 +234,76 @@ def test_minimal_generators_match_all_pairs_reference(key, monkeypatch):
     res = free_resolution(catalog.diagonal_module(key, 1), 3, 0, hi)
     modules += [res.syzygy(k) for k in (1, 2, 3)]
     fast = [minimal_generators(m, 0, hi) for m in modules]
-    monkeypatch.setattr(resolution, "_image_echelon", all_pairs_image_echelon)
-    assert fast == [minimal_generators(m, 0, hi) for m in modules]
+    assert fast == [reference_minimal_generators(m, 0, hi) for m in modules]
 
 
-def irreducible_pairs(specA, specB, top):
-    """Reference enumeration of the irreducible monomial pairs of degree
-    at most top, by divisibility against all lower irreducibles."""
-    found = []
-    for p in range(1, top + 1):
-        for ma, mb in r_basis(specA, specB, p):
-            if not any(
-                all(x <= y for x, y in zip(ga, ma)) and all(x <= y for x, y in zip(gb, mb))
-                for _, (ga, gb) in found
-            ):
-                found.append((p, (ma, mb)))
-    return found
-
-
-def test_semigroup_generators_of_bundled_pairs():
-    counts = {key: len(semigroup_generators(*catalog.RINGS[key])) for key in catalog.RINGS}
-    assert counts == {"k2_k3": 6, "k3_w12": 9, "k3_k3": 9}
+def _outcome(fn, *args):
+    """The value of fn(*args), or the message of its CertificationError."""
+    try:
+        return fn(*args)
+    except CertificationError as exc:
+        return ("CertificationError", str(exc))
 
 
 weight_lists = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
 
 
-@settings(max_examples=30, deadline=None)
-@given(weight_lists, weight_lists)
-def test_lambert_bound_leaves_no_generator_out(wa, wb):
+@settings(max_examples=50, deadline=None)
+@given(
+    weight_lists,
+    weight_lists,
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=-1, max_value=1),
+)
+def test_fused_cover_step_matches_two_pass_reference(wa, wb, shift, lo, extra):
     specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
     specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
-    bound = max(wa) * max(wb)
-    found = irreducible_pairs(specA, specB, 2 * bound + 2)
-    assert max(p for p, _ in found) <= bound
-    assert tuple(found) == semigroup_generators(specA, specB)
+    module = DiagonalModule(specA, specB, shift)
+    # the window ends next to the generation bound: one below it must
+    # raise, at or above it the module resolves unless lo misses its
+    # bottom degree
+    hi = module.generation_bound() + extra
+    assert _outcome(minimal_generators, module, lo, hi) == _outcome(
+        reference_minimal_generators, module, lo, hi
+    )
+    fused = _outcome(free_resolution, module, 2, lo, hi)
+    ref = _outcome(reference_free_resolution, module, 2, lo, hi)
+    if isinstance(ref, Resolution):
+        assert isinstance(fused, Resolution)
+        assert resolution_fields(fused) == resolution_fields(ref)
+        # the syzygies as modules in their own right
+        for syz in fused.syzygies:
+            assert _outcome(minimal_generators, syz, lo, hi) == _outcome(
+                reference_minimal_generators, syz, lo, hi
+            )
+    else:
+        assert fused == ref
+
+
+def test_free_resolution_builds_one_echelon_per_step_and_degree(monkeypatch):
+    built = []
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    depth, lo, hi = 2, 0, 5
+    free_resolution(M(1), depth, lo, hi)
+    assert len(built) == (depth + 1) * (hi - lo + 1)
+
+
+def test_syzygy_action_above_the_window_is_uncertified():
+    calc = HomCalculator(A2, B3, 0, 6)
+    R = M(0)
+    syz2 = calc.resolution(M(1), 3).syzygy(2)
+    phi = calc.hom_basis(R, syz2, 2)[0]
+    for t in (3, 4):
+        assert calc.element_matrix(R, syz2, 2, phi, t)
+    with pytest.raises(CertificationError, match="not computed in degree 7"):
+        calc.element_matrix(R, syz2, 2, phi, 5)
 
 
 def test_ext_over_prime_field_with_syzygy_target():
