@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -141,14 +142,14 @@ def _expected_endo_quivers():
     }
 
 
-def _gorenstein_endo_quiver(key: str, hi: int):
+def _gorenstein_endo_quiver(key: str, hi: int, char: int = 0):
     a, b = catalog.ring_pair(key)
     mods = [
         ("M-1", DiagonalModule(a, b, -1)),
         ("R", DiagonalModule(a, b, 0)),
         ("M1", DiagonalModule(a, b, 1)),
     ]
-    return EndoQuiver(HomCalculator(a, b, 0, hi), mods, degree_top=3)
+    return EndoQuiver(HomCalculator(a, b, 0, hi, char), mods, degree_top=3)
 
 
 def check_gorenstein_quivers(opts) -> dict:
@@ -157,7 +158,7 @@ def check_gorenstein_quivers(opts) -> dict:
     expected = _expected_endo_quivers()
     stable_expected = {"k3_w12": {("M1", "M-1"): 1}, "k3_k3": {}}
     for key, hi in (("k3_w12", 8), ("k3_k3", 7)):
-        eq = _gorenstein_endo_quiver(key, hi)
+        eq = _gorenstein_endo_quiver(key, hi, opts.get("char", 0))
         stable = eq.stable_reduce(["R"])
         good = eq.quiver.arrows == expected[key] and stable.arrows == stable_expected[key]
         ok = ok and good
@@ -172,7 +173,7 @@ def check_gorenstein_quivers(opts) -> dict:
 def check_folding(opts) -> dict:
     window = (0, opts.get("window", 5))
     # doubled quiver from the 3-almost-split data
-    eq = _gorenstein_endo_quiver("k3_w12", 8)
+    eq = _gorenstein_endo_quiver("k3_w12", 8, opts.get("char", 0))
     stable3 = eq.stable_reduce(["R"])
     mids3 = {
         at: middle_multiplicities(catalog.almost_split_sequence("k3_w12", at, window))
@@ -190,7 +191,7 @@ def check_folding(opts) -> dict:
         and folded3.arrow_multiset() == [1, 1, 3, 3]
     )
     # tripled quiver from the 4-almost-split data
-    eq5 = _gorenstein_endo_quiver("k3_k3", 7)
+    eq5 = _gorenstein_endo_quiver("k3_k3", 7, opts.get("char", 0))
     stable4 = eq5.stable_reduce(["R"])
     mids4 = {
         at: middle_multiplicities(catalog.almost_split_sequence("k3_k3", at, window))
@@ -325,7 +326,7 @@ def check_contraction_suite(opts) -> dict:
 
 
 def _ext_calc(opts) -> HomCalculator:
-    return HomCalculator(*catalog.ring_pair("k2_k3"), 0, opts.get("hi", 8))
+    return HomCalculator(*catalog.ring_pair("k2_k3"), 0, opts.get("hi", 8), opts.get("char", 0))
 
 
 def _ext_table(calc: HomCalculator, opts) -> dict:
@@ -373,7 +374,7 @@ def check_nongor_quiver(opts) -> dict:
     results = {}
     ok = True
     for D, hi in ((4, 7), (5, 8), (6, 9)):
-        calc = HomCalculator(a, b, 0, hi)
+        calc = HomCalculator(a, b, 0, hi, opts.get("char", 0))
         omega = DiagonalModule(a, b, 1)
         # depth 3 registers the tail from step 2 as the resolution of syz2
         syz2 = calc.resolution(omega, 3).syzygy(2)
@@ -566,7 +567,8 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         hi = want_int(job, "window", 8)
         a, b = catalog.ring_pair(pair)
         mods = [(f"M{s}" if s else "R", DiagonalModule(a, b, s)) for s in shifts]
-        eq = EndoQuiver(HomCalculator(a, b, 0, hi), mods, degree_top=want_int(job, "degree_top", 3))
+        calc = HomCalculator(a, b, 0, hi, opts.get("char", 0))
+        eq = EndoQuiver(calc, mods, degree_top=want_int(job, "degree_top", 3))
         art = {"quiver": eq.quiver.to_json_dict()}
         if "drop" in job:
             art["stable"] = eq.stable_reduce(job["drop"]).to_json_dict()
@@ -639,10 +641,19 @@ def _options(args) -> dict:
         opts["depth"] = args.depth
     field = getattr(args, "field", "rational")
     if field.startswith("prime:"):
-        opts["char"] = int(field.split(":", 1)[1])
+        opts["char"] = _prime(field.split(":", 1)[1])
     elif field != "rational":
         raise ValueError("--field must be 'rational' or 'prime:p'")
     return opts
+
+
+def _prime(text: str) -> int:
+    """The prime p of `--field prime:p`; ValueError unless 2 <= p < 2^31
+    is prime (trial division, at most 46341 steps)."""
+    p = int(text) if text.isdecimal() else 0
+    if not 2 <= p < 2**31 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"--field prime:p needs a prime p below 2^31, not {text!r}")
+    return p
 
 
 def main(argv=None) -> int:

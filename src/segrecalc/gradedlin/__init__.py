@@ -14,7 +14,6 @@ from .complexes import (
     tensor,
     glue_split_tensor,
     diagonal,
-    homology_dims,
     alpha_complex,
     diff_complex,
     extend_diagonal,
@@ -22,11 +21,8 @@ from .complexes import (
 from .modules import DiagonalModule, FreeModule, SyzygyModule
 from .resolution import (
     CertificationError,
+    HomCalculator,
     free_resolution,
     generation_degrees,
-    ext_dims,
-    hom_dims,
-    hom_space,
     stable_hom_dims,
-    hom_segre_check,
 )

@@ -117,7 +117,7 @@ def koszul(spec: WeightedRingSpec) -> FreeComplex:
     """Koszul complex on the variables, deepest exterior power first.
 
     Exact except at the right end, where the cokernel is the base field
-    in degree zero (checked on windows by `homology_dims`).
+    in degree zero (checked on windows by `DegreewiseComplex.homology`).
     """
     if spec.rank != 1:
         raise ValueError("koszul complexes are built for rank-1 gradings")
@@ -514,10 +514,6 @@ class DegreewiseComplex:
         return DegreewiseComplex(
             labels, self.dims[:-1] + [dims], self.mats[:-1] + [mats], self.window
         )
-
-
-def homology_dims(c: DegreewiseComplex, char: int = 0) -> dict:
-    return c.homology(char)
 
 
 def diagonal(

@@ -165,7 +165,7 @@ class SyzygyModule:
     def dim(self, j: int) -> int:
         if j not in self.bases:
             if self.max_degree is not None and j > self.max_degree:
-                raise KeyError(f"syzygy basis not computed in degree {j}")
+                raise CertificationError(f"syzygy basis not computed in degree {j}")
             return 0
         return len(self.bases[j])
 

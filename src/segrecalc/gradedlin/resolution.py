@@ -7,6 +7,13 @@ of silently truncating.  Within the window all numbers are exact: each
 kernel, generator count, and Ext dimension at internal degree j only
 consumes data in degrees <= j, so the window certifies itself.
 
+`HomCalculator` is the one entry point to Hom and Ext: it holds the
+resolutions of one ring pair and window, and the field that every rank,
+kernel and stable quotient is taken over.  Resolutions themselves are
+always computed over Q with integer entries; over F_p the Hom/Ext ranks
+of the rational resolution are a fast pre-check.  The module-level
+`ext_dims` and `hom_space` take a Resolution and never resolve.
+
 Minimal generators in degree j are the basis vectors of M_j outside
 R_+ M.  Once the generators of degree < j are known they generate M
 below j, so (R_+ M)_j is the sum of R_(j - deg g) * g over them: exactly
@@ -23,7 +30,7 @@ from functools import lru_cache
 
 from .. import linalg
 from ..linalg import CertificationError
-from .modules import DiagonalModule, FreeModule, SyzygyModule, r_basis
+from .modules import FreeModule, SyzygyModule, r_basis
 
 
 def rings_of(module):
@@ -49,11 +56,8 @@ def _act_matrix_frozen(module, pair, p: int, j: int):
 def _act_vector(module, pair, p: int, j: int, vec: dict) -> dict:
     """Multiply an embedded vector by a monomial pair of degree p."""
     if isinstance(module, SyzygyModule):
-        amb = module.ambient
-        cols = _act_matrix_frozen(amb, pair, p, j)
-        return linalg.apply_columns(cols, vec)
-    cols = _act_matrix_frozen(module, pair, p, j)
-    return linalg.apply_columns(cols, vec)
+        module = module.ambient
+    return linalg.apply_columns(_act_matrix_frozen(module, pair, p, j), vec)
 
 
 def _cover_step(module, lo: int, hi: int):
@@ -238,28 +242,21 @@ def _split_flat(free: FreeModule, j: int, flat: int):
 # Hom and Ext via the dualized resolution
 
 
-def _module_dim(module, j: int) -> int:
-    try:
-        return module.dim(j)
-    except KeyError as exc:
-        raise CertificationError(str(exc))
-
-
-def _hom_block_matrix(res: Resolution, i: int, N, d: int, char: int = 0):
+def _hom_block_matrix(res: Resolution, i: int, N, d: int):
     """Matrix of Hom(F_i, N)_d -> Hom(F_(i+1), N)_d, columns stored."""
     Fi, Fj = res.frees[i], res.frees[i + 1]
     entries = res.diffs[i]
     src_off = [0]
     for g in Fi.gens:
-        src_off.append(src_off[-1] + _module_dim(N, d + g))
+        src_off.append(src_off[-1] + N.dim(d + g))
     dst_off = [0]
     for g in Fj.gens:
-        dst_off.append(dst_off[-1] + _module_dim(N, d + g))
+        dst_off.append(dst_off[-1] + N.dim(d + g))
     cols = [dict() for _ in range(src_off[-1])]
     for (g_idx, col_idx), poly in entries.items():
         dg, dcol = Fi.gens[g_idx], Fj.gens[col_idx]
         p = dcol - dg
-        src_dim = _module_dim(N, d + dg)
+        src_dim = N.dim(d + dg)
         if src_dim == 0:
             continue
         block = None
@@ -302,27 +299,18 @@ def _act_cached(N, pair, p: int, j: int):
     return _act_matrix_frozen(N, pair, p, j)
 
 
-def ext_dims(
-    M,
-    N,
-    i_values,
-    d_values,
-    lo: int,
-    hi: int,
-    resolution: Resolution | None = None,
-    char: int = 0,
-) -> dict:
-    """Graded Ext dimensions: (i, d) -> dim Ext^i(M, N)_d, exact per degree."""
+def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
+    """Graded Ext dimensions over F_char (Q for 0): (i, d) -> dim
+    Ext^i(M, N)_d, M the module `res` resolves, exact per degree."""
     i_values = sorted(set(i_values))
     depth = max(i_values) + 1
-    res = resolution or free_resolution(M, depth, lo, hi)
     if len(res.frees) < depth + 1:
         raise CertificationError("resolution not deep enough for the Ext range")
     out = {}
     for d in d_values:
         mats = {}
         for i in range(0, depth):
-            mats[i] = _hom_block_matrix(res, i, N, d, char)
+            mats[i] = _hom_block_matrix(res, i, N, d)
         for i in i_values:
             cols, src_dim, _ = mats[i]
             rank_i = linalg.rank_of(cols, char)
@@ -336,37 +324,12 @@ def ext_dims(
     return out
 
 
-def hom_dims(M, N, d_values, lo: int, hi: int, resolution=None, char: int = 0) -> dict:
-    table = ext_dims(M, N, [0], d_values, lo, hi, resolution, char)
-    return {d: table[(0, d)] for d in d_values}
-
-
-@dataclass
-class HomSpace:
-    """Basis of the degree-d maps M -> N as generator-value vectors."""
-
-    M: object
-    N: object
-    d: int
-    res: Resolution
-    basis: list[dict]
-
-
-def hom_space(M, N, d: int, lo: int, hi: int, resolution=None) -> HomSpace:
-    res = resolution or free_resolution(M, 1, lo, hi)
-    cols, src_dim, _ = _hom_block_matrix(res, 0, N, d)
-    if src_dim == 0:
-        return HomSpace(M, N, d, res, [])
-    # kernel of the dual of the first differential
-    ker = linalg.kernel_of(cols)
-    return HomSpace(M, N, d, res, ker)
-
-
-def hom_segre_check(Mi: DiagonalModule, Mj: DiagonalModule, d_values, lo, hi) -> bool:
-    """Check dim Hom(M_i, M_j)_d == dim (M_(j-i))_d degreewise."""
-    target = DiagonalModule(Mi.ringA, Mi.ringB, Mj.shift - Mi.shift)
-    dims = hom_dims(Mi, Mj, d_values, lo, hi)
-    return all(dims[d] == target.dim(d) for d in d_values)
+def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
+    """Basis over F_char of the degree-d maps M -> N, M the module `res`
+    resolves, as generator-value vectors: the kernel of the dual of the
+    first differential."""
+    cols, _, _ = _hom_block_matrix(res, 0, N, d)
+    return linalg.kernel_of(cols, char) if cols else []
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +347,17 @@ class HomCalculator:
     keeps its module alive, so an entry cannot be hit by another module.
     Resolving M to depth D also registers, for k < D, the tail from step
     k on as the resolution of the k-th syzygy, so syzygies of a resolved
-    module are never resolved again."""
+    module are never resolved again.
 
-    def __init__(self, ringA, ringB, lo: int, hi: int):
+    `char` is the field of every rank, kernel and stable quotient taken
+    here: 0 for Q, a prime p for F_p.  Resolutions stay over Q."""
+
+    def __init__(self, ringA, ringB, lo: int, hi: int, char: int = 0):
         self.ringA = ringA
         self.ringB = ringB
         self.lo = lo
         self.hi = hi
+        self.char = char
         self.free_rank_one = FreeModule(ringA, ringB, (0,))
         self._res = {}
         self._hom = {}
@@ -408,15 +375,16 @@ class HomCalculator:
                 self._res[res.syzygy(k)] = res.tail(k)
         return res
 
-    def ext_dims(self, M, N, i_values, d_values, char: int = 0) -> dict:
-        """`ext_dims` on the window, over the resolution of M held here."""
+    def ext_dims(self, M, N, i_values, d_values) -> dict:
+        """Graded Ext dimensions (i, d) -> dim Ext^i(M, N)_d on the
+        window, over the resolution of M held here."""
         res = self.resolution(M, max(i_values) + 1)
-        return ext_dims(M, N, i_values, d_values, self.lo, self.hi, res, char)
+        return ext_dims(res, N, i_values, d_values, self.char)
 
     def hom_basis(self, M, N, d: int) -> list[dict]:
         key = (M, N, d)
         if key not in self._hom:
-            self._hom[key] = hom_space(M, N, d, self.lo, self.hi, self.resolution(M)).basis
+            self._hom[key] = hom_space(self.resolution(M), N, d, self.char)
         return self._hom[key]
 
     def section(self, M, j: int):
@@ -443,7 +411,7 @@ class HomCalculator:
         gen_values = _split_gen_values(F0, N, d, vec)
         cols = []
         for w_i in range(len(work)):
-            coords = section.solve_unit(w_i, _work_vectors(M, t))
+            coords = section.solve_unit(w_i, work)
             out = {}
             for flat, coeff in coords.items():
                 g_idx, pair = _split_flat(F0, t, flat)
@@ -502,7 +470,7 @@ def _split_gen_values(F0: FreeModule, N, d: int, vec: dict) -> list[dict]:
     out = []
     off = 0
     for g in F0.gens:
-        dim = _module_dim(N, d + g)
+        dim = N.dim(d + g)
         out.append({k - off: v for k, v in vec.items() if off <= k < off + dim})
         off += dim
     return out
@@ -518,7 +486,7 @@ def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi: dict, psi: di
     for g_idx, g in enumerate(F0.gens):
         val = phi_vals[g_idx]  # in b at degree g + e
         t = g + e
-        dim_c = _module_dim(c, g + e + f)
+        dim_c = c.dim(g + e + f)
         if val:
             mat = calc.element_matrix(b, c, f, psi, t)
             img = linalg.apply_columns(mat, val)
@@ -545,14 +513,14 @@ def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:
         homs = calc.hom_basis(a, R, u)
         if not homs:
             continue
-        dim_bv = _module_dim(b, v)
+        dim_bv = b.dim(v)
         for phi in homs:
             phi_vals = _split_gen_values(F0, R, u, phi)
             for nb in range(dim_bv):
                 vec = {}
                 off = 0
                 for g_idx, g in enumerate(F0.gens):
-                    dim_b = _module_dim(b, d + g)
+                    dim_b = b.dim(d + g)
                     val = phi_vals[g_idx]  # element of R_(g+u) in pair coords
                     for flat, coeff in val.items():
                         pair = r_basis(calc.ringA, calc.ringB, g + u)[flat]
@@ -578,7 +546,7 @@ def stable_hom_dims(calc: HomCalculator, a, b, d_values) -> dict:
     for d in d_values:
         basis = calc.hom_basis(a, b, d)
         frees = through_free_vectors(calc, a, b, d)
-        ech = linalg.Echelon()
+        ech = linalg.Echelon(calc.char)
         for v in frees:
             ech.add(v)
         p_dim = ech.rank

@@ -105,7 +105,8 @@ class EndoQuiver:
     degree-zero endomorphisms.  `stable_reduce` recomputes the radical in
     the quotient by maps factoring through free modules and drops the
     named free vertices.  Every resolution and hom basis comes from
-    `calc`, the HomCalculator of the summands' ring pair and window.
+    `calc`, the HomCalculator of the summands' ring pair and window, and
+    every rank is taken over its field.
     """
 
     def __init__(self, calc, summands, degree_top: int = 3):
@@ -177,7 +178,7 @@ class EndoQuiver:
                     rad = self._rad_basis(a, b, d)
                     if not rad:
                         continue
-                    ech = linalg.Echelon()
+                    ech = linalg.Echelon(self.calc.char)
                     if drop_free:
                         for v in through_free_vectors(self.calc, a, b, d):
                             ech.add(v)

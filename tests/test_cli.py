@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from segrecalc import cache as cache_mod
+from segrecalc import cli
 from segrecalc.cli import check_kronecker_suite, main
 from segrecalc.gradedlin import catalog, resolution
 from segrecalc.gradedlin.resolution import HomCalculator
@@ -182,8 +183,46 @@ def test_unknown_job_name(tmp_path):
     assert main(["run", "--config", str(cfg), "--jobs", "missing", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_field_flag_validation():
+def test_field_flag_validation(tmp_path, capsys):
     assert main(["reproduce-paper", "--field", "float"]) == 2
+    # a composite modulus can hang the F_p elimination, and F_1 is no field
+    for bad in ("prime:4", "prime:1", "prime:0", "prime:x", "prime:-7", "prime:2147483648"):
+        assert main(["reproduce-paper", "--field", bad, "--out", str(tmp_path / "r")]) == 2, bad
+    assert not (tmp_path / "r").exists()
+    assert "needs a prime" in capsys.readouterr().err
+    rc = main(["reproduce-paper", "--section", "6", "--field", "prime:32003", "--out", str(tmp_path / "r")])
+    assert rc == 0
+
+
+class _Built(Exception):
+    pass
+
+
+def test_checks_build_their_calculators_over_the_field(tmp_path, monkeypatch):
+    fields = []
+
+    class Recording(HomCalculator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fields.append(self.char)
+            raise _Built  # the field is all this test needs
+
+    monkeypatch.setattr(cli, "HomCalculator", Recording)
+    checks = (
+        cli.check_main_suite,
+        cli.check_gorenstein_quivers,
+        cli.check_folding,
+        cli.check_nongor_quiver,
+        cli.check_kronecker_suite,
+    )
+    for check in checks:
+        with pytest.raises(_Built):
+            check({"char": 32003})
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("[job q]\nkind = endo-quiver\npair = k3_w12\n")
+    with pytest.raises(_Built):
+        main(["run", "--config", str(cfg), "--field", "prime:32003", "--out", str(tmp_path / "o")])
+    assert fields == [32003] * (len(checks) + 1)
 
 
 def test_certification_gap_exit_code(tmp_path, monkeypatch, capsys):
@@ -235,9 +274,9 @@ def test_ext_tables_compute_each_pair_once(monkeypatch):
     calls = Counter()
     real = HomCalculator.ext_dims
 
-    def counted(self, M, N, i_values, d_values, char=0):
+    def counted(self, M, N, i_values, d_values):
         calls[(M, N, tuple(i_values), tuple(d_values))] += 1
-        return real(self, M, N, i_values, d_values, char)
+        return real(self, M, N, i_values, d_values)
 
     monkeypatch.setattr(HomCalculator, "ext_dims", counted)
     calc = HomCalculator(*catalog.ring_pair("k2_k3"), 0, 8)

@@ -131,6 +131,14 @@ def test_gorenstein_quivers_and_stable():
     assert eq.stable_reduce(["R"]).arrows == {("M1", "M-1"): 1}
 
 
+def test_gorenstein_quiver_over_prime_field_matches_rationals():
+    mods = [(f"M{s}" if s else "R", DiagonalModule(XYZ, UV, s)) for s in (-1, 0, 1)]
+    rational = EndoQuiver(HomCalculator(XYZ, UV, 0, 8), mods, degree_top=3)
+    modular = EndoQuiver(HomCalculator(XYZ, UV, 0, 8, char=10007), mods, degree_top=3)
+    assert modular.quiver.arrows == rational.quiver.arrows
+    assert modular.stable_reduce(["R"]).arrows == rational.stable_reduce(["R"]).arrows
+
+
 def test_middle_multiplicities():
     seq3 = catalog.almost_split_sequence("k3_w12", "at-M1", (0, 4))
     assert middle_multiplicities(seq3) == {"M-1": 3}

@@ -13,8 +13,6 @@ from segrecalc.gradedlin.resolution import (
     ext_dims,
     free_resolution,
     generation_degrees,
-    hom_segre_check,
-    hom_space,
     minimal_generators,
     stable_hom_dims,
 )
@@ -87,37 +85,47 @@ def test_resolution_of_free_module():
 
 
 def test_ext_values():
-    res = free_resolution(M(1), 5, 0, 8)
+    calc = HomCalculator(A2, B3, 0, 8)
+    res = calc.resolution(M(1), 5)
     om2, om3 = res.syzygy(2), res.syzygy(3)
-    tab = ext_dims(om2, M(2), [1], range(-5, 3), 0, 8)
+    tab = calc.ext_dims(om2, M(2), [1], range(-5, 3))
     assert {d: v for (i, d), v in tab.items() if v} == {-3: 1}
-    tab = ext_dims(om2, M(3), [1], range(-5, 3), 0, 8)
+    tab = calc.ext_dims(om2, M(3), [1], range(-5, 3))
     assert {d: v for (i, d), v in tab.items() if v} == {-3: 2}
-    tab = ext_dims(M(1), M(0), [1, 2, 3], range(-4, 3), 0, 8, resolution=res)
+    tab = calc.ext_dims(M(1), M(0), [1, 2, 3], range(-4, 3))
     assert not any(tab.values())
-    tab = ext_dims(om3, om3, [1], range(-2, 2), 0, 8)
+    tab = calc.ext_dims(om3, om3, [1], range(-2, 2))
     assert sum(tab.values()) > 0
 
 
 def test_ext_depth_certification():
-    res = free_resolution(M(1), 1, 0, 5)
+    calc = HomCalculator(A2, B3, 0, 5)
+    res = calc.resolution(M(1), 1)
     with pytest.raises(CertificationError):
-        ext_dims(M(1), M(0), [2], [0], 0, 5, resolution=res)
+        ext_dims(res, M(0), [2], [0], calc.char)
+
+
+def hom_segre_check(calc, Mi, Mj, d_values) -> bool:
+    """Check dim Hom(M_i, M_j)_d == dim (M_(j-i))_d degreewise."""
+    target = DiagonalModule(Mi.ringA, Mi.ringB, Mj.shift - Mi.shift)
+    dims = calc.ext_dims(Mi, Mj, [0], d_values)
+    return all(dims[(0, d)] == target.dim(d) for d in d_values)
 
 
 def test_hom_identifications():
     # Hom(M_i, M_j) matches M_(j-i) degreewise for |i|, |j| <= 3
     for pair_key in ((A2, B3), (XYZ, UV)):
+        calc = HomCalculator(pair_key[0], pair_key[1], 0, 7)
         for i in range(-3, 4):
             for j in range(-3, 4):
                 Mi = DiagonalModule(pair_key[0], pair_key[1], i)
                 Mj = DiagonalModule(pair_key[0], pair_key[1], j)
-                assert hom_segre_check(Mi, Mj, range(0, 2), 0, 7), (pair_key, i, j)
+                assert hom_segre_check(calc, Mi, Mj, range(0, 2)), (pair_key, i, j)
 
 
 def test_hom_space_free_source():
-    hs = hom_space(M(0), M(1), 0, 0, 5)
-    assert len(hs.basis) == M(1).dim(0)
+    calc = HomCalculator(A2, B3, 0, 5)
+    assert len(calc.hom_basis(M(0), M(1), 0)) == M(1).dim(0)
 
 
 def test_stable_end_omega():
@@ -125,6 +133,13 @@ def test_stable_end_omega():
     sh = stable_hom_dims(calc, M(1), M(1), range(0, 4))
     assert sh[0] == (1, 1)
     assert all(v[1] == 0 for d, v in sh.items() if d > 0)
+
+
+def test_stable_end_omega_over_prime_field_matches_rationals():
+    k2_k3 = catalog.ring_pair("k2_k3")
+    rational = catalog.stable_end_omega(HomCalculator(*k2_k3, 0, 8))
+    for p in (101, 32003):
+        assert catalog.stable_end_omega(HomCalculator(*k2_k3, 0, 8, char=p)) == rational
 
 
 def test_resolution_window_exactness():
@@ -138,7 +153,7 @@ def test_resolution_window_exactness():
 
 def test_syzygy_requires_window():
     res = free_resolution(M(1), 2, 0, 5)
-    with pytest.raises(KeyError):
+    with pytest.raises(CertificationError, match="not computed in degree 9"):
         res.syzygy(1).dim(9)
 
 
@@ -309,11 +324,12 @@ def test_syzygy_action_above_the_window_is_uncertified():
 def test_ext_over_prime_field_with_syzygy_target():
     # the syzygy action has integral coordinates; over F_p it used to
     # reach Echelon._reduce as Fractions and crash
-    res = free_resolution(catalog.diagonal_module("k2_k3", 1), 2, 0, 6)
-    s2 = res.syzygy(2)
-    assert ext_dims(s2, s2, [1], [0], 0, 6, char=101) == {(1, 0): 0}
+    calc = HomCalculator(*catalog.ring_pair("k2_k3"), 0, 6, char=101)
+    rational = HomCalculator(*catalog.ring_pair("k2_k3"), 0, 6)
+    s2 = calc.resolution(catalog.diagonal_module("k2_k3", 1), 2).syzygy(2)
+    assert calc.ext_dims(s2, s2, [1], [0]) == {(1, 0): 0}
     d_range = range(-3, 3)
-    assert ext_dims(s2, s2, [1], d_range, 0, 6, char=101) == ext_dims(s2, s2, [1], d_range, 0, 6)
+    assert calc.ext_dims(s2, s2, [1], d_range) == rational.ext_dims(s2, s2, [1], d_range)
 
 
 def test_hom_calculator_caches_repeat():
