@@ -45,7 +45,7 @@ def write_text(out_dir: Path, name: str, text: str) -> Path:
 
 def check_local_cohomology_suite(opts) -> dict:
     a, b = catalog.ring_pair("k2_k3")
-    rep = hilbert.segre_report(a, b, shifts=(-1, 0, 1, 2, 3), radius=opts.get("radius", 8))
+    rep = hilbert.segre_report(a, b, shifts=(-1, 0, 1, 2, 3))
     art = rep.to_json_dict()
     ring_shift = art["shifts"]["0"]
     top = rep.top_cohomology
@@ -72,7 +72,7 @@ def check_gorenstein_suite(opts) -> dict:
     ok = True
     for key, dim in (("k3_w12", 4), ("k3_k3", 5)):
         a, b = catalog.ring_pair(key)
-        rep = hilbert.segre_report(a, b, shifts=(0,), radius=opts.get("radius", 8))
+        rep = hilbert.segre_report(a, b, shifts=(0,))
         entry = rep.to_json_dict()
         entry["checks"] = {
             "gorenstein": rep.gorenstein,
@@ -326,7 +326,7 @@ def check_contraction_suite(opts) -> dict:
 
 
 def _ext_calc(opts) -> HomCalculator:
-    return HomCalculator(*catalog.ring_pair("k2_k3"), 0, opts.get("hi", 8), opts.get("char", 0))
+    return HomCalculator(*catalog.ring_pair("k2_k3"), 0, 8, opts.get("char", 0))
 
 
 def _ext_table(calc: HomCalculator, opts) -> dict:
@@ -515,7 +515,7 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         a = _ring_from_block(cfg.rings[want_str(job, "ring_a")])
         b = _ring_from_block(cfg.rings[want_str(job, "ring_b")])
         shifts = want_ints(job, "shifts", (0,))
-        rep = hilbert.segre_report(a, b, shifts=tuple(shifts), radius=opts.get("radius", 8))
+        rep = hilbert.segre_report(a, b, shifts=tuple(shifts))
         write_artifact(out_dir, name, rep.to_json_dict())
         return True
     if kind == "numsgp":
@@ -635,10 +635,12 @@ def _common_flags(p):
 
 def _options(args) -> dict:
     opts = {}
-    if getattr(args, "window", None) is not None:
-        opts["window"] = args.window
-    if getattr(args, "depth", None) is not None:
-        opts["depth"] = args.depth
+    for name in ("window", "depth"):
+        value = getattr(args, name, None)
+        if value is not None:
+            if value < 0:
+                raise ValueError(f"--{name} must be >= 0, not {value}")
+            opts[name] = value
     field = getattr(args, "field", "rational")
     if field.startswith("prime:"):
         opts["char"] = _prime(field.split(":", 1)[1])

@@ -428,29 +428,6 @@ class DegreewiseComplex:
                     out[(t, j)] = h
         return out
 
-    def to_json_dict(self) -> dict:
-        """Terms, twists and sparse matrices in coordinate format."""
-        mats = []
-        for table in self.mats:
-            entries = {}
-            for j in sorted(table):
-                coo = []
-                for c, col in enumerate(table[j]):
-                    for r, v in sorted(col.items()):
-                        coo.append([r, c, v if isinstance(v, int) else str(v)])
-                entries[str(j)] = coo
-            mats.append(entries)
-        return {
-            "labels": list(self.labels),
-            "window": list(self.window),
-            "dims": [{str(j): v for j, v in sorted(d.items())} for d in self.dims],
-            "matrices": mats,
-            "summands": [
-                [[m, tw, k] for (m, tw, k) in term]
-                for term in getattr(self, "summands", [])
-            ],
-        }
-
     def twisted(self, s: int) -> "DegreewiseComplex":
         """Degree shift: the twisted complex has piece at j equal to the
         original piece at j + s."""

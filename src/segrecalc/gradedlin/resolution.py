@@ -122,7 +122,13 @@ def generation_degrees(module, lo: int, hi: int) -> dict:
 
 @dataclass
 class Resolution:
-    """Minimal free resolution data to a fixed homological depth."""
+    """Minimal free resolution data to a fixed homological depth.
+
+    `generators[k]` lists the minimal generators of the module resolved
+    at step k (the module itself for k = 0, its k-th syzygy after), as
+    `minimal_generators` returns them: (degree, {i: 1}) for the i-th
+    basis vector of that degree.  F_k has one generator for each, in
+    the same order."""
 
     module: object
     lo: int
@@ -132,6 +138,7 @@ class Resolution:
     diffs: list[dict]  # diffs[k]: F_(k+1) -> F_k, (row gen, col gen) -> pair poly
     syzygies: list[SyzygyModule]
     cover_columns: dict = field(default_factory=dict)
+    generators: list[list[tuple[int, dict]]] = field(default_factory=list)
 
     def syzygy(self, k: int) -> SyzygyModule:
         """The k-th syzygy module (k >= 1)."""
@@ -151,6 +158,7 @@ class Resolution:
             self.diffs[k:],
             self.syzygies[k:],
             {s - k: cols for s, cols in self.cover_columns.items() if s >= k},
+            self.generators[k:],
         )
 
     def betti_table(self) -> list[list[int]]:
@@ -194,6 +202,7 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         frees.append(free)
         betti.append(tuple(g for g, _ in gens))
+        res.generators.append(gens)
         if step >= 1:
             # generator representatives are kernel vectors inside the
             # previous free module: read the flat coordinates back as
@@ -499,44 +508,42 @@ def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi: dict, psi: di
 
 
 def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:
-    """Generator-value vectors of maps a -> b of degree d factoring
-    through some twist of the free module R."""
+    """Generator-value vectors spanning the maps a -> b of degree d that
+    factor through a free module.
+
+    A map a -> F -> b with F free lifts through the cover F0(b) -> b,
+    because F is projective, so it factors through F0(b): it is a sum of
+    phi * g over the minimal generators g of b, with phi: a -> R of
+    degree d - deg g.  One vector per such phi and g therefore spans the
+    whole space.  The generators of b are found over Q; they generate b
+    over F_p as well when they are monomials, as for diagonal and free
+    targets, and only then is the span complete over F_p."""
     R = calc.free_rank_one
-    res_a = calc.resolution(a)
-    F0 = res_a.frees[0]
-    gmax = max(F0.gens) if F0.gens else 0
+    F0 = calc.resolution(a).frees[0]
     out = []
-    for u in range(-gmax, d - b.min_degree + 1):
-        v = d - u
-        if v < b.min_degree:
-            continue
-        homs = calc.hom_basis(a, R, u)
-        if not homs:
-            continue
-        dim_bv = b.dim(v)
-        for phi in homs:
-            phi_vals = _split_gen_values(F0, R, u, phi)
-            for nb in range(dim_bv):
-                vec = {}
-                off = 0
-                for g_idx, g in enumerate(F0.gens):
-                    dim_b = b.dim(d + g)
-                    val = phi_vals[g_idx]  # element of R_(g+u) in pair coords
-                    for flat, coeff in val.items():
-                        pair = r_basis(calc.ringA, calc.ringB, g + u)[flat]
-                        img = _act_cached(b, pair, g + u, v)[nb] if g + u > 0 else (
-                            {nb: 1} if g + u == 0 else {}
-                        )
-                        for k, w in img.items():
-                            key = off + k
-                            z = vec.get(key, 0) + coeff * w
-                            if z:
-                                vec[key] = z
-                            elif key in vec:
-                                del vec[key]
-                    off += dim_b
-                if vec:
-                    out.append(vec)
+    for j, gen in calc.resolution(b).generators[0]:
+        u = d - j
+        for phi in calc.hom_basis(a, R, u):
+            vec, off = {}, 0
+            for g, val in zip(F0.gens, _split_gen_values(F0, R, u, phi)):
+                # val is phi(g), an element of R_(g+u) in pair coordinates
+                pairs = r_basis(calc.ringA, calc.ringB, g + u)
+                for flat, coeff in val.items():
+                    img = (
+                        gen
+                        if g + u == 0
+                        else linalg.apply_columns(_act_cached(b, pairs[flat], g + u, j), gen)
+                    )
+                    for k, w in img.items():
+                        key = off + k
+                        z = vec.get(key, 0) + coeff * w
+                        if z:
+                            vec[key] = z
+                        elif key in vec:
+                            del vec[key]
+                off += b.dim(d + g)
+            if vec:
+                out.append(vec)
     return out
 
 

@@ -51,22 +51,10 @@ def as_degree(d, rank: int) -> Degree:
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """Ground field: char 0 means the rationals, otherwise a prime field."""
-
-    char: int = 0
-
-    def __post_init__(self):
-        if self.char < 0:
-            raise ValueError("characteristic must be >= 0")
-
-
-@dataclass(frozen=True)
 class WeightedRingSpec:
     """A weighted polynomial ring: named variables with lattice weights."""
 
     variables: tuple[tuple[str, Degree], ...]
-    field: FieldSpec = FieldSpec(0)
 
     def __post_init__(self):
         names = [n for n, _ in self.variables]
@@ -81,10 +69,12 @@ class WeightedRingSpec:
             if any(x < 0 for x in w) or all(x == 0 for x in w):
                 raise ValueError("weights must be >= 0 and nonzero")
         # every memo and calculator dict hashes ring specs, mostly nested in
-        # module keys; the fields are frozen, so the hash is computed once.
-        # String hashes differ between processes: a spec must not be
-        # pickled into another process, where this value would be stale.
-        object.__setattr__(self, "_hash", hash((self.variables, self.field)))
+        # module keys; the variables are frozen, so the hash is computed
+        # once.  The field is not part of a spec: it is set on the
+        # HomCalculator or per computation.  String hashes differ between
+        # processes: a spec must not be pickled into another process,
+        # where this value would be stale.
+        object.__setattr__(self, "_hash", hash(self.variables))
 
     def __hash__(self) -> int:
         return self._hash
@@ -96,10 +86,6 @@ class WeightedRingSpec:
     @property
     def weights(self) -> tuple[Degree, ...]:
         return tuple(w for _, w in self.variables)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.variables)
 
     @property
     def weight_sum(self) -> Degree:
@@ -116,7 +102,7 @@ class WeightedRingSpec:
         return "k[" + ",".join(parts) + "]"
 
 
-def ring(names, weights, char: int = 0) -> WeightedRingSpec:
+def ring(names, weights) -> WeightedRingSpec:
     """Convenience constructor; weights may be ints (rank 1) or tuples."""
     names = tuple(names)
     ws = []
@@ -124,7 +110,7 @@ def ring(names, weights, char: int = 0) -> WeightedRingSpec:
         ws.append((w,) if isinstance(w, int) else tuple(w))
     if len(names) != len(ws):
         raise ValueError("need one weight per variable")
-    return WeightedRingSpec(tuple(zip(names, ws)), FieldSpec(char))
+    return WeightedRingSpec(tuple(zip(names, ws)))
 
 
 @lru_cache(maxsize=None)
@@ -603,13 +589,6 @@ class LocalCohomologyProfile:
             s = self.per_degree.get(p)
             out[p] = "zero-certified" if s is None else s.status()
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ring_dim": self.ring_dim,
-            "per_degree": {str(p): s.to_json_dict() for p, s in sorted(self.per_degree.items())},
-            "statuses": {str(p): v for p, v in self.statuses().items()},
-        }
 
 
 def module_series(spec: WeightedRingSpec, win: Window, shift=0) -> HilbertSeries:

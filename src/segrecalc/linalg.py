@@ -3,9 +3,10 @@
 Matrices are stored column-wise: a matrix is a list of sparse columns,
 each a dict mapping row index to a nonzero integer.  Rational
 eliminations are integer-preserving (cross-multiply, divide by the
-content), so results are exact.  A prime characteristic can be supplied
-to run the same computations over F_p as a fast pre-check; a rational
-entry n/d enters F_p as n * d^-1.
+content), so results are exact.  `Echelon`, `rank_of` and `kernel_of`
+take a prime characteristic to run the same elimination over F_p; a
+rational entry n/d enters F_p as n * d^-1.  `CoordSolver`,
+`apply_columns` and `compose` work over Q.
 """
 
 from __future__ import annotations
@@ -190,9 +191,8 @@ def _normalize_vec(vec: Col, char: int = 0) -> Col:
 class CoordSolver:
     """Express vectors in the span of a fixed list of integer columns."""
 
-    def __init__(self, basis: list[Col], char: int = 0):
-        self.char = char
-        self.ech = Echelon(char, track=True)
+    def __init__(self, basis: list[Col]):
+        self.ech = Echelon(track=True)
         for i, b in enumerate(basis):
             if not self.ech.add(b, tag=i):
                 raise ValueError("basis columns are dependent")
@@ -204,29 +204,20 @@ class CoordSolver:
         Over Q a coordinate is an int when it is integral and a Fraction
         only otherwise.
         """
-        char = self.char
-        if char:
-            body = reduce_mod(vec, char)
-        else:
-            body = {k: v for k, v in vec.items() if v}
+        body = {k: v for k, v in vec.items() if v}
         aug = {("q", 0): 1}
         body, aug = self.ech._reduce(body, aug)
         if body:
             return None
         alpha = aug.pop(("q", 0))
         coords = [0] * self.size
-        if char:
-            inv = pow(alpha, char - 2, char)
-            for k, v in aug.items():
-                coords[k[1]] = (-v * inv) % char
-        else:
-            for k, v in aug.items():
-                q, r = divmod(-v, alpha)
-                coords[k[1]] = Fraction(-v, alpha) if r else q
+        for k, v in aug.items():
+            q, r = divmod(-v, alpha)
+            coords[k[1]] = Fraction(-v, alpha) if r else q
         return coords
 
 
-def apply_columns(cols: list[Col], vec: Col, char: int = 0) -> Col:
+def apply_columns(cols: list[Col], vec: Col) -> Col:
     """Matrix times vector, the matrix given by its columns."""
     out: Col = {}
     for j, x in vec.items():
@@ -237,16 +228,9 @@ def apply_columns(cols: list[Col], vec: Col, char: int = 0) -> Col:
                 out[r] = z
             elif r in out:
                 del out[r]
-    if char:
-        for r in list(out):
-            z = out[r] % char
-            if z:
-                out[r] = z
-            else:
-                del out[r]
     return out
 
 
-def compose(colsA: list[Col], colsB: list[Col], char: int = 0) -> list[Col]:
+def compose(colsA: list[Col], colsB: list[Col]) -> list[Col]:
     """Columns of A∘B for column-stored A and B."""
-    return [apply_columns(colsA, b, char) for b in colsB]
+    return [apply_columns(colsA, b) for b in colsB]

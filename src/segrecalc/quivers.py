@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import hilbert
 from .hilbert import WeightedRingSpec
@@ -102,9 +103,11 @@ class EndoQuiver:
 
     Arrow multiplicities from a to b are dim(rad/rad^2) summed over the
     internal degrees up to `degree_top`; each vertex must have scalar
-    degree-zero endomorphisms.  `stable_reduce` recomputes the radical in
-    the quotient by maps factoring through free modules and drops the
-    named free vertices.  Every resolution and hom basis comes from
+    degree-zero endomorphisms.  `quiver` is computed on first access, so
+    a caller that needs only the stable part never builds it.
+    `stable_reduce` recomputes the radical in the quotient by maps
+    factoring through free modules and drops the named free vertices.
+    Every resolution and hom basis comes from
     `calc`, the HomCalculator of the summands' ring pair and window, and
     every rank is taken over its field.
     """
@@ -119,7 +122,10 @@ class EndoQuiver:
         for label, mod in self.summands:
             if len(self.calc.hom_basis(mod, mod, 0)) != 1:
                 raise ValueError(f"vertex {label} does not have scalar End_0")
-        self.quiver = self._arrows(drop_free=None)
+
+    @cached_property
+    def quiver(self) -> Quiver:
+        return self._arrows(drop_free=None)
 
     def _gen_top(self, module) -> int:
         gens = self.calc.resolution(module).frees[0].gens
@@ -182,7 +188,6 @@ class EndoQuiver:
                     if drop_free:
                         for v in through_free_vectors(self.calc, a, b, d):
                             ech.add(v)
-                    base = ech.rank
                     for v in self._rad_square(a, b, d, mods):
                         ech.add(v)
                     covered = ech.rank
@@ -190,7 +195,7 @@ class EndoQuiver:
                         ech.add(v)
                     total += ech.rank - covered
                     # maps through frees are themselves radical, so the
-                    # final rank never exceeds dim rad; base is absorbed
+                    # final rank never exceeds dim rad
                 if total:
                     arrows[(la, lb)] = total
         return Quiver(tuple(l for l, _ in keep), arrows)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,13 @@ from segrecalc.cli import check_kronecker_suite, main
 from segrecalc.gradedlin import catalog, resolution
 from segrecalc.gradedlin.resolution import HomCalculator
 from segrecalc.config import ConfigError, parse_config
+from segrecalc.quivers import EndoQuiver
+
+DEMO_CONFIG = Path(__file__).parents[1] / "configs" / "demo.cfg"
+# sha256 of every `run --config configs/demo.cfg` output, pinned like
+# reproduce_sha256.json; its tilting-quiver job is the only config path
+# to the stable quotient by maps through free modules
+DEMO_DIGESTS = Path(__file__).with_name("demo_sha256.json")
 
 
 def test_config_parse():
@@ -291,3 +300,33 @@ def test_ext_tables_compute_each_pair_once(monkeypatch):
         "R+omega+syz2": 0, "R+syz1": 0, "omega+M2": 0,
     }
     assert max(calls.values()) == 1
+
+
+def test_negative_window_or_depth_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["reproduce-paper", "--window", "-1", "--out", str(out)]) == 2
+    assert main(["run", "--config", str(DEMO_CONFIG), "--depth", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--window must be >= 0" in err and "--depth must be >= 0" in err
+
+
+def test_demo_config_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path / "cache"))
+    out = tmp_path / "demo"
+    assert main(["run", "--config", str(DEMO_CONFIG), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == json.loads(DEMO_DIGESTS.read_text())
+
+
+def test_folding_builds_only_the_stable_quivers(monkeypatch):
+    drops = []
+    real = EndoQuiver._arrows
+
+    def recording(self, drop_free):
+        drops.append(drop_free)
+        return real(self, drop_free)
+
+    monkeypatch.setattr(EndoQuiver, "_arrows", recording)
+    assert cli.check_folding({})["pass"]
+    assert drops == [{"R"}, {"R"}]

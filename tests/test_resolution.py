@@ -210,6 +210,7 @@ def reference_free_resolution(module, depth, lo, hi):
             res.diffs.append(entries)
         res.frees.append(free)
         res.betti.append(free.gens)
+        res.generators.append(gens)
         bases, cover = {}, {}
         for j in range(lo, hi + 1):
             cols = []
@@ -235,6 +236,7 @@ def resolution_fields(res):
         res.betti,
         res.diffs,
         res.cover_columns,
+        res.generators,
         [s.bases for s in res.syzygies],
         [s.min_degree for s in res.syzygies],
     )
@@ -364,5 +366,96 @@ def test_resolution_tails_match_fresh_resolutions(key):
         fresh = free_resolution(syz, 2, lo, hi)
         assert tail.betti[:3] == fresh.betti
         assert tail.diffs[:2] == fresh.diffs
+        assert tail.generators[:3] == fresh.generators
         assert {s: tail.cover_columns[s] for s in range(3)} == fresh.cover_columns
         assert [s.bases for s in tail.syzygies[:3]] == [s.bases for s in fresh.syzygies]
+
+
+def reference_through_free_vectors(calc, a, b, d):
+    """Maps a -> R(-v) -> b of degree d, one for every twist v, every map
+    a -> R of degree u = d - v and every basis vector of b_v: the search
+    that `through_free_vectors` replaces by the generators of b."""
+    R = calc.free_rank_one
+    F0 = calc.resolution(a).frees[0]
+    gmax = max(F0.gens) if F0.gens else 0
+    out = []
+    for u in range(-gmax, d - b.min_degree + 1):
+        v = d - u
+        if v < b.min_degree:
+            continue
+        homs = calc.hom_basis(a, R, u)
+        if not homs:
+            continue
+        dim_bv = b.dim(v)
+        for phi in homs:
+            phi_vals = resolution._split_gen_values(F0, R, u, phi)
+            for nb in range(dim_bv):
+                vec = {}
+                off = 0
+                for g_idx, g in enumerate(F0.gens):
+                    dim_b = b.dim(d + g)
+                    val = phi_vals[g_idx]  # element of R_(g+u) in pair coords
+                    for flat, coeff in val.items():
+                        pair = r_basis(calc.ringA, calc.ringB, g + u)[flat]
+                        img = resolution._act_cached(b, pair, g + u, v)[nb] if g + u > 0 else (
+                            {nb: 1} if g + u == 0 else {}
+                        )
+                        for k, w in img.items():
+                            key = off + k
+                            z = vec.get(key, 0) + coeff * w
+                            if z:
+                                vec[key] = z
+                            elif key in vec:
+                                del vec[key]
+                    off += dim_b
+                if vec:
+                    out.append(vec)
+    return out
+
+
+def _assert_same_span(calc, a, b, d):
+    """The cover-generator vectors span what the twist search spans, over
+    the calculator's field, and are never more numerous."""
+    fast = resolution.through_free_vectors(calc, a, b, d)
+    ref = reference_through_free_vectors(calc, a, b, d)
+    assert len(fast) <= len(ref)
+    rank_fast = linalg.rank_of(fast, calc.char)
+    rank_ref = linalg.rank_of(ref, calc.char)
+    assert rank_fast == rank_ref == linalg.rank_of(fast + ref, calc.char), (a, b, d)
+
+
+@pytest.mark.parametrize("char", [0, 10007])
+@pytest.mark.parametrize("key", sorted(catalog.RINGS))
+def test_through_free_vectors_match_twist_search(key, char):
+    calc = HomCalculator(*catalog.RINGS[key], 0, 7, char=char)
+    targets = [catalog.diagonal_module(key, i) for i in (-1, 0, 1)]
+    sources = list(targets)
+    if key == "k2_k3":
+        # omega is M_1 here; its second syzygy is a source with no
+        # monomial basis
+        sources.append(calc.resolution(targets[2], 3).syzygy(2))
+    for a in sources:
+        for b in targets:
+            for d in range(0, 4):
+                _assert_same_span(calc, a, b, d)
+
+
+small_weights = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    small_weights,
+    small_weights,
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from([0, 10007]),
+)
+def test_through_free_vectors_match_twist_search_on_weighted_pairs(wa, wb, sa, sb, d, extra, char):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    a, b = DiagonalModule(specA, specB, sa), DiagonalModule(specA, specB, sb)
+    hi = max(a.generation_bound(), b.generation_bound()) + 1 + extra
+    _assert_same_span(HomCalculator(specA, specB, 0, hi, char=char), a, b, d)
