@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -102,6 +103,12 @@ def check_koszul_diagonal_suite(opts) -> dict:
                 expected = {(last, -i): comb(-i + 2, 2)} if i <= 0 else {}
             else:
                 expected = {(last, 0): i + 1} if i >= 0 else {}
+            for _t, j in expected:
+                if not window[0] <= j <= window[1]:
+                    raise CertificationError(
+                        f"koszul variant{variant},i={i} expects homology in degree "
+                        f"{j}, outside the window {list(window)}"
+                    )
             good = h == expected
             ok = ok and good
             results[f"variant{variant},i={i}"] = {
@@ -463,11 +470,15 @@ def run_manifest(sections, out_dir: Path, opts) -> int:
     for name, section, fn in MANIFEST:
         if sections and section not in sections:
             continue
+        start = time.perf_counter()
         art = fn(opts)
+        elapsed = time.perf_counter() - start
         write_artifact(out_dir, name, art)
         summary[name] = bool(art.get("pass"))
         status = "pass" if art.get("pass") else "FAIL"
         print(f"{name:32s} [{status}]")
+        # timings go to stderr only, so stdout and the artifacts stay deterministic
+        print(f"{name}: {elapsed:.2f} s", file=sys.stderr)
         if not art.get("pass"):
             failures += 1
     write_artifact(out_dir, "summary", {"checks": summary, "pass": failures == 0})

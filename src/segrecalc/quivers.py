@@ -145,10 +145,11 @@ class EndoQuiver:
             return []
         return self.calc.hom_basis(a, b, d)
 
-    def _rad_square(self, a, b, d: int, mods) -> list[dict]:
+    def _rad_square(self, a, b, d: int, mods, ech, target: int) -> None:
+        """Insert the nonzero compositions a -> c -> b of degree d, both
+        factors radical, into `ech` until its rank reaches `target`."""
         from .gradedlin.resolution import compose_hom
 
-        out = []
         for c in mods:
             e_lo = self._d_floor(a, c) if c is not a else max(self._d_floor(a, c), 1)
             f_lo = self._d_floor(c, b) if c is not b else max(self._d_floor(c, b), 1)
@@ -164,9 +165,8 @@ class EndoQuiver:
                 for phi in phis:
                     for psi in psis:
                         vec = compose_hom(self.calc, a, c, b, e, d - e, phi, psi)
-                        if vec:
-                            out.append(vec)
-        return out
+                        if vec and ech.add(vec) and ech.rank >= target:
+                            return
 
     def _arrows(self, drop_free) -> Quiver:
         from . import linalg
@@ -184,18 +184,25 @@ class EndoQuiver:
                     rad = self._rad_basis(a, b, d)
                     if not rad:
                         continue
+                    # rad is all of Hom(a, b)_d (only a is b in degree <= 0
+                    # is skipped), so every map through frees and every
+                    # composition lies in its span: once F + rad^2 spans
+                    # len(rad) dimensions no further product can matter
                     ech = linalg.Echelon(self.calc.char)
                     if drop_free:
                         for v in through_free_vectors(self.calc, a, b, d):
                             ech.add(v)
-                    for v in self._rad_square(a, b, d, mods):
-                        ech.add(v)
+                    if ech.rank < len(rad):
+                        self._rad_square(a, b, d, mods, ech, len(rad))
                     covered = ech.rank
                     for v in rad:
                         ech.add(v)
+                    if ech.rank != len(rad):
+                        raise AssertionError(
+                            f"{la}->{lb} in degree {d}: F + rad^2 + rad has rank "
+                            f"{ech.rank}, not dim Hom = {len(rad)}"
+                        )
                     total += ech.rank - covered
-                    # maps through frees are themselves radical, so the
-                    # final rank never exceeds dim rad
                 if total:
                     arrows[(la, lb)] = total
         return Quiver(tuple(l for l, _ in keep), arrows)
@@ -313,11 +320,12 @@ def p_segre_quiver(
         b = tuple(i + j for i, j in zip(x[1], y[1]))
         return (a, b)
 
-    # span of radical compositions from v to w in degree n; paths through
-    # dropped vertices use every internal degree split, which models maps
-    # factoring through arbitrary twists of those summands
-    def rad_square(v, w, n, through):
-        out = set()
+    # add the radical compositions from v to w in degree n to `covered`,
+    # stopping once they cover `hom`: every product lies in hom, and only
+    # len(hom - covered) is read.  Paths through dropped vertices use
+    # every internal degree split, which models maps factoring through
+    # arbitrary twists of those summands
+    def rad_square(v, w, n, through, hom, covered):
         for c in through:
             for e1 in range(0, n + 1):
                 e2 = n - e1
@@ -331,11 +339,13 @@ def p_segre_quiver(
                 second = comp(c, w, e2)
                 if not second:
                     continue
-                out.update(
+                covered.update(
                     mono_pair_mul(x, y) for x in first for y in second
                 )
-        return out
+                if hom <= covered:
+                    return
 
+    dropped = [u for u in verts if label(u) in drop]
     arrows = {}
     for v in keep:
         for w in keep:
@@ -346,9 +356,10 @@ def p_segre_quiver(
                     continue
                 if v == w and n == 0:
                     continue  # scalars are not radical
-                covered = rad_square(v, w, n, keep)
-                if drop:
-                    covered |= rad_square(v, w, n, [u for u in verts if label(u) in drop])
+                covered = set()
+                rad_square(v, w, n, keep, hom, covered)
+                if dropped and not hom <= covered:
+                    rad_square(v, w, n, dropped, hom, covered)
                 total += len(hom - covered)
             if total:
                 arrows[(label(v), label(w))] = total

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import runpy
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from segrecalc import cache as cache_mod
 from segrecalc import cli
 from segrecalc.cli import check_kronecker_suite, main
 from segrecalc.gradedlin import catalog, resolution
-from segrecalc.gradedlin.resolution import HomCalculator
+from segrecalc.gradedlin.resolution import CertificationError, HomCalculator
 from segrecalc.config import ConfigError, parse_config
 from segrecalc.quivers import EndoQuiver
 
@@ -18,6 +20,10 @@ DEMO_CONFIG = Path(__file__).parents[1] / "configs" / "demo.cfg"
 # reproduce_sha256.json; its tilting-quiver job is the only config path
 # to the stable quotient by maps through free modules
 DEMO_DIGESTS = Path(__file__).with_name("demo_sha256.json")
+GALLERY = Path(__file__).parents[1] / "scripts" / "quiver_gallery.py"
+# sha256 of the ten DOT files `scripts/quiver_gallery.py` writes, pinned
+# like demo_sha256.json
+GALLERY_DIGESTS = Path(__file__).with_name("gallery_sha256.json")
 
 
 def test_config_parse():
@@ -330,3 +336,30 @@ def test_folding_builds_only_the_stable_quivers(monkeypatch):
     monkeypatch.setattr(EndoQuiver, "_arrows", recording)
     assert cli.check_folding({})["pass"]
     assert drops == [{"R"}, {"R"}]
+
+
+def test_quiver_gallery_matches_pinned_digests(tmp_path):
+    out = tmp_path / "gallery"
+    assert runpy.run_path(str(GALLERY))["main"](str(out)) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == json.loads(GALLERY_DIGESTS.read_text())
+
+
+def test_koszul_window_too_small_is_a_certification_gap(tmp_path, capsys):
+    # variant 1 at i = -1, -2 expects homology in degrees 1 and 2
+    with pytest.raises(CertificationError, match="outside the window"):
+        cli.check_koszul_diagonal_suite({"window": 1})
+    rc = main(["reproduce-paper", "--section", "7", "--window", "0", "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "certification gap" in capsys.readouterr().err
+    assert cli.check_koszul_diagonal_suite({"window": 2})["pass"]
+
+
+def test_manifest_timings_go_to_stderr_only(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["reproduce-paper", "--section", "2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    names = ["local-cohomology-suite", "gorenstein-suite"]
+    for name in names:
+        assert re.search(rf"^{name}: \d+\.\d\d s$", captured.err, re.M)
+    assert captured.out.split() == [names[0], "[pass]", names[1], "[pass]"]

@@ -1,16 +1,20 @@
+import itertools
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from segrecalc import linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin import catalog
 from segrecalc.gradedlin.modules import DiagonalModule
-from segrecalc.gradedlin.resolution import HomCalculator
+from segrecalc.gradedlin.resolution import HomCalculator, compose_hom, through_free_vectors
 from segrecalc.quivers import (
     EndoQuiver,
     Quiver,
     VeroneseSideData,
     TRIVIAL_SIDE,
+    _monomials,
     fold_d3,
     fold_d4,
     middle_multiplicities,
@@ -186,3 +190,187 @@ def test_p_segre_trivial_side_gives_first_factor():
 def test_p_segre_rejects_bad_p():
     with pytest.raises(ValueError):
         p_segre_quiver(TRIVIAL_SIDE, TRIVIAL_SIDE, 0)
+
+
+def reference_rad_square(eq, a, b, d, mods):
+    """Every nonzero composition a -> c -> b of degree d with both factors
+    radical: the all-pairs product that `EndoQuiver._rad_square` stops
+    early."""
+    out = []
+    for c in mods:
+        e_lo = eq._d_floor(a, c) if c is not a else max(eq._d_floor(a, c), 1)
+        f_lo = eq._d_floor(c, b) if c is not b else max(eq._d_floor(c, b), 1)
+        e_lo = max(e_lo, d - eq._d_top(c))
+        e_hi = min(d - f_lo, eq._d_top(a))
+        for e in range(e_lo, e_hi + 1):
+            phis = eq._rad_basis(a, c, e)
+            psis = eq._rad_basis(c, b, d - e) if phis else []
+            for phi in phis:
+                for psi in psis:
+                    vec = compose_hom(eq.calc, a, c, b, e, d - e, phi, psi)
+                    if vec:
+                        out.append(vec)
+    return out
+
+
+def reference_arrows(eq, drop_free=None):
+    """The quiver of `eq` (its stable part with `drop_free`) from every
+    product of radical maps: arrows from a to b in degree d number
+    rank(F + rad^2 + rad) - rank(F + rad^2), F the maps through frees."""
+    keep = [(l, m) for l, m in eq.summands if not drop_free or l not in drop_free]
+    mods = [m for _, m in keep]
+    arrows = {}
+    for la, a in keep:
+        for lb, b in keep:
+            total = 0
+            for d in range(eq._d_floor(a, b), eq.degree_top + 1):
+                rad = eq._rad_basis(a, b, d)
+                if not rad:
+                    continue
+                ech = linalg.Echelon(eq.calc.char)
+                for v in through_free_vectors(eq.calc, a, b, d) if drop_free else ():
+                    ech.add(v)
+                for v in reference_rad_square(eq, a, b, d, mods):
+                    ech.add(v)
+                covered = ech.rank
+                for v in rad:
+                    ech.add(v)
+                total += ech.rank - covered
+            if total:
+                arrows[(la, lb)] = total
+    return Quiver(tuple(l for l, _ in keep), arrows)
+
+
+def _assert_matches_reference(eq, free_labels):
+    assert eq.quiver == reference_arrows(eq)
+    if free_labels:
+        assert eq.stable_reduce(free_labels) == reference_arrows(eq, set(free_labels))
+
+
+@pytest.mark.parametrize("char", [0, 10007])
+@pytest.mark.parametrize("key,hi", [("k2_k3", 7), ("k3_w12", 8), ("k3_k3", 7)])
+def test_early_stop_rad_square_matches_all_pairs_reference(key, hi, char):
+    mods = [(f"M{s}" if s else "R", catalog.diagonal_module(key, s)) for s in (-1, 0, 1)]
+    eq = EndoQuiver(HomCalculator(*catalog.RINGS[key], 0, hi, char=char), mods, degree_top=3)
+    _assert_matches_reference(eq, ["R"])
+
+
+@pytest.mark.parametrize("char", [0, 10007])
+def test_early_stop_matches_reference_with_a_syzygy_vertex(char):
+    calc = HomCalculator(A2, B3, 0, 8, char=char)
+    omega = DiagonalModule(A2, B3, 1)
+    syz2 = calc.resolution(omega, 3).syzygy(2)
+    eq = EndoQuiver(
+        calc, [("R", DiagonalModule(A2, B3, 0)), ("om", omega), ("syz2", syz2)], degree_top=3
+    )
+    _assert_matches_reference(eq, ["R"])
+
+
+small_weights = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2)
+shift_sets = st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_weights,
+    small_weights,
+    shift_sets,
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([0, 10007]),
+)
+def test_early_stop_matches_reference_on_weighted_pairs(wa, wb, shifts, degree_top, char):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    mods = [(f"M{s}", DiagonalModule(specA, specB, s)) for s in sorted(shifts)]
+    hi = max(m.generation_bound() for _, m in mods) + degree_top + 2
+    try:
+        eq = EndoQuiver(HomCalculator(specA, specB, 0, hi, char=char), mods, degree_top)
+    except ValueError:
+        assume(False)  # a vertex without scalar End_0
+    # the free vertex M0 when there is one, else any vertex
+    free = ["M0"] if 0 in shifts else [mods[0][0]]
+    _assert_matches_reference(eq, free if len(mods) > 1 else [])
+
+
+def reference_p_segre_quiver(sideA, sideB, p, degree_top=6, drop_free=None):
+    """`p_segre_quiver` from the full product set of every degree split,
+    with no stop once hom is covered."""
+    verts = [(l, ra, rb) for l in range(p) for ra in sideA.residues for rb in sideB.residues]
+
+    def label(v):
+        l, ra, rb = v
+        if len(verts) == p:
+            return "R" if l == 0 else f"M{l}"
+        return f"({l};{ra},{rb})"
+
+    def comp(v, w, n):
+        (l, ra, rb), (l2, ra2, rb2) = v, w
+        da = sideA.component_degree(ra, ra2, n + l2 - l)
+        db = sideB.component_degree(rb, rb2, n)
+        if da < 0 or db < 0:
+            return frozenset()
+        return frozenset(
+            itertools.product(_monomials(sideA.ring, da), _monomials(sideB.ring, db))
+        )
+
+    def rad_square(v, w, n, through):
+        out = set()
+        for c in through:
+            for e1 in range(0, n + 1):
+                e2 = n - e1
+                if (c == v and e1 == 0) or (c == w and e2 == 0):
+                    continue
+                for x in comp(v, c, e1):
+                    for y in comp(c, w, e2):
+                        out.add((
+                            tuple(i + j for i, j in zip(x[0], y[0])),
+                            tuple(i + j for i, j in zip(x[1], y[1])),
+                        ))
+        return out
+
+    drop = set(drop_free or ())
+    keep = [v for v in verts if label(v) not in drop]
+    arrows = {}
+    for v in keep:
+        for w in keep:
+            total = 0
+            for n in range(0, degree_top + 1):
+                hom = comp(v, w, n)
+                if not hom or (v == w and n == 0):
+                    continue
+                covered = rad_square(v, w, n, keep)
+                covered |= rad_square(v, w, n, [u for u in verts if label(u) in drop])
+                total += len(hom - covered)
+            if total:
+                arrows[(label(v), label(w))] = total
+    return Quiver(tuple(label(v) for v in keep), arrows)
+
+
+@st.composite
+def veronese_sides(draw):
+    if draw(st.booleans()):
+        return TRIVIAL_SIDE if draw(st.booleans()) else VeroneseSideData(None)
+    weights = draw(small_weights)
+    order = draw(st.integers(min_value=1, max_value=2))
+    residues = draw(
+        st.lists(st.integers(min_value=0, max_value=order - 1), min_size=1, unique=True)
+    )
+    spec = ring(tuple(f"z{i}" for i in range(len(weights))), tuple(weights))
+    return VeroneseSideData(spec, order, tuple(sorted(residues)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    veronese_sides(),
+    veronese_sides(),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.data(),
+)
+def test_p_segre_stop_matches_full_product_reference(side_a, side_b, p, degree_top, data):
+    full = reference_p_segre_quiver(side_a, side_b, p, degree_top)
+    assert p_segre_quiver(side_a, side_b, p, degree_top) == full
+    drop = data.draw(st.lists(st.sampled_from(full.vertices), unique=True))
+    assert p_segre_quiver(side_a, side_b, p, degree_top, drop_free=drop) == (
+        reference_p_segre_quiver(side_a, side_b, p, degree_top, drop_free=drop)
+    )
