@@ -463,30 +463,21 @@ class DegreewiseComplex:
         return DegreewiseComplex(labels, dims, mats, (lo, hi))
 
     def image_truncated(self) -> "DegreewiseComplex":
-        """Replace the final term by the image of the final map."""
+        """Replace the final term by the image of the final map: in each
+        degree, the accepted columns of one tracked elimination are its
+        basis, and every column's coordinates over them give the map."""
         lo, hi = self.window
         dims = dict()
         mats = {}
         for j in range(lo, hi + 1):
             cols = self.mats[-1].get(j, [])
-            if not cols:
-                continue
-            basis = []
-            ech = linalg.Echelon()
+            ech = linalg.Echelon(track=True)
             for c in cols:
-                if ech.add(c):
-                    basis.append(c)
-            if not basis:
-                continue
-            solver = linalg.CoordSolver(basis)
-            newcols = []
-            for c in cols:
-                sol = solver.solve(c)
-                newcols.append(
-                    {i: v for i, v in enumerate(sol) if v} if sol else {}
-                )
-            dims[j] = len(basis)
-            mats[j] = newcols
+                # the tag is the column's position in the basis if accepted
+                ech.add(c, tag=ech.rank)
+            if ech.rank:
+                dims[j] = ech.rank
+                mats[j] = [dict(sorted(ech.coordinates(c).items())) for c in cols]
         labels = self.labels[:-1] + [f"im({self.labels[-1]})"]
         return DegreewiseComplex(
             labels, self.dims[:-1] + [dims], self.mats[:-1] + [mats], self.window

@@ -60,15 +60,37 @@ def _act_vector(module, pair, p: int, j: int, vec: dict) -> dict:
     return linalg.apply_columns(_act_matrix_frozen(module, pair, p, j), vec)
 
 
-def _cover_step(module, lo: int, hi: int):
-    """Minimal generators, cover columns and cover kernel on [lo, hi].
+def _cover_degree(module, j: int, gens):
+    """Degree j of the cover of M by its generators `gens` of degree < j.
 
-    In degree j one tracked echelon takes the cover columns of the
-    generators of degree < j (g times each pair of R_(j - deg g)), which
-    span (R_+ M)_j.  The basis vector w_i of M_j is a new generator
-    (j, {i: 1}) when it lies outside that span and the generators of
-    degree j before it; it then enters as its own cover column.  The
-    tracked dependencies are the kernel basis in degree j.
+    One tracked echelon takes g times each pair of R_(j - deg g), for g
+    in order, which span (R_+ M)_j; each column is tagged by its
+    position, its flat coordinate in F0.  The basis vector w_i of M_j
+    is a new generator (j, {i: 1}) when it lies outside that span and
+    the generators of degree j before it; it then enters as its own
+    column.  Returns the echelon and the new generators.
+    """
+    ringA, ringB = rings_of(module)
+    ech = linalg.Echelon(track=True)
+    for dg, unit in gens:
+        w = _expand_in_work(module, dg, unit)
+        for pair in r_basis(ringA, ringB, j - dg):
+            ech.add(_act_vector(module, pair, j - dg, dg, w))
+    new = []
+    for i, w in enumerate(_work_vectors(module, j)):
+        if not ech.contains(w):
+            new.append((j, {i: 1}))
+            ech.add(w)
+    return ech, new
+
+
+def _cover_step(module, lo: int, hi: int):
+    """Minimal generators and cover kernel on [lo, hi].
+
+    One `_cover_degree` per degree j finds the generators of degree j;
+    its tracked dependencies are the kernel basis in degree j.  The
+    cover columns are not kept: `HomCalculator.section` re-runs the one
+    degree it needs.
 
     The generators are complete when the module has a certified
     generation bound inside the window (CertificationError otherwise);
@@ -83,26 +105,12 @@ def _cover_step(module, lo: int, hi: int):
         raise CertificationError(
             "window does not reach the bottom degree of the module"
         )
-    ringA, ringB = rings_of(module)
-    gens, reps, cover_columns, bases = [], [], {}, {}
+    gens, bases = [], {}
     for j in range(lo, hi + 1):
-        ech = linalg.Echelon(track=True)
-        cols = [
-            _act_vector(module, pair, j - dg, dg, w)
-            for dg, w in reps
-            for pair in r_basis(ringA, ringB, j - dg)
-        ]
-        for c, col in enumerate(cols):
-            ech.add(col, tag=c)
-        for i, w in enumerate(_work_vectors(module, j)):
-            if not ech.contains(w):
-                gens.append((j, {i: 1}))
-                reps.append((j, w))
-                ech.add(w, tag=len(cols))
-                cols.append(dict(w))
-        cover_columns[j] = cols
+        ech, new = _cover_degree(module, j, gens)
+        gens += new
         bases[j] = ech.kernel_basis()
-    return gens, cover_columns, bases
+    return gens, bases
 
 
 def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
@@ -128,7 +136,8 @@ class Resolution:
     at step k (the module itself for k = 0, its k-th syzygy after), as
     `minimal_generators` returns them: (degree, {i: 1}) for the i-th
     basis vector of that degree.  F_k has one generator for each, in
-    the same order."""
+    the same order.  The cover columns are not kept; a section of the
+    cover re-runs one degree of it (`HomCalculator.section`)."""
 
     module: object
     lo: int
@@ -137,7 +146,6 @@ class Resolution:
     betti: list[tuple[int, ...]]
     diffs: list[dict]  # diffs[k]: F_(k+1) -> F_k, (row gen, col gen) -> pair poly
     syzygies: list[SyzygyModule]
-    cover_columns: dict = field(default_factory=dict)
     generators: list[list[tuple[int, dict]]] = field(default_factory=list)
 
     def syzygy(self, k: int) -> SyzygyModule:
@@ -157,7 +165,6 @@ class Resolution:
             self.betti[k:],
             self.diffs[k:],
             self.syzygies[k:],
-            {s - k: cols for s, cols in self.cover_columns.items() if s >= k},
             self.generators[k:],
         )
 
@@ -198,7 +205,7 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     frees, betti, diffs, syzygies = [], [], [], []
     res = Resolution(module, lo, hi, frees, betti, diffs, syzygies)
     for step in range(depth + 1):
-        gens, cover_columns, bases = _cover_step(cur, lo, hi)
+        gens, bases = _cover_step(cur, lo, hi)
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         frees.append(free)
         betti.append(tuple(g for g, _ in gens))
@@ -216,7 +223,6 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
                     poly = entries.setdefault((g_idx, col), {})
                     poly[pair] = poly.get(pair, 0) + coeff
             diffs.append(entries)
-        res.cover_columns[step] = cover_columns
         syz = SyzygyModule(free, bases, label=f"syz^{step + 1}")
         syzygies.append(syz)
         cur = syz
@@ -348,7 +354,8 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
 class HomCalculator:
     """The one owner of resolutions, hom bases, sections and element
     matrices for a ring pair and a window; the caller creates it and
-    passes it to every computation on that pair and window.
+    passes it to every computation on that pair and window.  A section
+    of the cover re-runs one degree of it on the stored generators.
 
     Its dicts are keyed by the modules themselves: the frozen
     DiagonalModule and FreeModule by value, so equal modules built
@@ -396,15 +403,34 @@ class HomCalculator:
             self._hom[key] = hom_space(self.resolution(M), N, d, self.char)
         return self._hom[key]
 
-    def section(self, M, j: int):
-        """CoordSolver expressing the degree-j piece through the cover."""
-        key = (M, j)
+    def section(self, M, t: int) -> list[dict]:
+        """A section of the cover F0 -> M in degree t: for each basis
+        vector of M_t, its coordinates over F0 in flat order (the order
+        `element_matrix` sums them), keyed by (generator index, pair).
+
+        Re-runs `_cover_degree` on the stored generators of degree < t;
+        its pivots are the independent cover columns, reduced in order."""
+        key = (M, t)
         if key not in self._section:
-            res = self.resolution(M)
-            cols = res.cover_columns[0].get(j)
-            if cols is None:
-                raise CertificationError(f"degree {j} outside the window")
-            self._section[key] = _SectionSolver(cols) if cols else None
+            if not self.lo <= t <= self.hi:
+                raise CertificationError(f"degree {t} outside the window")
+            gens = self.resolution(M).generators[0]
+            ech, new = _cover_degree(M, t, [g for g in gens if g[0] < t])
+            if new != [g for g in gens if g[0] == t]:
+                raise AssertionError(f"degree-{t} generators differ from the resolution's")
+            flat_keys = [
+                (g_idx, pair)
+                for g_idx, (j, _) in enumerate(gens)
+                if j <= t
+                for pair in r_basis(self.ringA, self.ringB, t - j)
+            ]
+            sections = []
+            for w in _work_vectors(M, t):
+                coords = ech.coordinates(w)
+                if coords is None:
+                    raise AssertionError("cover is not surjective on the window")
+                sections.append({flat_keys[f]: coords[f] for f in sorted(coords)})
+            self._section[key] = sections
         return self._section[key]
 
     def element_matrix(self, M, N, d: int, vec: dict, t: int) -> list[dict]:
@@ -413,25 +439,20 @@ class HomCalculator:
         cached = self._elem_cache
         if key in cached:
             return cached[key]
-        res = self.resolution(M)
-        F0 = res.frees[0]
-        section = self.section(M, t)
-        work = _work_vectors(M, t)
+        F0 = self.resolution(M).frees[0]
         gen_values = _split_gen_values(F0, N, d, vec)
         cols = []
-        for w_i in range(len(work)):
-            coords = section.solve_unit(w_i, work)
+        for coords in self.section(M, t):
             out = {}
-            for flat, coeff in coords.items():
-                g_idx, pair = _split_flat(F0, t, flat)
-                p = t - F0.gens[g_idx]
+            for (g_idx, pair), coeff in coords.items():
                 base = gen_values[g_idx]
                 if not base:
                     continue
+                g = F0.gens[g_idx]
                 img = (
                     dict(base)
-                    if p == 0
-                    else linalg.apply_columns(_act_cached(N, pair, p, d + F0.gens[g_idx]), base)
+                    if g == t
+                    else linalg.apply_columns(_act_cached(N, pair, t - g, d + g), base)
                 )
                 for k, v in img.items():
                     z = out.get(k, 0) + coeff * v
@@ -442,37 +463,6 @@ class HomCalculator:
             cols.append(out)
         cached[key] = cols
         return cols
-
-
-class _SectionSolver:
-    """Right inverse of a surjective cover matrix, solved lazily per unit."""
-
-    def __init__(self, cols):
-        independent, index = _independent_with_index(cols)
-        self.solver = linalg.CoordSolver(independent)
-        self.col_index = index
-        self.cache = {}
-
-    def solve_unit(self, i: int, work_vectors) -> dict:
-        if i in self.cache:
-            return self.cache[i]
-        target = work_vectors[i]
-        sol = self.solver.solve(target)
-        if sol is None:
-            raise AssertionError("cover is not surjective on the window")
-        out = {self.col_index[k]: v for k, v in enumerate(sol) if v}
-        self.cache[i] = out
-        return out
-
-
-def _independent_with_index(cols):
-    ech = linalg.Echelon()
-    out, idx = [], []
-    for i, c in enumerate(cols):
-        if ech.add(c):
-            out.append(c)
-            idx.append(i)
-    return out, idx
 
 
 def _split_gen_values(F0: FreeModule, N, d: int, vec: dict) -> list[dict]:

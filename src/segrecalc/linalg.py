@@ -5,8 +5,8 @@ each a dict mapping row index to a nonzero integer.  Rational
 eliminations are integer-preserving (cross-multiply, divide by the
 content), so results are exact.  `Echelon`, `rank_of` and `kernel_of`
 take a prime characteristic to run the same elimination over F_p; a
-rational entry n/d enters F_p as n * d^-1.  `CoordSolver`,
-`apply_columns` and `compose` work over Q.
+rational entry n/d enters F_p as n * d^-1.  `Echelon.coordinates`,
+`CoordSolver`, `apply_columns` and `compose` work over Q.
 """
 
 from __future__ import annotations
@@ -144,6 +144,25 @@ class Echelon:
         body, _ = self._reduce(body, None)
         return not body
 
+    def coordinates(self, vec: Col) -> dict | None:
+        """Coordinates of vec keyed by the tags of the accepted columns (a
+        dependent column never becomes a pivot), or None outside the
+        span.  Over Q only, on a tracked echelon; a coordinate is an int
+        when integral, a Fraction only otherwise."""
+        if not self.track or self.char:
+            raise ValueError("coordinates need a tracked echelon over Q")
+        body = {k: v for k, v in vec.items() if v}
+        aug = {("q", 0): 1}
+        body, aug = self._reduce(body, aug)
+        if body:
+            return None
+        alpha = aug.pop(("q", 0))
+        out = {}
+        for k, v in aug.items():
+            q, r = divmod(-v, alpha)
+            out[k[1]] = Fraction(-v, alpha) if r else q
+        return out
+
     def kernel_basis(self) -> list[Col]:
         """The tracked dependencies as vectors over the column tags,
         integer and primitive over Q, deterministic (first nonzero
@@ -199,21 +218,14 @@ class CoordSolver:
         self.size = len(basis)
 
     def solve(self, vec: Col) -> list | None:
-        """Coordinates of vec in the basis, or None when not in the span.
-
-        Over Q a coordinate is an int when it is integral and a Fraction
-        only otherwise.
-        """
-        body = {k: v for k, v in vec.items() if v}
-        aug = {("q", 0): 1}
-        body, aug = self.ech._reduce(body, aug)
-        if body:
+        """Coordinates of vec in the basis, or None when not in the span;
+        see `Echelon.coordinates`."""
+        found = self.ech.coordinates(vec)
+        if found is None:
             return None
-        alpha = aug.pop(("q", 0))
         coords = [0] * self.size
-        for k, v in aug.items():
-            q, r = divmod(-v, alpha)
-            coords[k[1]] = Fraction(-v, alpha) if r else q
+        for i, v in found.items():
+            coords[i] = v
         return coords
 
 

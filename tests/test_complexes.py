@@ -9,6 +9,7 @@ from segrecalc import linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin.complexes import (
     BiFreeComplex,
+    DegreewiseComplex,
     FreeComplex,
     alpha_complex,
     bify,
@@ -419,3 +420,64 @@ def test_diff_complex_builds_top_koszul_matrix_once_per_degree(monkeypatch):
 def test_fourfold_homology_over_prime_field_matches_rationals():
     for seq in catalog.almost_split_suite("k3_k3", (0, 6)):
         assert seq.complex.homology(10007) == seq.complex.homology()
+
+
+def reference_image_truncated(dc):
+    """The image of the final map as an untracked Echelon picks its
+    independent columns and a CoordSolver over them solves every column:
+    the two eliminations that `image_truncated` replaces by one."""
+    lo, hi = dc.window
+    dims, mats = {}, {}
+    for j in range(lo, hi + 1):
+        cols = dc.mats[-1].get(j, [])
+        ech, basis = linalg.Echelon(), []
+        for c in cols:
+            if ech.add(c):
+                basis.append(c)
+        if not basis:
+            continue
+        solver = linalg.CoordSolver(basis)
+        dims[j] = len(basis)
+        mats[j] = [{i: v for i, v in enumerate(solver.solve(c)) if v} for c in cols]
+    return dims, mats
+
+
+def _typed(mats):
+    """Entries with their order and value types, so ints and Fractions
+    that compare equal still differ."""
+    return {j: [[(k, type(v), v) for k, v in c.items()] for c in cols] for j, cols in mats.items()}
+
+
+int_column = st.dictionaries(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(int_column, min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2), st.integers(-2, 2)),
+        max_size=4,
+    ),
+)
+def test_image_truncated_matches_two_elimination_reference(base, mixes):
+    # dependent columns are combinations of drawn ones; zero columns
+    # appear both drawn and as a column of their own
+    cols = list(base) + [{}]
+    for a, b, ca, cb in mixes:
+        cols.append(linalg.combine(base[a % len(base)], base[b % len(base)], ca, cb))
+    n = len(cols)
+    dc = DegreewiseComplex(
+        ["A", "B"],
+        [{0: n, 1: n, 2: 1}, {0: 4, 1: 4}],
+        [{0: cols, 1: cols[::-1], 2: [{}]}],
+        (0, 2),
+    )
+    out = dc.image_truncated()
+    dims, mats = reference_image_truncated(dc)
+    assert out.labels == ["A", "im(B)"]
+    assert out.dims[-1] == dims
+    assert _typed(out.mats[-1]) == _typed(mats)

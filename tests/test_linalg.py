@@ -83,6 +83,51 @@ def test_coord_solver_fractional():
     assert solver.solve({0: 1, 1: 1}) == [Fraction(1, 2), Fraction(1, 3)]
 
 
+def _recombine(cols, coords):
+    out = {}
+    for i, v in coords.items():
+        for k, x in cols[i].items():
+            out[k] = out.get(k, 0) + v * x
+    return {k: v for k, v in out.items() if v}
+
+
+def test_echelon_coordinates_use_only_accepted_columns():
+    cols = [{0: 2, 1: 4}, {0: 1, 1: 2}, {}, {1: 1, 2: 3}, {0: 2, 1: 5, 2: 3}]
+    ech = linalg.Echelon(track=True)
+    accepted = [i for i, c in enumerate(cols) if ech.add(c, tag=i)]
+    assert accepted == [0, 3]
+    for vec in cols:
+        coords = ech.coordinates(vec)
+        assert set(coords) <= set(accepted)
+        assert _recombine(cols, coords) == vec
+    # {0: 1, 1: 2} is half the first accepted column
+    assert ech.coordinates(cols[1]) == {0: Fraction(1, 2)}
+    assert ech.coordinates({0: 4, 1: 9, 2: 3}) == {0: 2, 3: 1}
+    assert all(type(v) is int for v in ech.coordinates({0: 4, 1: 9, 2: 3}).values())
+    assert ech.coordinates({2: 1}) is None
+    assert ech.coordinates({}) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_echelon_coordinates_recombine_every_column(dense):
+    cols = to_cols(dense)
+    cols = cols + [{}] + [linalg.combine(a, b, 2, -3) for a, b in zip(cols, cols[1:])]
+    ech = linalg.Echelon(track=True)
+    accepted = {i for i, c in enumerate(cols) if ech.add(c, tag=i)}
+    for vec in cols:
+        coords = ech.coordinates(vec)
+        assert set(coords) <= accepted
+        assert _recombine(cols, coords) == vec
+
+
+def test_echelon_coordinates_need_a_tracked_rational_echelon():
+    for ech in (linalg.Echelon(), linalg.Echelon(char=7, track=True)):
+        ech.add({0: 1})
+        with pytest.raises(ValueError):
+            ech.coordinates({0: 1})
+
+
 def test_fractions_over_prime_field():
     assert linalg.reduce_mod({0: Fraction(1, 2), 1: Fraction(4, 2), 2: 7}, 7) == {0: 4, 1: 2}
     assert linalg.rank_of([{0: Fraction(1, 2)}, {0: 3}], char=5) == 1

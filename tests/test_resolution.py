@@ -192,10 +192,12 @@ def reference_minimal_generators(module, lo, hi):
 def reference_free_resolution(module, depth, lo, hi):
     """Two-pass reference resolution: the generators of each step from
     `reference_minimal_generators`, then the cover columns and their
-    kernel by `linalg.kernel_of`, degree by degree."""
+    kernel by `linalg.kernel_of`, degree by degree.  Returns the
+    resolution and the cover columns, step -> degree -> columns."""
     ringA, ringB = resolution.rings_of(module)
     cur = module
     res = Resolution(module, lo, hi, [], [], [], [])
+    covers = {}
     for step in range(depth + 1):
         gens = reference_minimal_generators(cur, lo, hi)
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
@@ -225,17 +227,16 @@ def reference_free_resolution(module, depth, lo, hi):
                         cols.append(resolution._act_vector(cur, pair, j - dg, dg, base))
             cover[j] = cols
             bases[j] = linalg.kernel_of(cols) if cols else []
-        res.cover_columns[step] = cover
+        covers[step] = cover
         cur = SyzygyModule(free, bases, label=f"syz^{step + 1}")
         res.syzygies.append(cur)
-    return res
+    return res, covers
 
 
 def resolution_fields(res):
     return (
         res.betti,
         res.diffs,
-        res.cover_columns,
         res.generators,
         [s.bases for s in res.syzygies],
         [s.min_degree for s in res.syzygies],
@@ -262,6 +263,9 @@ def _outcome(fn, *args):
         return ("CertificationError", str(exc))
 
 
+small_weights = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2)
+
+
 weight_lists = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
 
 
@@ -285,7 +289,7 @@ def test_fused_cover_step_matches_two_pass_reference(wa, wb, shift, lo, extra):
         reference_minimal_generators, module, lo, hi
     )
     fused = _outcome(free_resolution, module, 2, lo, hi)
-    ref = _outcome(reference_free_resolution, module, 2, lo, hi)
+    ref = _outcome(lambda: reference_free_resolution(module, 2, lo, hi)[0])
     if isinstance(ref, Resolution):
         assert isinstance(fused, Resolution)
         assert resolution_fields(fused) == resolution_fields(ref)
@@ -358,6 +362,7 @@ def test_hom_calculator_keys_equal_modules_by_value():
 def test_resolution_tails_match_fresh_resolutions(key):
     lo, hi = 0, 5
     calc = HomCalculator(*catalog.RINGS[key], lo, hi)
+    fresh_calc = HomCalculator(*catalog.RINGS[key], lo, hi)
     res = calc.resolution(catalog.diagonal_module(key, 1), 5)
     for k in (1, 2, 3):
         syz = res.syzygy(k)
@@ -367,8 +372,76 @@ def test_resolution_tails_match_fresh_resolutions(key):
         assert tail.betti[:3] == fresh.betti
         assert tail.diffs[:2] == fresh.diffs
         assert tail.generators[:3] == fresh.generators
-        assert {s: tail.cover_columns[s] for s in range(3)} == fresh.cover_columns
         assert [s.bases for s in tail.syzygies[:3]] == [s.bases for s in fresh.syzygies]
+        # sections re-run one cover degree on the tail's generators
+        for t in range(lo, hi + 1):
+            assert typed(calc.section(syz, t)) == typed(fresh_calc.section(syz, t))
+
+
+def reference_section(covers, F0, M, t):
+    """The section of the cover in degree t as the stored cover columns
+    gave it: an untracked Echelon picks the independent columns, a
+    CoordSolver over them solves each basis vector of M_t, and each flat
+    F0 coordinate is split into (generator index, pair)."""
+    ech, independent, index = linalg.Echelon(), [], []
+    for i, c in enumerate(covers[0][t]):
+        if ech.add(c):
+            independent.append(c)
+            index.append(i)
+    solver = linalg.CoordSolver(independent)
+    out = []
+    for w in resolution._work_vectors(M, t):
+        sol = solver.solve(w)
+        assert sol is not None, "cover is not surjective on the window"
+        out.append(
+            {resolution._split_flat(F0, t, index[k]): v for k, v in enumerate(sol) if v}
+        )
+    return out
+
+
+def typed(sections):
+    """Coordinates with their order and value types, so ints and
+    Fractions that compare equal still differ."""
+    return [[(k, type(v), v) for k, v in s.items()] for s in sections]
+
+
+def _assert_sections_match_reference(calc, M):
+    ref, covers = reference_free_resolution(M, 0, calc.lo, calc.hi)
+    for t in range(calc.lo, calc.hi + 1):
+        assert typed(calc.section(M, t)) == typed(reference_section(covers, ref.frees[0], M, t))
+    for t in (calc.lo - 1, calc.hi + 1):
+        with pytest.raises(CertificationError, match="outside the window"):
+            calc.section(M, t)
+
+
+@pytest.mark.parametrize("char", [0, 10007])
+@pytest.mark.parametrize("key", sorted(catalog.RINGS))
+def test_sections_match_cover_column_reference(key, char):
+    calc = HomCalculator(*catalog.RINGS[key], 0, 6, char=char)
+    modules = [catalog.diagonal_module(key, i) for i in (-1, 0, 1)]
+    if key == "k2_k3":
+        # omega is M_1 here; its second syzygy has no monomial basis
+        modules.append(calc.resolution(modules[2], 3).syzygy(2))
+    for M in modules:
+        _assert_sections_match_reference(calc, M)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_weights, small_weights, st.integers(min_value=-2, max_value=2), st.integers(0, 1))
+def test_sections_match_cover_column_reference_on_weighted_pairs(wa, wb, shift, extra):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    M = DiagonalModule(specA, specB, shift)
+    _assert_sections_match_reference(HomCalculator(specA, specB, 0, M.generation_bound() + extra), M)
+
+
+def test_section_rejects_generators_the_re_run_does_not_find():
+    calc = HomCalculator(A2, B3, 0, 5)
+    res = calc.resolution(M(-1))
+    t = res.generators[0][-1][0]
+    res.generators[0] = res.generators[0][:-1]
+    with pytest.raises(AssertionError, match="generators differ"):
+        calc.section(M(-1), t)
 
 
 def reference_through_free_vectors(calc, a, b, d):
@@ -438,9 +511,6 @@ def test_through_free_vectors_match_twist_search(key, char):
         for b in targets:
             for d in range(0, 4):
                 _assert_same_span(calc, a, b, d)
-
-
-small_weights = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2)
 
 
 @settings(max_examples=25, deadline=None)
