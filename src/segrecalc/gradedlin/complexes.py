@@ -7,8 +7,14 @@ free modules over one weighted ring (polynomial differential entries).
 `BiFreeComplex` is the bigraded analogue over a pair of rings.
 `DegreewiseComplex` is the fully expanded object: per internal degree,
 explicit scalar matrices; homology is computed by exact rank
-calculations, one per differential and degree, and d∘d = 0 holds as a
-hard assertion on every window.
+calculations, and d∘d = 0 holds as a hard assertion on every window.
+
+When every differential entry of a bigraded complex is a single
+monomial pair, its diagonal is graded by the full exponent lattice
+Z^n × Z^m, and `diagonal` attaches the fine degrees (`strands.Strands`):
+the rank of a differential in a degree is then a sum over fine-degree
+blocks, each distinct block ranked once per complex.  Every other
+complex is ranked as one matrix per differential and degree.
 
 Scalar matrices are expanded through multiplication tables built once
 per call (`_mul_rows`): for an entry monomial u and a source and target
@@ -21,12 +27,13 @@ part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
 from .poly import Mono, monomials, monomial_index, variable
+from .strands import Strands
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +383,20 @@ class DegreewiseComplex:
     """Complex of graded pieces: per position a degree->dim table and a
     human-readable label, per adjacent pair and internal degree a scalar
     matrix (stored column-wise).  d∘d = 0 is asserted on the window at
-    construction time."""
+    construction time.
+
+    `diagonal` fills the last two fields: `summands` lists
+    (shift index m, twist, multiplicity) per position, and `strands`
+    holds the fine degrees of a monomial bigraded complex, through which
+    `rank_at` ranks.  Every other complex leaves both None."""
 
     labels: list[str]
     dims: list[dict]
     mats: list[dict]
     window: tuple[int, int]
     checked: bool = False
+    summands: list | None = field(default=None, compare=False, repr=False)
+    strands: Strands | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.checked:
@@ -410,7 +424,11 @@ class DegreewiseComplex:
         if t < 0 or t >= len(self.mats):
             return 0
         cols = self.mats[t].get(j)
-        return linalg.rank_of(cols, char) if cols else 0
+        if not cols:
+            return 0
+        if self.strands is not None:
+            return self.strands.rank(t, j, char, self.dims[t][j])
+        return linalg.rank_of(cols, char)
 
     def homology(self, char: int = 0) -> dict:
         """Exact homology dimensions per (position, degree) on the window."""
@@ -560,9 +578,9 @@ def diagonal(
                                 del col[key]
             table[j] = cols
         mats.append(table)
-    out = DegreewiseComplex(labels, dims, mats, window)
-    out.summands = structured  # [(shift index m, twist, multiplicity)] per position
-    return out
+    return DegreewiseComplex(
+        labels, dims, mats, window, summands=structured, strands=Strands.of(bi, shift)
+    )
 
 
 def _diag_label(term, shift: int) -> str:

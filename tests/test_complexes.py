@@ -312,10 +312,7 @@ def test_diagonal_tables_match_reference_on_koszul_diagonals():
 
 
 small_weights = st.lists(st.integers(1, 3), min_size=1, max_size=3)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
+drawn_complexes = (
     small_weights,
     small_weights,
     st.sampled_from(["tensor", "glue", "bifyA", "bifyB"]),
@@ -326,25 +323,34 @@ small_weights = st.lists(st.integers(1, 3), min_size=1, max_size=3)
     st.integers(-3, 0),
     st.integers(0, 4),
 )
-def test_diagonal_tables_match_reference_on_random_complexes(
-    wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
-):
+
+
+def _drawn_complex(wa, wb, kind, twist, thr_a, thr_b):
+    """A bigraded complex from Koszul complexes on drawn weights, and the
+    (twisted) Koszul complex of its first factor."""
     A = ring(tuple(f"a{i}" for i in range(len(wa))), tuple(wa))
     B = ring(tuple(f"b{i}" for i in range(len(wb))), tuple(wb))
     kA, kB = koszul(A).twist(twist), koszul(B)
     if kind == "tensor":
-        bi = tensor(kA, kB)
-    elif kind == "glue":
+        return tensor(kA, kB), kA
+    if kind == "glue":
         sA = truncate_split(kA, lambda g: g >= thr_a)
         sB = truncate_split(kB, lambda g: g >= thr_b)
         try:
-            bi = glue_split_tensor(sA, sB)
+            return glue_split_tensor(sA, sB), kA
         except ValueError:
             assume(False)
-    elif kind == "bifyA":
-        bi = bify(kA, B, "A")
-    else:
-        bi = bify(kB, A, "B")
+    if kind == "bifyA":
+        return bify(kA, B, "A"), kA
+    return bify(kB, A, "B"), kA
+
+
+@settings(max_examples=30, deadline=None)
+@given(*drawn_complexes)
+def test_diagonal_tables_match_reference_on_random_complexes(
+    wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
+):
+    bi, kA = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
     _assert_diagonal_matches(bi, shift, (lo, lo + width))
     for t in range(len(kA.diffs)):
         for j in range(lo, lo + width + 1):
@@ -387,17 +393,98 @@ def test_homology_ranks_each_matrix_once(monkeypatch):
         return real(cols, char)
 
     monkeypatch.setattr(linalg, "rank_of", counted)
-    seqs = catalog.almost_split_suite("k3_w12", (-1, 4))
-    seqs.append(catalog.sink_sequence_at_syzygy2((0, 4)))
-    for seq in seqs:
+    # no strands: every nonempty expanded matrix is ranked, each once
+    dc = catalog.sink_sequence_at_syzygy2((0, 4)).complex
+    assert dc.strands is None
+    dc.homology()
+    lo, hi = dc.window
+    nonempty = [id(m[j]) for m in dc.mats for j in range(lo, hi + 1) if m.get(j)]
+    assert sorted(ranked) == sorted(nonempty)
+    # strands: no expanded matrix reaches rank_of, and each distinct
+    # (position, column mask) block is ranked once per complex
+    for seq in catalog.almost_split_suite("k3_w12", (-1, 4)):
         dc = seq.complex
         ranked.clear()
         dc.homology()
         lo, hi = dc.window
-        nonempty = [
-            id(m[j]) for m in dc.mats for j in range(lo, hi + 1) if m.get(j)
-        ]
-        assert sorted(ranked) == sorted(nonempty)
+        expanded = {id(m[j]) for m in dc.mats for j in m}
+        blocks = {
+            (t, mask)
+            for t in range(len(dc.mats))
+            for j in range(lo, hi + 1)
+            if dc.mats[t].get(j)
+            for mask in dc.strands.table(t, j)
+            if mask
+        }
+        assert ranked and not expanded & set(ranked)
+        assert len(ranked) == len(blocks)
+        ranked.clear()
+        dc.homology()
+        assert ranked == []
+
+
+# ---------------------------------------------------------------------------
+# fine-degree strands against the expanded matrices
+
+
+def _expanded_homology(dc, char=0):
+    """Homology from one rank_of per expanded matrix, without strands."""
+    plain = DegreewiseComplex(dc.labels, dc.dims, dc.mats, dc.window, checked=True)
+    assert plain.strands is None
+    return plain.homology(char)
+
+
+def _assert_strand_ranks(dc, chars=(0, 10007)):
+    assert dc.strands is not None
+    lo, hi = dc.window
+    for char in chars:
+        for t in range(len(dc.mats)):
+            for j in range(lo, hi + 1):
+                cols = dc.mats[t].get(j, [])
+                assert dc.rank_at(t, j, char) == linalg.rank_of(cols, char), (t, j, char)
+
+
+def test_strand_ranks_match_expanded_ranks_on_bundled_diagonals():
+    for key, recipes in catalog.AR_RECIPES.items():
+        for at in recipes:
+            _assert_strand_ranks(catalog.almost_split_sequence(key, at, (0, 10)).complex)
+    for i in range(-2, 4):
+        for variant in (1, 2):
+            _assert_strand_ranks(catalog.koszul_diagonal("k2_k3", variant, i, (0, 10)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*drawn_complexes)
+def test_strand_ranks_match_expanded_ranks_on_random_complexes(
+    wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
+):
+    bi, _ = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
+    _assert_strand_ranks(diagonal(bi, shift, (lo, lo + width)))
+
+
+def test_complexes_without_fine_degrees_get_no_strands():
+    a, b = catalog.ring_pair("k2_k3")
+    unit = (0, 0, 0)
+    x0, x1 = ((1, 0), unit), ((0, 1), unit)
+    # S(-1) -> S by x0 + x1: the cokernel is k[t] # B, dim B_j in degree j
+    bi = BiFreeComplex(a, b, [((1, 0),), ((0, 0),)], [{(0, 0): {x0: 1, x1: 1}}])
+    dc = diagonal(bi, 0, (0, 4))
+    assert dc.strands is None
+    assert dc.homology() == _expanded_homology(dc)
+    assert dc.homology() == {(1, j): comb(j + 2, 2) for j in range(5)}
+    # S(-1)^2 -> S^2 by [[x0, x1], [x1, x0]]: monomial entries, but from
+    # the first source generator at 0 the walk reaches the second one at
+    # both x1 - x0 and x0 - x1
+    bi = BiFreeComplex(
+        a,
+        b,
+        [((1, 0), (1, 0)), ((0, 0), (0, 0))],
+        [{(0, 0): {x0: 1}, (1, 0): {x1: 1}, (0, 1): {x1: 1}, (1, 1): {x0: 1}}],
+    )
+    dc = diagonal(bi, 0, (0, 4))
+    assert dc.strands is None
+    for char in (0, 10007):
+        assert dc.homology(char) == _expanded_homology(dc, char)
 
 
 def test_diff_complex_builds_top_koszul_matrix_once_per_degree(monkeypatch):
