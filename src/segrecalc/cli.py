@@ -532,7 +532,7 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
     if kind == "numsgp":
         S = _semigroup_from_block(cfg.semigroups[want_str(job, "semigroup")])
         char = want_int(job, "char", 0)
-        art = numsgp.report(S, char=char)
+        art = numsgp.report(S, char=char and _prime(str(char)))
         write_artifact(out_dir, name, art)
         write_text(out_dir, f"{name}.txt", art["table"])
         return True
@@ -661,11 +661,11 @@ def _options(args) -> dict:
 
 
 def _prime(text: str) -> int:
-    """The prime p of `--field prime:p`; ValueError unless 2 <= p < 2^31
-    is prime (trial division, at most 46341 steps)."""
+    """The prime p of `--field prime:p` or of a nonzero characteristic;
+    ValueError unless 2 <= p < 2^31 is prime (trial division)."""
     p = int(text) if text.isdecimal() else 0
     if not 2 <= p < 2**31 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-        raise ValueError(f"--field prime:p needs a prime p below 2^31, not {text!r}")
+        raise ValueError(f"a prime field needs a prime p below 2^31, not {text!r}")
     return p
 
 
@@ -705,23 +705,18 @@ def main(argv=None) -> int:
                     return 2
             return 0 if ok else 1
         if args.command == "numsgp":
-            group = numsgp.FiniteAbelianGroup(
-                tuple(int(t) for t in args.group.split(","))
-            )
-            pairs = []
             src = args.gens or args.gaps
             if not src:
                 print("need --gens or --gaps", file=sys.stderr)
                 return 2
-            for piece in src.split(","):
-                n, el = piece.split(":")
-                pairs.append((int(n), group.parse_element(el)))
-            S = (
-                numsgp.from_generators(group, pairs)
-                if args.gens
-                else numsgp.from_complement(group, pairs)
-            )
-            art = numsgp.report(S, char=args.char)
+            block = {"group": args.group.split(","), "generators" if args.gens else "gaps": [src]}
+            try:
+                S = _semigroup_from_block(block)
+                char = args.char and _prime(str(args.char))
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            art = numsgp.report(S, char=char)
             print(art["table"])
             print(json.dumps({k: v for k, v in art.items() if k != "table"}, **JSON_KW))
             if args.out:

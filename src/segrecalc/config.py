@@ -12,7 +12,7 @@ The grammar is a sectioned key-value text format:
     generators = 1:00 1:10 1:01
 
     [module omega]
-    pair = k2_k3          # or ring_a = A / ring_b = B
+    pair = k2_k3          # a bundled ring pair: k2_k3, k3_w12 or k3_k3
     shift = 1
 
     [job report]

@@ -3,7 +3,7 @@ polynomial rings: Koszul complexes with truncation splits, tensor and
 diagonal extraction, contraction complexes, minimal free resolutions,
 Hom/Ext tables, and generation-degree reports."""
 
-from .poly import monomials, mono_mul, mono_degree
+from .poly import monomials, mono_mul
 from .complexes import (
     FreeComplex,
     SplitComplex,

@@ -151,19 +151,9 @@ def sink_sequence_at_syzygy2(window) -> NamedSequence:
     lo, hi = window
     left = koszul_diagonal("k2_k3", 1, 2, (lo - 3, hi - 3)).twisted(-3)
     right = koszul_diagonal("k2_k3", 2, -1, window)
-    spliced = left.spliced(right)
-    cut = _slice_positions(spliced, 0, 4).image_truncated()
+    s = left.spliced(right)
+    cut = DegreewiseComplex(s.labels[:4], s.dims[:4], s.mats[:3], s.window).image_truncated()
     return NamedSequence("sink sequence at the second syzygy", cut, None)
-
-
-def _slice_positions(c: DegreewiseComplex, start: int, stop: int) -> DegreewiseComplex:
-    return DegreewiseComplex(
-        c.labels[start:stop],
-        c.dims[start:stop],
-        c.mats[start : stop - 1],
-        c.window,
-        checked=True,
-    )
 
 
 def claim3_core_sequence(window) -> NamedSequence:

@@ -7,14 +7,15 @@ free modules over one weighted ring (polynomial differential entries).
 `BiFreeComplex` is the bigraded analogue over a pair of rings.
 `DegreewiseComplex` is the fully expanded object: per internal degree,
 explicit scalar matrices; homology is computed by exact rank
-calculations, and d∘d = 0 holds as a hard assertion on every window.
+calculations, and d∘d = 0 is asserted when one is built.
 
 When every differential entry of a bigraded complex is a single
 monomial pair, its diagonal is graded by the full exponent lattice
 Z^n × Z^m, and `diagonal` attaches the fine degrees (`strands.Strands`):
 the rank of a differential in a degree is then a sum over fine-degree
-blocks, each distinct block ranked once per complex.  Every other
-complex is ranked as one matrix per differential and degree.
+blocks, each distinct block ranked once per complex, and d∘d = 0 is
+checked once, on the scalar differentials.  Every other complex is
+ranked and checked as one matrix per differential and degree.
 
 Scalar matrices are expanded through multiplication tables built once
 per call (`_mul_rows`): for an entry monomial u and a source and target
@@ -382,8 +383,9 @@ def bify(c: FreeComplex, other: WeightedRingSpec, side: str) -> BiFreeComplex:
 class DegreewiseComplex:
     """Complex of graded pieces: per position a degree->dim table and a
     human-readable label, per adjacent pair and internal degree a scalar
-    matrix (stored column-wise).  d∘d = 0 is asserted on the window at
-    construction time.
+    matrix (stored column-wise).  d∘d = 0 is asserted at construction:
+    in every degree by `Strands.of` when the complex has strands, else
+    by `assert_dd` degree by degree on the window.
 
     `diagonal` fills the last two fields: `summands` lists
     (shift index m, twist, multiplicity) per position, and `strands`
@@ -394,14 +396,12 @@ class DegreewiseComplex:
     dims: list[dict]
     mats: list[dict]
     window: tuple[int, int]
-    checked: bool = False
     summands: list | None = field(default=None, compare=False, repr=False)
     strands: Strands | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.checked:
+        if self.strands is None:
             self.assert_dd()
-            self.checked = True
 
     def dim(self, t: int, j: int) -> int:
         return self.dims[t].get(j, 0)
@@ -453,11 +453,7 @@ class DegreewiseComplex:
         dims = [{j - s: v for j, v in d.items()} for d in self.dims]
         mats = [{j - s: m for j, m in mm.items()} for mm in self.mats]
         return DegreewiseComplex(
-            [f"{l}({s})" if s else l for l in self.labels],
-            dims,
-            mats,
-            (lo - s, hi - s),
-            checked=True,
+            [f"{l}({s})" if s else l for l in self.labels], dims, mats, (lo - s, hi - s)
         )
 
     def spliced(self, other: "DegreewiseComplex") -> "DegreewiseComplex":

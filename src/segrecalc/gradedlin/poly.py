@@ -49,9 +49,5 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_degree(spec: WeightedRingSpec, m: Mono) -> int:
-    return sum(e * w[0] for e, w in zip(m, spec.weights))
-
-
 def variable(spec: WeightedRingSpec, i: int) -> Mono:
     return tuple(1 if j == i else 0 for j in range(len(spec.variables)))

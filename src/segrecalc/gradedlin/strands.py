@@ -14,6 +14,13 @@ with f_B ≤ κ_B are two bitmasks, and κ ranges over a product of an A
 set and a B set, so the rank in degree j is
 Σ count_A · count_B · rank(D_t on mask_A & mask_B).
 
+The fine degrees also certify d∘d = 0 once per complex: a path
+c → r → s carries the monomial of f(c) − f(s) whatever r is, so each
+entry of d∘d is that monomial times an entry of the integer product
+D_(t+1)·D_t of the scalar columns.  That product is zero exactly when
+the bigraded complex, hence its diagonal in every degree and over every
+field, has d∘d = 0.
+
 This code is kept out of `complexes` to keep that file small: where no
 bytecode is cached (PYTHONDONTWRITEBYTECODE), every run compiles the
 package from source, and the compiler's peak memory, which stays in the
@@ -47,7 +54,8 @@ class Strands:
     def of(cls, bi, shift: int) -> Strands | None:
         """The strands of `diagonal(bi, shift, ·)` for a `BiFreeComplex`
         bi; None when an entry is not a single monomial pair or the fine
-        degrees disagree."""
+        degrees disagree.  Raises AssertionError when a product
+        D_(t+1)·D_t of the scalar columns is not zero."""
         n = len(bi.ringA.variables)
         cols = [[dict() for _ in term] for term in bi.terms]
         edges = {}  # generator -> [(neighbour, its fine degree minus ours)]
@@ -79,6 +87,9 @@ class Strands:
                             stack.append(other)
                         elif fine[other] != f:
                             return None
+        for t in range(len(cols) - 1):
+            if any(linalg.compose(cols[t + 1], cols[t])):
+                raise AssertionError(f"d∘d != 0 at position {t} (scalar strand matrices)")
         wA = [w[0] for w in bi.ringA.weights]
         wB = [w[0] for w in bi.ringB.weights]
         consts = {}

@@ -15,8 +15,8 @@ class DimVector:
 
     Honest module dimension vectors are non-negative; the reflection
     recurrences are allowed to run through the full root system (for one
-    arrow they cycle through negative roots), so negativity is reported
-    by `is_effective` rather than rejected.
+    arrow they cycle through negative roots), so negative entries are
+    not rejected.
     """
 
     source: int
@@ -24,9 +24,6 @@ class DimVector:
 
     def as_pair(self):
         return (self.source, self.sink)
-
-    def is_effective(self) -> bool:
-        return self.source >= 0 and self.sink >= 0
 
 
 @dataclass(frozen=True)
@@ -141,17 +138,17 @@ def _pair_ext_total(ctx, ka, i, kb, j) -> int:
     return ext1_between(ctx, ka, i, kb, j) + ext1_between(ctx, kb, j, ka, i)
 
 
-def degree_one_dims(i: int, start=(3, 12), factor: int = 3) -> int:
-    """The recurrence d_1, d_2, d_i = factor*d_(i-1) - d_(i-2)."""
+def degree_one_dims(i: int) -> int:
+    """The recurrence d_1 = 3, d_2 = 12, d_i = 3*d_(i-1) - d_(i-2)."""
     if i < 1:
         raise ValueError("indices start at 1")
-    a, b = start
+    a, b = 3, 12
     if i == 1:
         return a
     if i == 2:
         return b
     for _ in range(i - 2):
-        a, b = b, factor * b - a
+        a, b = b, 3 * b - a
     return b
 
 
@@ -176,11 +173,6 @@ def cm_label(kind: str, i: int) -> str:
             return f"tau^{(i - 1) // 2}(M2)"
         return f"tau^{i // 2}(omega)"
     raise ValueError("kind must be 'P' or 'I'")
-
-
-def cm_label_map(i: int, kind: str = "P") -> str:
-    """Label lookup by index; see `cm_label`."""
-    return cm_label(kind, i)
 
 
 def ar_component_dot(ctx: KroneckerContext, count: int = 6) -> str:

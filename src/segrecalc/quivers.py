@@ -211,13 +211,13 @@ class EndoQuiver:
         return self._arrows(drop_free=set(free_labels))
 
 
-def middle_multiplicities(seq, free_shift: int = 0) -> dict:
+def middle_multiplicities(seq) -> dict:
     """Counts of non-free summands in the distinguished middle term of a
     higher almost-split sequence.
 
     For a five-term sequence (d = 3) this is the central inner term; for
-    a six-term sequence (d = 4) the third inner term.  Summands with the
-    free shift index are dropped.  Requires structured summand data, as
+    a six-term sequence (d = 4) the third inner term.  Free summands
+    (shift index 0) are dropped.  Requires structured summand data, as
     produced by `gradedlin.diagonal`.
     """
     complex = getattr(seq, "complex", seq)
@@ -233,7 +233,7 @@ def middle_multiplicities(seq, free_shift: int = 0) -> dict:
         raise ValueError("expected a five- or six-term sequence")
     out = {}
     for (m, _tw, mult) in middle:
-        if m == free_shift:
+        if m == 0:
             continue
         out[f"M{m}"] = out.get(f"M{m}", 0) + mult
     return out

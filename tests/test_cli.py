@@ -129,6 +129,18 @@ def test_numsgp_subcommand(tmp_path, capsys):
 def test_numsgp_subcommand_rejects_bad_generators(capsys):
     rc = main(["numsgp", "--group", "1", "--gens", "2:0"])
     assert rc == 2
+    # malformed groups and pairs, and characteristics that are neither 0
+    # nor a prime, are usage errors too
+    for argv in (
+        ["--group", "a", "--gens", "1:0"],
+        ["--group", "2", "--gens", "1"],
+        ["--group", "2", "--gens", "1:0,2:5x"],
+        ["--group", "0", "--gens", "1:0"],
+        ["--group", "2", "--gens", "1:0,1:1", "--char", "4"],
+        ["--group", "2", "--gens", "1:0,1:1", "--char", "-3"],
+    ):
+        assert main(["numsgp", *argv]) == 2, argv
+    assert main(["numsgp", "--group", "2", "--gens", "1:0,1:1", "--char", "3"]) == 0
 
 
 def test_run_jobs(tmp_path, monkeypatch):
@@ -190,6 +202,16 @@ window = 4
     first = (out / "res.json").read_bytes()
     rc = main(["run", "--config", str(cfg), "--jobs", "res", "--out", str(out)])
     assert rc == 0 and (out / "res.json").read_bytes() == first
+
+
+def test_numsgp_job_rejects_a_composite_characteristic(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        "[semigroup S]\ngroup = 2\ngenerators = 1:0,1:1\n\n"
+        "[job sgp]\nkind = numsgp\nsemigroup = S\nchar = 4\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "needs a prime" in capsys.readouterr().err
 
 
 def test_unknown_job_name(tmp_path):

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from segrecalc import linalg
+from segrecalc import cli, linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin.complexes import (
     BiFreeComplex,
@@ -429,7 +429,7 @@ def test_homology_ranks_each_matrix_once(monkeypatch):
 
 def _expanded_homology(dc, char=0):
     """Homology from one rank_of per expanded matrix, without strands."""
-    plain = DegreewiseComplex(dc.labels, dc.dims, dc.mats, dc.window, checked=True)
+    plain = DegreewiseComplex(dc.labels, dc.dims, dc.mats, dc.window)
     assert plain.strands is None
     return plain.homology(char)
 
@@ -485,6 +485,73 @@ def test_complexes_without_fine_degrees_get_no_strands():
     assert dc.strands is None
     for char in (0, 10007):
         assert dc.homology(char) == _expanded_homology(dc, char)
+
+
+# ---------------------------------------------------------------------------
+# d∘d = 0: one scalar certificate per stranded complex
+
+
+def test_broken_strand_complex_raises_on_every_window():
+    bi, shift = _glued("k3_k3", "at-M1")
+    diffs = [dict(d) for d in bi.diffs]
+    rc, poly = next(iter(diffs[0].items()))
+    diffs[0][rc] = {u: 2 * v for u, v in poly.items()}
+    bad = BiFreeComplex(bi.ringA, bi.ringB, bi.terms, diffs)
+    # the top term is zero below degree 2, so on [0, 1] every expanded
+    # product vanishes and the degreewise check passes
+    mats = _diagonal_reference(bad, shift, (0, 1))
+    assert any(m.get(1) for m in mats)
+    DegreewiseComplex([""] * len(bi.terms), [{}] * len(bi.terms), mats, (0, 1)).assert_dd()
+    for window in ((0, 1), (-1, 1), (2, 2), (0, 5)):
+        with pytest.raises(AssertionError, match=r"d∘d != 0 at position 0 \(scalar"):
+            diagonal(bad, shift, window)
+
+
+def test_broken_complex_without_strands_raises_degreewise():
+    a, b = catalog.ring_pair("k2_k3")
+    unit = (0, 0, 0)
+    x0, x1 = ((1, 0), unit), ((0, 1), unit)
+    # Koszul complex on x0 + x1, x1: S(-2) -> S(-1)^2 -> S
+    terms = [((2, 0),), ((1, 0), (1, 0)), ((0, 0),)]
+    diffs = [
+        {(0, 0): {x1: 1}, (1, 0): {x0: -1, x1: -1}},
+        {(0, 0): {x0: 1, x1: 1}, (0, 1): {x1: 1}},
+    ]
+    dc = diagonal(BiFreeComplex(a, b, terms, diffs), 0, (0, 4))
+    assert dc.strands is None
+    assert dc.homology() == {(2, 0): 1}
+    diffs[0][(1, 0)] = {x0: -2, x1: -1}
+    with pytest.raises(AssertionError, match="d∘d != 0 at position 0, degree 2"):
+        diagonal(BiFreeComplex(a, b, terms, diffs), 0, (0, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*drawn_complexes)
+def test_strand_certificate_implies_the_degreewise_check(
+    wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
+):
+    bi, _ = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
+    diagonal(bi, shift, (lo, lo + width)).assert_dd()
+
+
+def test_manifest_sequences_skip_the_degreewise_check(monkeypatch):
+    checked, built = [], []
+    real_dd, real_homology = DegreewiseComplex.assert_dd, DegreewiseComplex.homology
+
+    def assert_dd(self):
+        checked.append(self.strands)
+        return real_dd(self)
+
+    def homology(self, char=0):
+        built.append(self.strands)
+        return real_homology(self, char)
+
+    monkeypatch.setattr(DegreewiseComplex, "assert_dd", assert_dd)
+    monkeypatch.setattr(DegreewiseComplex, "homology", homology)
+    cli.check_almost_split("k3_k3", {"window": 10, "char": 10007})
+    cli.check_koszul_diagonal_suite({})
+    assert len(built) == 3 + 12 and None not in built
+    assert all(s is None for s in checked)
 
 
 def test_diff_complex_builds_top_koszul_matrix_once_per_degree(monkeypatch):

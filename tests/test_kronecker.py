@@ -6,7 +6,6 @@ from segrecalc.kronecker import (
     ar_component_dot,
     classification_report,
     cm_label,
-    cm_label_map,
     degree_one_dims,
     ext1_between,
     rigid_pairs,
@@ -87,7 +86,7 @@ def test_labels():
     assert cm_label("I", 2) == "tau(omega)"
     assert cm_label("P", 4) == "tau^-1(syz^3(omega))"
     assert cm_label("I", 3) == "tau^1(M2)"
-    assert cm_label_map(1) == "syz(omega)" and cm_label_map(1, "I") == "M2"
+    assert cm_label("P", 5) == "tau^-1(syz^2(M-2))" and cm_label("I", 4) == "tau^2(omega)"
     with pytest.raises(ValueError):
         cm_label("X", 1)
 
