@@ -513,6 +513,8 @@ def _semigroup_from_block(block) -> numsgp.ExtNumSemigroup:
                 out.append((int(n), group.parse_element(el)))
         return out
 
+    if "generators" in block and "gaps" in block:
+        raise ValueError("semigroup block takes 'generators' or 'gaps', not both")
     if "generators" in block:
         return numsgp.from_generators(group, parse_pairs(block["generators"]))
     if "gaps" in block:
@@ -705,11 +707,14 @@ def main(argv=None) -> int:
                     return 2
             return 0 if ok else 1
         if args.command == "numsgp":
-            src = args.gens or args.gaps
-            if not src:
+            if not (args.gens or args.gaps):
                 print("need --gens or --gaps", file=sys.stderr)
                 return 2
-            block = {"group": args.group.split(","), "generators" if args.gens else "gaps": [src]}
+            block = {"group": args.group.split(",")}
+            if args.gens:
+                block["generators"] = [args.gens]
+            if args.gaps:
+                block["gaps"] = [args.gaps]
             try:
                 S = _semigroup_from_block(block)
                 char = args.char and _prime(str(args.char))

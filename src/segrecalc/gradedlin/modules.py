@@ -6,13 +6,21 @@ by a degree-p monomial pair from the degree-j piece to the degree-(j+p)
 piece.  DiagonalModule covers the twisted summands A(i) # B, FreeModule
 the free R-modules used as covers in resolutions, and SyzygyModule the
 kernels cut out inside them.
+
+All three are also graded by the exponent lattice Z^n × Z^m, a fine
+degree being a monomial pair (exp_A, exp_B): `fine_basis(j)` gives each
+basis vector of the degree-j piece its fine degree κ and its scalar
+form, the coefficients of the generators it involves (one entry {0: 1}
+for a diagonal module, whose basis pair is its fine degree).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec, dim_at
@@ -54,6 +62,10 @@ class DiagonalModule:
     def basis(self, j: int):
         return _diag_basis(self.ringA, self.ringB, self.shift + j - self.twist, j - self.twist)
 
+    def fine_basis(self, j: int) -> list[tuple]:
+        """(fine degree, scalar form) per basis vector of the degree-j piece."""
+        return [(pair, _UNIT) for pair in self.basis(j)]
+
     def dim(self, j: int) -> int:
         a = self.shift + j - self.twist
         b = j - self.twist
@@ -84,6 +96,9 @@ class DiagonalModule:
         wa = max(w[0] for w in self.ringA.weights)
         wb = max(w[0] for w in self.ringB.weights)
         return self.min_degree + wa * wb
+
+
+_UNIT = {0: 1}  # scalar form of every diagonal basis vector; never mutated
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +144,16 @@ class FreeModule:
     def dim(self, j: int) -> int:
         return self.offsets(j)[-1]
 
+    def fine_basis(self, j: int) -> list[tuple]:
+        """(fine degree, {generator: 1}) per basis vector of the degree-j
+        piece; every generator has the fine degree 0, so the basis vector
+        (generator i, pair u) has the fine degree u."""
+        return [
+            (pair, {i: 1})
+            for i, g in enumerate(self.gens)
+            for pair in r_basis(self.ringA, self.ringB, j - g)
+        ]
+
     def act(self, pair, p: int, j: int) -> list[dict]:
         offs = self.offsets(j)
         toffs = self.offsets(j + p)
@@ -150,12 +175,17 @@ class SyzygyModule:
     Basis vectors are primitive integer vectors in the coordinates of the
     ambient free module; the action multiplies in the ambient module and
     re-expresses the result in the kernel basis of the target degree.
+    `fine` gives each ambient generator its fine degree; the coordinate
+    (generator g, pair u) then has fine degree fine[g]·u, and
+    `fine_basis` requires every basis vector to be fine-homogeneous.
     """
 
-    def __init__(self, ambient: FreeModule, bases: dict, label: str = "syzygy"):
+    def __init__(self, ambient: FreeModule, bases: dict, label: str = "syzygy", fine=None):
         self.ambient = ambient
         self.bases = bases  # degree -> list of vectors (dict over ambient coords)
         self.label = label
+        self.fine = fine  # fine degree of each ambient generator
+        self._fine_bases = {}
         self._solvers = {}
         self._act_cache = {}  # (pair, p, j) -> act columns
         degs = [j for j, b in bases.items() if b]
@@ -168,6 +198,36 @@ class SyzygyModule:
                 raise CertificationError(f"syzygy basis not computed in degree {j}")
             return 0
         return len(self.bases[j])
+
+    def fine_basis(self, j: int) -> list[tuple]:
+        """(fine degree, {ambient generator: coefficient}) per basis vector
+        of degree j; AssertionError unless each vector is fine-homogeneous."""
+        out = self._fine_bases.get(j)
+        if out is None:
+            if self.max_degree is not None and j > self.max_degree:
+                raise CertificationError(f"syzygy basis not computed in degree {j}")
+            amb, fine = self.ambient, self.fine
+            if fine is None and self.bases.get(j):
+                raise ValueError("syzygy module built without fine degrees")
+            offs = amb.offsets(j)
+            pieces = [r_basis(amb.ringA, amb.ringB, j - g) for g in amb.gens]
+            out = []
+            for vec in self.bases.get(j, []):
+                kappa, scalar = None, {}
+                for flat, c in vec.items():
+                    g = bisect_right(offs, flat) - 1
+                    (ua, ub), (fa, fb) = pieces[g][flat - offs[g]], fine[g]
+                    k = tuple(map(add, fa, ua)), tuple(map(add, fb, ub))
+                    if kappa is None:
+                        kappa = k
+                    elif k != kappa:
+                        raise AssertionError(
+                            f"syzygy basis vector in degree {j} is not fine-homogeneous"
+                        )
+                    scalar[g] = c
+                out.append((kappa, scalar))
+            self._fine_bases[j] = out
+        return out
 
     def _solver(self, j: int):
         if j not in self._solvers:

@@ -17,9 +17,25 @@ of the rational resolution are a fast pre-check.  The module-level
 Minimal generators in degree j are the basis vectors of M_j outside
 R_+ M.  Once the generators of degree < j are known they generate M
 below j, so (R_+ M)_j is the sum of R_(j - deg g) * g over them: exactly
-the span of their cover columns in degree j.  One elimination per degree
+the span of their cover columns in degree j.  Eliminating those columns
 therefore finds the new generators and the kernel of the cover together
 (the degree-by-degree strategy of La Scala-Stillman, 1998).
+
+R is an affine semigroup ring, so the diagonal modules and their minimal
+resolutions are graded finely, by Z^n × Z^m (Miller-Sturmfels,
+*Combinatorial Commutative Algebra*, GTM 227, 2005): every basis vector
+of a diagonal, free or syzygy module, hence every generator g, has a
+fine degree f(g) (`fine_basis`).  The cover column u * g sits at fine degree
+f(g) * u, and over the generators of the ambient free module it has the
+same coefficients as g, whatever u is.  So degree j splits into one
+block per fine degree κ of M_j: its columns are the scalar forms of the
+generators with f(g) <= κ, in generator order, and its tests are the
+basis vectors of M_j at κ.  A column at κ only meets pivots at κ, so the
+blocks eliminated one by one perform exactly the operations of one
+elimination of the whole degree, in the same order.  Blocks equal after
+an order-preserving relabelling of their rows are eliminated once per
+resolution (`Resolution.blocks`), and their results are mapped back to
+the flat coordinates of the cover in the order one elimination gives.
 """
 
 from __future__ import annotations
@@ -27,10 +43,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter, sub
 
 from .. import linalg
 from ..linalg import CertificationError
-from .modules import FreeModule, SyzygyModule, r_basis
+from .modules import FreeModule, SyzygyModule, r_basis, r_index
+from .strands import kappa_masks
 
 
 def rings_of(module):
@@ -39,58 +57,115 @@ def rings_of(module):
     return module.ringA, module.ringB
 
 
-def _work_vectors(module, j: int) -> list[dict]:
-    """Basis of the degree-j piece, embedded in multiplication-friendly
-    coordinates (own coordinates for explicit modules, ambient free
-    coordinates for syzygies)."""
-    if isinstance(module, SyzygyModule):
-        return module.bases.get(j, [])
-    return [{i: 1} for i in range(module.dim(j))]
-
-
 @lru_cache(maxsize=None)
 def _act_matrix_frozen(module, pair, p: int, j: int):
     return module.act(pair, p, j)
 
 
-def _act_vector(module, pair, p: int, j: int, vec: dict) -> dict:
-    """Multiply an embedded vector by a monomial pair of degree p."""
-    if isinstance(module, SyzygyModule):
-        module = module.ambient
-    return linalg.apply_columns(_act_matrix_frozen(module, pair, p, j), vec)
+def _pair_sub(kappa, f):
+    """The monomial pair kappa / f of two fine degrees."""
+    return tuple(map(sub, kappa[0], f[0])), tuple(map(sub, kappa[1], f[1]))
 
 
-def _cover_degree(module, j: int, gens):
-    """Degree j of the cover of M by its generators `gens` of degree < j.
+class _Block:
+    """One fine-degree block, eliminated once: its columns in order, then
+    its tests, each entering as a column when outside the span so far.
 
-    One tracked echelon takes g times each pair of R_(j - deg g), for g
-    in order, which span (R_+ M)_j; each column is tagged by its
-    position, its flat coordinate in F0.  The basis vector w_i of M_j
-    is a new generator (j, {i: 1}) when it lies outside that span and
-    the generators of degree j before it; it then enters as its own
-    column.  Returns the echelon and the new generators.
-    """
-    ringA, ringB = rings_of(module)
-    ech = linalg.Echelon(track=True)
-    for dg, unit in gens:
-        w = _expand_in_work(module, dg, unit)
-        for pair in r_basis(ringA, ringB, j - dg):
-            ech.add(_act_vector(module, pair, j - dg, dg, w))
-    new = []
-    for i, w in enumerate(_work_vectors(module, j)):
-        if not ech.contains(w):
-            new.append((j, {i: 1}))
-            ech.add(w)
-    return ech, new
+    `new` lists the positions of the tests that are new generators;
+    `kernel` the (dependent column, its tracked dependency) pairs in
+    elimination order; `coords` each test's coordinates, sorted by
+    position, over the columns and then the new generators (the r-th at
+    position len(columns) + r).  The accepted columns are independent,
+    so a test's coordinates are the same before and after later tests
+    enter."""
+
+    def __init__(self, cols, tests):
+        ech = linalg.Echelon(track=True)
+        deps = [q for q, col in enumerate(cols) if not ech.add(col)]
+        self.kernel = list(zip(deps, ech.kernel_basis()))
+        self.new, self.coords = [], []
+        for q, w in enumerate(tests):
+            coords = ech.coordinates(w)
+            if coords is None:
+                self.new.append(q)
+                ech.add(w)
+                coords = {len(cols) + len(self.new) - 1: 1}
+            self.coords.append(dict(sorted(coords.items())))
 
 
-def _cover_step(module, lo: int, hi: int):
+def _block(memo: dict, cols, tests) -> _Block:
+    """The block of these columns and tests, taken from `memo` when one
+    equal to it after an order-preserving relabelling of the rows, dict
+    order included, was eliminated before."""
+    rows = sorted({r for v in cols for r in v}.union(*tests))
+    index = {r: k for k, r in enumerate(rows)}
+    key = (
+        tuple(tuple((index[r], c) for r, c in v.items()) for v in cols),
+        tuple(tuple((index[r], c) for r, c in v.items()) for v in tests),
+    )
+    block = memo.get(key)
+    if block is None:
+        block = memo[key] = _Block([dict(v) for v in key[0]], [dict(v) for v in key[1]])
+    return block
+
+
+def _cover_degree(module, j: int, gens, memo: dict):
+    """Degree j of the cover of M by its generators `gens` of degree < j,
+    one fine-degree block at a time.
+
+    Generator s, the basis vector {i: 1} of M_dg, has the fine degree
+    f(s) and scalar form of that vector.  The block at a fine degree κ of
+    M_j has the scalar forms of the generators with f(s) <= κ as columns,
+    in generator order (the column of s is u * s for u = κ / f(s)), and
+    the basis vectors of M_j at κ as tests, in basis order.  Blocks come
+    from `memo` (`_block`).  Returns the new generators (j, {i: 1}) in
+    basis order, (dg, f(s), scalar form) per generator, and per κ the
+    tuple (κ, column generators, test basis indices, block).
+    AssertionError unless the blocks hold every cover column once."""
+    specA, specB = rings_of(module)
+    basis = module.fine_basis(j)
+    tests = {}
+    for i, (kappa, _) in enumerate(basis):
+        tests.setdefault(kappa, []).append(i)
+    pieces, gen_data, side_a, side_b = {}, [], {}, {}
+    for s, (dg, (i,)) in enumerate(gens):
+        if dg not in pieces:
+            pieces[dg] = module.fine_basis(dg)
+        f, scalar = pieces[dg][i]
+        gen_data.append((dg, f, scalar))
+        side_a[(f[0], dg)] = side_a.get((f[0], dg), 0) | 1 << s
+        side_b[(f[1], dg)] = side_b.get((f[1], dg), 0) | 1 << s
+    masks_a = kappa_masks(specA, j, side_a)
+    masks_b = kappa_masks(specB, j, side_b)
+    # within this degree a block is fixed by its column mask and its
+    # tests, so `seen` spares relabelling each repeat for `_block`
+    seen, parts, new, covered = {}, [], [], 0
+    for kappa, idx in tests.items():
+        mask = masks_a.get(kappa[0], 0) & masks_b.get(kappa[1], 0)
+        key = (mask, tuple(tuple(basis[i][1].items()) for i in idx))
+        hit = seen.get(key)
+        if hit is None:
+            cols = [s for s in range(mask.bit_length()) if mask >> s & 1]
+            block = _block(memo, [gen_data[s][2] for s in cols], [basis[i][1] for i in idx])
+            hit = seen[key] = cols, block
+        cols, block = hit
+        covered += len(cols)
+        parts.append((kappa, cols, idx, block))
+        new += [idx[q] for q in block.new]
+    if covered != sum(len(r_basis(specA, specB, j - dg)) for dg, _, _ in gen_data):
+        raise AssertionError(f"fine-degree blocks miss cover columns in degree {j}")
+    return [(j, {i: 1}) for i in sorted(new)], gen_data, parts
+
+
+def _cover_step(module, lo: int, hi: int, memo: dict):
     """Minimal generators and cover kernel on [lo, hi].
 
     One `_cover_degree` per degree j finds the generators of degree j;
-    its tracked dependencies are the kernel basis in degree j.  The
-    cover columns are not kept: `HomCalculator.section` re-runs the one
-    degree it needs.
+    the blocks' tracked dependencies, in flat coordinates of the cover
+    and ordered by their dependent column, are the kernel basis in
+    degree j, as one tracked elimination of all columns in flat order
+    lists them.  The cover columns are not kept: `HomCalculator.section`
+    re-runs the one degree it needs.
 
     The generators are complete when the module has a certified
     generation bound inside the window (CertificationError otherwise);
@@ -105,11 +180,24 @@ def _cover_step(module, lo: int, hi: int):
         raise CertificationError(
             "window does not reach the bottom degree of the module"
         )
+    specA, specB = rings_of(module)
     gens, bases = [], {}
     for j in range(lo, hi + 1):
-        ech, new = _cover_degree(module, j, gens)
+        new, gen_data, parts = _cover_degree(module, j, gens, memo)
+        offs, index = [0], []
+        for dg, _, _ in gen_data:
+            offs.append(offs[-1] + len(r_basis(specA, specB, j - dg)))
+            index.append(r_index(specA, specB, j - dg))
+        kernel = []
+        for kappa, cols, _, block in parts:
+            if block.kernel:
+                flat = [offs[s] + index[s][_pair_sub(kappa, gen_data[s][1])] for s in cols]
+                kernel += [
+                    (flat[dep], {flat[q]: c for q, c in vec.items()}) for dep, vec in block.kernel
+                ]
+        kernel.sort(key=itemgetter(0))
+        bases[j] = [vec for _, vec in kernel]
         gens += new
-        bases[j] = ech.kernel_basis()
     return gens, bases
 
 
@@ -120,7 +208,7 @@ def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
     (R_+ M)_j and the span of w_0 .. w_(i-1); its representative is
     {i: 1}.  See `_cover_step` for completeness and certification.
     """
-    return _cover_step(module, lo, hi)[0]
+    return _cover_step(module, lo, hi, {})[0]
 
 
 def generation_degrees(module, lo: int, hi: int) -> dict:
@@ -137,7 +225,8 @@ class Resolution:
     `minimal_generators` returns them: (degree, {i: 1}) for the i-th
     basis vector of that degree.  F_k has one generator for each, in
     the same order.  The cover columns are not kept; a section of the
-    cover re-runs one degree of it (`HomCalculator.section`)."""
+    cover re-runs one degree of it (`HomCalculator.section`) on the
+    eliminated fine-degree blocks in `blocks`, which the tails share."""
 
     module: object
     lo: int
@@ -147,6 +236,7 @@ class Resolution:
     diffs: list[dict]  # diffs[k]: F_(k+1) -> F_k, (row gen, col gen) -> pair poly
     syzygies: list[SyzygyModule]
     generators: list[list[tuple[int, dict]]] = field(default_factory=list)
+    blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def syzygy(self, k: int) -> SyzygyModule:
         """The k-th syzygy module (k >= 1)."""
@@ -166,6 +256,7 @@ class Resolution:
             self.diffs[k:],
             self.syzygies[k:],
             self.generators[k:],
+            self.blocks,
         )
 
     def betti_table(self) -> list[list[int]]:
@@ -198,59 +289,33 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
 
     Kernels are computed in the coordinates of the ambient free module,
     so every step is plain sparse elimination; the k-th syzygy is stored
-    with explicit bases and remains usable as a module afterwards.
+    with explicit bases and the fine degrees of its ambient generators,
+    and remains usable as a module afterwards.
     """
     ringA, ringB = rings_of(module)
     cur = module
-    frees, betti, diffs, syzygies = [], [], [], []
-    res = Resolution(module, lo, hi, frees, betti, diffs, syzygies)
+    res = Resolution(module, lo, hi, [], [], [], [])
     for step in range(depth + 1):
-        gens, bases = _cover_step(cur, lo, hi)
+        gens, bases = _cover_step(cur, lo, hi, res.blocks)
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
-        frees.append(free)
-        betti.append(tuple(g for g, _ in gens))
+        res.frees.append(free)
+        res.betti.append(free.gens)
         res.generators.append(gens)
-        if step >= 1:
-            # generator representatives are kernel vectors inside the
-            # previous free module: read the flat coordinates back as
-            # polynomial entries
-            prev = frees[step - 1]
-            entries = {}
-            for col, (dg, unitvec) in enumerate(gens):
-                vec = _expand_in_work(cur, dg, unitvec)
-                for flat, coeff in vec.items():
-                    g_idx, pair = _split_flat(prev, dg, flat)
-                    poly = entries.setdefault((g_idx, col), {})
-                    poly[pair] = poly.get(pair, 0) + coeff
-            diffs.append(entries)
-        syz = SyzygyModule(free, bases, label=f"syz^{step + 1}")
-        syzygies.append(syz)
-        cur = syz
+        fine, entries = [], {}
+        for col, (dg, (i,)) in enumerate(gens):
+            kappa, scalar = cur.fine_basis(dg)[i]
+            fine.append(kappa)
+            if step:
+                # a kernel vector inside the previous free module, which
+                # is fine-homogeneous: one monomial pair per entry
+                for g_idx, coeff in scalar.items():
+                    entries[(g_idx, col)] = {_pair_sub(kappa, cur.fine[g_idx]): coeff}
+        if step:
+            res.diffs.append(entries)
+        cur = SyzygyModule(free, bases, label=f"syz^{step + 1}", fine=tuple(fine))
+        res.syzygies.append(cur)
     res.check_minimality()
     return res
-
-
-def _expand_in_work(module, j: int, unitvec: dict) -> dict:
-    """Expand a vector over the degree-j piece into embedded coordinates."""
-    vecs = _work_vectors(module, j)
-    out = {}
-    for i, c in unitvec.items():
-        for k, v in vecs[i].items():
-            z = out.get(k, 0) + c * v
-            if z:
-                out[k] = z
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _split_flat(free: FreeModule, j: int, flat: int):
-    offs = free.offsets(j)
-    for gi in range(len(free.gens)):
-        if flat < offs[gi + 1]:
-            pair = r_basis(free.ringA, free.ringB, j - free.gens[gi])[flat - offs[gi]]
-            return gi, pair
-    raise IndexError("flat coordinate out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +473,25 @@ class HomCalculator:
         vector of M_t, its coordinates over F0 in flat order (the order
         `element_matrix` sums them), keyed by (generator index, pair).
 
-        Re-runs `_cover_degree` on the stored generators of degree < t;
-        its pivots are the independent cover columns, reduced in order."""
+        Re-runs `_cover_degree` on the stored generators of degree < t,
+        whose blocks the resolution has eliminated; their pivots are the
+        independent cover columns, reduced in order."""
         key = (M, t)
         if key not in self._section:
             if not self.lo <= t <= self.hi:
                 raise CertificationError(f"degree {t} outside the window")
-            gens = self.resolution(M).generators[0]
-            ech, new = _cover_degree(M, t, [g for g in gens if g[0] < t])
-            if new != [g for g in gens if g[0] == t]:
+            res = self.resolution(M)
+            before = [g for g in res.generators[0] if g[0] < t]
+            new, gen_data, parts = _cover_degree(M, t, before, res.blocks)
+            if new != [g for g in res.generators[0] if g[0] == t]:
                 raise AssertionError(f"degree-{t} generators differ from the resolution's")
-            flat_keys = [
-                (g_idx, pair)
-                for g_idx, (j, _) in enumerate(gens)
-                if j <= t
-                for pair in r_basis(self.ringA, self.ringB, t - j)
-            ]
-            sections = []
-            for w in _work_vectors(M, t):
-                coords = ech.coordinates(w)
-                if coords is None:
-                    raise AssertionError("cover is not surjective on the window")
-                sections.append({flat_keys[f]: coords[f] for f in sorted(coords)})
+            index = {i: len(before) + r for r, (_, (i,)) in enumerate(new)}
+            sections = [None] * M.dim(t)
+            for kappa, cols, tests, block in parts:
+                keys = [(s, _pair_sub(kappa, gen_data[s][1])) for s in cols]
+                keys += [(index[tests[q]], _pair_sub(kappa, kappa)) for q in block.new]
+                for q, coords in enumerate(block.coords):
+                    sections[tests[q]] = {keys[p]: c for p, c in coords.items()}
             self._section[key] = sections
         return self._section[key]
 

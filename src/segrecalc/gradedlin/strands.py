@@ -21,6 +21,10 @@ D_(t+1)·D_t of the scalar columns.  That product is zero exactly when
 the bigraded complex, hence its diagonal in every degree and over every
 field, has d∘d = 0.
 
+`kappa_masks`, the generator bitmask below each fine degree of one
+factor, also splits the cover steps of `resolution` into fine-degree
+blocks.
+
 This code is kept out of `complexes` to keep that file small: where no
 bytecode is cached (PYTHONDONTWRITEBYTECODE), every run compiles the
 package from source, and the compiler's peak memory, which stays in the
@@ -33,7 +37,7 @@ from collections import Counter
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
-from .poly import monomials
+from .poly import mono_mul, monomials
 
 
 class Strands:
@@ -114,8 +118,8 @@ class Strands:
         specA, specB = self.specs
         out = Counter()
         for (ca, cb), side_a, side_b in self.parts[t]:
-            masks_a = _side_masks(specA, self.shift + j - ca, side_a)
-            masks_b = _side_masks(specB, j - cb, side_b)
+            masks_a = Counter(kappa_masks(specA, self.shift + j - ca, side_a).values())
+            masks_b = Counter(kappa_masks(specB, j - cb, side_b).values())
             for ma, ka in masks_a.items():
                 for mb, kb in masks_b.items():
                     out[ma & mb] += ka * kb
@@ -140,20 +144,15 @@ class Strands:
         return total
 
 
-def _side_masks(spec: WeightedRingSpec, level: int, groups: dict) -> Counter:
-    """{mask: count} over the fine degrees κ of one factor at weighted
-    degree `level`: the mask of κ holds the generators of fine degree
-    ≤ κ, and `groups` maps (fine degree, its weighted degree) to the
-    mask of the generators that have it."""
-    kappas = set()
-    for f, d in groups:
+def kappa_masks(spec: WeightedRingSpec, level: int, groups: dict) -> dict:
+    """{κ: mask} over the fine degrees κ of one factor at weighted degree
+    `level` that lie above some group: `groups` maps (fine degree f,
+    degree d) to the bitmask of the generators with fine degree f, and
+    the mask of κ holds every generator with f ≤ κ, that is with κ = f·m
+    for a monomial m of degree level - d."""
+    out = {}
+    for (f, d), bits in groups.items():
         for m in monomials(spec, level - d):
-            kappas.add(tuple(x + y for x, y in zip(f, m)))
-    out = Counter()
-    for kappa in kappas:
-        mask = 0
-        for (f, _), bits in groups.items():
-            if all(x >= y for x, y in zip(kappa, f)):
-                mask |= bits
-        out[mask] += 1
+            kappa = mono_mul(f, m)
+            out[kappa] = out.get(kappa, 0) | bits
     return out

@@ -147,15 +147,24 @@ class EndoQuiver:
 
     def _rad_square(self, a, b, d: int, mods, ech, target: int) -> None:
         """Insert the nonzero compositions a -> c -> b of degree d, both
-        factors radical, into `ech` until its rank reaches `target`."""
-        from .gradedlin.resolution import compose_hom
+        factors radical, into `ech` until its rank reaches `target`.
 
+        A split (e, d - e) whose hom data lies above the window (`_d_top`)
+        is skipped.  When the rank stays below `target`, a skipped split
+        is harmless only if it has an in-window side without radical
+        maps: CertificationError otherwise."""
+        from .gradedlin.resolution import compose_hom
+        from .linalg import CertificationError
+
+        top_a, skipped = self._d_top(a), []
         for c in mods:
             e_lo = self._d_floor(a, c) if c is not a else max(self._d_floor(a, c), 1)
             f_lo = self._d_floor(c, b) if c is not b else max(self._d_floor(c, b), 1)
-            e_lo = max(e_lo, d - self._d_top(c))
-            e_hi = min(d - f_lo, self._d_top(a))
-            for e in range(e_lo, e_hi + 1):
+            top_c = self._d_top(c)
+            for e in range(e_lo, d - f_lo + 1):
+                if e > top_a or d - e > top_c:
+                    skipped.append((c, e, top_c))
+                    continue
                 phis = self._rad_basis(a, c, e)
                 if not phis:
                     continue
@@ -167,6 +176,18 @@ class EndoQuiver:
                         vec = compose_hom(self.calc, a, c, b, e, d - e, phi, psi)
                         if vec and ech.add(vec) and ech.rank >= target:
                             return
+        for c, e, top_c in skipped:
+            if e <= top_a:
+                side = self._rad_basis(a, c, e)
+            elif d - e <= top_c:
+                side = self._rad_basis(c, b, d - e)
+            else:
+                side = True  # neither factor fits in the window
+            if side:
+                raise CertificationError(
+                    f"rad^2 in degree {d} needs the split ({e}, {d - e}) above "
+                    f"the window top {self.calc.hi}"
+                )
 
     def _arrows(self, drop_free) -> Quiver:
         from . import linalg

@@ -143,6 +143,28 @@ def test_numsgp_subcommand_rejects_bad_generators(capsys):
     assert main(["numsgp", "--group", "2", "--gens", "1:0,1:1", "--char", "3"]) == 0
 
 
+def test_numsgp_rejects_generators_and_gaps_together(tmp_path, capsys):
+    # both used to be accepted, and the gaps silently dropped
+    assert main(["numsgp", "--group", "2", "--gens", "1:0,1:1", "--gaps", "0:1"]) == 2
+    assert "not both" in capsys.readouterr().err
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text(
+        """
+[semigroup S]
+group = 2
+generators = 1:0,1:1
+gaps = 0:1
+
+[job sgp]
+kind = numsgp
+semigroup = S
+"""
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sgp.json").exists()
+
+
 def test_run_jobs(tmp_path, monkeypatch):
     monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path / "cache"))
     cfg = tmp_path / "jobs.cfg"

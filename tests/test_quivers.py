@@ -143,6 +143,19 @@ def test_gorenstein_quiver_over_prime_field_matches_rationals():
     assert modular.stable_reduce(["R"]).arrows == rational.stable_reduce(["R"]).arrows
 
 
+def test_endo_quiver_raises_when_rad_square_needs_splits_above_the_window():
+    # over k3_w12 at hi = 3 the window clamp dropped the compositions that
+    # span rad^2, and the quiver came out with 4, 4 and 6 arrows
+    a, b = catalog.RINGS["k3_w12"]
+    mods = [(f"M{s}" if s else "R", catalog.diagonal_module("k3_w12", s)) for s in (-1, 0, 1)]
+    with pytest.raises(linalg.CertificationError, match="above the window top 3"):
+        EndoQuiver(HomCalculator(a, b, 0, 3), mods, degree_top=3).quiver
+    wide = EndoQuiver(HomCalculator(a, b, 0, 8), mods, degree_top=3).quiver
+    assert wide.arrows[("M1", "R")] == 1 and ("M1", "M1") not in wide.arrows
+    for hi in (4, 5, 6):
+        assert EndoQuiver(HomCalculator(a, b, 0, hi), mods, degree_top=3).quiver == wide
+
+
 def test_middle_multiplicities():
     seq3 = catalog.almost_split_sequence("k3_w12", "at-M1", (0, 4))
     assert middle_multiplicities(seq3) == {"M-1": 3}

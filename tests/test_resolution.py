@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from segrecalc import linalg
 from segrecalc.hilbert import ring
@@ -82,6 +84,13 @@ def test_resolution_of_free_module():
     res = free_resolution(M(0), 2, 0, 5)
     assert res.betti_table()[0] == [0]
     assert res.betti_table()[1] == []
+    # a FreeModule resolves too, and is a hom source
+    free = FreeModule(A2, B3, (0, 1, 1))
+    res = free_resolution(free, 2, 0, 5)
+    assert item_fields(res) == item_fields(reference_free_resolution(free, 2, 0, 5)[0])
+    assert res.betti == [(0, 1, 1), (), ()]
+    calc = HomCalculator(A2, B3, 0, 5)
+    assert len(calc.hom_basis(calc.free_rank_one, M(1), 1)) == M(1).dim(1)
 
 
 def test_ext_values():
@@ -157,6 +166,49 @@ def test_syzygy_requires_window():
         res.syzygy(1).dim(9)
 
 
+def work_vectors(module, j):
+    """Basis of the degree-j piece in the coordinates the references
+    eliminate in: its own for a diagonal module, the ambient free
+    module's for a syzygy."""
+    if isinstance(module, SyzygyModule):
+        return module.bases.get(j, [])
+    return [{i: 1} for i in range(module.dim(j))]
+
+
+@lru_cache(maxsize=None)
+def act_matrix(module, pair, p, j):
+    return module.act(pair, p, j)
+
+
+def act_vector(module, pair, p, j, vec):
+    """A vector of work coordinates times a monomial pair of degree p."""
+    if isinstance(module, SyzygyModule):
+        module = module.ambient
+    return linalg.apply_columns(act_matrix(module, pair, p, j), vec)
+
+
+def expand_in_work(module, j, unitvec):
+    vecs = work_vectors(module, j)
+    out = {}
+    for i, c in unitvec.items():
+        for k, v in vecs[i].items():
+            z = out.get(k, 0) + c * v
+            if z:
+                out[k] = z
+            elif k in out:
+                del out[k]
+    return out
+
+
+def split_flat(free, j, flat):
+    """(generator index, pair) of a flat coordinate of free in degree j."""
+    offs = free.offsets(j)
+    for gi in range(len(free.gens)):
+        if flat < offs[gi + 1]:
+            return gi, r_basis(free.ringA, free.ringB, j - free.gens[gi])[flat - offs[gi]]
+    raise IndexError("flat coordinate out of range")
+
+
 def all_pairs_image_echelon(module, ringA, ringB, j, lo):
     """The image of every monomial pair of every positive degree inside
     degree j."""
@@ -164,10 +216,10 @@ def all_pairs_image_echelon(module, ringA, ringB, j, lo):
         raise CertificationError("window does not reach the bottom degree of the module")
     ech = linalg.Echelon()
     for p in range(1, j - module.min_degree + 1):
-        vecs = resolution._work_vectors(module, j - p)
+        vecs = work_vectors(module, j - p)
         for pair in r_basis(ringA, ringB, p):
             for w in vecs:
-                ech.add(resolution._act_vector(module, pair, p, j - p, w))
+                ech.add(act_vector(module, pair, p, j - p, w))
     return ech
 
 
@@ -183,7 +235,7 @@ def reference_minimal_generators(module, lo, hi):
     gens = []
     for j in range(max(lo, module.min_degree), hi + 1):
         ech = all_pairs_image_echelon(module, ringA, ringB, j, lo)
-        for i, w in enumerate(resolution._work_vectors(module, j)):
+        for i, w in enumerate(work_vectors(module, j)):
             if ech.add(w):
                 gens.append((j, {i: 1}))
     return gens
@@ -191,9 +243,10 @@ def reference_minimal_generators(module, lo, hi):
 
 def reference_free_resolution(module, depth, lo, hi):
     """Two-pass reference resolution: the generators of each step from
-    `reference_minimal_generators`, then the cover columns and their
-    kernel by `linalg.kernel_of`, degree by degree.  Returns the
-    resolution and the cover columns, step -> degree -> columns."""
+    `reference_minimal_generators`, then the cover columns in flat order
+    and their kernel by `linalg.kernel_of`, one global elimination per
+    degree, with no fine degrees.  Returns the resolution and the cover
+    columns, step -> degree -> columns."""
     ringA, ringB = resolution.rings_of(module)
     cur = module
     res = Resolution(module, lo, hi, [], [], [], [])
@@ -204,9 +257,9 @@ def reference_free_resolution(module, depth, lo, hi):
         if step >= 1:
             entries = {}
             for col, (dg, unitvec) in enumerate(gens):
-                vec = resolution._expand_in_work(cur, dg, unitvec)
+                vec = expand_in_work(cur, dg, unitvec)
                 for flat, coeff in vec.items():
-                    g_idx, pair = resolution._split_flat(res.frees[-1], dg, flat)
+                    g_idx, pair = split_flat(res.frees[-1], dg, flat)
                     poly = entries.setdefault((g_idx, col), {})
                     poly[pair] = poly.get(pair, 0) + coeff
             res.diffs.append(entries)
@@ -219,12 +272,12 @@ def reference_free_resolution(module, depth, lo, hi):
             for dg, unitvec in gens:
                 if j < dg:
                     continue
-                base = resolution._expand_in_work(cur, dg, unitvec)
+                base = expand_in_work(cur, dg, unitvec)
                 for pair in r_basis(ringA, ringB, j - dg):
                     if j == dg:
                         cols.append(dict(base))
                     else:
-                        cols.append(resolution._act_vector(cur, pair, j - dg, dg, base))
+                        cols.append(act_vector(cur, pair, j - dg, dg, base))
             cover[j] = cols
             bases[j] = linalg.kernel_of(cols) if cols else []
         covers[step] = cover
@@ -302,7 +355,69 @@ def test_fused_cover_step_matches_two_pass_reference(wa, wb, shift, lo, extra):
         assert fused == ref
 
 
+def item_fields(res):
+    """`resolution_fields` with every dict as its item list, so that dict
+    order counts too."""
+    return (
+        res.betti,
+        [[(k, list(poly.items())) for k, poly in e.items()] for e in res.diffs],
+        res.generators,
+        [[(j, [list(v.items()) for v in b]) for j, b in s.bases.items()] for s in res.syzygies],
+        [s.min_degree for s in res.syzygies],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weight_lists,
+    weight_lists,
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-1, max_value=1),
+)
+@example([1, 2], [1, 3], 1, 0)  # has blocks whose column order matters
+def test_block_resolution_matches_global_reference_at_depth_three(wa, wb, shift, extra):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    module = DiagonalModule(specA, specB, shift)
+    hi = module.generation_bound() + extra
+    fast = _outcome(free_resolution, module, 3, 0, hi)
+    ref = _outcome(lambda: reference_free_resolution(module, 3, 0, hi)[0])
+    if isinstance(ref, Resolution):
+        assert item_fields(fast) == item_fields(ref)
+        assert fast.frees == ref.frees
+    else:
+        assert fast == ref
+
+
+def distinct_blocks(res) -> set:
+    """The fine-degree blocks of every step and degree of res, found by
+    comparing fine degrees directly, up to an order-preserving
+    relabelling of their rows."""
+    keys = set()
+    for step, mod in enumerate([res.module] + res.syzygies[:-1]):
+        for j in range(res.lo, res.hi + 1):
+            basis = mod.fine_basis(j)
+            gens = [mod.fine_basis(dg)[i] for dg, (i,) in res.generators[step] if dg < j]
+            for kappa in dict.fromkeys(k for k, _ in basis):
+                cols = [
+                    sc
+                    for f, sc in gens
+                    if all(x <= y for x, y in zip(f[0] + f[1], kappa[0] + kappa[1]))
+                ]
+                tests = [sc for k, sc in basis if k == kappa]
+                rows = {r: n for n, r in enumerate(sorted({r for v in cols + tests for r in v}))}
+                keys.add(
+                    tuple(
+                        tuple(tuple((rows[r], c) for r, c in v.items()) for v in vecs)
+                        for vecs in (cols, tests)
+                    )
+                )
+    return keys
+
+
 def test_free_resolution_builds_one_echelon_per_step_and_degree(monkeypatch):
+    # one Echelon per distinct fine-degree block of the whole resolution,
+    # fewer than the blocks of a single degree at depth 3
     built = []
 
     class CountingEchelon(linalg.Echelon):
@@ -311,9 +426,43 @@ def test_free_resolution_builds_one_echelon_per_step_and_degree(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
-    depth, lo, hi = 2, 0, 5
-    free_resolution(M(1), depth, lo, hi)
-    assert len(built) == (depth + 1) * (hi - lo + 1)
+    res = free_resolution(catalog.diagonal_module("k2_k3", 1), 3, 0, 8)
+    monkeypatch.undo()
+    blocks = distinct_blocks(res)
+    assert 0 < len(built) <= len(blocks)
+    largest_degree = max(
+        len({k for k, _ in mod.fine_basis(j)})
+        for mod in [res.module] + res.syzygies[:-1]
+        for j in range(res.lo, res.hi + 1)
+    )
+    assert len(built) < largest_degree
+
+
+def test_non_homogeneous_syzygy_basis_raises():
+    res = free_resolution(M(1), 1, 0, 4)
+    syz = res.syzygy(1)
+    bases = {j: list(b) for j, b in syz.bases.items()}
+    j = min(j for j, b in bases.items() if len(b) >= 2)
+    # the sum of two basis vectors of different fine degrees
+    k0, k1 = (syz.fine_basis(j)[i][0] for i in (0, 1))
+    assert k0 != k1
+    bases[j][0] = {**bases[j][0], **bases[j][1]}
+    broken = SyzygyModule(syz.ambient, bases, fine=syz.fine)
+    with pytest.raises(AssertionError, match="not fine-homogeneous"):
+        broken.fine_basis(j)
+    with pytest.raises(AssertionError, match="not fine-homogeneous"):
+        minimal_generators(broken, 0, 4)
+
+
+def test_blocks_that_miss_a_cover_column_raise():
+    class Dropping(DiagonalModule):
+        def fine_basis(self, j):
+            # hides the last basis vector of degree 2 from the blocks
+            out = super().fine_basis(j)
+            return out[:-1] if j == 2 else out
+
+    with pytest.raises(AssertionError, match="miss cover columns in degree 2"):
+        minimal_generators(Dropping(A2, B3, 1), 0, 4)
 
 
 def test_syzygy_action_above_the_window_is_uncertified():
@@ -390,11 +539,11 @@ def reference_section(covers, F0, M, t):
             index.append(i)
     solver = linalg.CoordSolver(independent)
     out = []
-    for w in resolution._work_vectors(M, t):
+    for w in work_vectors(M, t):
         sol = solver.solve(w)
         assert sol is not None, "cover is not surjective on the window"
         out.append(
-            {resolution._split_flat(F0, t, index[k]): v for k, v in enumerate(sol) if v}
+            {split_flat(F0, t, index[k]): v for k, v in enumerate(sol) if v}
         )
     return out
 
