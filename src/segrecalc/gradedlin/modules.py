@@ -11,16 +11,15 @@ All three are also graded by the exponent lattice Z^n × Z^m, a fine
 degree being a monomial pair (exp_A, exp_B): `fine_basis(j)` gives each
 basis vector of the degree-j piece its fine degree κ and its scalar
 form, the coefficients of the generators it involves (one entry {0: 1}
-for a diagonal module, whose basis pair is its fine degree).
+for a diagonal module, whose basis pair is its fine degree).  A
+SyzygyModule stores its bases in exactly this form.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec, dim_at
@@ -172,89 +171,73 @@ class FreeModule:
 class SyzygyModule:
     """A kernel inside a free module, stored by explicit degreewise bases.
 
-    Basis vectors are primitive integer vectors in the coordinates of the
-    ambient free module; the action multiplies in the ambient module and
-    re-expresses the result in the kernel basis of the target degree.
-    `fine` gives each ambient generator its fine degree; the coordinate
-    (generator g, pair u) then has fine degree fine[g]·u, and
-    `fine_basis` requires every basis vector to be fine-homogeneous.
+    Each basis vector is stored in fine form, as the fine-degree blocks
+    of the resolution give it: its fine degree κ and its scalar form
+    {ambient generator: coefficient}, an integer primitive vector.  It
+    is the element sum over g of coefficient * (generator g, pair
+    κ / fine[g]), `fine` giving each ambient generator its fine degree.
+    Multiplying by a monomial pair u maps (κ, s) to (κ·u, s), so the
+    action re-expresses s over the scalar forms of the target degree's
+    basis vectors at κ·u.
     """
 
-    def __init__(self, ambient: FreeModule, bases: dict, label: str = "syzygy", fine=None):
+    def __init__(self, ambient: FreeModule, bases: dict, label: str, fine: tuple):
         self.ambient = ambient
-        self.bases = bases  # degree -> list of vectors (dict over ambient coords)
+        self.bases = bases  # degree -> [(fine degree, scalar form)]
         self.label = label
         self.fine = fine  # fine degree of each ambient generator
-        self._fine_bases = {}
-        self._solvers = {}
+        self._echelons = {}  # degree -> {fine degree: tracked Echelon}
         self._act_cache = {}  # (pair, p, j) -> act columns
         degs = [j for j, b in bases.items() if b]
         self.min_degree = min(degs) if degs else 0
         self.max_degree = max(bases) if bases else None
 
+    def _check_window(self, j: int):
+        if self.max_degree is not None and j > self.max_degree:
+            raise CertificationError(f"syzygy basis not computed in degree {j}")
+
     def dim(self, j: int) -> int:
-        if j not in self.bases:
-            if self.max_degree is not None and j > self.max_degree:
-                raise CertificationError(f"syzygy basis not computed in degree {j}")
-            return 0
-        return len(self.bases[j])
+        self._check_window(j)
+        return len(self.bases.get(j, ()))
 
     def fine_basis(self, j: int) -> list[tuple]:
         """(fine degree, {ambient generator: coefficient}) per basis vector
-        of degree j; AssertionError unless each vector is fine-homogeneous."""
-        out = self._fine_bases.get(j)
-        if out is None:
-            if self.max_degree is not None and j > self.max_degree:
-                raise CertificationError(f"syzygy basis not computed in degree {j}")
-            amb, fine = self.ambient, self.fine
-            if fine is None and self.bases.get(j):
-                raise ValueError("syzygy module built without fine degrees")
-            offs = amb.offsets(j)
-            pieces = [r_basis(amb.ringA, amb.ringB, j - g) for g in amb.gens]
-            out = []
-            for vec in self.bases.get(j, []):
-                kappa, scalar = None, {}
-                for flat, c in vec.items():
-                    g = bisect_right(offs, flat) - 1
-                    (ua, ub), (fa, fb) = pieces[g][flat - offs[g]], fine[g]
-                    k = tuple(map(add, fa, ua)), tuple(map(add, fb, ub))
-                    if kappa is None:
-                        kappa = k
-                    elif k != kappa:
-                        raise AssertionError(
-                            f"syzygy basis vector in degree {j} is not fine-homogeneous"
-                        )
-                    scalar[g] = c
-                out.append((kappa, scalar))
-            self._fine_bases[j] = out
-        return out
+        of degree j."""
+        self._check_window(j)
+        return self.bases.get(j, [])
 
-    def _solver(self, j: int):
-        if j not in self._solvers:
-            basis = self.bases.get(j, [])
-            self._solvers[j] = linalg.CoordSolver(basis) if basis else None
-        return self._solvers[j]
+    def _echelons_at(self, j: int) -> dict:
+        """One tracked echelon per fine degree κ of degree j, built on the
+        degree's first use: the scalar forms of the basis vectors at κ,
+        tagged by basis index.  AssertionError when they are dependent."""
+        echs = self._echelons.get(j)
+        if echs is None:
+            echs = self._echelons[j] = {}
+            for i, (kappa, scalar) in enumerate(self.bases.get(j, [])):
+                if kappa not in echs:
+                    echs[kappa] = linalg.Echelon(track=True)
+                if not echs[kappa].add(scalar, tag=i):
+                    raise AssertionError(
+                        f"syzygy basis vectors at one fine degree of degree {j} are dependent"
+                    )
+        return echs
 
     def act(self, pair, p: int, j: int) -> list[dict]:
-        if self.max_degree is not None and j + p > self.max_degree:
-            raise CertificationError(f"syzygy basis not computed in degree {j + p}")
+        self._check_window(j + p)
         src = self.bases.get(j, [])
         if not src:
             return []
-        amb_cols = self.ambient.act(pair, p, j)
-        solver = self._solver(j + p)
+        echs = self._echelons_at(j + p)
+        if not echs:
+            raise AssertionError("action leaves the computed kernel")
+        ua, ub = pair
         cols = []
-        for vec in src:
-            img = linalg.apply_columns(amb_cols, vec)
-            if not img:
-                cols.append({})
-                continue
-            if solver is None:
-                raise AssertionError("action leaves the computed kernel")
-            sol = solver.solve(img)
-            if sol is None:
+        for (ka, kb), scalar in src:
+            ech = echs.get((mono_mul(ka, ua), mono_mul(kb, ub)))
+            coords = ech and ech.coordinates(scalar)
+            if coords is None:
                 raise AssertionError("action leaves the kernel subspace")
-            cols.append({i: v for i, v in enumerate(sol) if v})
+            cols.append(dict(sorted(coords.items())))
         return cols
 
     def generation_bound(self):

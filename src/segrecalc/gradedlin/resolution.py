@@ -34,8 +34,9 @@ basis vectors of M_j at κ.  A column at κ only meets pivots at κ, so the
 blocks eliminated one by one perform exactly the operations of one
 elimination of the whole degree, in the same order.  Blocks equal after
 an order-preserving relabelling of their rows are eliminated once per
-resolution (`Resolution.blocks`), and their results are mapped back to
-the flat coordinates of the cover in the order one elimination gives.
+resolution (`Resolution.blocks`).  A kernel vector of a block stays in
+fine form, (κ, scalar form over the generators), and the vectors of a
+degree come in the order one elimination of the whole degree gives.
 """
 
 from __future__ import annotations
@@ -161,11 +162,12 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
     """Minimal generators and cover kernel on [lo, hi].
 
     One `_cover_degree` per degree j finds the generators of degree j;
-    the blocks' tracked dependencies, in flat coordinates of the cover
-    and ordered by their dependent column, are the kernel basis in
-    degree j, as one tracked elimination of all columns in flat order
-    lists them.  The cover columns are not kept: `HomCalculator.section`
-    re-runs the one degree it needs.
+    the blocks' tracked dependencies are the kernel basis in degree j,
+    each as (κ, {generator: coefficient}).  They are sorted by their
+    dependent cover column u * s, by s and then by the position of u =
+    κ / f(s) in R_(j - deg s), which is the order one tracked elimination
+    of all the degree's columns lists them in.  The cover columns are not
+    kept: `HomCalculator.section` re-runs the one degree it needs.
 
     The generators are complete when the module has a certified
     generation bound inside the window (CertificationError otherwise);
@@ -184,17 +186,13 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
     gens, bases = [], {}
     for j in range(lo, hi + 1):
         new, gen_data, parts = _cover_degree(module, j, gens, memo)
-        offs, index = [0], []
-        for dg, _, _ in gen_data:
-            offs.append(offs[-1] + len(r_basis(specA, specB, j - dg)))
-            index.append(r_index(specA, specB, j - dg))
         kernel = []
         for kappa, cols, _, block in parts:
-            if block.kernel:
-                flat = [offs[s] + index[s][_pair_sub(kappa, gen_data[s][1])] for s in cols]
-                kernel += [
-                    (flat[dep], {flat[q]: c for q, c in vec.items()}) for dep, vec in block.kernel
-                ]
+            for dep, vec in block.kernel:
+                s = cols[dep]
+                dg, f, _ = gen_data[s]
+                pos = r_index(specA, specB, j - dg)[_pair_sub(kappa, f)]
+                kernel.append(((s, pos), (kappa, {cols[q]: c for q, c in vec.items()})))
         kernel.sort(key=itemgetter(0))
         bases[j] = [vec for _, vec in kernel]
         gens += new
@@ -287,10 +285,10 @@ class Resolution:
 def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     """Resolve to homological depth `depth`, exactly on [lo, hi].
 
-    Kernels are computed in the coordinates of the ambient free module,
-    so every step is plain sparse elimination; the k-th syzygy is stored
-    with explicit bases and the fine degrees of its ambient generators,
-    and remains usable as a module afterwards.
+    Kernels are computed block by block (`_cover_step`); the k-th
+    syzygy is stored with its basis vectors in fine form and the fine
+    degrees of its ambient generators, and remains usable as a module
+    afterwards.
     """
     ringA, ringB = rings_of(module)
     cur = module
@@ -306,13 +304,13 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
             kappa, scalar = cur.fine_basis(dg)[i]
             fine.append(kappa)
             if step:
-                # a kernel vector inside the previous free module, which
-                # is fine-homogeneous: one monomial pair per entry
+                # a kernel vector inside the previous free module at the
+                # fine degree kappa: one monomial pair per entry
                 for g_idx, coeff in scalar.items():
                     entries[(g_idx, col)] = {_pair_sub(kappa, cur.fine[g_idx]): coeff}
         if step:
             res.diffs.append(entries)
-        cur = SyzygyModule(free, bases, label=f"syz^{step + 1}", fine=tuple(fine))
+        cur = SyzygyModule(free, bases, f"syz^{step + 1}", tuple(fine))
         res.syzygies.append(cur)
     res.check_minimality()
     return res

@@ -532,7 +532,7 @@ def rational_form_str(a: HilbertSeries) -> str:
         return "*".join(parts) if parts else "1"
 
     terms = []
-    for d, v in form_sorted(a.exact_form.numerator):
+    for d, v in sorted(a.exact_form.numerator):
         m = mono(d)
         if m == "1":
             terms.append(str(v))
@@ -550,10 +550,6 @@ def rational_form_str(a: HilbertSeries) -> str:
         e = denoms[w]
         parts.append(base if e == 1 else f"{base}^{e}")
     return f"{num}/({''.join(parts)})" if parts else num
-
-
-def form_sorted(numerator):
-    return sorted(numerator)
 
 
 # ---------------------------------------------------------------------------

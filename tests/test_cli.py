@@ -361,6 +361,16 @@ def test_negative_window_or_depth_is_a_usage_error(tmp_path, capsys):
     assert "--window must be >= 0" in err and "--depth must be >= 0" in err
 
 
+def test_depth_is_a_run_flag_only(tmp_path, capsys):
+    # no manifest check reads a depth, so reproduce-paper does not accept one
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-paper", "--depth", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_demo_config_outputs_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path / "cache"))
     out = tmp_path / "demo"

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from segrecalc import linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin import catalog, resolution
-from segrecalc.gradedlin.modules import DiagonalModule, FreeModule, SyzygyModule, r_basis
+from segrecalc.gradedlin.modules import DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
+from segrecalc.gradedlin.poly import mono_mul
 from segrecalc.gradedlin.resolution import (
     CertificationError,
     HomCalculator,
@@ -166,12 +167,51 @@ def test_syzygy_requires_window():
         res.syzygy(1).dim(9)
 
 
+class FlatSyzygy:
+    """A syzygy module as the references compute it: `bases[j]` lists
+    vectors over the flat coordinates of the ambient free module."""
+
+    def __init__(self, ambient: FreeModule, bases: dict):
+        self.ambient = ambient
+        self.ringA, self.ringB = ambient.ringA, ambient.ringB
+        self.bases = bases
+        degs = [j for j, b in bases.items() if b]
+        self.min_degree = min(degs) if degs else 0
+
+
+def flat_basis(syz, j):
+    """The degree-j basis of a fine-form syzygy module in the flat
+    coordinates of its ambient free module, entry order kept: (generator
+    g, pair u) is the coordinate offsets(j)[g] + the index of u in
+    R_(j - deg g), and the basis vector (κ, s) has the entry s[g] at
+    (g, κ / f(g))."""
+    amb = syz.ambient
+    offs = amb.offsets(j)
+    return [
+        {
+            offs[g]
+            + r_index(amb.ringA, amb.ringB, j - amb.gens[g])[resolution._pair_sub(kappa, syz.fine[g])]: c
+            for g, c in scalar.items()
+        }
+        for kappa, scalar in syz.fine_basis(j)
+    ]
+
+
+def flat_bases(syz):
+    """Degree -> flat basis of a syzygy module of either kind."""
+    if isinstance(syz, FlatSyzygy):
+        return syz.bases
+    return {j: flat_basis(syz, j) for j in syz.bases}
+
+
 def work_vectors(module, j):
     """Basis of the degree-j piece in the coordinates the references
     eliminate in: its own for a diagonal module, the ambient free
     module's for a syzygy."""
-    if isinstance(module, SyzygyModule):
+    if isinstance(module, FlatSyzygy):
         return module.bases.get(j, [])
+    if isinstance(module, SyzygyModule):
+        return flat_basis(module, j)
     return [{i: 1} for i in range(module.dim(j))]
 
 
@@ -182,7 +222,7 @@ def act_matrix(module, pair, p, j):
 
 def act_vector(module, pair, p, j, vec):
     """A vector of work coordinates times a monomial pair of degree p."""
-    if isinstance(module, SyzygyModule):
+    if isinstance(module, (SyzygyModule, FlatSyzygy)):
         module = module.ambient
     return linalg.apply_columns(act_matrix(module, pair, p, j), vec)
 
@@ -245,8 +285,9 @@ def reference_free_resolution(module, depth, lo, hi):
     """Two-pass reference resolution: the generators of each step from
     `reference_minimal_generators`, then the cover columns in flat order
     and their kernel by `linalg.kernel_of`, one global elimination per
-    degree, with no fine degrees.  Returns the resolution and the cover
-    columns, step -> degree -> columns."""
+    degree, with no fine degrees; its syzygies are `FlatSyzygy`s.
+    Returns the resolution and the cover columns, step -> degree ->
+    columns."""
     ringA, ringB = resolution.rings_of(module)
     cur = module
     res = Resolution(module, lo, hi, [], [], [], [])
@@ -281,7 +322,7 @@ def reference_free_resolution(module, depth, lo, hi):
             cover[j] = cols
             bases[j] = linalg.kernel_of(cols) if cols else []
         covers[step] = cover
-        cur = SyzygyModule(free, bases, label=f"syz^{step + 1}")
+        cur = FlatSyzygy(free, bases)
         res.syzygies.append(cur)
     return res, covers
 
@@ -291,7 +332,7 @@ def resolution_fields(res):
         res.betti,
         res.diffs,
         res.generators,
-        [s.bases for s in res.syzygies],
+        [flat_bases(s) for s in res.syzygies],
         [s.min_degree for s in res.syzygies],
     )
 
@@ -362,7 +403,7 @@ def item_fields(res):
         res.betti,
         [[(k, list(poly.items())) for k, poly in e.items()] for e in res.diffs],
         res.generators,
-        [[(j, [list(v.items()) for v in b]) for j, b in s.bases.items()] for s in res.syzygies],
+        [[(j, [list(v.items()) for v in b]) for j, b in flat_bases(s).items()] for s in res.syzygies],
         [s.min_degree for s in res.syzygies],
     )
 
@@ -438,20 +479,26 @@ def test_free_resolution_builds_one_echelon_per_step_and_degree(monkeypatch):
     assert len(built) < largest_degree
 
 
-def test_non_homogeneous_syzygy_basis_raises():
+def test_syzygy_action_without_a_target_fine_degree_raises():
     res = free_resolution(M(1), 1, 0, 4)
     syz = res.syzygy(1)
-    bases = {j: list(b) for j, b in syz.bases.items()}
-    j = min(j for j, b in bases.items() if len(b) >= 2)
-    # the sum of two basis vectors of different fine degrees
-    k0, k1 = (syz.fine_basis(j)[i][0] for i in (0, 1))
-    assert k0 != k1
-    bases[j][0] = {**bases[j][0], **bases[j][1]}
-    broken = SyzygyModule(syz.ambient, bases, fine=syz.fine)
-    with pytest.raises(AssertionError, match="not fine-homogeneous"):
-        broken.fine_basis(j)
-    with pytest.raises(AssertionError, match="not fine-homogeneous"):
-        minimal_generators(broken, 0, 4)
+    j = syz.min_degree
+    pair = r_basis(A2, B3, 1)[0]
+    (ka, kb), _ = syz.fine_basis(j)[0]
+    target = (mono_mul(ka, pair[0]), mono_mul(kb, pair[1]))
+    assert syz.act(pair, 1, j)
+    # drop the basis vectors at the fine degree the first one is mapped to
+    bases = dict(syz.bases)
+    bases[j + 1] = [v for v in bases[j + 1] if v[0] != target]
+    assert len(bases[j + 1]) < syz.dim(j + 1)
+    dropped = SyzygyModule(syz.ambient, bases, "dropped", syz.fine)
+    with pytest.raises(AssertionError, match="action leaves the kernel subspace"):
+        dropped.act(pair, 1, j)
+    # a repeated basis vector makes the scalar forms at its fine degree dependent
+    bases[j + 1] = syz.bases[j + 1] + [v for v in syz.bases[j + 1] if v[0] == target]
+    repeated = SyzygyModule(syz.ambient, bases, "repeated", syz.fine)
+    with pytest.raises(AssertionError, match="are dependent"):
+        repeated.act(pair, 1, j)
 
 
 def test_blocks_that_miss_a_cover_column_raise():
@@ -474,6 +521,44 @@ def test_syzygy_action_above_the_window_is_uncertified():
         assert calc.element_matrix(R, syz2, 2, phi, t)
     with pytest.raises(CertificationError, match="not computed in degree 7"):
         calc.element_matrix(R, syz2, 2, phi, 5)
+
+
+def slow_act(syz, pair, p, j):
+    """The action as the flat form gave it: multiply the flat basis
+    vectors in the ambient module, then solve over the whole flat basis
+    of the target degree."""
+    src = flat_basis(syz, j)
+    if not src:
+        return []
+    amb_cols = syz.ambient.act(pair, p, j)
+    solver = linalg.CoordSolver(flat_basis(syz, j + p))
+    cols = []
+    for vec in src:
+        sol = solver.solve(linalg.apply_columns(amb_cols, vec))
+        assert sol is not None
+        cols.append({i: v for i, v in enumerate(sol) if v})
+    return cols
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    weight_lists,
+    small_weights,
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2),
+)
+@example([1, 1], [1, 1, 1], 1, 3, 3)  # k2_k3's canonical module: every action nonzero
+def test_syzygy_action_matches_flat_reference(wa, wb, shift, depth, extra):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    module = DiagonalModule(specA, specB, shift)
+    hi = module.generation_bound() + extra
+    for syz in free_resolution(module, depth, 0, hi).syzygies:
+        for j in range(syz.min_degree, hi + 1):
+            for p in range(hi - j + 1):
+                for pair in r_basis(specA, specB, p):
+                    assert typed(syz.act(pair, p, j)) == typed(slow_act(syz, pair, p, j))
 
 
 def test_ext_over_prime_field_with_syzygy_target():
