@@ -5,17 +5,20 @@ two explicit families of finite-dimensional contraction complexes.
 Complexes come in three layers.  `FreeComplex` is a symbolic complex of
 free modules over one weighted ring (polynomial differential entries).
 `BiFreeComplex` is the bigraded analogue over a pair of rings.
-`DegreewiseComplex` is the fully expanded object: per internal degree,
-explicit scalar matrices; homology is computed by exact rank
-calculations, and d∘d = 0 is asserted when one is built.
+`DegreewiseComplex` is the degreewise object: per internal degree,
+dimensions and explicit scalar matrices; homology is computed by exact
+rank calculations, and d∘d = 0 is asserted when one is built.
 
 When every differential entry of a bigraded complex is a single
 monomial pair, its diagonal is graded by the full exponent lattice
 Z^n × Z^m, and `diagonal` attaches the fine degrees (`strands.Strands`):
 the rank of a differential in a degree is then a sum over fine-degree
 blocks, each distinct block ranked once per complex, and d∘d = 0 is
-checked once, on the scalar differentials.  Every other complex is
-ranked and checked as one matrix per differential and degree.
+checked once, on the scalar differentials.  Such a complex expands its
+scalar matrices only when something reads `mats` (twists, splices, the
+image term of a sink sequence).  Every other complex is built with its
+matrices and ranked and checked as one matrix per differential and
+degree.
 
 Scalar matrices are expanded through multiplication tables built once
 per call (`_mul_rows`): for an entry monomial u and a source and target
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
@@ -387,21 +391,34 @@ class DegreewiseComplex:
     in every degree by `Strands.of` when the complex has strands, else
     by `assert_dd` degree by degree on the window.
 
-    `diagonal` fills the last two fields: `summands` lists
-    (shift index m, twist, multiplicity) per position, and `strands`
-    holds the fine degrees of a monomial bigraded complex, through which
-    `rank_at` ranks.  Every other complex leaves both None."""
+    `diagonal` fills the last three fields: `summands` lists
+    (shift index m, twist, multiplicity) per position, `strands` holds
+    the fine degrees of a monomial bigraded complex, through which
+    `rank_at` ranks, and `expand` builds the matrices.  It passes
+    `mats` as None, and `expand` builds them on first read, so a complex
+    with strands whose matrices nothing reads never expands them.  Every
+    other complex leaves all three None."""
 
     labels: list[str]
     dims: list[dict]
-    mats: list[dict]
+    mats: list[dict] | None
     window: tuple[int, int]
     summands: list | None = field(default=None, compare=False, repr=False)
     strands: Strands | None = field(default=None, compare=False, repr=False)
+    expand: Callable[[], list[dict]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.mats is None:
+            del self.mats  # `__getattr__` builds it
         if self.strands is None:
             self.assert_dd()
+
+    def __getattr__(self, name):
+        # reached only while `mats` is unbuilt
+        if name != "mats" or self.expand is None:
+            raise AttributeError(name)
+        self.mats = self.expand()
+        return self.mats
 
     def dim(self, t: int, j: int) -> int:
         return self.dims[t].get(j, 0)
@@ -421,14 +438,14 @@ class DegreewiseComplex:
                         )
 
     def rank_at(self, t: int, j: int, char: int = 0) -> int:
-        if t < 0 or t >= len(self.mats):
-            return 0
-        cols = self.mats[t].get(j)
-        if not cols:
+        if t < 0 or t >= len(self.dims) - 1:
             return 0
         if self.strands is not None:
-            return self.strands.rank(t, j, char, self.dims[t][j])
-        return linalg.rank_of(cols, char)
+            # dims[t][j] counts the columns; without any there is no block
+            dim = self.dims[t].get(j)
+            return self.strands.rank(t, j, char, dim) if dim else 0
+        cols = self.mats[t].get(j)
+        return linalg.rank_of(cols, char) if cols else 0
 
     def homology(self, char: int = 0) -> dict:
         """Exact homology dimensions per (position, degree) on the window."""
@@ -505,27 +522,22 @@ def diagonal(
 
     A bigraded free summand S(-a, -b) restricts to the diagonal module
     M_(shift + b - a) twisted by -b; labels record that identification.
+
+    The scalar matrices are expanded by `_diagonal_mats` when `mats` is
+    first read.  A complex without strands reads them at once, in
+    `assert_dd`; one with strands ranks and checks d∘d without them, and
+    its degree certificate is `Strands.of`: the twists agree with the fine
+    degrees exactly when every nonzero entry u from S(-a, -b) to
+    S(-a', -b') has degree (a - a', b - b').
     """
     lo, hi = window
-    specA, specB = bi.ringA, bi.ringB
-
-    def basis(term, j):
-        offs = [0]
-        blocks = []
-        for (a, b) in term:
-            ma = monomials(specA, shift + j - a)
-            mb = monomials(specB, j - b)
-            blocks.append((ma, mb))
-            offs.append(offs[-1] + len(ma) * len(mb))
-        return offs, blocks
-
     dims = []
     labels = []
     structured = []
     for term in bi.terms:
         table = {}
         for j in range(lo, hi + 1):
-            offs, _ = basis(term, j)
+            offs, _ = _diag_basis(bi, shift, term, j)
             if offs[-1]:
                 table[j] = offs[-1]
         dims.append(table)
@@ -535,15 +547,40 @@ def diagonal(
             key = (shift + b - a, -b)
             summ[key] = summ.get(key, 0) + 1
         structured.append(sorted((m, tw, k) for (m, tw), k in summ.items()))
-    rowsA = _mul_rows(specA, "diagonal degree mismatch")
-    rowsB = _mul_rows(specB, "diagonal degree mismatch")
+    return DegreewiseComplex(
+        labels,
+        dims,
+        None,
+        window,
+        summands=structured,
+        strands=Strands.of(bi, shift),
+        expand=partial(_diagonal_mats, bi, shift, window),
+    )
+
+
+def _diag_basis(bi: BiFreeComplex, shift: int, term, j: int):
+    offs = [0]
+    blocks = []
+    for (a, b) in term:
+        ma = monomials(bi.ringA, shift + j - a)
+        mb = monomials(bi.ringB, j - b)
+        blocks.append((ma, mb))
+        offs.append(offs[-1] + len(ma) * len(mb))
+    return offs, blocks
+
+
+def _diagonal_mats(bi: BiFreeComplex, shift: int, window: tuple[int, int]) -> list[dict]:
+    """The scalar matrices of `diagonal(bi, shift, window)`, column-wise."""
+    lo, hi = window
+    rowsA = _mul_rows(bi.ringA, "diagonal degree mismatch")
+    rowsB = _mul_rows(bi.ringB, "diagonal degree mismatch")
     mats = []
     for t, entries in enumerate(bi.diffs):
         src, dst = bi.terms[t], bi.terms[t + 1]
         table = {}
         for j in range(lo, hi + 1):
-            soffs, sblocks = basis(src, j)
-            doffs, dblocks = basis(dst, j)
+            soffs, sblocks = _diag_basis(bi, shift, src, j)
+            doffs, dblocks = _diag_basis(bi, shift, dst, j)
             if soffs[-1] == 0:
                 continue
             cols = [dict() for _ in range(soffs[-1])]
@@ -552,11 +589,14 @@ def diagonal(
                 if not ma or not mb:
                     continue
                 # the row of (ua·mA) ⊗ (ub·mB) is doffs[r] + ra·len(tb) + rb,
-                # ra from the A table of ua and rb from the B table of ub
+                # ra from the A table of ua and rb from the B table of ub;
+                # a zero term adds nothing and has no degree to check
                 (a, b), (a2, b2) = src[c], dst[r]
                 tib = len(dblocks[r][1])
                 terms = []
                 for (ua, ub), coeff in poly.items():
+                    if not coeff:
+                        continue
                     ras = rowsA(ua, shift + j - a, shift + j - a2)
                     rbs = rowsB(ub, j - b, j - b2)
                     terms.append(([doffs[r] + ra * tib for ra in ras], rbs, coeff))
@@ -574,9 +614,7 @@ def diagonal(
                                 del col[key]
             table[j] = cols
         mats.append(table)
-    return DegreewiseComplex(
-        labels, dims, mats, window, summands=structured, strands=Strands.of(bi, shift)
-    )
+    return mats
 
 
 def _diag_label(term, shift: int) -> str:

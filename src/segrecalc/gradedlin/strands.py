@@ -59,7 +59,8 @@ class Strands:
         """The strands of `diagonal(bi, shift, ·)` for a `BiFreeComplex`
         bi; None when an entry is not a single monomial pair or the fine
         degrees disagree.  Raises AssertionError when a product
-        D_(t+1)·D_t of the scalar columns is not zero."""
+        D_(t+1)·D_t of the scalar columns is not zero, or when an entry's
+        degree is not the difference of its twists."""
         n = len(bi.ringA.variables)
         cols = [[dict() for _ in term] for term in bi.terms]
         edges = {}  # generator -> [(neighbour, its fine degree minus ours)]

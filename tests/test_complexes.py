@@ -21,7 +21,7 @@ from segrecalc.gradedlin.complexes import (
     tensor,
     truncate_split,
 )
-from segrecalc.gradedlin import catalog
+from segrecalc.gradedlin import catalog, complexes
 from segrecalc.gradedlin.poly import monomial_index, monomials, mono_mul
 
 A2 = ring(("x0", "x1"), (1, 1))
@@ -400,27 +400,108 @@ def test_homology_ranks_each_matrix_once(monkeypatch):
     lo, hi = dc.window
     nonempty = [id(m[j]) for m in dc.mats for j in range(lo, hi + 1) if m.get(j)]
     assert sorted(ranked) == sorted(nonempty)
-    # strands: no expanded matrix reaches rank_of, and each distinct
+    # strands: homology expands no matrix at all, and each distinct
     # (position, column mask) block is ranked once per complex
+    expanded = []
+    real_mats = complexes._diagonal_mats
+
+    def counted_mats(*args):
+        expanded.append(args)
+        return real_mats(*args)
+
+    monkeypatch.setattr(complexes, "_diagonal_mats", counted_mats)
     for seq in catalog.almost_split_suite("k3_w12", (-1, 4)):
         dc = seq.complex
         ranked.clear()
         dc.homology()
+        assert expanded == [] and "mats" not in vars(dc)
         lo, hi = dc.window
-        expanded = {id(m[j]) for m in dc.mats for j in m}
         blocks = {
             (t, mask)
-            for t in range(len(dc.mats))
+            for t in range(len(dc.dims) - 1)
             for j in range(lo, hi + 1)
-            if dc.mats[t].get(j)
+            if dc.dims[t].get(j)
             for mask in dc.strands.table(t, j)
             if mask
         }
-        assert ranked and not expanded & set(ranked)
-        assert len(ranked) == len(blocks)
+        assert ranked and len(ranked) == len(blocks)
         ranked.clear()
         dc.homology()
         assert ranked == []
+    # the first read expands every table, once
+    assert dc.mats is dc.mats
+    assert len(expanded) == 1
+
+
+# ---------------------------------------------------------------------------
+# lazily expanded matrices against the reference expansion
+
+
+def test_lazy_mats_read_after_homology_match_reference():
+    window = (-1, 5)
+    cases = []
+    for key, recipes in catalog.AR_RECIPES.items():
+        for at in recipes:
+            bi, shift = _glued(key, at)
+            cases.append((bi, shift, catalog.almost_split_sequence(key, at, window).complex))
+    a, b = catalog.ring_pair("k2_k3")
+    for variant, bi in ((1, bify(koszul(a), b, "A")), (2, bify(koszul(b), a, "B"))):
+        for shift in range(-2, 4):
+            cases.append((bi, shift, catalog.koszul_diagonal("k2_k3", variant, shift, window)))
+    assert len(cases) == 6 + 12
+    for bi, shift, dc in cases:
+        assert dc.strands is not None
+        dc.homology()
+        assert "mats" not in vars(dc)
+        assert _ordered(dc.mats) == _ordered(_diagonal_reference(bi, shift, window))
+
+
+def _assert_same_complex(x, y):
+    assert (x.labels, x.dims, x.window) == (y.labels, y.dims, y.window)
+    assert _ordered(x.mats) == _ordered(y.mats)
+
+
+def test_twist_and_splice_of_lazy_diagonals_match_reference():
+    a, b = catalog.ring_pair("k2_k3")
+    bis = {1: bify(koszul(a), b, "A"), 2: bify(koszul(b), a, "B")}
+
+    def both(variant, shift, window):
+        lazy = catalog.koszul_diagonal("k2_k3", variant, shift, window)
+        mats = _diagonal_reference(bis[variant], shift, window)
+        return lazy, DegreewiseComplex(lazy.labels, lazy.dims, mats, window)
+
+    for lo, hi in ((0, 5), (-2, 4)):
+        # the two sink sequences of `catalog`, through both paths
+        left, left_ref = both(1, 2, (lo - 3, hi - 3))
+        right, right_ref = both(2, -1, (lo, hi))
+        _assert_same_complex(left.twisted(-3), left_ref.twisted(-3))
+        _assert_same_complex(
+            left.twisted(-3).spliced(right), left_ref.twisted(-3).spliced(right_ref)
+        )
+        left, left_ref = both(2, -1, (lo, hi))
+        right, right_ref = both(1, 1, (lo, hi))
+        _assert_same_complex(left.spliced(right), left_ref.spliced(right_ref))
+
+
+def test_misdegreed_entry_of_a_stranded_complex_raises_when_built(monkeypatch):
+    t = ring(("t",), (1,))
+    unit = (0, 0, 0)
+    k = koszul(t)  # S(-1) -> S by t
+    assert k.diffs == [{(0, 0): {(1,): 1}}]
+    good = bify(k, B3, "A")
+    assert diagonal(good, 0, (0, 3)).strands is not None
+    # t^2 where the twists ask for t: the fine-degree walk is consistent
+    bad = BiFreeComplex(t, B3, good.terms, [{(0, 0): {((2,), unit): 1}}])
+    with pytest.raises(AssertionError, match="diagonal degree mismatch"):
+        _diagonal_reference(bad, 0, (0, 3))
+    monkeypatch.setattr(complexes, "_diagonal_mats", lambda *a: pytest.fail("expanded"))
+    with pytest.raises(AssertionError, match="fine degrees disagree with the twists"):
+        diagonal(bad, 0, (0, 3))
+    monkeypatch.undo()
+    # a zero term has no degree: it neither raises nor changes a matrix
+    zero = BiFreeComplex(t, B3, good.terms, [{(0, 0): {((1,), unit): 1, ((2,), unit): 0}}])
+    dc = diagonal(zero, 0, (0, 3))
+    assert _ordered(dc.mats) == _ordered(_diagonal_reference(good, 0, (0, 3)))
 
 
 # ---------------------------------------------------------------------------
