@@ -334,9 +334,13 @@ def _ext_calc(opts) -> HomCalculator:
     return HomCalculator(*catalog.ring_pair("k2_k3"), 0, 8, opts.get("char", 0))
 
 
+def _ext_degrees(opts) -> range:
+    """Internal degrees of the Ext tables of the main and Kronecker suites."""
+    return range(-4, 3 if opts.get("window", 5) >= 5 else 2)
+
+
 def _ext_table(calc: HomCalculator, opts) -> dict:
-    d_hi = 3 if opts.get("window", 5) >= 5 else 2
-    return catalog.rigidity_ext_table(calc, range(-4, d_hi))
+    return catalog.rigidity_ext_table(calc, _ext_degrees(opts))
 
 
 def check_main_suite(opts) -> dict:
@@ -418,9 +422,7 @@ def check_kronecker_suite(opts) -> dict:
         ctx,
         10,
         {
-            "rigid_triples": catalog.rigid_triples_check(
-                calc, range(-4, 3 if opts.get("window", 5) >= 5 else 2)
-            ),
+            "rigid_triples": catalog.rigid_triples_check(calc, _ext_degrees(opts)),
             "syz3_self_extension": catalog.syz3_self_extension(calc),
             "stable_end_omega": catalog.stable_end_omega(calc),
         },

@@ -229,43 +229,13 @@ class BiFreeComplex:
 
 
 def tensor(cA: FreeComplex, cB: FreeComplex) -> BiFreeComplex:
-    """Total tensor complex with Koszul signs."""
-    posA, posB = len(cA.terms), len(cB.terms)
-    terms = []
-    index = {}
-    for n in range(posA + posB - 1):
-        gens = []
-        for p in range(max(0, n - posB + 1), min(n, posA - 1) + 1):
-            q = n - p
-            for i, a in enumerate(cA.terms[p]):
-                for j, b in enumerate(cB.terms[q]):
-                    index[(p, q, i, j)] = (n, len(gens))
-                    gens.append((a, b))
-        terms.append(tuple(gens))
-    diffs = [dict() for _ in range(len(terms) - 1)]
-    unitA = (0,) * len(cA.ring.variables)
-    unitB = (0,) * len(cB.ring.variables)
-    for (p, q, i, j), (n, col) in index.items():
-        if p + 1 < posA:
-            for (r, c), poly in cA.diffs[p].items():
-                if c != i:
-                    continue
-                row = index[(p + 1, q, r, j)][1]
-                entry = diffs[n].setdefault((row, col), {})
-                for u, coeff in poly.items():
-                    key = (u, unitB)
-                    entry[key] = entry.get(key, 0) + coeff
-        if q + 1 < posB:
-            sign = -1 if p % 2 else 1
-            for (r, c), poly in cB.diffs[q].items():
-                if c != j:
-                    continue
-                row = index[(p, q + 1, i, r)][1]
-                entry = diffs[n].setdefault((row, col), {})
-                for u, coeff in poly.items():
-                    key = (unitA, u)
-                    entry[key] = entry.get(key, 0) + sign * coeff
-    return BiFreeComplex(cA.ring, cB.ring, terms, diffs)
+    """Total tensor complex with Koszul signs: the glued complex of two
+    splits that put every generator on the X side, at every position
+    from 0 to the last, empty ones included."""
+    terms, diffs = _glue(
+        cA, [(True,) * len(t) for t in cA.terms], cB, [(True,) * len(t) for t in cB.terms]
+    )
+    return BiFreeComplex(cA.ring, cB.ring, terms[1:], diffs[1:])
 
 
 def glue_split_tensor(sA: SplitComplex, sB: SplitComplex) -> BiFreeComplex:
@@ -276,46 +246,55 @@ def glue_split_tensor(sA: SplitComplex, sB: SplitComplex) -> BiFreeComplex:
     differential is d_XX on the first block, the negated d_YY on the
     second, and the glue F(x'⊗x'') = (-1)^p f'(x')⊗f''(x'') where f', f''
     collect the X-to-Y entries of the two complexes.  The result is the
-    complex the two split complexes cone together to.
+    complex the two split complexes cone together to, from its first
+    nonempty position to its last.
     """
-    cA, cB = sA.complex, sB.complex
+    terms, diffs = _glue(sA.complex, sA.classes, sB.complex, sB.classes)
+    filled = [n for n, t in enumerate(terms) if t]
+    if not filled:
+        raise ValueError("empty glued complex")
+    first, last = filled[0], filled[-1]
+    if len(filled) != last - first + 1:
+        raise ValueError("glued tensor has a positional gap; adjust the splits")
+    return BiFreeComplex(
+        sA.complex.ring, sB.complex.ring, terms[first : last + 1], diffs[first:last]
+    )
+
+
+def _glue(cA: FreeComplex, classesA, cB: FreeComplex, classesB):
+    """Terms and differentials of the complex `glue_split_tensor` glues
+    from two splits, given by their complexes and classes, at every
+    position from -1, where a YY generator at tensor position 0 lands,
+    to the top XX position, empty ones included: list index n holds
+    position n - 1.  Entries keep the coefficients the factors give,
+    zeros included."""
     unitA = (0,) * len(cA.ring.variables)
     unitB = (0,) * len(cB.ring.variables)
-    gens = {}  # (block, p, q, i, j) -> (G position, twist pair)
+    gens = {}  # (block, p, q, i, j) -> (list index, twist pair)
     for p, term in enumerate(cA.terms):
         for q, termB in enumerate(cB.terms):
             for i, a in enumerate(term):
                 for j, b in enumerate(termB):
-                    fa, fb = sA.classes[p][i], sB.classes[q][j]
+                    fa, fb = classesA[p][i], classesB[q][j]
                     if fa and fb:
-                        gens[("X", p, q, i, j)] = (p + q, (a, b))
+                        gens[("X", p, q, i, j)] = (p + q + 1, (a, b))
                     elif not fa and not fb:
-                        gens[("Y", p, q, i, j)] = (p + q - 1, (a, b))
-    if not gens:
-        raise ValueError("empty glued complex")
-    positions = sorted({pos for pos, _ in gens.values()})
-    if positions != list(range(positions[0], positions[-1] + 1)):
-        raise ValueError("glued tensor has a positional gap; adjust the splits")
-    base = positions[0]
-    terms = [[] for _ in positions]
+                        gens[("Y", p, q, i, j)] = (p + q, (a, b))
+    terms = [[] for _ in range(len(cA.terms) + len(cB.terms))]
     index = {}
     for key in sorted(gens, key=lambda k: (gens[k][0], k)):
-        pos, tw = gens[key]
-        index[key] = (pos - base, len(terms[pos - base]))
-        terms[pos - base].append(tw)
+        n, tw = gens[key]
+        index[key] = (n, len(terms[n]))
+        terms[n].append(tw)
     diffs = [dict() for _ in range(len(terms) - 1)]
 
     def emit(src_key, dst_key, poly_pair, sign):
-        if dst_key not in index:
-            return
         (n, col), (n2, row) = index[src_key], index[dst_key]
         if n2 != n + 1:
             raise AssertionError("misaligned glue component")
         entry = diffs[n].setdefault((row, col), {})
         for u, coeff in poly_pair.items():
-            entry[u] = entry.get(u, 0) + sign * coeff
-            if not entry[u]:
-                del entry[u]
+            entry[u] = sign * coeff
 
     for key in index:
         block, p, q, i, j = key
@@ -324,7 +303,7 @@ def glue_split_tensor(sA: SplitComplex, sB: SplitComplex) -> BiFreeComplex:
             for (r, c), poly in cA.diffs[p].items():
                 if c != i:
                     continue
-                same_class = sA.classes[p + 1][r] == (block == "X")
+                same_class = classesA[p + 1][r] == (block == "X")
                 if same_class:
                     emit(
                         key,
@@ -337,7 +316,7 @@ def glue_split_tensor(sA: SplitComplex, sB: SplitComplex) -> BiFreeComplex:
             for (r, c), poly in cB.diffs[q].items():
                 if c != j:
                     continue
-                same_class = sB.classes[q + 1][r] == (block == "X")
+                same_class = classesB[q + 1][r] == (block == "X")
                 if same_class:
                     emit(
                         key,
@@ -348,17 +327,17 @@ def glue_split_tensor(sA: SplitComplex, sB: SplitComplex) -> BiFreeComplex:
         if block == "X" and p + 1 < len(cA.terms) and q + 1 < len(cB.terms):
             sign = -1 if p % 2 else 1
             for (r, c), polyA in cA.diffs[p].items():
-                if c != i or sA.classes[p + 1][r]:
+                if c != i or classesA[p + 1][r]:
                     continue
                 for (r2, c2), polyB in cB.diffs[q].items():
-                    if c2 != j or sB.classes[q + 1][r2]:
+                    if c2 != j or classesB[q + 1][r2]:
                         continue
                     pair = {}
                     for u, cu in polyA.items():
                         for w, cw in polyB.items():
                             pair[(u, w)] = pair.get((u, w), 0) + cu * cw
                     emit(key, ("Y", p + 1, q + 1, r, r2), pair, sign)
-    return BiFreeComplex(cA.ring, cB.ring, [tuple(t) for t in terms], diffs)
+    return [tuple(t) for t in terms], diffs
 
 
 def bify(c: FreeComplex, other: WeightedRingSpec, side: str) -> BiFreeComplex:

@@ -1,11 +1,16 @@
 """Minimal graded free resolutions over Segre products, and the Hom/Ext
 calculus built on them.
 
-Everything is computed degree by degree inside a window; a computation
-that would need data above the window raises CertificationError instead
-of silently truncating.  Within the window all numbers are exact: each
-kernel, generator count, and Ext dimension at internal degree j only
-consumes data in degrees <= j, so the window certifies itself.
+Everything is computed degree by degree inside a window [lo, hi].  A
+kernel or generator count in degree j reads only degrees <= j, so a
+resolution is exact degree by degree up to hi, and reading a module
+above the window raises CertificationError.  That does not certify
+every number derived from it.  Ext^i_d reads every generator of
+F_(i-1), F_i and F_(i+1), and a syzygy's generators above hi are never
+found: a syzygy has no generation bound, so no guard fires, and such an
+Ext dimension can still change with hi.  Over k3_w12, dim
+Ext^2(M_-1, M_-1)_-3 reads 9 at hi = 4, 296 at hi = 6 and 0 at hi = 8
+and at hi = 10.
 
 `HomCalculator` is the one entry point to Hom and Ext: it holds the
 resolutions of one ring pair and window, and the field that every rank,
@@ -44,6 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter, sub
 
 from .. import linalg
@@ -224,7 +230,14 @@ class Resolution:
     basis vector of that degree.  F_k has one generator for each, in
     the same order.  The cover columns are not kept; a section of the
     cover re-runs one degree of it (`HomCalculator.section`) on the
-    eliminated fine-degree blocks in `blocks`, which the tails share."""
+    eliminated fine-degree blocks in `blocks`, which the tails share.
+
+    `diffs[k]` maps (generator g of F_k, generator h of F_(k+1)) to one
+    monomial pair f(h) / f(g) with its nonzero integer coefficient, the
+    only term of the entry: h is a kernel vector at the fine degree
+    f(h), so its coordinate on g sits at f(h) / f(g).  Distinct entries
+    therefore fill disjoint blocks of the dual differential, and
+    `_hom_block_matrix` rejects an entry of more than one pair."""
 
     module: object
     lo: int
@@ -321,49 +334,27 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
 
 
 def _hom_block_matrix(res: Resolution, i: int, N, d: int):
-    """Matrix of Hom(F_i, N)_d -> Hom(F_(i+1), N)_d, columns stored."""
-    Fi, Fj = res.frees[i], res.frees[i + 1]
-    entries = res.diffs[i]
-    src_off = [0]
-    for g in Fi.gens:
-        src_off.append(src_off[-1] + N.dim(d + g))
-    dst_off = [0]
-    for g in Fj.gens:
-        dst_off.append(dst_off[-1] + N.dim(d + g))
-    cols = [dict() for _ in range(src_off[-1])]
-    for (g_idx, col_idx), poly in entries.items():
-        dg, dcol = Fi.gens[g_idx], Fj.gens[col_idx]
-        p = dcol - dg
-        src_dim = N.dim(d + dg)
-        if src_dim == 0:
+    """Matrix of Hom(F_i, N)_d -> Hom(F_(i+1), N)_d, columns stored.
+
+    Its column (g, n) is the map sending the generator g of F_i to the
+    n-th basis vector of N_(d + deg g).  The entry (g, h) of the
+    differential is one monomial pair u times an integer c, so it fills
+    the block of g's columns and h's rows with c * (u acting on N), and
+    no two entries share a block (ValueError on an entry of two pairs)."""
+    gens, next_gens = res.frees[i].gens, res.frees[i + 1].gens
+    src_off = [0, *accumulate(N.dim(d + g) for g in gens)]
+    dst_off = [0, *accumulate(N.dim(d + g) for g in next_gens)]
+    cols = [{} for _ in range(src_off[-1])]
+    for (g, h), poly in res.diffs[i].items():
+        [(pair, c)] = poly.items()
+        start, stop = src_off[g], src_off[g + 1]
+        if start == stop:
             continue
-        block = None
-        for pair, coeff in poly.items():
-            act = _act_cached(N, pair, p, d + dg)
-            if block is None:
-                block = [
-                    {k: coeff * v for k, v in c.items()} for c in act
-                ]
-            else:
-                for b, c in zip(block, act):
-                    for k, v in c.items():
-                        z = b.get(k, 0) + coeff * v
-                        if z:
-                            b[k] = z
-                        elif k in b:
-                            del b[k]
-        if block is None:
-            continue
-        base = dst_off[col_idx]
-        for s in range(src_dim):
-            col = cols[src_off[g_idx] + s]
-            for k, v in block[s].items():
-                key = base + k
-                z = col.get(key, 0) + v
-                if z:
-                    col[key] = z
-                elif key in col:
-                    del col[key]
+        base = dst_off[h]
+        act = _act_cached(N, pair, next_gens[h] - gens[g], d + gens[g])
+        for col, image in zip(cols[start:stop], act):
+            for k, v in image.items():
+                col[base + k] = c * v
     return cols, src_off[-1], dst_off[-1]
 
 
@@ -386,17 +377,14 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
         raise CertificationError("resolution not deep enough for the Ext range")
     out = {}
     for d in d_values:
-        mats = {}
-        for i in range(0, depth):
-            mats[i] = _hom_block_matrix(res, i, N, d)
+        dims, ranks = [], {-1: 0}
+        for i in range(depth):
+            cols, dim, _ = _hom_block_matrix(res, i, N, d)
+            dims.append(dim)
+            if i in i_values or i + 1 in i_values:
+                ranks[i] = linalg.rank_of(cols, char)
         for i in i_values:
-            cols, src_dim, _ = mats[i]
-            rank_i = linalg.rank_of(cols, char)
-            if i == 0:
-                rank_prev = 0
-            else:
-                rank_prev = linalg.rank_of(mats[i - 1][0], char)
-            out[(i, d)] = src_dim - rank_i - rank_prev
+            out[(i, d)] = dims[i] - ranks[i] - ranks[i - 1]
             if out[(i, d)] < 0:
                 raise AssertionError("negative Ext dimension")
     return out
@@ -536,25 +524,18 @@ def _split_gen_values(F0: FreeModule, N, d: int, vec: dict) -> list[dict]:
 
 
 def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi: dict, psi: dict) -> dict:
-    """Generator values of psi∘phi for phi: a->b degree e, psi: b->c degree f."""
-    res_a = calc.resolution(a)
-    F0 = res_a.frees[0]
-    out = {}
-    off = 0
-    phi_vals = _split_gen_values(F0, b, e, phi)
-    for g_idx, g in enumerate(F0.gens):
-        val = phi_vals[g_idx]  # in b at degree g + e
-        t = g + e
-        dim_c = c.dim(g + e + f)
-        if val:
-            mat = calc.element_matrix(b, c, f, psi, t)
-            img = linalg.apply_columns(mat, val)
-        else:
-            img = {}
-        for k, v in img.items():
-            out[off + k] = out.get(off + k, 0) + v
-        off += dim_c
-    return {k: v for k, v in out.items() if v}
+    """Generator values of psi∘phi for phi: a->b degree e, psi: b->c
+    degree f, each generator's image written into its own block."""
+    F0 = calc.resolution(a).frees[0]
+    out, off = {}, 0
+    for g, val in zip(F0.gens, _split_gen_values(F0, b, e, phi)):
+        dim = c.dim(g + e + f)
+        if val:  # in b at degree g + e
+            mat = calc.element_matrix(b, c, f, psi, g + e)
+            for k, v in linalg.apply_columns(mat, val).items():
+                out[off + k] = v
+        off += dim
+    return out
 
 
 def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:

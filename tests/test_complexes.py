@@ -22,7 +22,7 @@ from segrecalc.gradedlin.complexes import (
     truncate_split,
 )
 from segrecalc.gradedlin import catalog, complexes
-from segrecalc.gradedlin.poly import monomial_index, monomials, mono_mul
+from segrecalc.gradedlin.poly import monomial_index, monomials, mono_mul, variable
 
 A2 = ring(("x0", "x1"), (1, 1))
 B3 = ring(("y0", "y1", "y2"), (1, 1, 1))
@@ -74,6 +74,113 @@ def test_tensor_identity_factor():
     single = ring(("t",), (1,))
     t = tensor(koszul(A2), koszul(single))
     assert t.rank_sequence() == [1, 3, 3, 1]
+
+
+def reference_tensor(cA: FreeComplex, cB: FreeComplex) -> BiFreeComplex:
+    """The total tensor complex built position by position, entries
+    summed: the reference for `tensor`, which glues two splits that put
+    every generator on the X side."""
+    posA, posB = len(cA.terms), len(cB.terms)
+    terms = []
+    index = {}
+    for n in range(posA + posB - 1):
+        gens = []
+        for p in range(max(0, n - posB + 1), min(n, posA - 1) + 1):
+            q = n - p
+            for i, a in enumerate(cA.terms[p]):
+                for j, b in enumerate(cB.terms[q]):
+                    index[(p, q, i, j)] = (n, len(gens))
+                    gens.append((a, b))
+        terms.append(tuple(gens))
+    diffs = [dict() for _ in range(len(terms) - 1)]
+    unitA = (0,) * len(cA.ring.variables)
+    unitB = (0,) * len(cB.ring.variables)
+    for (p, q, i, j), (n, col) in index.items():
+        if p + 1 < posA:
+            for (r, c), poly in cA.diffs[p].items():
+                if c != i:
+                    continue
+                row = index[(p + 1, q, r, j)][1]
+                entry = diffs[n].setdefault((row, col), {})
+                for u, coeff in poly.items():
+                    key = (u, unitB)
+                    entry[key] = entry.get(key, 0) + coeff
+        if q + 1 < posB:
+            sign = -1 if p % 2 else 1
+            for (r, c), poly in cB.diffs[q].items():
+                if c != j:
+                    continue
+                row = index[(p, q + 1, i, r)][1]
+                entry = diffs[n].setdefault((row, col), {})
+                for u, coeff in poly.items():
+                    key = (unitA, u)
+                    entry[key] = entry.get(key, 0) + sign * coeff
+    return BiFreeComplex(cA.ring, cB.ring, terms, diffs)
+
+
+def _bi_items(bi: BiFreeComplex):
+    """A bigraded complex with every dict as its item list, so that dict
+    order counts too."""
+    return (
+        bi.ringA,
+        bi.ringB,
+        bi.terms,
+        [[(rc, list(poly.items())) for rc, poly in d.items()] for d in bi.diffs],
+    )
+
+
+def _drawn_factor(weights, twist, side, threshold):
+    """The Koszul complex on drawn weights, twisted, or one side of a
+    truncation split of it, which has empty terms at its ends."""
+    spec = ring(tuple(f"v{i}" for i in range(len(weights))), tuple(weights))
+    k = koszul(spec).twist(twist)
+    if side == "whole":
+        return k
+    try:
+        return truncate_split(k, lambda g: g >= threshold).side(side == "x")
+    except ValueError:
+        assume(False)
+
+
+factor_draws = (
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(-2, 2),
+    st.sampled_from(["whole", "x", "y"]),
+    st.integers(-1, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*factor_draws, *factor_draws)
+def test_tensor_matches_reference(wa, ta, side_a, thr_a, wb, tb, side_b, thr_b):
+    cA = _drawn_factor(wa, ta, side_a, thr_a)
+    cB = _drawn_factor(wb, tb, side_b, thr_b)
+    assert _bi_items(tensor(cA, cB)) == _bi_items(reference_tensor(cA, cB))
+
+
+def test_tensor_keeps_empty_terms_and_zero_coefficients():
+    # inputs glue_split_tensor rejects or trims: no generators at all, no
+    # terms at all, empty terms inside and at the ends, a zero coefficient
+    x, y = variable(A2, 0), variable(B3, 0)
+    cases = [
+        (FreeComplex(A2, [()], []), FreeComplex(B3, [()], [])),
+        (FreeComplex(A2, [], []), FreeComplex(B3, [(0,)], [])),
+        (FreeComplex(A2, [(1,), (), (0,)], [{}, {}]), FreeComplex(B3, [(0,)], [])),
+        (FreeComplex(A2, [(), (1,), (0,), ()], [{}, {(0, 0): {x: 0}}, {}]), koszul(B3)),
+        (koszul(A2), FreeComplex(B3, [(1,), (0,)], [{(0, 0): {y: 1}}])),
+    ]
+    for cA, cB in cases:
+        assert _bi_items(tensor(cA, cB)) == _bi_items(reference_tensor(cA, cB))
+    assert tensor(*cases[0]).terms == [()]
+    assert tensor(*cases[1]).terms == []
+    assert tensor(*cases[2]).rank_sequence() == [1, 0, 1]
+    assert tensor(*cases[3]).rank_sequence() == [0, 1, 4, 6, 4, 1, 0]
+    assert tensor(*cases[3]).diffs[1][(3, 0)] == {(x, (0, 0, 0)): 0}
+    all_x = [[truncate_split(c, lambda g: True) for c in pair] for pair in cases[:3]]
+    with pytest.raises(ValueError, match="empty glued complex"):
+        glue_split_tensor(*all_x[0])
+    with pytest.raises(ValueError, match="positional gap"):
+        glue_split_tensor(*all_x[2])
 
 
 def test_koszul_diagonal_patterns():
