@@ -42,6 +42,15 @@ an order-preserving relabelling of their rows are eliminated once per
 resolution (`Resolution.blocks`).  A kernel vector of a block stays in
 fine form, (κ, scalar form over the generators), and the vectors of a
 degree come in the order one elimination of the whole degree gives.
+
+The dual of a resolution splits the same way.  Every entry of a
+differential is one monomial pair f(h) / f(g) times an integer, so the
+column (g, n) of Hom(F_i, N)_d, n a basis vector of N at the fine degree
+κ, and all its images sit at δ = κ - f(g), which the dual differential
+keeps.  `ext_dims` ranks one δ-block at a time and builds no action
+matrix: for a diagonal or free target a block is the scalar transpose
+of the differential on a generator mask, and for a syzygy target it is
+written in the scalar coordinates of the syzygy's ambient free module.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from operator import itemgetter, sub
 from .. import linalg
 from ..linalg import CertificationError
 from .modules import FreeModule, SyzygyModule, r_basis, r_index
-from .strands import kappa_masks
+from .strands import count_masks, kappa_masks
 
 
 def rings_of(module):
@@ -370,24 +379,147 @@ def _act_cached(N, pair, p: int, j: int):
 
 def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     """Graded Ext dimensions over F_char (Q for 0): (i, d) -> dim
-    Ext^i(M, N)_d, M the module `res` resolves, exact per degree."""
+    Ext^i(M, N)_d, M the module `res` resolves, exact per degree.
+
+    Ranks each fine-degree block of the dual map Hom(F_i, N)_d ->
+    Hom(F_(i+1), N)_d, never the flat map.  The column (g, n), for a
+    basis vector n of N at the fine degree κ, sits at δ = κ - f(g), and
+    the entry (g, h) of the differential, the pair f(h) / f(g) times an
+    integer c, sends it to (h, c * (f(h) / f(g)) * n), again at δ.
+    - Diagonal N, shift s and twist τ: κ is the basis pair itself, so the
+      block at δ has one column per generator g with κ = δ·f(g) a pair of
+      N_(d + deg g), and is the scalar transpose of the differential on
+      those g.  They are mask_A & mask_B, from `kappa_masks` on the
+      negated fine degrees, with f_A(g) at the level s + d - τ + deg g
+      and f_B(g) at d - τ + deg g; `count_masks` counts the δ per mask.
+    - Free N: the same once per generator e of N, with s = 0 and τ =
+      deg e.
+    - Syzygy N: n is (κ, scalar form s over the generators e of N's
+      ambient free module), so u * n is (κ·u, s).  The column is written
+      as {(h, e): c * s_e}; N_κ sits inside these ambient scalars, so
+      the rank is that of the flat map.  Over F_p this holds while the
+      scalar forms at each fine degree stay independent mod p, which is
+      checked at every degree the blocks land in (CertificationError
+      otherwise).
+    Ranks are memoised within the call: by (i, mask), or by (i, block
+    content).  For each d and each i < depth in turn, N.dim is read over
+    F_i and then F_(i+1) (CertificationError above the window), and then
+    the entries of the i-th differential (ValueError on an entry of two
+    pairs), so the first error is the one `_hom_block_matrix` would
+    raise."""
     i_values = sorted(set(i_values))
     depth = max(i_values) + 1
     if len(res.frees) < depth + 1:
         raise CertificationError("resolution not deep enough for the Ext range")
+    specA, specB = rings_of(res.frees[0])
+    gens = [F.gens for F in res.frees]
+    fine = [syz.fine for syz in res.syzygies]
+    rows, ranks, checked = {}, {}, set()
+    syzygy = isinstance(N, SyzygyModule)
+    if syzygy:
+        width = len(N.ambient.gens)
+    else:
+        targets = [(0, e) for e in N.gens] if isinstance(N, FreeModule) else [(N.shift, N.twist)]
+        groups = [_negated_groups(gens[i], fine[i]) for i in range(depth)]
+
+    def diagonal_counts(i, d):
+        side_a, side_b = groups[i]
+        table = Counter()
+        for shift, twist in targets:
+            masks_a = kappa_masks(specA, shift + d - twist, side_a)
+            count_masks(masks_a, kappa_masks(specB, d - twist, side_b), table)
+        dim = total = 0
+        for mask, k in table.items():
+            if mask:
+                r = ranks.get((i, mask))
+                if r is None:
+                    block = [rows[i][g] for g in range(mask.bit_length()) if mask >> g & 1]
+                    r = ranks[(i, mask)] = linalg.rank_of(block, char)
+                dim += k * mask.bit_count()
+                total += k * r
+        return dim, total
+
+    def syzygy_counts(i, d):
+        if char:
+            for dh in gens[i + 1]:
+                _check_independent_mod_p(N, d + dh, char, checked)
+        blocks = {}
+        for g, (dg, f) in enumerate(zip(gens[i], fine[i])):
+            for kappa, scalar in N.fine_basis(d + dg):
+                blocks.setdefault(_pair_sub(kappa, f), []).append((g, scalar))
+        dim = total = 0
+        for block in blocks.values():
+            key = (i, tuple((g, tuple(scalar.items())) for g, scalar in block))
+            r = ranks.get(key)
+            if r is None:
+                cols = [
+                    {h * width + e: c * v for h, c in rows[i][g].items() for e, v in scalar.items()}
+                    for g, scalar in block
+                ]
+                r = ranks[key] = linalg.rank_of(cols, char)
+            dim += len(block)
+            total += r
+        return dim, total
+
+    counts = syzygy_counts if syzygy else diagonal_counts
     out = {}
     for d in d_values:
-        dims, ranks = [], {-1: 0}
+        dims, rank_at = {}, {-1: 0}
         for i in range(depth):
-            cols, dim, _ = _hom_block_matrix(res, i, N, d)
-            dims.append(dim)
+            if syzygy:  # N.dim raises above the window
+                for dg in gens[i] + gens[i + 1]:
+                    N.dim(d + dg)
+            if i not in rows:
+                rows[i] = _transpose(res.diffs[i], len(gens[i]))
             if i in i_values or i + 1 in i_values:
-                ranks[i] = linalg.rank_of(cols, char)
+                dims[i], rank_at[i] = counts(i, d)
         for i in i_values:
-            out[(i, d)] = dims[i] - ranks[i] - ranks[i - 1]
+            out[(i, d)] = dims[i] - rank_at[i] - rank_at[i - 1]
             if out[(i, d)] < 0:
                 raise AssertionError("negative Ext dimension")
     return out
+
+
+def _transpose(entries: dict, n: int) -> list[dict]:
+    """The rows of a differential, one per generator g of its target
+    F_i: {h: c} for its entries (g, h) = c times one monomial pair
+    (ValueError on an entry of two pairs)."""
+    rows = [{} for _ in range(n)]
+    for (g, h), poly in entries.items():
+        [(_, c)] = poly.items()
+        rows[g][h] = c
+    return rows
+
+
+def _negated_groups(gens, fine) -> tuple[dict, dict]:
+    """`kappa_masks` groups for the duals of generators: per factor,
+    (-f(g), -deg g) -> bitmask of the generators g of that fine degree
+    and degree, so that at the level s + d - τ a group's κ are the
+    δ = m / f(g) over the monomials m of degree s + d - τ + deg g."""
+    side_a, side_b = {}, {}
+    for g, (dg, (fa, fb)) in enumerate(zip(gens, fine)):
+        key_a, key_b = (tuple(-x for x in fa), -dg), (tuple(-x for x in fb), -dg)
+        side_a[key_a] = side_a.get(key_a, 0) | 1 << g
+        side_b[key_b] = side_b.get(key_b, 0) | 1 << g
+    return side_a, side_b
+
+
+def _check_independent_mod_p(N: SyzygyModule, j: int, char: int, checked: set):
+    """CertificationError unless the scalar forms of N_j at each fine
+    degree stay independent over F_char; each degree is checked once per
+    `checked`."""
+    if j in checked:
+        return
+    checked.add(j)
+    at = {}
+    for kappa, scalar in N.fine_basis(j):
+        at.setdefault(kappa, []).append(scalar)
+    for kappa, forms in at.items():
+        if linalg.rank_of(forms, char) < len(forms):
+            raise CertificationError(
+                f"syzygy basis vectors at the fine degree {kappa} of degree {j}"
+                f" are dependent mod {char}"
+            )
 
 
 def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:

@@ -23,7 +23,9 @@ field, has d∘d = 0.
 
 `kappa_masks`, the generator bitmask below each fine degree of one
 factor, also splits the cover steps of `resolution` into fine-degree
-blocks.
+blocks, and with negated fine degrees the dual of a resolution
+(`resolution.ext_dims`); `count_masks` pairs the two factors' masks for
+`Strands.table` and for `ext_dims`.
 
 This code is kept out of `complexes` to keep that file small: where no
 bytecode is cached (PYTHONDONTWRITEBYTECODE), every run compiles the
@@ -119,11 +121,8 @@ class Strands:
         specA, specB = self.specs
         out = Counter()
         for (ca, cb), side_a, side_b in self.parts[t]:
-            masks_a = Counter(kappa_masks(specA, self.shift + j - ca, side_a).values())
-            masks_b = Counter(kappa_masks(specB, j - cb, side_b).values())
-            for ma, ka in masks_a.items():
-                for mb, kb in masks_b.items():
-                    out[ma & mb] += ka * kb
+            masks_a = kappa_masks(specA, self.shift + j - ca, side_a)
+            count_masks(masks_a, kappa_masks(specB, j - cb, side_b), out)
         return out
 
     def rank(self, t: int, j: int, char: int, dim: int) -> int:
@@ -157,3 +156,13 @@ def kappa_masks(spec: WeightedRingSpec, level: int, groups: dict) -> dict:
             kappa = mono_mul(f, m)
             out[kappa] = out.get(kappa, 0) | bits
     return out
+
+
+def count_masks(masks_a: dict, masks_b: dict, out: Counter):
+    """Add to `out` one count at mask_A & mask_B for every pair of a κ_A
+    of `masks_a` and a κ_B of `masks_b` ({κ: mask} each, as
+    `kappa_masks` gives them)."""
+    counts_b = Counter(masks_b.values()).items()
+    for ma, ka in Counter(masks_a.values()).items():
+        for mb, kb in counts_b:
+            out[ma & mb] += ka * kb

@@ -932,3 +932,127 @@ def test_hom_complex_rejects_an_entry_of_two_pairs():
         hom_space(bad, M(1), 0, 0)
     with pytest.raises(ValueError, match="too many values to unpack"):
         ext_dims(bad, M(1), [0], [0], 0)
+
+
+# ---------------------------------------------------------------------------
+# Ext by fine-degree blocks against the flat reference
+
+
+def _merged(res) -> bool:
+    """Whether some F_i of res has two generators of one degree and one
+    fine degree, whose bits share a group of the block masks."""
+    return any(
+        len(set(zip(F.gens, syz.fine))) < len(F.gens) for F, syz in zip(res.frees, res.syzygies)
+    )
+
+
+def _ext_source(specA, specB, shift, source, depth, char):
+    """A calculator and the resolution of a drawn source: a diagonal
+    module, the tail of its resolution at its first syzygy, or a free
+    module with two generators of one degree."""
+    M = DiagonalModule(specA, specB, shift)
+    calc = HomCalculator(specA, specB, 0, M.generation_bound() + 1, char=char)
+    if source == "free":
+        return calc, calc.resolution(FreeModule(specA, specB, (0, 0, 1)), depth)
+    full = calc.resolution(M, depth + 1)
+    return calc, full.tail(1) if source == "tail" else full
+
+
+def _ext_target(specA, specB, res, kind, t, twist):
+    """A twisted diagonal, a free module with two generators of one
+    degree, or a syzygy of res."""
+    if kind == "diagonal":
+        return DiagonalModule(specA, specB, t, twist)
+    if kind == "free":
+        return FreeModule(specA, specB, (0, abs(twist), abs(twist)))
+    return res.syzygy(1 + abs(t) % 2)
+
+
+def _assert_ext_matches_reference(res, N, depth, char):
+    d_values = range(-3, 3)
+    for i_values in (range(depth), [depth - 1]):
+        assert _outcome(ext_dims, res, N, i_values, d_values, char) == _outcome(
+            reference_ext_dims, res, N, i_values, d_values, char
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=2),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from(["diagonal", "tail", "free"]),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([0, 2, 3]),
+    st.sampled_from(["diagonal", "free", "syzygy"]),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([-2, -1, 1, 2]),
+)
+@example([1, 2], [1, 1], -2, "tail", 2, 2, "diagonal", 1, -1)  # merged bits in F_0
+@example([1, 1], [1, 1], 1, "free", 1, 0, "free", 0, 2)
+def test_ext_blocks_match_reference_on_twisted_targets_and_merged_sources(
+    wa, wb, shift, source, depth, char, kind, t, twist
+):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    calc, res = _ext_source(specA, specB, shift, source, depth, char)
+    syzygies = calc.resolution(DiagonalModule(specA, specB, shift), 2)
+    N = _ext_target(specA, specB, syzygies, kind, t, twist)
+    _assert_ext_matches_reference(res, N, depth, char)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_ext_blocks_merge_generators_of_one_fine_degree(char):
+    specA = ring(("x0", "x1"), (1, 2))
+    specB = ring(("y0", "y1"), (1, 1))
+    for source in ("tail", "free"):
+        calc, res = _ext_source(specA, specB, -2, source, 2, char)
+        assert _merged(res)
+        for twist in (-1, 1):
+            for N in (DiagonalModule(specA, specB, 1, twist), FreeModule(specA, specB, (0, 1, 1))):
+                _assert_ext_matches_reference(res, N, 2, char)
+
+
+def test_ext_into_syzygy_forms_dependent_mod_p_raises():
+    # R^2 with the basis e0 + e1, e0 - e1 at every fine degree: the two
+    # forms are independent over Q and F_3 and equal mod 2
+    amb = FreeModule(A2, B3, (0, 0))
+    zero = ((0, 0), (0, 0, 0))
+    forms = ({0: 1, 1: 1}, {0: 1, 1: -1})
+    bases = {j: [(u, s) for u in r_basis(A2, B3, j) for s in forms] for j in range(9)}
+    N = SyzygyModule(amb, bases, "R^2", (zero, zero))
+    res = free_resolution(M(1), 2, 0, 4)
+    args = ([0, 1], range(-1, 2))
+    over_q = ext_dims(res, N, *args, 0)
+    assert over_q == ext_dims(res, amb, *args, 0) == reference_ext_dims(res, N, *args, 0)
+    assert ext_dims(res, N, *args, 3) == ext_dims(res, amb, *args, 3)
+    with pytest.raises(CertificationError, match="dependent mod 2"):
+        ext_dims(res, N, *args, 2)
+
+
+def test_rigidity_ext_table_needs_no_act(monkeypatch):
+    """All eleven Ext^1 tables of `catalog.rigidity_ext_table`, computed
+    with every action matrix unavailable, equal the flat reference."""
+
+    def no_act(*args):
+        raise AssertionError("ext_dims read an action matrix")
+
+    a, b = catalog.ring_pair("k2_k3")
+    omega, R, M2, M3 = (DiagonalModule(a, b, s) for s in (1, 0, 2, 3))
+    d_range = range(-4, 3)
+    for char in (0, 2):
+        calc = HomCalculator(a, b, 0, 8, char=char)
+        res = calc.resolution(omega, 5)
+        om1, om2 = res.syzygy(1), res.syzygy(2)
+        pairs = [
+            (omega, omega), (omega, R), (omega, om2), (om2, R), (om2, omega), (om2, om2),
+            (om2, M2), (om2, M3), (om1, R), (om1, om1), (omega, M2),
+        ]
+        with monkeypatch.context() as patch:
+            for cls in (DiagonalModule, FreeModule, SyzygyModule):
+                patch.setattr(cls, "act", no_act)
+            patch.setattr(resolution, "_act_cached", no_act)
+            fast = [calc.ext_dims(M, N, [1], d_range) for M, N in pairs]
+        assert fast == [
+            reference_ext_dims(calc.resolution(M, 2), N, [1], d_range, char) for M, N in pairs
+        ]
