@@ -45,12 +45,15 @@ degree come in the order one elimination of the whole degree gives.
 
 The dual of a resolution splits the same way.  Every entry of a
 differential is one monomial pair f(h) / f(g) times an integer, so the
-column (g, n) of Hom(F_i, N)_d, n a basis vector of N at the fine degree
-κ, and all its images sit at δ = κ - f(g), which the dual differential
-keeps.  `ext_dims` ranks one δ-block at a time and builds no action
-matrix: for a diagonal or free target a block is the scalar transpose
-of the differential on a generator mask, and for a syzygy target it is
-written in the scalar coordinates of the syzygy's ambient free module.
+column (g, n) of Hom(F_i, N)_d, n the n-th basis vector of N_(d + deg g)
+at the fine degree κ, and all its images sit at δ = κ - f(g), which the
+dual differential keeps.  `_dual_blocks` groups the columns by δ, and
+neither `hom_space` nor `ext_dims` builds an action matrix: `hom_space`
+takes the kernel of each δ-block, written in the scalar forms of N, and
+`ext_dims` ranks them, for a diagonal or free target as the scalar
+transpose of the differential on a generator mask.  A map M -> N is
+keyed by (g, n), its coefficient on n in its value on the generator g of
+F_0, so no map carries per-generator offsets.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from operator import itemgetter, sub
 
 from .. import linalg
@@ -246,7 +248,7 @@ class Resolution:
     only term of the entry: h is a kernel vector at the fine degree
     f(h), so its coordinate on g sits at f(h) / f(g).  Distinct entries
     therefore fill disjoint blocks of the dual differential, and
-    `_hom_block_matrix` rejects an entry of more than one pair."""
+    `_transpose` rejects an entry of more than one pair."""
 
     module: object
     lo: int
@@ -342,31 +344,6 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
 # Hom and Ext via the dualized resolution
 
 
-def _hom_block_matrix(res: Resolution, i: int, N, d: int):
-    """Matrix of Hom(F_i, N)_d -> Hom(F_(i+1), N)_d, columns stored.
-
-    Its column (g, n) is the map sending the generator g of F_i to the
-    n-th basis vector of N_(d + deg g).  The entry (g, h) of the
-    differential is one monomial pair u times an integer c, so it fills
-    the block of g's columns and h's rows with c * (u acting on N), and
-    no two entries share a block (ValueError on an entry of two pairs)."""
-    gens, next_gens = res.frees[i].gens, res.frees[i + 1].gens
-    src_off = [0, *accumulate(N.dim(d + g) for g in gens)]
-    dst_off = [0, *accumulate(N.dim(d + g) for g in next_gens)]
-    cols = [{} for _ in range(src_off[-1])]
-    for (g, h), poly in res.diffs[i].items():
-        [(pair, c)] = poly.items()
-        start, stop = src_off[g], src_off[g + 1]
-        if start == stop:
-            continue
-        base = dst_off[h]
-        act = _act_cached(N, pair, next_gens[h] - gens[g], d + gens[g])
-        for col, image in zip(cols[start:stop], act):
-            for k, v in image.items():
-                col[base + k] = c * v
-    return cols, src_off[-1], dst_off[-1]
-
-
 def _act_cached(N, pair, p: int, j: int):
     if isinstance(N, SyzygyModule):
         key = (pair, p, j)
@@ -382,10 +359,7 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     Ext^i(M, N)_d, M the module `res` resolves, exact per degree.
 
     Ranks each fine-degree block of the dual map Hom(F_i, N)_d ->
-    Hom(F_(i+1), N)_d, never the flat map.  The column (g, n), for a
-    basis vector n of N at the fine degree κ, sits at δ = κ - f(g), and
-    the entry (g, h) of the differential, the pair f(h) / f(g) times an
-    integer c, sends it to (h, c * (f(h) / f(g)) * n), again at δ.
+    Hom(F_(i+1), N)_d (`_dual_blocks`), never the flat map.
     - Diagonal N, shift s and twist τ: κ is the basis pair itself, so the
       block at δ has one column per generator g with κ = δ·f(g) a pair of
       N_(d + deg g), and is the scalar transpose of the differential on
@@ -394,21 +368,21 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
       and f_B(g) at d - τ + deg g; `count_masks` counts the δ per mask.
     - Free N: the same once per generator e of N, with s = 0 and τ =
       deg e.
-    - Syzygy N: n is (κ, scalar form s over the generators e of N's
-      ambient free module), so u * n is (κ·u, s).  The column is written
-      as {(h, e): c * s_e}; N_κ sits inside these ambient scalars, so
-      the rank is that of the flat map.  Over F_p this holds while the
-      scalar forms at each fine degree stay independent mod p, which is
-      checked at every degree the blocks land in (CertificationError
-      otherwise).
+    - Syzygy N: the blocks of `_dual_blocks` (columns by `_dual_column`).
+      N_κ sits inside N's ambient scalars, so the rank is that of the
+      flat map; over F_p while the scalar forms at each fine degree stay
+      independent mod p, checked at every degree the blocks land in.
     Ranks are memoised within the call: by (i, mask), or by (i, block
-    content).  For each d and each i < depth in turn, N.dim is read over
-    F_i and then F_(i+1) (CertificationError above the window), and then
-    the entries of the i-th differential (ValueError on an entry of two
-    pairs), so the first error is the one `_hom_block_matrix` would
-    raise."""
+    content) before any column is built.  For each d and each i < depth
+    in turn, N.dim is read over F_i and then F_(i+1) (CertificationError
+    above the window), then the entries of the i-th differential
+    (ValueError on an entry of two pairs), then for a syzygy N over F_p
+    the mod-p independence (CertificationError); `hom_space` raises in
+    this order too.  No i gives {}."""
     i_values = sorted(set(i_values))
-    depth = max(i_values) + 1
+    if not i_values:
+        return {}
+    depth = i_values[-1] + 1
     if len(res.frees) < depth + 1:
         raise CertificationError("resolution not deep enough for the Ext range")
     specA, specB = rings_of(res.frees[0])
@@ -441,21 +415,13 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
 
     def syzygy_counts(i, d):
         if char:
-            for dh in gens[i + 1]:
-                _check_independent_mod_p(N, d + dh, char, checked)
-        blocks = {}
-        for g, (dg, f) in enumerate(zip(gens[i], fine[i])):
-            for kappa, scalar in N.fine_basis(d + dg):
-                blocks.setdefault(_pair_sub(kappa, f), []).append((g, scalar))
+            _check_independent_mod_p(N, [d + dh for dh in gens[i + 1]], char, checked)
         dim = total = 0
-        for block in blocks.values():
-            key = (i, tuple((g, tuple(scalar.items())) for g, scalar in block))
+        for block in _dual_blocks(gens[i], fine[i], N, d).values():
+            key = (i, tuple((g, tuple(scalar.items())) for (g, _), scalar in block))
             r = ranks.get(key)
             if r is None:
-                cols = [
-                    {h * width + e: c * v for h, c in rows[i][g].items() for e, v in scalar.items()}
-                    for g, scalar in block
-                ]
+                cols = [_dual_column(rows[i][g], scalar, width) for (g, _), scalar in block]
                 r = ranks[key] = linalg.rank_of(cols, char)
             dim += len(block)
             total += r
@@ -478,6 +444,26 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
             if out[(i, d)] < 0:
                 raise AssertionError("negative Ext dimension")
     return out
+
+
+def _dual_blocks(gens, fine, N, d: int) -> dict:
+    """The columns of Hom(F, N)_d by fine degree, F generated in the
+    degrees `gens` at the fine degrees `fine`: δ -> [((g, n), scalar form
+    of n)], n the n-th basis vector of N_(d + deg g), at κ = δ·f(g).  The
+    entry (g, h) of a differential, c times f(h) / f(g), sends (g, n) to
+    c·(h, (f(h) / f(g))·n), at δ·f(h) with the scalar form of n."""
+    blocks = {}
+    for g, (dg, f) in enumerate(zip(gens, fine)):
+        for n, (kappa, scalar) in enumerate(N.fine_basis(d + dg)):
+            blocks.setdefault(_pair_sub(kappa, f), []).append(((g, n), scalar))
+    return blocks
+
+
+def _dual_column(row: dict, scalar: dict, width: int) -> dict:
+    """The image of the column (g, n), for `row` = {h: c} the entries of g
+    and `scalar` the form of n over `width` generators e (one for a
+    diagonal N, N's own or its ambient ones): {h·width + e: c·s_e}."""
+    return {h * width + e: c * v for h, c in row.items() for e, v in scalar.items()}
 
 
 def _transpose(entries: dict, n: int) -> list[dict]:
@@ -504,30 +490,49 @@ def _negated_groups(gens, fine) -> tuple[dict, dict]:
     return side_a, side_b
 
 
-def _check_independent_mod_p(N: SyzygyModule, j: int, char: int, checked: set):
+def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
     """CertificationError unless the scalar forms of N_j at each fine
-    degree stay independent over F_char; each degree is checked once per
-    `checked`."""
-    if j in checked:
-        return
-    checked.add(j)
-    at = {}
-    for kappa, scalar in N.fine_basis(j):
-        at.setdefault(kappa, []).append(scalar)
-    for kappa, forms in at.items():
-        if linalg.rank_of(forms, char) < len(forms):
-            raise CertificationError(
-                f"syzygy basis vectors at the fine degree {kappa} of degree {j}"
-                f" are dependent mod {char}"
-            )
+    degree stay independent over F_char, for j in `degrees` in turn; each
+    degree is checked once per `checked`."""
+    for j in degrees:
+        if j in checked:
+            continue
+        checked.add(j)
+        at = {}
+        for kappa, scalar in N.fine_basis(j):
+            at.setdefault(kappa, []).append(scalar)
+        for kappa, forms in at.items():
+            if linalg.rank_of(forms, char) < len(forms):
+                raise CertificationError(
+                    f"syzygy basis vectors at the fine degree {kappa} of degree {j}"
+                    f" are dependent mod {char}"
+                )
 
 
 def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
     """Basis over F_char of the degree-d maps M -> N, M the module `res`
-    resolves, as generator-value vectors: the kernel of the dual of the
-    first differential."""
-    cols, _, _ = _hom_block_matrix(res, 0, N, d)
-    return linalg.kernel_of(cols, char) if cols else []
+    resolves: the kernels of the δ-blocks of Hom(F_0, N)_d -> Hom(F_1,
+    N)_d (`_dual_blocks`), each map keyed by (g, n), n the n-th basis
+    vector of N_(d + deg g) in the value on the generator g of F_0.
+    Raises as `ext_dims` does, and in its order, after a
+    CertificationError when `res` has no F_1."""
+    if len(res.frees) < 2:
+        raise CertificationError("resolution not deep enough for the Hom space")
+    gens, next_gens = res.frees[0].gens, res.frees[1].gens
+    for dg in gens + next_gens:  # N.dim raises above the window
+        N.dim(d + dg)
+    rows = _transpose(res.diffs[0], len(gens))
+    width = len(N.gens) if isinstance(N, FreeModule) else 1
+    if isinstance(N, SyzygyModule):
+        width = len(N.ambient.gens)
+        if char:
+            _check_independent_mod_p(N, [d + dh for dh in next_gens], char, set())
+    out = []
+    for block in _dual_blocks(gens, res.syzygies[0].fine, N, d).values():
+        cols = [_dual_column(rows[g], scalar, width) for (g, _), scalar in block]
+        for vec in linalg.kernel_of(cols, char):
+            out.append({block[q][0]: c for q, c in vec.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +581,10 @@ class HomCalculator:
 
     def ext_dims(self, M, N, i_values, d_values) -> dict:
         """Graded Ext dimensions (i, d) -> dim Ext^i(M, N)_d on the
-        window, over the resolution of M held here."""
+        window, over the resolution of M held here; {} for no i, and
+        then nothing is resolved."""
+        if not i_values:
+            return {}
         res = self.resolution(M, max(i_values) + 1)
         return ext_dims(res, N, i_values, d_values, self.char)
 
@@ -614,18 +622,19 @@ class HomCalculator:
         return self._section[key]
 
     def element_matrix(self, M, N, d: int, vec: dict, t: int) -> list[dict]:
-        """Columns of the degree-d map on the degree-t piece of M."""
+        """Columns of the degree-d map `vec` (keyed by (g, n), as
+        `hom_space` gives it) on the degree-t piece of M."""
         key = (M, N, d, t, tuple(sorted(vec.items())))
         cached = self._elem_cache
         if key in cached:
             return cached[key]
         F0 = self.resolution(M).frees[0]
-        gen_values = _split_gen_values(F0, N, d, vec)
+        gen_values = _by_generator(vec)
         cols = []
         for coords in self.section(M, t):
             out = {}
             for (g_idx, pair), coeff in coords.items():
-                base = gen_values[g_idx]
+                base = gen_values.get(g_idx)
                 if not base:
                     continue
                 g = F0.gens[g_idx]
@@ -645,34 +654,34 @@ class HomCalculator:
         return cols
 
 
-def _split_gen_values(F0: FreeModule, N, d: int, vec: dict) -> list[dict]:
-    out = []
-    off = 0
-    for g in F0.gens:
-        dim = N.dim(d + g)
-        out.append({k - off: v for k, v in vec.items() if off <= k < off + dim})
-        off += dim
+def _by_generator(vec: dict) -> dict:
+    """The values of a map keyed by (g, n) on each generator: g -> {n: v}."""
+    out = {}
+    for (g, n), v in vec.items():
+        out.setdefault(g, {})[n] = v
     return out
 
 
 def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi: dict, psi: dict) -> dict:
-    """Generator values of psi∘phi for phi: a->b degree e, psi: b->c
-    degree f, each generator's image written into its own block."""
-    F0 = calc.resolution(a).frees[0]
-    out, off = {}, 0
-    for g, val in zip(F0.gens, _split_gen_values(F0, b, e, phi)):
-        dim = c.dim(g + e + f)
-        if val:  # in b at degree g + e
-            mat = calc.element_matrix(b, c, f, psi, g + e)
+    """psi∘phi for phi: a->b degree e, psi: b->c degree f, each keyed by
+    (g, n) as `hom_space` gives it.  c.dim is read on every generator of
+    a (CertificationError above the window)."""
+    gens = calc.resolution(a).frees[0].gens
+    values = _by_generator(phi)
+    out = {}
+    for g, dg in enumerate(gens):
+        c.dim(dg + e + f)
+        val = values.get(g)
+        if val:  # in b at degree dg + e
+            mat = calc.element_matrix(b, c, f, psi, dg + e)
             for k, v in linalg.apply_columns(mat, val).items():
-                out[off + k] = v
-        off += dim
+                out[(g, k)] = v
     return out
 
 
 def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:
-    """Generator-value vectors spanning the maps a -> b of degree d that
-    factor through a free module.
+    """Maps a -> b of degree d, keyed by (g, n) as `hom_space` gives them,
+    spanning those that factor through a free module.
 
     A map a -> F -> b with F free lifts through the cover F0(b) -> b,
     because F is projective, so it factors through F0(b): it is a sum of
@@ -680,31 +689,29 @@ def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:
     degree d - deg g.  One vector per such phi and g therefore spans the
     whole space.  The generators of b are found over Q; they generate b
     over F_p as well when they are monomials, as for diagonal and free
-    targets, and only then is the span complete over F_p."""
+    targets, and only then is the span complete over F_p.  b.dim is read
+    on every generator of a (CertificationError above the window)."""
     R = calc.free_rank_one
-    F0 = calc.resolution(a).frees[0]
+    gens = calc.resolution(a).frees[0].gens
     out = []
     for j, gen in calc.resolution(b).generators[0]:
         u = d - j
         for phi in calc.hom_basis(a, R, u):
-            vec, off = {}, 0
-            for g, val in zip(F0.gens, _split_gen_values(F0, R, u, phi)):
-                # val is phi(g), an element of R_(g+u) in pair coordinates
-                pairs = r_basis(calc.ringA, calc.ringB, g + u)
-                for flat, coeff in val.items():
-                    img = (
-                        gen
-                        if g + u == 0
-                        else linalg.apply_columns(_act_cached(b, pairs[flat], g + u, j), gen)
-                    )
-                    for k, w in img.items():
-                        key = off + k
-                        z = vec.get(key, 0) + coeff * w
-                        if z:
-                            vec[key] = z
-                        elif key in vec:
-                            del vec[key]
-                off += b.dim(d + g)
+            for dg in gens:
+                b.dim(d + dg)
+            vec = {}
+            for (g, n), coeff in phi.items():
+                # coeff times the n-th pair of R_(deg g + u) is a term of phi(g)
+                p = gens[g] + u
+                pair = r_basis(calc.ringA, calc.ringB, p)[n]
+                img = gen if p == 0 else linalg.apply_columns(_act_cached(b, pair, p, j), gen)
+                for k, w in img.items():
+                    key = (g, k)
+                    z = vec.get(key, 0) + coeff * w
+                    if z:
+                        vec[key] = z
+                    elif key in vec:
+                        del vec[key]
             if vec:
                 out.append(vec)
     return out

@@ -115,6 +115,16 @@ def test_ext_depth_certification():
     res = calc.resolution(M(1), 1)
     with pytest.raises(CertificationError):
         ext_dims(res, M(0), [2], [0], calc.char)
+    # hom_space reads F_1, which a depth-0 resolution does not have
+    with pytest.raises(CertificationError, match="resolution not deep enough"):
+        hom_space(free_resolution(M(1), 0, 0, 6), M(1), 0, 0)
+
+
+def test_empty_ext_range_is_empty_and_resolves_nothing():
+    calc = HomCalculator(A2, B3, 0, 5)
+    assert calc.ext_dims(M(1), M(0), [], range(-2, 2)) == {}
+    assert calc._res == {}
+    assert ext_dims(free_resolution(M(1), 0, 0, 5), M(0), [], range(-2, 2), 0) == {}
 
 
 def hom_segre_check(calc, Mi, Mj, d_values) -> bool:
@@ -680,10 +690,31 @@ def test_section_rejects_generators_the_re_run_does_not_find():
         calc.section(M(-1), t)
 
 
+def flat_hom(gens, N, d, vec):
+    """A map keyed by (g, n) in the flat coordinates of Hom(F, N)_d, F
+    generated in the degrees `gens`: (g, n) is the coordinate n plus the
+    sum of N.dim(d + deg g') over g' < g."""
+    offs = [0]
+    for dg in gens:
+        offs.append(offs[-1] + N.dim(d + dg))
+    return {offs[g] + n: v for (g, n), v in vec.items()}
+
+
+def split_gen_values(gens, N, d, flat):
+    """A map in flat coordinates, {n: v} per generator."""
+    out, off = [], 0
+    for dg in gens:
+        dim = N.dim(d + dg)
+        out.append({k - off: v for k, v in flat.items() if off <= k < off + dim})
+        off += dim
+    return out
+
+
 def reference_through_free_vectors(calc, a, b, d):
     """Maps a -> R(-v) -> b of degree d, one for every twist v, every map
     a -> R of degree u = d - v and every basis vector of b_v: the search
-    that `through_free_vectors` replaces by the generators of b."""
+    that `through_free_vectors` replaces by the generators of b.  They
+    are in flat coordinates (`flat_hom`)."""
     R = calc.free_rank_one
     F0 = calc.resolution(a).frees[0]
     gmax = max(F0.gens) if F0.gens else 0
@@ -697,7 +728,7 @@ def reference_through_free_vectors(calc, a, b, d):
             continue
         dim_bv = b.dim(v)
         for phi in homs:
-            phi_vals = resolution._split_gen_values(F0, R, u, phi)
+            phi_vals = split_gen_values(F0.gens, R, u, flat_hom(F0.gens, R, u, phi))
             for nb in range(dim_bv):
                 vec = {}
                 off = 0
@@ -725,7 +756,8 @@ def reference_through_free_vectors(calc, a, b, d):
 def _assert_same_span(calc, a, b, d):
     """The cover-generator vectors span what the twist search spans, over
     the calculator's field, and are never more numerous."""
-    fast = resolution.through_free_vectors(calc, a, b, d)
+    gens = calc.resolution(a).frees[0].gens
+    fast = [flat_hom(gens, b, d, v) for v in resolution.through_free_vectors(calc, a, b, d)]
     ref = reference_through_free_vectors(calc, a, b, d)
     assert len(fast) <= len(ref)
     rank_fast = linalg.rank_of(fast, calc.char)
@@ -835,12 +867,12 @@ def reference_ext_dims(res, N, i_values, d_values, char):
 
 
 def reference_compose_hom(calc, a, b, c, e, f, phi, psi):
-    """psi∘phi with every generator's image summed into the output and
-    zeros filtered at the end."""
+    """psi∘phi in flat coordinates (`flat_hom`), with every generator's
+    image summed into the output and zeros filtered at the end."""
     F0 = calc.resolution(a).frees[0]
     out = {}
     off = 0
-    phi_vals = resolution._split_gen_values(F0, b, e, phi)
+    phi_vals = split_gen_values(F0.gens, b, e, flat_hom(F0.gens, b, e, phi))
     for g_idx, g in enumerate(F0.gens):
         val = phi_vals[g_idx]
         dim_c = c.dim(g + e + f)
@@ -849,6 +881,33 @@ def reference_compose_hom(calc, a, b, c, e, f, phi, psi):
             out[off + k] = out.get(off + k, 0) + v
         off += dim_c
     return {k: v for k, v in out.items() if v}
+
+
+def flat_compose_hom(calc, a, b, c, e, f, phi, psi):
+    """`compose_hom` in flat coordinates."""
+    gens = calc.resolution(a).frees[0].gens
+    return flat_hom(gens, c, e + f, compose_hom(calc, a, b, c, e, f, phi, psi))
+
+
+def _assert_hom_space_matches_reference(res, N, d, char, basis):
+    """`basis`, the outcome (`_outcome`) of `hom_space(res, N, d, char)`:
+    its vectors, in flat coordinates, are independent, lie in the kernel
+    of the reference dual map Hom(F_0, N)_d -> Hom(F_1, N)_d over
+    F_char, are as many as its dimension and have the entry types of the
+    reference kernel; or both raise the same CertificationError."""
+    try:
+        cols = reference_hom_block_matrix(res, 0, N, d)[0]
+    except CertificationError as exc:
+        assert basis == ("CertificationError", str(exc))
+        return
+    assert not isinstance(basis, tuple), basis
+    ref = linalg.kernel_of(cols, char)
+    fast = [flat_hom(res.frees[0].gens, N, d, v) for v in basis]
+    for v in fast:
+        image = linalg.apply_columns(cols, v)
+        assert not (linalg.reduce_mod(image, char) if char else image), (N, d, v)
+    assert len(fast) == len(ref) == linalg.rank_of(fast, char)
+    assert {type(x) for v in fast for x in v.values()} == {type(x) for v in ref for x in v.values()}
 
 
 def _typed_outcome(fn, *args):
@@ -891,11 +950,8 @@ def test_hom_complex_matches_accumulating_reference(wa, wb, shift, depth, extra,
     else:
         N = res.syzygy(1 + abs(t) % depth)
     d_values = range(-3, 3)
-    for i in range(depth):
-        for d in d_values:
-            assert _typed_outcome(resolution._hom_block_matrix, res, i, N, d) == _typed_outcome(
-                reference_hom_block_matrix, res, i, N, d
-            )
+    for d in d_values:
+        _assert_hom_space_matches_reference(res, N, d, char, _outcome(hom_space, res, N, d, char))
     for i_values in (range(depth), [depth - 1]):
         assert _outcome(ext_dims, res, N, i_values, d_values, char) == _outcome(
             reference_ext_dims, res, N, i_values, d_values, char
@@ -907,11 +963,11 @@ def test_hom_complex_matches_accumulating_reference(wa, wb, shift, depth, extra,
         for f in (0, 1):
             psis = _outcome(calc.hom_basis, N, c, f)
             if isinstance(phis, tuple) or isinstance(psis, tuple):
-                continue  # a CertificationError; the columns above compare those
+                continue  # a CertificationError; the hom spaces above compare those
             for phi in phis[:2]:
                 for psi in psis[:2]:
                     args = (calc, M, N, c, e, f, phi, psi)
-                    assert _typed_outcome(compose_hom, *args) == _typed_outcome(
+                    assert _typed_outcome(flat_compose_hom, *args) == _typed_outcome(
                         reference_compose_hom, *args
                     )
 
@@ -1028,14 +1084,22 @@ def test_ext_into_syzygy_forms_dependent_mod_p_raises():
     assert ext_dims(res, N, *args, 3) == ext_dims(res, amb, *args, 3)
     with pytest.raises(CertificationError, match="dependent mod 2"):
         ext_dims(res, N, *args, 2)
+    for d in args[1]:
+        for char in (0, 3):
+            basis = hom_space(res, N, d, char)
+            _assert_hom_space_matches_reference(res, N, d, char, basis)
+            assert len(basis) == len(hom_space(res, amb, d, char))
+        with pytest.raises(CertificationError, match="dependent mod 2"):
+            hom_space(res, N, d, 2)
 
 
 def test_rigidity_ext_table_needs_no_act(monkeypatch):
-    """All eleven Ext^1 tables of `catalog.rigidity_ext_table`, computed
-    with every action matrix unavailable, equal the flat reference."""
+    """All eleven Ext^1 tables of `catalog.rigidity_ext_table`, and the
+    hom bases of the same pairs, computed with every action matrix
+    unavailable, match the flat reference."""
 
     def no_act(*args):
-        raise AssertionError("ext_dims read an action matrix")
+        raise AssertionError("an action matrix was read")
 
     a, b = catalog.ring_pair("k2_k3")
     omega, R, M2, M3 = (DiagonalModule(a, b, s) for s in (1, 0, 2, 3))
@@ -1053,6 +1117,9 @@ def test_rigidity_ext_table_needs_no_act(monkeypatch):
                 patch.setattr(cls, "act", no_act)
             patch.setattr(resolution, "_act_cached", no_act)
             fast = [calc.ext_dims(M, N, [1], d_range) for M, N in pairs]
+            homs = [(M, N, d, _outcome(calc.hom_basis, M, N, d)) for M, N in pairs for d in d_range]
         assert fast == [
             reference_ext_dims(calc.resolution(M, 2), N, [1], d_range, char) for M, N in pairs
         ]
+        for M, N, d, basis in homs:
+            _assert_hom_space_matches_reference(calc.resolution(M), N, d, char, basis)
