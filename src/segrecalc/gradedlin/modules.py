@@ -179,16 +179,22 @@ class SyzygyModule:
     Multiplying by a monomial pair u maps (κ, s) to (κ·u, s), so the
     action re-expresses s over the scalar forms of the target degree's
     basis vectors at κ·u.
+
+    `bases` is a dict, or the mapping a resolution step gives, which
+    builds each degree's basis on its first read (`dim`, `fine_basis`,
+    `act`) and lists its `nonempty_degrees` without building any.
     """
 
-    def __init__(self, ambient: FreeModule, bases: dict, label: str, fine: tuple):
+    def __init__(self, ambient: FreeModule, bases, label: str, fine: tuple):
         self.ambient = ambient
         self.bases = bases  # degree -> [(fine degree, scalar form)]
         self.label = label
         self.fine = fine  # fine degree of each ambient generator
         self._echelons = {}  # degree -> {fine degree: tracked Echelon}
         self._act_cache = {}  # (pair, p, j) -> act columns
-        degs = [j for j, b in bases.items() if b]
+        degs = getattr(bases, "nonempty_degrees", None)
+        if degs is None:
+            degs = [j for j, b in bases.items() if b]
         self.min_degree = min(degs) if degs else 0
         self.max_degree = max(bases) if bases else None
 

@@ -42,6 +42,9 @@ an order-preserving relabelling of their rows are eliminated once per
 resolution (`Resolution.blocks`).  A kernel vector of a block stays in
 fine form, (κ, scalar form over the generators), and the vectors of a
 degree come in the order one elimination of the whole degree gives.
+A syzygy's basis of a degree is assembled from its blocks the first
+time it is read (`_KernelBases`), so the last syzygy of a resolution,
+which only its own cover would read, is never assembled.
 
 The dual of a resolution splits the same way.  Every entry of a
 differential is one monomial pair f(h) / f(g) times an integer, so the
@@ -51,7 +54,9 @@ dual differential keeps.  `_dual_blocks` groups the columns by δ, and
 neither `hom_space` nor `ext_dims` builds an action matrix: `hom_space`
 takes the kernel of each δ-block, written in the scalar forms of N, and
 `ext_dims` ranks them, for a diagonal or free target as the scalar
-transpose of the differential on a generator mask.  A map M -> N is
+transpose of the differential on a generator mask.  Blocks of equal
+content recur, so each call memoises its kernels (`hom_space`) or ranks
+(`ext_dims`) by block content.  A map M -> N is
 keyed by (g, n), its coefficient on n in its value on the generator g of
 F_0, so no map carries per-generator offsets.
 """
@@ -59,6 +64,7 @@ F_0, so no map carries per-generator offsets.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter, sub
@@ -178,13 +184,13 @@ def _cover_degree(module, j: int, gens, memo: dict):
 def _cover_step(module, lo: int, hi: int, memo: dict):
     """Minimal generators and cover kernel on [lo, hi].
 
-    One `_cover_degree` per degree j finds the generators of degree j;
-    the blocks' tracked dependencies are the kernel basis in degree j,
-    each as (κ, {generator: coefficient}).  They are sorted by their
-    dependent cover column u * s, by s and then by the position of u =
-    κ / f(s) in R_(j - deg s), which is the order one tracked elimination
-    of all the degree's columns lists them in.  The cover columns are not
-    kept: `HomCalculator.section` re-runs the one degree it needs.
+    One `_cover_degree` per degree j finds the generators of degree j.
+    The kernel basis of degree j is not built here: each degree keeps
+    what `_cover_degree` returned, and `_KernelBases` assembles the basis
+    from it the first time it is read.  `minimal_generators` therefore
+    builds no kernel vector, nor does the last step of a resolution,
+    whose syzygy no caller reads.  The cover columns are not kept:
+    `HomCalculator.section` re-runs the one degree it needs.
 
     The generators are complete when the module has a certified
     generation bound inside the window (CertificationError otherwise);
@@ -199,10 +205,43 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
         raise CertificationError(
             "window does not reach the bottom degree of the module"
         )
-    specA, specB = rings_of(module)
-    gens, bases = [], {}
+    gens, pending = [], {}
     for j in range(lo, hi + 1):
         new, gen_data, parts = _cover_degree(module, j, gens, memo)
+        pending[j] = gen_data, parts
+        gens += new
+    return gens, _KernelBases(rings_of(module), pending)
+
+
+class _KernelBases(Mapping):
+    """The kernel bases of one cover step, degree -> [(κ, {generator:
+    coefficient})], each degree assembled on its first read.
+
+    The blocks' tracked dependencies are the kernel basis in degree j.
+    They are sorted by their dependent cover column u * s, by s and then
+    by the position of u = κ / f(s) in R_(j - deg s), which is the order
+    one tracked elimination of all the degree's columns lists them in.
+    A degree's (gen_data, parts) from `_cover_degree` is dropped once its
+    basis is built, so no degree is held twice.  `nonempty_degrees`, the
+    degrees with a block that has a kernel, is known without assembling
+    any of them."""
+
+    def __init__(self, rings, pending: dict):
+        self._rings = rings
+        self._pending = pending  # degree -> (gen_data, parts) until assembled
+        self._built = dict.fromkeys(pending)  # degree -> basis, None until assembled
+        self.nonempty_degrees = [
+            j for j, (_, parts) in pending.items() if any(block.kernel for *_, block in parts)
+        ]
+
+    def __getitem__(self, j):
+        basis = self._built[j]
+        if basis is None:
+            basis = self._built[j] = self._assemble(j, *self._pending.pop(j))
+        return basis
+
+    def _assemble(self, j: int, gen_data, parts) -> list:
+        specA, specB = self._rings
         kernel = []
         for kappa, cols, _, block in parts:
             for dep, vec in block.kernel:
@@ -211,9 +250,13 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
                 pos = r_index(specA, specB, j - dg)[_pair_sub(kappa, f)]
                 kernel.append(((s, pos), (kappa, {cols[q]: c for q, c in vec.items()})))
         kernel.sort(key=itemgetter(0))
-        bases[j] = [vec for _, vec in kernel]
-        gens += new
-    return gens, bases
+        return [vec for _, vec in kernel]
+
+    def __iter__(self):
+        return iter(self._built)
+
+    def __len__(self):
+        return len(self._built)
 
 
 def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
@@ -242,6 +285,9 @@ class Resolution:
     the same order.  The cover columns are not kept; a section of the
     cover re-runs one degree of it (`HomCalculator.section`) on the
     eliminated fine-degree blocks in `blocks`, which the tails share.
+    Each syzygy assembles its basis of a degree on the first read, so
+    `syzygies[-1]`, which no step covers, stays unassembled unless a
+    caller reads it.
 
     `diffs[k]` maps (generator g of F_k, generator h of F_(k+1)) to one
     monomial pair f(h) / f(g) with its nonzero integer coefficient, the
@@ -514,6 +560,9 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
     resolves: the kernels of the δ-blocks of Hom(F_0, N)_d -> Hom(F_1,
     N)_d (`_dual_blocks`), each map keyed by (g, n), n the n-th basis
     vector of N_(d + deg g) in the value on the generator g of F_0.
+    A block's columns depend only on its pairs (g, scalar form of n), so
+    each kernel is memoised within the call by that content, before any
+    column is built, and read back on the block's own (g, n).
     Raises as `ext_dims` does, and in its order, after a
     CertificationError when `res` has no F_1."""
     if len(res.frees) < 2:
@@ -527,10 +576,14 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
         width = len(N.ambient.gens)
         if char:
             _check_independent_mod_p(N, [d + dh for dh in next_gens], char, set())
-    out = []
+    out, kernels = [], {}
     for block in _dual_blocks(gens, res.syzygies[0].fine, N, d).values():
-        cols = [_dual_column(rows[g], scalar, width) for (g, _), scalar in block]
-        for vec in linalg.kernel_of(cols, char):
+        key = tuple((g, tuple(scalar.items())) for (g, _), scalar in block)
+        kernel = kernels.get(key)
+        if kernel is None:
+            cols = [_dual_column(rows[g], scalar, width) for (g, _), scalar in block]
+            kernel = kernels[key] = linalg.kernel_of(cols, char)
+        for vec in kernel:
             out.append({block[q][0]: c for q, c in vec.items()})
     return out
 

@@ -1,10 +1,11 @@
 from functools import lru_cache
+from operator import itemgetter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from segrecalc import linalg
+from segrecalc import cli, linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin import catalog, resolution
 from segrecalc.gradedlin.modules import DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
@@ -406,6 +407,92 @@ def test_fused_cover_step_matches_two_pass_reference(wa, wb, shift, lo, extra):
             )
     else:
         assert fused == ref
+
+
+def reference_kernel_bases(module, lo, hi):
+    """The kernel bases of `_cover_step` on [lo, hi], every degree
+    assembled as soon as its blocks are eliminated: each tracked
+    dependency as (κ, {generator: coefficient}), sorted by its dependent
+    cover column u * s, by s and then by the position of u = κ / f(s) in
+    R_(j - deg s)."""
+    specA, specB = resolution.rings_of(module)
+    gens, bases, memo = [], {}, {}
+    for j in range(lo, hi + 1):
+        new, gen_data, parts = resolution._cover_degree(module, j, gens, memo)
+        kernel = []
+        for kappa, cols, _, block in parts:
+            for dep, vec in block.kernel:
+                s = cols[dep]
+                dg, f, _ = gen_data[s]
+                pos = r_index(specA, specB, j - dg)[resolution._pair_sub(kappa, f)]
+                kernel.append(((s, pos), (kappa, {cols[q]: c for q, c in vec.items()})))
+        kernel.sort(key=itemgetter(0))
+        bases[j] = [vec for _, vec in kernel]
+        gens += new
+    return bases
+
+
+def basis_items(bases):
+    """Degree -> basis as item lists, so that the order of the vectors
+    and of each scalar form counts."""
+    return [(j, [(kappa, list(s.items())) for kappa, s in b]) for j, b in bases.items()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    weight_lists,
+    weight_lists,
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=-1, max_value=1),
+)
+# windows above the draws' range, so that the last syzygy is not empty
+@example([1, 1], [1, 1, 1], 1, 0, 3)  # k2_k3's canonical module
+@example([1, 2], [1, 3], 1, 0, 2)  # has blocks whose column order matters
+@example([1, 1, 1], [1, 2], -1, 0, 2)  # k3_w12's M_-1
+def test_lazy_kernel_bases_match_eager_assembly(wa, wb, shift, lo, extra):
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    module = DiagonalModule(specA, specB, shift)
+    hi = module.generation_bound() + extra
+    res = _outcome(free_resolution, module, 2, lo, hi)
+    if not isinstance(res, Resolution):
+        return  # test_fused_cover_step_matches_two_pass_reference compares the errors
+    # the last syzygy is not covered by the resolution, so nothing read it
+    assert len(res.syzygies[-1].bases._pending) == len(res.syzygies[-1].bases)
+    for prev, syz in zip([module] + res.syzygies, res.syzygies):
+        ref = reference_kernel_bases(prev, lo, hi)
+        bounds = syz.min_degree, syz.max_degree
+        assert bounds == (min([j for j, b in ref.items() if b], default=0), max(ref))
+        assert [syz.dim(j) for j in ref] == [len(b) for b in ref.values()]
+        assert basis_items({j: syz.fine_basis(j) for j in ref}) == basis_items(ref)
+        assert basis_items(syz.bases) == basis_items(ref)
+        assert not syz.bases._pending  # every degree is held once, as its basis
+        forced = SyzygyModule(syz.ambient, dict(syz.bases), syz.label, syz.fine)
+        assert (forced.min_degree, forced.max_degree) == bounds
+        assert [forced.dim(j) for j in ref] == [syz.dim(j) for j in ref]
+        assert basis_items({j: forced.fine_basis(j) for j in ref}) == basis_items(ref)
+
+
+def test_unread_kernel_bases_are_never_assembled(monkeypatch):
+    assembled = []
+    assemble = resolution._KernelBases._assemble
+
+    def spy(bases, j, *args):
+        assembled.append((id(bases), j))
+        return assemble(bases, j, *args)
+
+    monkeypatch.setattr(resolution._KernelBases, "_assemble", spy)
+    eq = cli._gorenstein_endo_quiver("k3_w12", 8)
+    assert eq.quiver.arrows
+    resolutions = list(eq.calc._res.values())
+    # the first syzygies are read by the next cover step, each degree once
+    assert resolutions and assembled and len(set(assembled)) == len(assembled)
+    last = {id(res.syzygies[-1].bases) for res in resolutions}
+    assert [j for bases, j in assembled if bases in last] == []
+    assembled.clear()
+    assert minimal_generators(catalog.diagonal_module("k3_w12", 1), 0, 8)
+    assert assembled == []
 
 
 def item_fields(res):
@@ -970,6 +1057,34 @@ def test_hom_complex_matches_accumulating_reference(wa, wb, shift, depth, extra,
                     assert _typed_outcome(flat_compose_hom, *args) == _typed_outcome(
                         reference_compose_hom, *args
                     )
+
+
+def test_hom_space_takes_each_distinct_block_kernel_once(monkeypatch):
+    M1 = catalog.diagonal_module("k3_w12", 1)
+    res = free_resolution(M1, 1, 0, 8)
+    calls = []
+    kernel_of = linalg.kernel_of
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel_of(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "kernel_of", counting)
+    repeats = 0
+    for d in range(4):
+        # the δ-blocks of Hom(F_0, M1)_d, each as its (g, scalar form of n)
+        blocks = {}
+        for g, (dg, f) in enumerate(zip(res.frees[0].gens, res.syzygies[0].fine)):
+            for kappa, scalar in M1.fine_basis(d + dg):
+                delta = resolution._pair_sub(kappa, f)
+                blocks.setdefault(delta, []).append((g, tuple(scalar.items())))
+        distinct = {tuple(block) for block in blocks.values()}
+        repeats += len(blocks) - len(distinct)
+        calls.clear()
+        basis = _outcome(hom_space, res, M1, d, 0)
+        assert len(calls) == len(distinct)
+        _assert_hom_space_matches_reference(res, M1, d, 0, basis)
+    assert repeats  # some block content repeats, so the memo is exercised
 
 
 def test_hom_complex_rejects_an_entry_of_two_pairs():
