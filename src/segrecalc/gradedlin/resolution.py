@@ -30,21 +30,29 @@ R is an affine semigroup ring, so the diagonal modules and their minimal
 resolutions are graded finely, by Z^n × Z^m (Miller-Sturmfels,
 *Combinatorial Commutative Algebra*, GTM 227, 2005): every basis vector
 of a diagonal, free or syzygy module, hence every generator g, has a
-fine degree f(g) (`fine_basis`).  The cover column u * g sits at fine degree
-f(g) * u, and over the generators of the ambient free module it has the
-same coefficients as g, whatever u is.  So degree j splits into one
-block per fine degree κ of M_j: its columns are the scalar forms of the
-generators with f(g) <= κ, in generator order, and its tests are the
+fine degree f(g) (`fine_basis`).  The cover column u * g sits at fine
+degree f(g) * u, and over the generators of the ambient free module it
+has the same coefficients as g, whatever u is.  So degree j splits into
+one block per fine degree κ of M_j: its columns are the scalar forms of
+the generators with f(g) <= κ, in generator order, and its tests are the
 basis vectors of M_j at κ.  A column at κ only meets pivots at κ, so the
 blocks eliminated one by one perform exactly the operations of one
 elimination of the whole degree, in the same order.  Blocks equal after
 an order-preserving relabelling of their rows are eliminated once per
-resolution (`Resolution.blocks`).  A kernel vector of a block stays in
-fine form, (κ, scalar form over the generators), and the vectors of a
-degree come in the order one elimination of the whole degree gives.
-A syzygy's basis of a degree is assembled from its blocks the first
-time it is read (`_KernelBases`), so the last syzygy of a resolution,
-which only its own cover would read, is never assembled.
+resolution (`Resolution.blocks`).  The generators with f(g) <= κ are
+those in both the A mask of κ_A and the B mask of κ_B, so fine degrees
+come in rectangles S_A × S_B whose κ carry the same tests and meet one
+block: a diagonal degree is one rectangle, and a syzygy degree not yet
+assembled is the previous step's rectangles whose block has a kernel.
+Each degree splits its rectangles by mask on either side and takes one
+block per (mask, tests); only a block with new generators is read at
+single κ.  A kernel vector of a block stays in fine form, (κ, scalar
+form over the generators), and the vectors of a degree come in the order
+one elimination of the whole degree gives.  A syzygy's basis of a degree
+is assembled from its rectangles the first time it is read
+(`_KernelBases`): by the next cover step only where it finds a
+generator, so the last syzygy of a resolution, which only its own cover
+would read, is never assembled.
 
 The dual of a resolution splits the same way.  Every entry of a
 differential is one monomial pair f(h) / f(g) times an integer, so the
@@ -66,12 +74,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import product
 from operator import itemgetter, sub
 
 from .. import linalg
 from ..linalg import CertificationError
-from .modules import FreeModule, SyzygyModule, r_basis, r_index
+from .modules import _UNIT, DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
+from .poly import monomial_index, monomials
 from .strands import count_masks, kappa_masks
 
 
@@ -133,24 +143,72 @@ def _block(memo: dict, cols, tests) -> _Block:
     return block
 
 
+def _by_kappa(basis) -> dict:
+    """κ -> the indices of the basis vectors at κ, in basis order."""
+    at = {}
+    for i, (kappa, _) in enumerate(basis):
+        at.setdefault(kappa, []).append(i)
+    return at
+
+
+def _rectangles(module, j: int):
+    """Degree j of a module as rectangles (S_A, S_B, tests): every fine
+    degree κ of S_A × S_B carries the scalar forms `tests`, in basis
+    order.  Also returns index_of(κ, q), the basis index of the q-th of
+    them at κ.
+
+    A diagonal module is one rectangle, its pairs in the product order of
+    `_diag_basis`.  A pending degree of a syzygy is the previous cover
+    step's rectangles that have a kernel (`_KernelBases.rectangles`), and
+    index_of assembles it.  Any other module or degree gives one
+    rectangle per κ of `fine_basis`."""
+    if type(module).fine_basis is DiagonalModule.fine_basis:
+        da, db = module.shift + j - module.twist, j - module.twist
+        side_b = monomials(module.ringB, db)
+        at_a, at_b = monomial_index(module.ringA, da), monomial_index(module.ringB, db)
+        width = len(side_b)
+        rects = [(monomials(module.ringA, da), side_b, [_UNIT])]
+        return rects, lambda kappa, q: at_a[kappa[0]] * width + at_b[kappa[1]]
+    bases = getattr(module, "bases", None)
+    rects = bases.rectangles(j) if isinstance(bases, _KernelBases) else None
+    if rects is not None:
+        at = cache(lambda: _by_kappa(module.fine_basis(j)))
+        return rects, lambda kappa, q: at()[kappa][q]
+    basis = module.fine_basis(j)
+    at = _by_kappa(basis)
+    rects = [((k[0],), (k[1],), [basis[i][1] for i in idx]) for k, idx in at.items()]
+    return rects, lambda kappa, q: at[kappa][q]
+
+
+def _split(side, masks: dict) -> list:
+    """The fine degrees of one side of a rectangle grouped by their
+    generator mask: [(mask, [κ])]."""
+    groups = {}
+    for kappa in side:
+        groups.setdefault(masks.get(kappa, 0), []).append(kappa)
+    return list(groups.items())
+
+
 def _cover_degree(module, j: int, gens, memo: dict):
     """Degree j of the cover of M by its generators `gens` of degree < j,
-    one fine-degree block at a time.
+    one fine-degree block per rectangle of fine degrees.
 
     Generator s, the basis vector {i: 1} of M_dg, has the fine degree
     f(s) and scalar form of that vector.  The block at a fine degree κ of
     M_j has the scalar forms of the generators with f(s) <= κ as columns,
     in generator order (the column of s is u * s for u = κ / f(s)), and
-    the basis vectors of M_j at κ as tests, in basis order.  Blocks come
-    from `memo` (`_block`).  Returns the new generators (j, {i: 1}) in
-    basis order, (dg, f(s), scalar form) per generator, and per κ the
-    tuple (κ, column generators, test basis indices, block).
+    the scalar forms of the basis vectors of M_j at κ as tests, in basis
+    order.  The generators below κ are masks_A[κ_A] & masks_B[κ_B], so
+    each rectangle of `_rectangles` splits by mask on either side into
+    sub-rectangles whose fine degrees all meet one block; blocks come
+    from `memo` (`_block`), and only a block with new generators is read
+    at single fine degrees.  Returns the new generators (j, {i: 1}) in
+    basis order, (dg, f(s), scalar form) per generator, per
+    sub-rectangle the tuple (S_A, S_B, column generators, tests, block),
+    and index_of(κ, q), the basis index of the q-th test at κ.
     AssertionError unless the blocks hold every cover column once."""
     specA, specB = rings_of(module)
-    basis = module.fine_basis(j)
-    tests = {}
-    for i, (kappa, _) in enumerate(basis):
-        tests.setdefault(kappa, []).append(i)
+    rects, index_of = _rectangles(module, j)
     pieces, gen_data, side_a, side_b = {}, [], {}, {}
     for s, (dg, (i,)) in enumerate(gens):
         if dg not in pieces:
@@ -164,21 +222,25 @@ def _cover_degree(module, j: int, gens, memo: dict):
     # within this degree a block is fixed by its column mask and its
     # tests, so `seen` spares relabelling each repeat for `_block`
     seen, parts, new, covered = {}, [], [], 0
-    for kappa, idx in tests.items():
-        mask = masks_a.get(kappa[0], 0) & masks_b.get(kappa[1], 0)
-        key = (mask, tuple(tuple(basis[i][1].items()) for i in idx))
-        hit = seen.get(key)
-        if hit is None:
-            cols = [s for s in range(mask.bit_length()) if mask >> s & 1]
-            block = _block(memo, [gen_data[s][2] for s in cols], [basis[i][1] for i in idx])
-            hit = seen[key] = cols, block
-        cols, block = hit
-        covered += len(cols)
-        parts.append((kappa, cols, idx, block))
-        new += [idx[q] for q in block.new]
+    for sa, sb, tests in rects:
+        tkey = tuple(tuple(t.items()) for t in tests)
+        split_b = _split(sb, masks_b)
+        for ma, part_a in _split(sa, masks_a):
+            for mb, part_b in split_b:
+                mask = ma & mb
+                hit = seen.get((mask, tkey))
+                if hit is None:
+                    cols = [s for s in range(mask.bit_length()) if mask >> s & 1]
+                    block = _block(memo, [gen_data[s][2] for s in cols], tests)
+                    hit = seen[(mask, tkey)] = cols, block
+                cols, block = hit
+                covered += len(cols) * len(part_a) * len(part_b)
+                parts.append((part_a, part_b, cols, tests, block))
+                if block.new:
+                    new += [index_of(kappa, q) for kappa in product(part_a, part_b) for q in block.new]
     if covered != sum(len(r_basis(specA, specB, j - dg)) for dg, _, _ in gen_data):
         raise AssertionError(f"fine-degree blocks miss cover columns in degree {j}")
-    return [(j, {i: 1}) for i in sorted(new)], gen_data, parts
+    return [(j, {i: 1}) for i in sorted(new)], gen_data, parts, index_of
 
 
 def _cover_step(module, lo: int, hi: int, memo: dict):
@@ -188,9 +250,10 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
     The kernel basis of degree j is not built here: each degree keeps
     what `_cover_degree` returned, and `_KernelBases` assembles the basis
     from it the first time it is read.  `minimal_generators` therefore
-    builds no kernel vector, nor does the last step of a resolution,
-    whose syzygy no caller reads.  The cover columns are not kept:
-    `HomCalculator.section` re-runs the one degree it needs.
+    builds no kernel vector, and the next step assembles a degree of
+    this syzygy only where it finds a generator there.  The cover
+    columns are not kept: `HomCalculator.section` re-runs the one degree
+    it needs.
 
     The generators are complete when the module has a certified
     generation bound inside the window (CertificationError otherwise);
@@ -207,10 +270,16 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
         )
     gens, pending = [], {}
     for j in range(lo, hi + 1):
-        new, gen_data, parts = _cover_degree(module, j, gens, memo)
+        new, gen_data, parts, _ = _cover_degree(module, j, gens, memo)
         pending[j] = gen_data, parts
         gens += new
     return gens, _KernelBases(rings_of(module), pending)
+
+
+def _relabelled(cols, block) -> list:
+    """The kernel vectors of a block over the generators: (dependent
+    generator, {generator: coefficient}) in elimination order."""
+    return [(cols[dep], {cols[q]: c for q, c in vec.items()}) for dep, vec in block.kernel]
 
 
 class _KernelBases(Mapping):
@@ -220,9 +289,13 @@ class _KernelBases(Mapping):
     The blocks' tracked dependencies are the kernel basis in degree j.
     They are sorted by their dependent cover column u * s, by s and then
     by the position of u = κ / f(s) in R_(j - deg s), which is the order
-    one tracked elimination of all the degree's columns lists them in.
-    A degree's (gen_data, parts) from `_cover_degree` is dropped once its
-    basis is built, so no degree is held twice.  `nonempty_degrees`, the
+    one tracked elimination of all the degree's columns lists them in;
+    within one κ that is the block's elimination order.  A
+    sub-rectangle's vectors share their scalar forms across its fine
+    degrees; they are never mutated, like `_UNIT`.  A degree's
+    (gen_data, parts) from `_cover_degree` is dropped once its basis is
+    built, so no degree is held twice; until then the next cover step
+    reads it as rectangles (`rectangles`).  `nonempty_degrees`, the
     degrees with a block that has a kernel, is known without assembling
     any of them."""
 
@@ -240,15 +313,28 @@ class _KernelBases(Mapping):
             basis = self._built[j] = self._assemble(j, *self._pending.pop(j))
         return basis
 
+    def rectangles(self, j: int):
+        """Degree j as rectangles (S_A, S_B, tests) while it is pending,
+        the tests being a block's kernel vectors in basis order; None
+        once it is assembled or outside the step."""
+        if j not in self._pending:
+            return None
+        return [
+            (sa, sb, [vec for _, vec in _relabelled(cols, block)])
+            for sa, sb, cols, _, block in self._pending[j][1]
+            if block.kernel
+        ]
+
     def _assemble(self, j: int, gen_data, parts) -> list:
         specA, specB = self._rings
         kernel = []
-        for kappa, cols, _, block in parts:
-            for dep, vec in block.kernel:
-                s = cols[dep]
-                dg, f, _ = gen_data[s]
-                pos = r_index(specA, specB, j - dg)[_pair_sub(kappa, f)]
-                kernel.append(((s, pos), (kappa, {cols[q]: c for q, c in vec.items()})))
+        for sa, sb, cols, _, block in parts:
+            vecs = _relabelled(cols, block)
+            for kappa in product(sa, sb):
+                for s, scalar in vecs:
+                    dg, f, _ = gen_data[s]
+                    pos = r_index(specA, specB, j - dg)[_pair_sub(kappa, f)]
+                    kernel.append(((s, pos), (kappa, scalar)))
         kernel.sort(key=itemgetter(0))
         return [vec for _, vec in kernel]
 
@@ -654,23 +740,26 @@ class HomCalculator:
 
         Re-runs `_cover_degree` on the stored generators of degree < t,
         whose blocks the resolution has eliminated; their pivots are the
-        independent cover columns, reduced in order."""
+        independent cover columns, reduced in order.  Each fine degree
+        of a sub-rectangle reads its block's coordinates on its own
+        columns, u * s for u = κ / f(s), and new generators."""
         key = (M, t)
         if key not in self._section:
             if not self.lo <= t <= self.hi:
                 raise CertificationError(f"degree {t} outside the window")
             res = self.resolution(M)
             before = [g for g in res.generators[0] if g[0] < t]
-            new, gen_data, parts = _cover_degree(M, t, before, res.blocks)
+            new, gen_data, parts, index_of = _cover_degree(M, t, before, res.blocks)
             if new != [g for g in res.generators[0] if g[0] == t]:
                 raise AssertionError(f"degree-{t} generators differ from the resolution's")
             index = {i: len(before) + r for r, (_, (i,)) in enumerate(new)}
             sections = [None] * M.dim(t)
-            for kappa, cols, tests, block in parts:
-                keys = [(s, _pair_sub(kappa, gen_data[s][1])) for s in cols]
-                keys += [(index[tests[q]], _pair_sub(kappa, kappa)) for q in block.new]
-                for q, coords in enumerate(block.coords):
-                    sections[tests[q]] = {keys[p]: c for p, c in coords.items()}
+            for sa, sb, cols, _, block in parts:
+                for kappa in product(sa, sb):
+                    keys = [(s, _pair_sub(kappa, gen_data[s][1])) for s in cols]
+                    keys += [(index[index_of(kappa, q)], _pair_sub(kappa, kappa)) for q in block.new]
+                    for q, coords in enumerate(block.coords):
+                        sections[index_of(kappa, q)] = {keys[p]: c for p, c in coords.items()}
             self._section[key] = sections
         return self._section[key]
 

@@ -22,6 +22,7 @@ from segrecalc.gradedlin.resolution import (
     minimal_generators,
     stable_hom_dims,
 )
+from segrecalc.gradedlin.strands import kappa_masks
 
 A2 = ring(("x0", "x1"), (1, 1))
 B3 = ring(("y0", "y1", "y2"), (1, 1, 1))
@@ -409,6 +410,45 @@ def test_fused_cover_step_matches_two_pass_reference(wa, wb, shift, lo, extra):
         assert fused == ref
 
 
+def reference_cover_degree(module, j, gens, memo):
+    """`resolution._cover_degree` one fine degree at a time: the block at
+    each κ of M_j, its columns the generators in masks_A[κ_A] &
+    masks_B[κ_B] and its tests the basis vectors at κ.  Returns the new
+    generators, (dg, f(s), scalar form) per generator, and per κ the
+    tuple (κ, column generators, test basis indices, block)."""
+    specA, specB = resolution.rings_of(module)
+    basis = module.fine_basis(j)
+    tests = {}
+    for i, (kappa, _) in enumerate(basis):
+        tests.setdefault(kappa, []).append(i)
+    pieces, gen_data, side_a, side_b = {}, [], {}, {}
+    for s, (dg, (i,)) in enumerate(gens):
+        if dg not in pieces:
+            pieces[dg] = module.fine_basis(dg)
+        f, scalar = pieces[dg][i]
+        gen_data.append((dg, f, scalar))
+        side_a[(f[0], dg)] = side_a.get((f[0], dg), 0) | 1 << s
+        side_b[(f[1], dg)] = side_b.get((f[1], dg), 0) | 1 << s
+    masks_a = kappa_masks(specA, j, side_a)
+    masks_b = kappa_masks(specB, j, side_b)
+    seen, parts, new, covered = {}, [], [], 0
+    for kappa, idx in tests.items():
+        mask = masks_a.get(kappa[0], 0) & masks_b.get(kappa[1], 0)
+        key = (mask, tuple(tuple(basis[i][1].items()) for i in idx))
+        hit = seen.get(key)
+        if hit is None:
+            cols = [s for s in range(mask.bit_length()) if mask >> s & 1]
+            block = resolution._block(memo, [gen_data[s][2] for s in cols], [basis[i][1] for i in idx])
+            hit = seen[key] = cols, block
+        cols, block = hit
+        covered += len(cols)
+        parts.append((kappa, cols, idx, block))
+        new += [idx[q] for q in block.new]
+    if covered != sum(len(r_basis(specA, specB, j - dg)) for dg, _, _ in gen_data):
+        raise AssertionError(f"fine-degree blocks miss cover columns in degree {j}")
+    return [(j, {i: 1}) for i in sorted(new)], gen_data, parts
+
+
 def reference_kernel_bases(module, lo, hi):
     """The kernel bases of `_cover_step` on [lo, hi], every degree
     assembled as soon as its blocks are eliminated: each tracked
@@ -418,7 +458,7 @@ def reference_kernel_bases(module, lo, hi):
     specA, specB = resolution.rings_of(module)
     gens, bases, memo = [], {}, {}
     for j in range(lo, hi + 1):
-        new, gen_data, parts = resolution._cover_degree(module, j, gens, memo)
+        new, gen_data, parts = reference_cover_degree(module, j, gens, memo)
         kernel = []
         for kappa, cols, _, block in parts:
             for dep, vec in block.kernel:
@@ -495,6 +535,26 @@ def test_unread_kernel_bases_are_never_assembled(monkeypatch):
     assert assembled == []
 
 
+def test_first_syzygies_are_assembled_only_where_they_gain_generators(monkeypatch):
+    assembled = []
+    assemble = resolution._KernelBases._assemble
+
+    def spy(bases, j, *args):
+        assembled.append((id(bases), j))
+        return assemble(bases, j, *args)
+
+    monkeypatch.setattr(resolution._KernelBases, "_assemble", spy)
+    eq = cli._gorenstein_endo_quiver("k3_w12", 8)
+    assert eq.quiver.arrows
+    # the next cover step reads a pending degree as rectangles, and
+    # assembles it only to index the generators it finds there
+    firsts = {id(res.syzygies[0].bases): res for res in eq.calc._res.values()}
+    assert any(res.generators[1] for res in firsts.values())
+    for key, res in firsts.items():
+        degrees = sorted(j for bases, j in assembled if bases == key)
+        assert degrees == sorted({j for j, _ in res.generators[1]})
+
+
 def item_fields(res):
     """`resolution_fields` with every dict as its item list, so that dict
     order counts too."""
@@ -527,6 +587,83 @@ def test_block_resolution_matches_global_reference_at_depth_three(wa, wb, shift,
         assert fast.frees == ref.frees
     else:
         assert fast == ref
+
+
+def reference_block_resolution(module, depth, lo, hi):
+    """`free_resolution` with every cover degree taken one fine degree at
+    a time (`reference_cover_degree`) and every syzygy assembled at once
+    (`reference_kernel_bases`), as a SyzygyModule over a plain dict."""
+    ringA, ringB = resolution.rings_of(module)
+    cur = module
+    res = Resolution(module, lo, hi, [], [], [], [])
+    for step in range(depth + 1):
+        gens, memo = [], {}
+        for j in range(lo, hi + 1):
+            gens += reference_cover_degree(cur, j, gens, memo)[0]
+        free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
+        res.frees.append(free)
+        res.betti.append(free.gens)
+        res.generators.append(gens)
+        fine, entries = [], {}
+        for col, (dg, (i,)) in enumerate(gens):
+            kappa, scalar = cur.fine_basis(dg)[i]
+            fine.append(kappa)
+            for g, c in scalar.items() if step else ():
+                entries[(g, col)] = {resolution._pair_sub(kappa, cur.fine[g]): c}
+        if step:
+            res.diffs.append(entries)
+        cur = SyzygyModule(free, reference_kernel_bases(cur, lo, hi), f"syz^{step + 1}", tuple(fine))
+        res.syzygies.append(cur)
+    return res
+
+
+def reference_block_section(module, gens, t):
+    """`HomCalculator.section` of the cover by `gens` in degree t, read
+    off `reference_cover_degree` one fine degree at a time."""
+    before = [g for g in gens if g[0] < t]
+    new, gen_data, parts = reference_cover_degree(module, t, before, {})
+    index = {i: len(before) + r for r, (_, (i,)) in enumerate(new)}
+    sections = [None] * module.dim(t)
+    for kappa, cols, tests, block in parts:
+        keys = [(s, resolution._pair_sub(kappa, gen_data[s][1])) for s in cols]
+        keys += [(index[tests[q]], resolution._pair_sub(kappa, kappa)) for q in block.new]
+        for q, coords in enumerate(block.coords):
+            sections[tests[q]] = {keys[p]: c for p, c in coords.items()}
+    return sections
+
+
+resolving_weights = st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    resolving_weights,
+    resolving_weights,
+    st.sampled_from([-2, -1, 1, 2]),
+    st.integers(min_value=2, max_value=3),
+)
+def test_rectangle_cover_matches_per_kappa_reference(wa, wb, shift, extra):
+    # windows two or three above the generation bound, so that every
+    # draw resolves and its syzygies are rarely empty
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    module = DiagonalModule(specA, specB, shift)
+    hi = module.generation_bound() + extra
+    calc = HomCalculator(specA, specB, 0, hi)
+    res = calc.resolution(module, 2)
+    syz1 = res.syzygy(1)
+    # sections first, while the degrees of syz1 without generators are
+    # still pending rectangles
+    sections = [typed(calc.section(N, t)) for N in (module, syz1) for t in range(hi + 1)]
+    ref = reference_block_resolution(module, 2, 0, hi)
+    assert item_fields(res) == item_fields(ref)
+    for prev, syz in zip([module] + res.syzygies, res.syzygies):
+        assert basis_items(syz.bases) == basis_items(reference_kernel_bases(prev, 0, hi))
+    assert sections == [
+        typed(reference_block_section(N, gens, t))
+        for N, gens in ((module, ref.generators[0]), (syz1, ref.generators[1]))
+        for t in range(hi + 1)
+    ]
 
 
 def distinct_blocks(res) -> set:
@@ -609,6 +746,18 @@ def test_blocks_that_miss_a_cover_column_raise():
 
     with pytest.raises(AssertionError, match="miss cover columns in degree 2"):
         minimal_generators(Dropping(A2, B3, 1), 0, 4)
+
+
+def test_rectangles_that_miss_a_cover_column_raise():
+    syz = free_resolution(M(1), 0, 0, 4).syzygy(1)
+    # drop one κ_B from a pending rectangle with a kernel in degree 3,
+    # which the generators of degree 1 cover
+    _, parts = syz.bases._pending[3]
+    k = next(k for k, (*_, block) in enumerate(parts) if block.kernel)
+    sa, sb, *rest = parts[k]
+    parts[k] = (sa, sb[:-1], *rest)
+    with pytest.raises(AssertionError, match="miss cover columns in degree 3"):
+        minimal_generators(syz, 0, 4)
 
 
 def test_syzygy_action_above_the_window_is_uncertified():
