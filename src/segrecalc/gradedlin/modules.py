@@ -181,8 +181,9 @@ class SyzygyModule:
     basis vectors at κ·u.
 
     `bases` is a dict, or the mapping a resolution step gives, which
-    builds each degree's basis on its first read (`dim`, `fine_basis`,
-    `act`) and lists its `nonempty_degrees` without building any.
+    builds each degree's basis on its first read (`fine_basis`, `act`),
+    and counts it (`dim`) and lists its `nonempty_degrees` without
+    building any.
     """
 
     def __init__(self, ambient: FreeModule, bases, label: str, fine: tuple):
@@ -204,7 +205,8 @@ class SyzygyModule:
 
     def dim(self, j: int) -> int:
         self._check_window(j)
-        return len(self.bases.get(j, ()))
+        count = getattr(self.bases, "dim", None)
+        return count(j) if count else len(self.bases.get(j, ()))
 
     def fine_basis(self, j: int) -> list[tuple]:
         """(fine degree, {ambient generator: coefficient}) per basis vector

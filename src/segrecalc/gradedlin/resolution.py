@@ -58,15 +58,24 @@ The dual of a resolution splits the same way.  Every entry of a
 differential is one monomial pair f(h) / f(g) times an integer, so the
 column (g, n) of Hom(F_i, N)_d, n the n-th basis vector of N_(d + deg g)
 at the fine degree κ, and all its images sit at δ = κ - f(g), which the
-dual differential keeps.  `_dual_blocks` groups the columns by δ, and
-neither `hom_space` nor `ext_dims` builds an action matrix: `hom_space`
-takes the kernel of each δ-block, written in the scalar forms of N, and
-`ext_dims` ranks them, for a diagonal or free target as the scalar
-transpose of the differential on a generator mask.  Blocks of equal
-content recur, so each call memoises its kernels (`hom_space`) or ranks
-(`ext_dims`) by block content.  A map M -> N is
-keyed by (g, n), its coefficient on n in its value on the generator g of
-F_0, so no map carries per-generator offsets.
+dual differential keeps; neither `hom_space` nor `ext_dims` builds an
+action matrix.  `hom_space` groups the columns by δ (`_dual_blocks`) and
+takes the kernel of each δ-block, written in the scalar forms of N.
+`ext_dims` only ranks the blocks, so it finds them by masks and never
+lists the columns (g, n) one by one.  N_(d + deg g) is rectangles r of
+fine degrees whose κ carry the same tests: one for a diagonal target,
+and for a syzygy the cover step's rectangles, read without assembling
+the degree.  The δ-block holds the pairs (g, r) with δ·f(g) in r, which
+is mask_A & mask_B for the bit (g, r) set at κ_A / f_A(g) over κ_A in
+S_A and at κ_B / f_B(g) over κ_B in S_B; so `count_masks` counts the δ
+of each block content, the pairs (g, tests of r), and each content is
+ranked once.  A diagonal or free target takes these masks straight
+from the generators (`kappa_masks` on negated fine degrees), its block
+the scalar transpose of the differential.  Blocks of equal content
+recur, so each call memoises its kernels (`hom_space`) or ranks
+(`ext_dims`) by block content.  A map M -> N is keyed by (g, n), its
+coefficient on n in its value on the generator g of F_0, so no map
+carries per-generator offsets.
 """
 
 from __future__ import annotations
@@ -82,7 +91,14 @@ from .. import linalg
 from ..linalg import CertificationError
 from .modules import _UNIT, DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
 from .poly import monomial_index, monomials
-from .strands import count_masks, kappa_masks
+from .strands import (
+    count_masks,
+    dual_column,
+    kappa_masks,
+    negated_groups,
+    rectangle_masks,
+    scalar_rows,
+)
 
 
 def rings_of(module):
@@ -158,8 +174,8 @@ def _rectangles(module, j: int):
     them at κ.
 
     A diagonal module is one rectangle, its pairs in the product order of
-    `_diag_basis`.  A pending degree of a syzygy is the previous cover
-    step's rectangles that have a kernel (`_KernelBases.rectangles`), and
+    `_diag_basis`.  A degree of a syzygy from a cover step is that step's
+    rectangles that have a kernel (`_KernelBases.rectangles`), and
     index_of assembles it.  Any other module or degree gives one
     rectangle per κ of `fine_basis`."""
     if type(module).fine_basis is DiagonalModule.fine_basis:
@@ -189,7 +205,7 @@ def _split(side, masks: dict) -> list:
     return list(groups.items())
 
 
-def _cover_degree(module, j: int, gens, memo: dict):
+def _cover_degree(module, j: int, gens, memo: dict, seen: dict):
     """Degree j of the cover of M by its generators `gens` of degree < j,
     one fine-degree block per rectangle of fine degrees.
 
@@ -200,9 +216,12 @@ def _cover_degree(module, j: int, gens, memo: dict):
     the scalar forms of the basis vectors of M_j at κ as tests, in basis
     order.  The generators below κ are masks_A[κ_A] & masks_B[κ_B], so
     each rectangle of `_rectangles` splits by mask on either side into
-    sub-rectangles whose fine degrees all meet one block; blocks come
-    from `memo` (`_block`), and only a block with new generators is read
-    at single fine degrees.  Returns the new generators (j, {i: 1}) in
+    sub-rectangles whose fine degrees all meet one block.  A block is
+    fixed by its column mask and its tests while the generators are, so
+    `seen`, (mask, tests) -> (columns, block), spares `_block` relabelling
+    each repeat within one cover step; blocks come from `memo`
+    (`_block`), and only a block with new generators is read at single
+    fine degrees.  Returns the new generators (j, {i: 1}) in
     basis order, (dg, f(s), scalar form) per generator, per
     sub-rectangle the tuple (S_A, S_B, column generators, tests, block),
     and index_of(κ, q), the basis index of the q-th test at κ.
@@ -219,9 +238,7 @@ def _cover_degree(module, j: int, gens, memo: dict):
         side_b[(f[1], dg)] = side_b.get((f[1], dg), 0) | 1 << s
     masks_a = kappa_masks(specA, j, side_a)
     masks_b = kappa_masks(specB, j, side_b)
-    # within this degree a block is fixed by its column mask and its
-    # tests, so `seen` spares relabelling each repeat for `_block`
-    seen, parts, new, covered = {}, [], [], 0
+    parts, new, covered = [], [], 0
     for sa, sb, tests in rects:
         tkey = tuple(tuple(t.items()) for t in tests)
         split_b = _split(sb, masks_b)
@@ -268,18 +285,18 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
         raise CertificationError(
             "window does not reach the bottom degree of the module"
         )
-    gens, pending = [], {}
+    gens, pending, seen = [], {}, {}
     for j in range(lo, hi + 1):
-        new, gen_data, parts, _ = _cover_degree(module, j, gens, memo)
+        new, gen_data, parts, _ = _cover_degree(module, j, gens, memo, seen)
         pending[j] = gen_data, parts
         gens += new
     return gens, _KernelBases(rings_of(module), pending)
 
 
 def _relabelled(cols, block) -> list:
-    """The kernel vectors of a block over the generators: (dependent
-    generator, {generator: coefficient}) in elimination order."""
-    return [(cols[dep], {cols[q]: c for q, c in vec.items()}) for dep, vec in block.kernel]
+    """The kernel vectors of a block over the generators, {generator:
+    coefficient}, in elimination order."""
+    return [{cols[q]: c for q, c in vec.items()} for _, vec in block.kernel]
 
 
 class _KernelBases(Mapping):
@@ -293,15 +310,17 @@ class _KernelBases(Mapping):
     within one κ that is the block's elimination order.  A
     sub-rectangle's vectors share their scalar forms across its fine
     degrees; they are never mutated, like `_UNIT`.  A degree's
-    (gen_data, parts) from `_cover_degree` is dropped once its basis is
-    built, so no degree is held twice; until then the next cover step
-    reads it as rectangles (`rectangles`).  `nonempty_degrees`, the
-    degrees with a block that has a kernel, is known without assembling
-    any of them."""
+    (gen_data, parts) from `_cover_degree` is pending until its basis is
+    built, and dropped then.  Its rectangles (`rectangles`), which share
+    their vectors with the basis, are kept: the next cover step, `dim`
+    and Ext into this syzygy read them, assembled or not.
+    `nonempty_degrees`, the degrees with a block that has a kernel, is
+    known without assembling any of them."""
 
     def __init__(self, rings, pending: dict):
         self._rings = rings
         self._pending = pending  # degree -> (gen_data, parts) until assembled
+        self._rects = {}  # degree -> rectangles, from its first read on
         self._built = dict.fromkeys(pending)  # degree -> basis, None until assembled
         self.nonempty_degrees = [
             j for j, (_, parts) in pending.items() if any(block.kernel for *_, block in parts)
@@ -310,28 +329,38 @@ class _KernelBases(Mapping):
     def __getitem__(self, j):
         basis = self._built[j]
         if basis is None:
-            basis = self._built[j] = self._assemble(j, *self._pending.pop(j))
+            rects = self.rectangles(j)
+            basis = self._built[j] = self._assemble(j, rects, *self._pending.pop(j))
         return basis
 
     def rectangles(self, j: int):
-        """Degree j as rectangles (S_A, S_B, tests) while it is pending,
-        the tests being a block's kernel vectors in basis order; None
-        once it is assembled or outside the step."""
-        if j not in self._pending:
-            return None
-        return [
-            (sa, sb, [vec for _, vec in _relabelled(cols, block)])
-            for sa, sb, cols, _, block in self._pending[j][1]
-            if block.kernel
-        ]
+        """Degree j as rectangles (S_A, S_B, tests), the tests being a
+        block's kernel vectors in basis order; None outside the step."""
+        rects = self._rects.get(j)
+        if rects is None and j in self._pending:
+            rects = self._rects[j] = [
+                (sa, sb, _relabelled(cols, block))
+                for sa, sb, cols, _, block in self._pending[j][1]
+                if block.kernel
+            ]
+        return rects
 
-    def _assemble(self, j: int, gen_data, parts) -> list:
+    def dim(self, j: int) -> int:
+        """dim of degree j (0 outside the step), counted on its rectangles
+        without assembling it."""
+        basis = self._built.get(j)
+        if basis is not None:
+            return len(basis)
+        return sum(len(sa) * len(sb) * len(tests) for sa, sb, tests in self.rectangles(j) or ())
+
+    def _assemble(self, j: int, rects, gen_data, parts) -> list:
         specA, specB = self._rings
         kernel = []
-        for sa, sb, cols, _, block in parts:
-            vecs = _relabelled(cols, block)
+        with_kernel = [(cols, block) for _, _, cols, _, block in parts if block.kernel]
+        for (sa, sb, tests), (cols, block) in zip(rects, with_kernel):
+            deps = [cols[dep] for dep, _ in block.kernel]
             for kappa in product(sa, sb):
-                for s, scalar in vecs:
+                for s, scalar in zip(deps, tests):
                     dg, f, _ = gen_data[s]
                     pos = r_index(specA, specB, j - dg)[_pair_sub(kappa, f)]
                     kernel.append(((s, pos), (kappa, scalar)))
@@ -380,7 +409,7 @@ class Resolution:
     only term of the entry: h is a kernel vector at the fine degree
     f(h), so its coordinate on g sits at f(h) / f(g).  Distinct entries
     therefore fill disjoint blocks of the dual differential, and
-    `_transpose` rejects an entry of more than one pair."""
+    `scalar_rows` rejects an entry of more than one pair."""
 
     module: object
     lo: int
@@ -491,26 +520,32 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     Ext^i(M, N)_d, M the module `res` resolves, exact per degree.
 
     Ranks each fine-degree block of the dual map Hom(F_i, N)_d ->
-    Hom(F_(i+1), N)_d (`_dual_blocks`), never the flat map.
+    Hom(F_(i+1), N)_d (the blocks of `_dual_blocks`), never the flat map.
     - Diagonal N, shift s and twist τ: κ is the basis pair itself, so the
       block at δ has one column per generator g with κ = δ·f(g) a pair of
       N_(d + deg g), and is the scalar transpose of the differential on
       those g.  They are mask_A & mask_B, from `kappa_masks` on the
-      negated fine degrees, with f_A(g) at the level s + d - τ + deg g
-      and f_B(g) at d - τ + deg g; `count_masks` counts the δ per mask.
+      negated fine degrees (`negated_groups`), with f_A(g) at the level
+      s + d - τ + deg g and f_B(g) at d - τ + deg g; `count_masks`
+      counts the δ per mask.
     - Free N: the same once per generator e of N, with s = 0 and τ =
       deg e.
-    - Syzygy N: the blocks of `_dual_blocks` (columns by `_dual_column`).
-      N_κ sits inside N's ambient scalars, so the rank is that of the
-      flat map; over F_p while the scalar forms at each fine degree stay
-      independent mod p, checked at every degree the blocks land in.
+    - Syzygy N: each rectangle r = (S_A, S_B, tests) of N_(d + deg g)
+      (`_rectangles`, which assembles no degree a cover step left
+      pending) sets the bit (g, r) at κ_A / f_A(g) for κ_A in S_A and at
+      κ_B / f_B(g) for κ_B in S_B (`rectangle_masks`), so the block at
+      δ is the (g, r) of mask_A & mask_B, with the columns `dual_column`
+      of g and each test of r.  N_κ sits inside N's ambient scalars, so
+      the rank is that of the flat map; over F_p while the scalar forms
+      at each fine degree stay independent mod p, checked at every
+      degree the blocks land in, once per distinct tests.
     Ranks are memoised within the call: by (i, mask), or by (i, block
-    content) before any column is built.  For each d and each i < depth
-    in turn, N.dim is read over F_i and then F_(i+1) (CertificationError
-    above the window), then the entries of the i-th differential
-    (ValueError on an entry of two pairs), then for a syzygy N over F_p
-    the mod-p independence (CertificationError); `hom_space` raises in
-    this order too.  No i gives {}."""
+    content), the pairs (g, tests of r), before any column is built.  For
+    each d and each i < depth in turn, N.dim is read over F_i and then
+    F_(i+1) (CertificationError above the window), then the entries of
+    the i-th differential (ValueError on an entry of two pairs), then for
+    a syzygy N over F_p the mod-p independence (CertificationError);
+    `hom_space` raises in this order too.  No i gives {}."""
     i_values = sorted(set(i_values))
     if not i_values:
         return {}
@@ -524,9 +559,10 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     syzygy = isinstance(N, SyzygyModule)
     if syzygy:
         width = len(N.ambient.gens)
+        rects_at, tests_ids = {}, {}
     else:
         targets = [(0, e) for e in N.gens] if isinstance(N, FreeModule) else [(N.shift, N.twist)]
-        groups = [_negated_groups(gens[i], fine[i]) for i in range(depth)]
+        groups = [negated_groups(gens[i], fine[i]) for i in range(depth)]
 
     def diagonal_counts(i, d):
         side_a, side_b = groups[i]
@@ -545,18 +581,33 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
                 total += k * r
         return dim, total
 
+    def rectangles(j):
+        """N_j as [(S_A, S_B, tests, id of the tests)], once per call."""
+        rects = rects_at.get(j)
+        if rects is None:
+            rects = rects_at[j] = []
+            for sa, sb, tests in _rectangles(N, j)[0]:
+                key = tuple(tuple(t.items()) for t in tests)
+                rects.append((sa, sb, tests, tests_ids.setdefault(key, len(tests_ids))))
+        return rects
+
     def syzygy_counts(i, d):
         if char:
             _check_independent_mod_p(N, [d + dh for dh in gens[i + 1]], char, checked)
+        bits = [(g, rect) for g, dg in enumerate(gens[i]) for rect in rectangles(d + dg)]
         dim = total = 0
-        for block in _dual_blocks(gens[i], fine[i], N, d).values():
-            key = (i, tuple((g, tuple(scalar.items())) for (g, _), scalar in block))
-            r = ranks.get(key)
-            if r is None:
-                cols = [_dual_column(rows[i][g], scalar, width) for (g, _), scalar in block]
-                r = ranks[key] = linalg.rank_of(cols, char)
-            dim += len(block)
-            total += r
+        for mask, k in rectangle_masks([(fine[i][g], rect) for g, rect in bits]).items():
+            if mask:
+                block = [bits[b] for b in range(mask.bit_length()) if mask >> b & 1]
+                key = (i, tuple((g, tid) for g, (_, _, _, tid) in block))
+                r = ranks.get(key)
+                if r is None:
+                    cols = [
+                        dual_column(rows[i][g], t, width) for g, (_, _, tests, _) in block for t in tests
+                    ]
+                    r = ranks[key] = linalg.rank_of(cols, char)
+                dim += k * sum(len(tests) for _, (_, _, tests, _) in block)
+                total += k * r
         return dim, total
 
     counts = syzygy_counts if syzygy else diagonal_counts
@@ -568,7 +619,7 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
                 for dg in gens[i] + gens[i + 1]:
                     N.dim(d + dg)
             if i not in rows:
-                rows[i] = _transpose(res.diffs[i], len(gens[i]))
+                rows[i] = scalar_rows(res.diffs[i], len(gens[i]))
             if i in i_values or i + 1 in i_values:
                 dims[i], rank_at[i] = counts(i, d)
         for i in i_values:
@@ -591,54 +642,27 @@ def _dual_blocks(gens, fine, N, d: int) -> dict:
     return blocks
 
 
-def _dual_column(row: dict, scalar: dict, width: int) -> dict:
-    """The image of the column (g, n), for `row` = {h: c} the entries of g
-    and `scalar` the form of n over `width` generators e (one for a
-    diagonal N, N's own or its ambient ones): {h·width + e: c·s_e}."""
-    return {h * width + e: c * v for h, c in row.items() for e, v in scalar.items()}
-
-
-def _transpose(entries: dict, n: int) -> list[dict]:
-    """The rows of a differential, one per generator g of its target
-    F_i: {h: c} for its entries (g, h) = c times one monomial pair
-    (ValueError on an entry of two pairs)."""
-    rows = [{} for _ in range(n)]
-    for (g, h), poly in entries.items():
-        [(_, c)] = poly.items()
-        rows[g][h] = c
-    return rows
-
-
-def _negated_groups(gens, fine) -> tuple[dict, dict]:
-    """`kappa_masks` groups for the duals of generators: per factor,
-    (-f(g), -deg g) -> bitmask of the generators g of that fine degree
-    and degree, so that at the level s + d - τ a group's κ are the
-    δ = m / f(g) over the monomials m of degree s + d - τ + deg g."""
-    side_a, side_b = {}, {}
-    for g, (dg, (fa, fb)) in enumerate(zip(gens, fine)):
-        key_a, key_b = (tuple(-x for x in fa), -dg), (tuple(-x for x in fb), -dg)
-        side_a[key_a] = side_a.get(key_a, 0) | 1 << g
-        side_b[key_b] = side_b.get(key_b, 0) | 1 << g
-    return side_a, side_b
-
-
 def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
     """CertificationError unless the scalar forms of N_j at each fine
-    degree stay independent over F_char, for j in `degrees` in turn; each
-    degree is checked once per `checked`."""
+    degree stay independent over F_char, for j in `degrees` in turn.
+    Every κ of a rectangle (`_rectangles`) carries its tests, so each
+    degree and each distinct tests are ranked once per `checked`: per
+    rectangle of a syzygy's cover step, per κ for a syzygy given as a
+    dict."""
     for j in degrees:
         if j in checked:
             continue
         checked.add(j)
-        at = {}
-        for kappa, scalar in N.fine_basis(j):
-            at.setdefault(kappa, []).append(scalar)
-        for kappa, forms in at.items():
-            if linalg.rank_of(forms, char) < len(forms):
+        for sa, sb, tests in _rectangles(N, j)[0]:
+            key = tuple(tuple(t.items()) for t in tests)
+            if key in checked:
+                continue
+            if linalg.rank_of(tests, char) < len(tests):
                 raise CertificationError(
-                    f"syzygy basis vectors at the fine degree {kappa} of degree {j}"
+                    f"syzygy basis vectors at the fine degree {(sa[0], sb[0])} of degree {j}"
                     f" are dependent mod {char}"
                 )
+            checked.add(key)
 
 
 def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
@@ -656,7 +680,7 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
     gens, next_gens = res.frees[0].gens, res.frees[1].gens
     for dg in gens + next_gens:  # N.dim raises above the window
         N.dim(d + dg)
-    rows = _transpose(res.diffs[0], len(gens))
+    rows = scalar_rows(res.diffs[0], len(gens))
     width = len(N.gens) if isinstance(N, FreeModule) else 1
     if isinstance(N, SyzygyModule):
         width = len(N.ambient.gens)
@@ -667,7 +691,7 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
         key = tuple((g, tuple(scalar.items())) for (g, _), scalar in block)
         kernel = kernels.get(key)
         if kernel is None:
-            cols = [_dual_column(rows[g], scalar, width) for (g, _), scalar in block]
+            cols = [dual_column(rows[g], scalar, width) for (g, _), scalar in block]
             kernel = kernels[key] = linalg.kernel_of(cols, char)
         for vec in kernel:
             out.append({block[q][0]: c for q, c in vec.items()})
@@ -749,7 +773,7 @@ class HomCalculator:
                 raise CertificationError(f"degree {t} outside the window")
             res = self.resolution(M)
             before = [g for g in res.generators[0] if g[0] < t]
-            new, gen_data, parts, index_of = _cover_degree(M, t, before, res.blocks)
+            new, gen_data, parts, index_of = _cover_degree(M, t, before, res.blocks, {})
             if new != [g for g in res.generators[0] if g[0] == t]:
                 raise AssertionError(f"degree-{t} generators differ from the resolution's")
             index = {i: len(before) + r for r, (_, (i,)) in enumerate(new)}
@@ -806,13 +830,16 @@ def _by_generator(vec: dict) -> dict:
 
 def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi: dict, psi: dict) -> dict:
     """psi∘phi for phi: a->b degree e, psi: b->c degree f, each keyed by
-    (g, n) as `hom_space` gives it.  c.dim is read on every generator of
-    a (CertificationError above the window)."""
+    (g, n) as `hom_space` gives it.  c.dim is read at the degree of every
+    generator of a, once per degree, before the first element matrix of
+    that degree (CertificationError above the window)."""
     gens = calc.resolution(a).frees[0].gens
     values = _by_generator(phi)
-    out = {}
+    out, read = {}, set()
     for g, dg in enumerate(gens):
-        c.dim(dg + e + f)
+        if dg not in read:
+            read.add(dg)
+            c.dim(dg + e + f)
         val = values.get(g)
         if val:  # in b at degree dg + e
             mat = calc.element_matrix(b, c, f, psi, dg + e)
@@ -832,15 +859,17 @@ def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:
     whole space.  The generators of b are found over Q; they generate b
     over F_p as well when they are monomials, as for diagonal and free
     targets, and only then is the span complete over F_p.  b.dim is read
-    on every generator of a (CertificationError above the window)."""
+    at the degree of every generator of a, once per degree, when the
+    first phi is found (CertificationError above the window)."""
     R = calc.free_rank_one
     gens = calc.resolution(a).frees[0].gens
-    out = []
+    out, unread = [], dict.fromkeys(gens)
     for j, gen in calc.resolution(b).generators[0]:
         u = d - j
         for phi in calc.hom_basis(a, R, u):
-            for dg in gens:
+            for dg in unread:
                 b.dim(d + dg)
+            unread = ()
             vec = {}
             for (g, n), coeff in phi.items():
                 # coeff times the n-th pair of R_(deg g + u) is a term of phi(g)

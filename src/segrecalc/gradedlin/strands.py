@@ -23,19 +23,24 @@ field, has d∘d = 0.
 
 `kappa_masks`, the generator bitmask below each fine degree of one
 factor, also splits the cover steps of `resolution` into fine-degree
-blocks, and with negated fine degrees the dual of a resolution
-(`resolution.ext_dims`); `count_masks` pairs the two factors' masks for
-`Strands.table` and for `ext_dims`.
+blocks, and with negated fine degrees (`negated_groups`) the dual of a
+resolution into a diagonal or free target (`resolution.ext_dims`);
+`rectangle_masks` does the same for a target given by rectangles of fine
+degrees, a syzygy's; `count_masks` pairs the two factors' masks for
+`Strands.table` and for `ext_dims`.  `scalar_rows` and `dual_column`
+write a block of that dual over the scalar forms of the target.
 
-This code is kept out of `complexes` to keep that file small: where no
-bytecode is cached (PYTHONDONTWRITEBYTECODE), every run compiles the
-package from source, and the compiler's peak memory, which stays in the
-process's peak for the whole run, grows with the largest file.
+This code is kept out of `complexes` and `resolution` to keep those
+files small: where no bytecode is cached (PYTHONDONTWRITEBYTECODE), every
+run compiles the package from source, and the compiler's peak memory,
+which stays in the process's peak for the whole run, grows with the
+largest file.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import sub
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
@@ -166,3 +171,53 @@ def count_masks(masks_a: dict, masks_b: dict, out: Counter):
     for ma, ka in Counter(masks_a.values()).items():
         for mb, kb in counts_b:
             out[ma & mb] += ka * kb
+
+
+def negated_groups(gens, fine) -> tuple[dict, dict]:
+    """`kappa_masks` groups for the duals of generators: per factor,
+    (-f(g), -deg g) -> bitmask of the generators g of that fine degree
+    and degree, so that at the level s + d - τ a group's κ are the
+    δ = m / f(g) over the monomials m of degree s + d - τ + deg g."""
+    side_a, side_b = {}, {}
+    for g, (dg, (fa, fb)) in enumerate(zip(gens, fine)):
+        key_a, key_b = (tuple(-x for x in fa), -dg), (tuple(-x for x in fb), -dg)
+        side_a[key_a] = side_a.get(key_a, 0) | 1 << g
+        side_b[key_b] = side_b.get(key_b, 0) | 1 << g
+    return side_a, side_b
+
+
+def rectangle_masks(pairs) -> Counter:
+    """{mask: number of fine degrees δ} for pairs (f, (S_A, S_B, ...)) of
+    a generator's fine degree and a rectangle of fine degrees: the b-th
+    pair is bit b of the A mask of κ_A / f_A for κ_A in S_A and of the B
+    mask of κ_B / f_B for κ_B in S_B, so it lies in mask_A & mask_B at δ
+    exactly when δ·f is in S_A × S_B."""
+    side_a, side_b = {}, {}
+    for b, ((fa, fb), (sa, sb, *_)) in enumerate(pairs):
+        for ka in sa:
+            key = tuple(map(sub, ka, fa))
+            side_a[key] = side_a.get(key, 0) | 1 << b
+        for kb in sb:
+            key = tuple(map(sub, kb, fb))
+            side_b[key] = side_b.get(key, 0) | 1 << b
+    out = Counter()
+    count_masks(side_a, side_b, out)
+    return out
+
+
+def dual_column(row: dict, scalar: dict, width: int) -> dict:
+    """The image of the column (g, n), for `row` = {h: c} the entries of g
+    and `scalar` the form of n over `width` generators e (one for a
+    diagonal N, N's own or its ambient ones): {h·width + e: c·s_e}."""
+    return {h * width + e: c * v for h, c in row.items() for e, v in scalar.items()}
+
+
+def scalar_rows(entries: dict, n: int) -> list[dict]:
+    """The rows of a differential, one per generator g of its target
+    F_i: {h: c} for its entries (g, h) = c times one monomial pair
+    (ValueError on an entry of two pairs)."""
+    rows = [{} for _ in range(n)]
+    for (g, h), poly in entries.items():
+        [(_, c)] = poly.items()
+        rows[g][h] = c
+    return rows

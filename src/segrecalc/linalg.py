@@ -2,11 +2,18 @@
 
 Matrices are stored column-wise: a matrix is a list of sparse columns,
 each a dict mapping row index to a nonzero integer.  Rational
-eliminations are integer-preserving (cross-multiply, divide by the
-content), so results are exact.  `Echelon`, `rank_of` and `kernel_of`
-take a prime characteristic to run the same elimination over F_p; a
-rational entry n/d enters F_p as n * d^-1.  `Echelon.coordinates`,
-`CoordSolver`, `apply_columns` and `compose` work over Q.
+eliminations are integer-preserving, so results are exact.  `Echelon`
+reduces its own copy of an inserted column in place: one step adds a
+multiple of a pivot (an axpy), and over Q first scales the column when
+the pivot entry does not divide its own, taking the content only then.
+A step that needs no scaling, or only by -1 (folded into the pivot's
+multiple), leaves the column a scalar multiple of what a step that
+always cross-multiplies and divides by the content would give; so every
+rank, normalised kernel vector and coordinate ratio is the same.
+`Echelon`, `rank_of` and `kernel_of` take a prime characteristic to run
+the same elimination over F_p; a rational entry n/d enters F_p as
+n * d^-1.  `Echelon.coordinates`, `CoordSolver`, `apply_columns` and
+`compose` work over Q.
 """
 
 from __future__ import annotations
@@ -62,6 +69,26 @@ def combine(a: Col, b: Col, ca: int, cb: int, char: int = 0) -> Col:
     return out
 
 
+def _axpy(y: Col, x: Col, c, char: int = 0):
+    """y += c*x in place for c*x without zero entries, dropping zeros (mod
+    char when char > 0, y and x reduced)."""
+    get = y.get
+    if char:
+        for k, v in x.items():
+            z = (get(k, 0) + c * v) % char
+            if z:
+                y[k] = z
+            else:
+                del y[k]
+    else:
+        for k, v in x.items():
+            z = get(k, 0) + c * v
+            if z:
+                y[k] = z
+            else:
+                del y[k]
+
+
 def _content(*vecs: Col) -> int:
     g = 0
     for v in vecs:
@@ -94,33 +121,42 @@ class Echelon:
         return len(self.pivots)
 
     def _reduce(self, body: Col, aug: Col | None):
-        char = self.char
+        """Reduce body, and aug alongside it, in place against the pivots;
+        both are the caller's own dicts without zero entries."""
+        char, pivots = self.char, self.pivots
+        vecs = (body,) if aug is None else (body, aug)
         while body:
             r = min(body)
-            hit = self.pivots.get(r)
+            hit = pivots.get(r)
             if hit is None:
-                return body, aug
+                break
             pbody, paug = hit
             p, q = pbody[r], body[r]
+            scaled = False
             if char:
-                factor = (q * pow(p, char - 2, char)) % char
-                body = combine(body, pbody, 1, -factor, char)
-                if aug is not None:
-                    aug = combine(aug, paug, 1, -factor, char)
+                c = -q * pow(p, char - 2, char) % char
             else:
                 if isinstance(p, int) and isinstance(q, int):
                     g = gcd(p, q)
-                    cs, cp = p // g, -(q // g)
+                    cs, c = p // g, -(q // g)
                 else:
-                    cs, cp = p, -q
-                body = combine(body, pbody, cs, cp)
-                if aug is not None:
-                    aug = combine(aug, paug, cs, cp)
-                c = _content(body, aug if aug is not None else {})
-                if c > 1:
-                    body = {k: v // c for k, v in body.items()}
-                    if aug is not None:
-                        aug = {k: v // c for k, v in aug.items()}
+                    cs, c = p, -q
+                if cs == -1:
+                    c = -c  # the step's sign, which changes no result
+                elif cs != 1:
+                    scaled = True
+                    for v in vecs:
+                        for k, x in v.items():
+                            v[k] = cs * x
+            _axpy(body, pbody, c, char)
+            if aug is not None:
+                _axpy(aug, paug, c, char)
+            if scaled:
+                g = _content(*vecs)
+                if g > 1:
+                    for v in vecs:
+                        for k, x in v.items():
+                            v[k] = x // g
         return body, aug
 
     def add(self, body: Col, tag=None) -> bool:
@@ -140,7 +176,10 @@ class Echelon:
         return True
 
     def contains(self, body: Col) -> bool:
-        body = reduce_mod(body, self.char) if self.char else dict(body)
+        if self.char:
+            body = reduce_mod(body, self.char)
+        else:
+            body = {k: v for k, v in body.items() if v}
         body, _ = self._reduce(body, None)
         return not body
 

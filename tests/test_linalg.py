@@ -1,8 +1,10 @@
+import copy
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from segrecalc import linalg
 
@@ -147,3 +149,88 @@ def test_compose():
     a = [{0: 1}, {0: 1, 1: 1}]
     b = [{0: 2, 1: 1}]
     assert linalg.compose(a, b) == [{0: 3, 1: 1}]
+
+
+class reference_echelon(linalg.Echelon):
+    """`linalg.Echelon` with the elimination step that copies: each step
+    builds cs*body + cp*pbody as a new dict (`linalg.combine`) and divides
+    it by its content, over F_p body - (q/p)*pbody."""
+
+    def _reduce(self, body, aug):
+        char = self.char
+        while body:
+            r = min(body)
+            hit = self.pivots.get(r)
+            if hit is None:
+                return body, aug
+            pbody, paug = hit
+            p, q = pbody[r], body[r]
+            if char:
+                factor = (q * pow(p, char - 2, char)) % char
+                body = linalg.combine(body, pbody, 1, -factor, char)
+                if aug is not None:
+                    aug = linalg.combine(aug, paug, 1, -factor, char)
+            else:
+                if isinstance(p, int) and isinstance(q, int):
+                    g = gcd(p, q)
+                    cs, cp = p // g, -(q // g)
+                else:
+                    cs, cp = p, -q
+                body = linalg.combine(body, pbody, cs, cp)
+                if aug is not None:
+                    aug = linalg.combine(aug, paug, cs, cp)
+                c = linalg._content(body, aug if aug is not None else {})
+                if c > 1:
+                    body = {k: v // c for k, v in body.items()}
+                    if aug is not None:
+                        aug = {k: v // c for k, v in aug.items()}
+        return body, aug
+
+
+def typed_items(vec):
+    """The items of a vector with each value's type, in dict order."""
+    return None if vec is None else [(k, v, type(v)) for k, v in vec.items()]
+
+
+sparse_columns = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=-6, max_value=6).filter(bool),
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sparse_columns,
+    st.lists(st.integers(min_value=0, max_value=20), max_size=3),
+    st.sampled_from([0, 2, 3, 10007]),
+)
+# steps where the pivot entry divides the column's (cs = 1), divides it
+# with the opposite sign (cs = -1), or does not (a scaled step)
+@example([{0: 2, 1: 1}, {0: 4, 1: 3}, {0: -2, 2: 5}, {0: 3, 1: 1, 2: 1}], [1], 0)
+@example([{0: -2, 1: 3}, {0: 4, 1: 1}, {0: 6, 1: -9}], [], 0)
+def test_in_place_echelon_matches_copying_reference(cols, repeats, char):
+    """Rank, kernel basis, coordinates and membership, each with its dict
+    order and value types, agree with the copying elimination on drawn
+    columns with a zero column and repeated ones, and no input changes."""
+    cols = cols + [{}] + [cols[k % len(cols)] for k in repeats]
+    probes = cols + [linalg.combine(a, b, 2, -3) for a, b in zip(cols, cols[1:])] + [{6: 1}, {}]
+    frozen = copy.deepcopy((cols, probes))
+    new, ref = linalg.Echelon(char, track=True), reference_echelon(char, track=True)
+    assert [new.add(c, tag=i) for i, c in enumerate(cols)] == [
+        ref.add(c, tag=i) for i, c in enumerate(cols)
+    ]
+    assert new.rank == ref.rank == linalg.rank_of(cols, char)
+    assert [typed_items(v) for v in new.kernel_basis()] == [
+        typed_items(v) for v in ref.kernel_basis()
+    ]
+    assert [new.contains(v) for v in probes] == [ref.contains(v) for v in probes]
+    if not char:
+        assert [typed_items(new.coordinates(v)) for v in probes] == [
+            typed_items(ref.coordinates(v)) for v in probes
+        ]
+    assert (cols, probes) == frozen

@@ -1,4 +1,6 @@
+from collections import Counter
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 import hypothesis.strategies as st
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 
 from segrecalc import cli, linalg
 from segrecalc.hilbert import ring
-from segrecalc.gradedlin import catalog, resolution
+from segrecalc.gradedlin import catalog, resolution, strands
 from segrecalc.gradedlin.modules import DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
 from segrecalc.gradedlin.poly import mono_mul
 from segrecalc.gradedlin.resolution import (
@@ -553,6 +555,29 @@ def test_first_syzygies_are_assembled_only_where_they_gain_generators(monkeypatc
     for key, res in firsts.items():
         degrees = sorted(j for bases, j in assembled if bases == key)
         assert degrees == sorted({j for j, _ in res.generators[1]})
+
+
+def test_cover_step_takes_one_block_per_distinct_mask_and_tests(monkeypatch):
+    calls = []
+    block = resolution._block
+
+    def spy(memo, cols, tests):
+        calls.append(1)
+        return block(memo, cols, tests)
+
+    monkeypatch.setattr(resolution, "_block", spy)
+    omega = catalog.diagonal_module("k2_k3", 1)
+    res = free_resolution(omega, 2, 0, 8)
+    for module in [omega] + res.syzygies[:-1]:
+        calls.clear()
+        _, bases = resolution._cover_step(module, 0, 8, {})
+        per_degree = [
+            {(tuple(cols), tuple(tuple(t.items()) for t in tests)) for _, _, cols, tests, _ in parts}
+            for _, parts in bases._pending.values()
+        ]
+        assert len(calls) == len(set().union(*per_degree))
+        # blocks recur across degrees, so one memo per degree took more
+        assert len(calls) < sum(map(len, per_degree))
 
 
 def item_fields(res):
@@ -1387,3 +1412,183 @@ def test_rigidity_ext_table_needs_no_act(monkeypatch):
         ]
         for M, N, d, basis in homs:
             _assert_hom_space_matches_reference(calc.resolution(M), N, d, char, basis)
+
+
+def reference_syzygy_counts(res, N, i, d, char, checked):
+    """(dim, rank) of the dual map Hom(F_i, N)_d -> Hom(F_(i+1), N)_d for
+    a syzygy N, by every column (g, n): each basis vector n of
+    N_(d + deg g) listed with its scalar form and grouped by δ
+    (`_dual_blocks`), each δ-block ranked on its `dual_column`s; over F_p
+    after checking the scalar forms of N_j at each fine degree, per κ of
+    the assembled basis, for j over the degrees of F_(i+1)."""
+    gens = [F.gens for F in res.frees]
+    for j in (d + dh for dh in gens[i + 1]):
+        if not char or j in checked:
+            continue
+        checked.add(j)
+        at = {}
+        for kappa, scalar in N.fine_basis(j):
+            at.setdefault(kappa, []).append(scalar)
+        for kappa, forms in at.items():
+            if linalg.rank_of(forms, char) < len(forms):
+                raise CertificationError(
+                    f"syzygy basis vectors at the fine degree {kappa} of degree {j}"
+                    f" are dependent mod {char}"
+                )
+    rows = strands.scalar_rows(res.diffs[i], len(gens[i]))
+    width = len(N.ambient.gens)
+    dim = total = 0
+    for block in resolution._dual_blocks(gens[i], res.syzygies[i].fine, N, d).values():
+        cols = [strands.dual_column(rows[g], scalar, width) for (g, _), scalar in block]
+        dim += len(block)
+        total += linalg.rank_of(cols, char)
+    return dim, total
+
+
+def reference_syzygy_ext_dims(res, N, i_values, d_values, char):
+    """`ext_dims` into a syzygy N on `reference_syzygy_counts`, reading
+    N.dim in the same order."""
+    i_values = sorted(set(i_values))
+    depth = i_values[-1] + 1
+    if len(res.frees) < depth + 1:
+        raise CertificationError("resolution not deep enough for the Ext range")
+    gens = [F.gens for F in res.frees]
+    out, checked = {}, set()
+    for d in d_values:
+        dims, rank_at = {}, {-1: 0}
+        for i in range(depth):
+            for dg in gens[i] + gens[i + 1]:
+                N.dim(d + dg)
+            if i in i_values or i + 1 in i_values:
+                dims[i], rank_at[i] = reference_syzygy_counts(res, N, i, d, char, checked)
+        for i in i_values:
+            out[(i, d)] = dims[i] - rank_at[i] - rank_at[i - 1]
+    return out
+
+
+def _syzygy_target(specA, specB, calc, shift, k, form):
+    """The k-th syzygy of the diagonal module of this shift, as the
+    resolution leaves it ("pending": no degree assembled), with every
+    degree assembled ("assembled"), or rebuilt over a plain dict
+    ("dict")."""
+    N = calc.resolution(DiagonalModule(specA, specB, shift), 2).syzygy(k)
+    if form != "pending":
+        bases = {j: N.fine_basis(j) for j in N.bases}
+        if form == "dict":
+            N = SyzygyModule(N.ambient, bases, N.label, N.fine)
+    return N
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=2),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from(["diagonal", "tail"]),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([0, 2, 3]),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from(["pending", "assembled", "dict"]),
+    st.integers(min_value=0, max_value=2),
+)
+@example([1, 1], [1, 1, 1], 1, "diagonal", 2, 0, 1, 2, "pending", 3)  # k2_k3's canonical module
+@example([1, 1], [1, 1, 1], 1, "tail", 1, 3, 1, 1, "dict", 2)
+def test_ext_into_syzygies_by_rectangle_masks_matches_per_column_reference(
+    wa, wb, shift, source, depth, char, t, k, form, extra
+):
+    """Ext into a syzygy by rectangle masks equals the per-column blocks,
+    value or CertificationError, and assembles no degree of a target
+    that the resolution left pending."""
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    M = DiagonalModule(specA, specB, shift)
+    calc = HomCalculator(specA, specB, 0, M.generation_bound() + extra, char=char)
+    res = _outcome(calc.resolution, M, depth + 1)
+    N = _outcome(_syzygy_target, specA, specB, calc, t, k, form)
+    if isinstance(res, tuple) or isinstance(N, tuple):
+        return  # CertificationError: the resolution properties compare those
+    if source == "tail":
+        res = res.tail(1)
+        depth = min(depth, len(res.frees) - 1)
+    # the degrees up to the last whose Ext reads N inside the window, and
+    # the next one apart
+    top = calc.hi - max(max(F.gens, default=0) for F in res.frees[: depth + 1])
+    inside = range(min(top, 0) - 2, top + 1)
+    pending = dict(getattr(N.bases, "_pending", {}))
+    cases = [(res, N, range(depth), inside, char), (res, N, [depth - 1], inside, char)]
+    cases.append((res, N, [depth - 1], [top + 1], char))
+    fast = [_outcome(ext_dims, *args) for args in cases]
+    assert dict(getattr(N.bases, "_pending", {})) == pending
+    assert fast == [_outcome(reference_syzygy_ext_dims, *args) for args in cases]
+
+
+def test_syz3_self_extension_assembles_no_pending_target_degree(monkeypatch):
+    a, b = catalog.ring_pair("k2_k3")
+    calc = HomCalculator(a, b, 0, 8)
+    om3 = calc.resolution(DiagonalModule(a, b, 1), 5).syzygy(3)
+    pending = set(om3.bases._pending)
+    assert pending
+    assembled = []
+    assemble = resolution._KernelBases._assemble
+
+    def spy(bases, j, *args):
+        assembled.append((bases, j))
+        return assemble(bases, j, *args)
+
+    monkeypatch.setattr(resolution._KernelBases, "_assemble", spy)
+    assert catalog.syz3_self_extension(calc) == {-1: 6}
+    assert [j for bases, j in assembled if bases is om3.bases and j in pending] == []
+    assert set(om3.bases._pending) == pending
+
+
+def test_window_guards_of_maps_read_each_dim_once(monkeypatch):
+    """On a window too small for a syzygy target, compose_hom raises what
+    the reference raises, and through_free_vectors raises at the first
+    generator degree above the window; with sections and element
+    matrices warm, each reads the target's dim once per degree it
+    guards, though omega has two generators of degree 0."""
+    a, b = catalog.ring_pair("k2_k3")
+    hi = 3
+    calc = HomCalculator(a, b, 0, hi)
+    omega = DiagonalModule(a, b, 1)
+    mods = [DiagonalModule(a, b, 0), omega, DiagonalModule(a, b, -1)]
+    mods.append(calc.resolution(omega, 2).syzygy(1))
+    reads = Counter()
+
+    def counting(dim):
+        return lambda self, j: reads.update([(self, j)]) or dim(self, j)
+
+    raised = set()
+    for A, B, C in product(mods, repeat=3):
+        gens = calc.resolution(A).frees[0].gens
+        for e, f in product(range(3), (1, 2)):
+            phis, psis = _outcome(calc.hom_basis, A, B, e), _outcome(calc.hom_basis, B, C, f)
+            if isinstance(phis, tuple) or isinstance(psis, tuple) or not phis or not psis:
+                continue
+            args = (calc, A, B, C, e, f, phis[-1], psis[-1])
+            got = _typed_outcome(flat_compose_hom, *args)
+            assert got == _typed_outcome(reference_compose_hom, *args)
+            with monkeypatch.context() as patch:
+                for cls in (DiagonalModule, SyzygyModule):
+                    patch.setattr(cls, "dim", counting(cls.dim))
+                reads.clear()
+                again = _outcome(compose_hom, *args)
+            if isinstance(again, tuple):
+                raised.add("compose_hom")
+                assert all(reads[(C, dg + e + f)] <= 1 for dg in gens)
+            else:
+                assert all(reads[(C, dg + e + f)] == 1 for dg in gens)
+        for d in range(4):
+            _outcome(resolution.through_free_vectors, calc, A, B, d)
+            with monkeypatch.context() as patch:
+                for cls in (DiagonalModule, SyzygyModule):
+                    patch.setattr(cls, "dim", counting(cls.dim))
+                reads.clear()
+                got = _outcome(resolution.through_free_vectors, calc, A, B, d)
+            assert all(reads[(B, d + dg)] <= 1 for dg in gens)
+            if isinstance(got, tuple):
+                above = next(d + dg for dg in gens if d + dg > hi)
+                assert got == ("CertificationError", f"syzygy basis not computed in degree {above}")
+                raised.add("through_free_vectors")
+    assert raised == {"compose_hom", "through_free_vectors"}
