@@ -59,23 +59,20 @@ differential is one monomial pair f(h) / f(g) times an integer, so the
 column (g, n) of Hom(F_i, N)_d, n the n-th basis vector of N_(d + deg g)
 at the fine degree κ, and all its images sit at δ = κ - f(g), which the
 dual differential keeps; neither `hom_space` nor `ext_dims` builds an
-action matrix.  `hom_space` groups the columns by δ (`_dual_blocks`) and
-takes the kernel of each δ-block, written in the scalar forms of N.
-`ext_dims` only ranks the blocks, so it finds them by masks and never
-lists the columns (g, n) one by one.  N_(d + deg g) is rectangles r of
-fine degrees whose κ carry the same tests: one for a diagonal target,
-and for a syzygy the cover step's rectangles, read without assembling
-the degree.  The δ-block holds the pairs (g, r) with δ·f(g) in r, which
-is mask_A & mask_B for the bit (g, r) set at κ_A / f_A(g) over κ_A in
-S_A and at κ_B / f_B(g) over κ_B in S_B; so `count_masks` counts the δ
-of each block content, the pairs (g, tests of r), and each content is
-ranked once.  A diagonal or free target takes these masks straight
-from the generators (`kappa_masks` on negated fine degrees), its block
-the scalar transpose of the differential.  Blocks of equal content
-recur, so each call memoises its kernels (`hom_space`) or ranks
-(`ext_dims`) by block content.  A map M -> N is keyed by (g, n), its
-coefficient on n in its value on the generator g of F_0, so no map
-carries per-generator offsets.
+action matrix, and both find the δ-blocks with one enumerator (`_Dual`).
+N_(d + deg g) is rectangles r of fine degrees whose κ carry the same
+tests (`_rectangles`): one for a diagonal target, and for a syzygy the
+cover step's rectangles, read without assembling the degree.  The
+δ-block holds the bits (g, r) with δ·f(g) in r, which is mask_A & mask_B
+for the bit (g, r) set at κ_A / f_A(g) over κ_A in S_A and at
+κ_B / f_B(g) over κ_B in S_B (`_delta_blocks`); its columns are those of
+g and each test of r, written in the scalar forms of N.  Blocks of equal
+content, the pairs (g, tests of r), recur, so each call ranks
+(`ext_dims`) or takes the kernel of (`hom_space`) each content once.
+`ext_dims` counts the δ of each block and never lists them; `hom_space`
+lists the δ of a block only when it has a kernel.  A map M -> N is keyed
+by (g, n), its coefficient on n in its value on the generator g of F_0,
+so no map carries per-generator offsets.
 """
 
 from __future__ import annotations
@@ -85,20 +82,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import product
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 
 from .. import linalg
 from ..linalg import CertificationError
 from .modules import _UNIT, DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
 from .poly import monomial_index, monomials
-from .strands import (
-    count_masks,
-    dual_column,
-    kappa_masks,
-    negated_groups,
-    rectangle_masks,
-    scalar_rows,
-)
+from .strands import dual_column, kappa_masks, scalar_rows
 
 
 def rings_of(module):
@@ -515,32 +505,132 @@ def _act_cached(N, pair, p: int, j: int):
     return _act_matrix_frozen(N, pair, p, j)
 
 
+def _delta_blocks(bits, fine) -> list:
+    """The δ-blocks of a dual map, found by masks.  The b-th bit (g, r,
+    (S_A, S_B, ...)) pairs a generator g, of fine degree fine[g], with
+    the rectangle of fine degrees named r: it is set in the A mask of
+    κ_A / f_A(g) for κ_A in S_A and in the B mask of κ_B / f_B(g) for
+    κ_B in S_B, so the bits of mask_A & mask_B at δ are those whose
+    rectangle holds δ·f(g).  Bits of one rectangle and one f_A (f_B) set
+    the same A (B) masks, so each such group is walked once.  Returns
+    [(mask, [δ_A], [δ_B])], one per pair of an A group and a B group of
+    equal masks (`_split`) whose masks meet."""
+    split = []
+    for x in (0, 1):  # the A side, then the B side
+        groups = {}
+        for b, (g, r, rect) in enumerate(bits):
+            groups.setdefault((fine[g][x], r), [rect[x], 0])[1] |= 1 << b
+        side = {}
+        for (f, _), (kappas, mask) in groups.items():
+            for kappa in kappas:
+                key = tuple(map(sub, kappa, f))
+                side[key] = side.get(key, 0) | mask
+        split.append(_split(side, side))
+    split_a, split_b = split
+    return [
+        (ma & mb, part_a, part_b)
+        for ma, part_a in split_a
+        for mb, part_b in split_b
+        if ma & mb
+    ]
+
+
+class _Dual:
+    """The dual maps Hom(F_i, N)_d -> Hom(F_(i+1), N)_d of one resolution
+    into one target N, by δ-blocks, for one call of `ext_dims` or
+    `hom_space`, which `solve` each block's columns (a rank or a kernel).
+
+    N_(d + deg g) is read once per call as rectangles r (`_rectangles`),
+    so the δ-block is the bits (g, r) with δ·f(g) in r (`_delta_blocks`)
+    and its columns are the `dual_column`s of g and each test of r: g
+    first, then basis order at κ, the order of listing the columns (g, n)
+    one by one.  `solve` runs once per block content, the pairs (g, tests
+    of r), before any column is built; the bits of one (i, d) are
+    interned, so a mask seen again under the same bits is found by ints.
+    """
+
+    def __init__(self, res: Resolution, N, char: int, solve):
+        if isinstance(N, SyzygyModule):
+            self.width = len(N.ambient.gens)
+        else:
+            self.width = len(N.gens) if isinstance(N, FreeModule) else 1
+        self.res, self.N, self.char, self.solve = res, N, char, solve
+        self.gens = [F.gens for F in res.frees]
+        self.rows, self.read, self.checked = {}, set(), set()
+        self._degrees = {}  # j -> ([(S_A, S_B, tests, tests id)], index_of)
+        self._tests = {}  # tests -> id
+        self._bits = {}  # (i, bit contents) -> id
+        self._by_mask = {}  # (bits id, mask) -> (block bits, solution)
+        self._by_content = {}  # (i, block content) -> solution
+
+    def guard(self, i: int, d: int):
+        """Read N.dim at d + deg over F_i and then F_(i+1), once per
+        degree (CertificationError above the window), then the entries of
+        the i-th differential (ValueError on an entry of two pairs)."""
+        for dg in dict.fromkeys(self.gens[i] + self.gens[i + 1]):
+            if d + dg not in self.read:
+                self.N.dim(d + dg)
+                self.read.add(d + dg)
+        if i not in self.rows:
+            self.rows[i] = scalar_rows(self.res.diffs[i], len(self.gens[i]))
+
+    def degree(self, j: int):
+        """N_j as ([(S_A, S_B, tests, tests id)], index_of)."""
+        hit = self._degrees.get(j)
+        if hit is None:
+            rects, index_of = _rectangles(self.N, j)
+            ids = self._tests
+            rects = [
+                (sa, sb, tests, ids.setdefault(tuple(tuple(t.items()) for t in tests), len(ids)))
+                for sa, sb, tests in rects
+            ]
+            hit = self._degrees[j] = rects, index_of
+        return hit
+
+    def blocks(self, i: int, d: int):
+        """[(block bits [(g, r, rectangle)], [δ_A], [δ_B], solution)] of the
+        i-th dual map in degree d; for a syzygy N over F_p after checking
+        the degrees of F_(i+1) (`_check_independent_mod_p`)."""
+        if self.char and isinstance(self.N, SyzygyModule):
+            _check_independent_mod_p(self.N, [d + dh for dh in self.gens[i + 1]], self.char, self.checked)
+        bits = [
+            (g, (d + dg, r), rect)
+            for g, dg in enumerate(self.gens[i])
+            for r, rect in enumerate(self.degree(d + dg)[0])
+        ]
+        sig = (i, tuple((g, rect[3]) for g, _, rect in bits))
+        sid = self._bits.setdefault(sig, len(self._bits))
+        out = []
+        for mask, part_a, part_b in _delta_blocks(bits, self.res.syzygies[i].fine):
+            hit = self._by_mask.get((sid, mask))
+            if hit is None:
+                block = [bits[b] for b in range(mask.bit_length()) if mask >> b & 1]
+                content = (i, tuple((g, rect[3]) for g, _, rect in block))
+                solution = self._by_content.get(content)
+                if solution is None:
+                    rows, width = self.rows[i], self.width
+                    # a diagonal target's column is the row itself
+                    cols = [
+                        rows[g] if width == 1 and t is _UNIT else dual_column(rows[g], t, width)
+                        for g, _, (_, _, tests, _) in block
+                        for t in tests
+                    ]
+                    solution = self._by_content[content] = self.solve(cols)
+                hit = self._by_mask[(sid, mask)] = block, solution
+            out.append((hit[0], part_a, part_b, hit[1]))
+        return out
+
+
 def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     """Graded Ext dimensions over F_char (Q for 0): (i, d) -> dim
     Ext^i(M, N)_d, M the module `res` resolves, exact per degree.
 
-    Ranks each fine-degree block of the dual map Hom(F_i, N)_d ->
-    Hom(F_(i+1), N)_d (the blocks of `_dual_blocks`), never the flat map.
-    - Diagonal N, shift s and twist τ: κ is the basis pair itself, so the
-      block at δ has one column per generator g with κ = δ·f(g) a pair of
-      N_(d + deg g), and is the scalar transpose of the differential on
-      those g.  They are mask_A & mask_B, from `kappa_masks` on the
-      negated fine degrees (`negated_groups`), with f_A(g) at the level
-      s + d - τ + deg g and f_B(g) at d - τ + deg g; `count_masks`
-      counts the δ per mask.
-    - Free N: the same once per generator e of N, with s = 0 and τ =
-      deg e.
-    - Syzygy N: each rectangle r = (S_A, S_B, tests) of N_(d + deg g)
-      (`_rectangles`, which assembles no degree a cover step left
-      pending) sets the bit (g, r) at κ_A / f_A(g) for κ_A in S_A and at
-      κ_B / f_B(g) for κ_B in S_B (`rectangle_masks`), so the block at
-      δ is the (g, r) of mask_A & mask_B, with the columns `dual_column`
-      of g and each test of r.  N_κ sits inside N's ambient scalars, so
-      the rank is that of the flat map; over F_p while the scalar forms
-      at each fine degree stay independent mod p, checked at every
-      degree the blocks land in, once per distinct tests.
-    Ranks are memoised within the call: by (i, mask), or by (i, block
-    content), the pairs (g, tests of r), before any column is built.  For
+    Ranks each δ-block of the dual map Hom(F_i, N)_d -> Hom(F_(i+1),
+    N)_d (`_Dual`), never the flat map, and counts it once per δ of its
+    mask groups, |δ_A|·|δ_B| times.  N_κ sits inside the scalars of N,
+    so the rank is that of the flat map; for a syzygy N over F_p while
+    its scalar forms at each fine degree stay independent mod p, checked
+    at every degree the blocks land in, once per distinct tests.  For
     each d and each i < depth in turn, N.dim is read over F_i and then
     F_(i+1) (CertificationError above the window), then the entries of
     the i-th differential (ValueError on an entry of two pairs), then for
@@ -552,94 +642,23 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     depth = i_values[-1] + 1
     if len(res.frees) < depth + 1:
         raise CertificationError("resolution not deep enough for the Ext range")
-    specA, specB = rings_of(res.frees[0])
-    gens = [F.gens for F in res.frees]
-    fine = [syz.fine for syz in res.syzygies]
-    rows, ranks, checked = {}, {}, set()
-    syzygy = isinstance(N, SyzygyModule)
-    if syzygy:
-        width = len(N.ambient.gens)
-        rects_at, tests_ids = {}, {}
-    else:
-        targets = [(0, e) for e in N.gens] if isinstance(N, FreeModule) else [(N.shift, N.twist)]
-        groups = [negated_groups(gens[i], fine[i]) for i in range(depth)]
-
-    def diagonal_counts(i, d):
-        side_a, side_b = groups[i]
-        table = Counter()
-        for shift, twist in targets:
-            masks_a = kappa_masks(specA, shift + d - twist, side_a)
-            count_masks(masks_a, kappa_masks(specB, d - twist, side_b), table)
-        dim = total = 0
-        for mask, k in table.items():
-            if mask:
-                r = ranks.get((i, mask))
-                if r is None:
-                    block = [rows[i][g] for g in range(mask.bit_length()) if mask >> g & 1]
-                    r = ranks[(i, mask)] = linalg.rank_of(block, char)
-                dim += k * mask.bit_count()
-                total += k * r
-        return dim, total
-
-    def rectangles(j):
-        """N_j as [(S_A, S_B, tests, id of the tests)], once per call."""
-        rects = rects_at.get(j)
-        if rects is None:
-            rects = rects_at[j] = []
-            for sa, sb, tests in _rectangles(N, j)[0]:
-                key = tuple(tuple(t.items()) for t in tests)
-                rects.append((sa, sb, tests, tests_ids.setdefault(key, len(tests_ids))))
-        return rects
-
-    def syzygy_counts(i, d):
-        if char:
-            _check_independent_mod_p(N, [d + dh for dh in gens[i + 1]], char, checked)
-        bits = [(g, rect) for g, dg in enumerate(gens[i]) for rect in rectangles(d + dg)]
-        dim = total = 0
-        for mask, k in rectangle_masks([(fine[i][g], rect) for g, rect in bits]).items():
-            if mask:
-                block = [bits[b] for b in range(mask.bit_length()) if mask >> b & 1]
-                key = (i, tuple((g, tid) for g, (_, _, _, tid) in block))
-                r = ranks.get(key)
-                if r is None:
-                    cols = [
-                        dual_column(rows[i][g], t, width) for g, (_, _, tests, _) in block for t in tests
-                    ]
-                    r = ranks[key] = linalg.rank_of(cols, char)
-                dim += k * sum(len(tests) for _, (_, _, tests, _) in block)
-                total += k * r
-        return dim, total
-
-    counts = syzygy_counts if syzygy else diagonal_counts
+    dual = _Dual(res, N, char, lambda cols: (len(cols), linalg.rank_of(cols, char)))
     out = {}
     for d in d_values:
         dims, rank_at = {}, {-1: 0}
         for i in range(depth):
-            if syzygy:  # N.dim raises above the window
-                for dg in gens[i] + gens[i + 1]:
-                    N.dim(d + dg)
-            if i not in rows:
-                rows[i] = scalar_rows(res.diffs[i], len(gens[i]))
+            dual.guard(i, d)
             if i in i_values or i + 1 in i_values:
-                dims[i], rank_at[i] = counts(i, d)
+                dims[i] = rank_at[i] = 0
+                for _, part_a, part_b, (ncols, rank) in dual.blocks(i, d):
+                    k = len(part_a) * len(part_b)
+                    dims[i] += k * ncols
+                    rank_at[i] += k * rank
         for i in i_values:
             out[(i, d)] = dims[i] - rank_at[i] - rank_at[i - 1]
             if out[(i, d)] < 0:
                 raise AssertionError("negative Ext dimension")
     return out
-
-
-def _dual_blocks(gens, fine, N, d: int) -> dict:
-    """The columns of Hom(F, N)_d by fine degree, F generated in the
-    degrees `gens` at the fine degrees `fine`: δ -> [((g, n), scalar form
-    of n)], n the n-th basis vector of N_(d + deg g), at κ = δ·f(g).  The
-    entry (g, h) of a differential, c times f(h) / f(g), sends (g, n) to
-    c·(h, (f(h) / f(g))·n), at δ·f(h) with the scalar form of n."""
-    blocks = {}
-    for g, (dg, f) in enumerate(zip(gens, fine)):
-        for n, (kappa, scalar) in enumerate(N.fine_basis(d + dg)):
-            blocks.setdefault(_pair_sub(kappa, f), []).append(((g, n), scalar))
-    return blocks
 
 
 def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
@@ -668,33 +687,30 @@ def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
 def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
     """Basis over F_char of the degree-d maps M -> N, M the module `res`
     resolves: the kernels of the δ-blocks of Hom(F_0, N)_d -> Hom(F_1,
-    N)_d (`_dual_blocks`), each map keyed by (g, n), n the n-th basis
-    vector of N_(d + deg g) in the value on the generator g of F_0.
-    A block's columns depend only on its pairs (g, scalar form of n), so
-    each kernel is memoised within the call by that content, before any
-    column is built, and read back on the block's own (g, n).
-    Raises as `ext_dims` does, and in its order, after a
-    CertificationError when `res` has no F_1."""
+    N)_d (`_Dual`), each kernel taken once per block content.  Only a
+    block with a kernel is walked δ by δ: a map is keyed by (g, n), n
+    the n-th basis vector of N_(d + deg g), at δ·f(g), in the value on
+    the generator g of F_0, so only a degree that a map lands in is
+    indexed, and assembled if a cover step left it pending.  Raises as
+    `ext_dims` does, and in its order, after a CertificationError when
+    `res` has no F_1."""
     if len(res.frees) < 2:
         raise CertificationError("resolution not deep enough for the Hom space")
-    gens, next_gens = res.frees[0].gens, res.frees[1].gens
-    for dg in gens + next_gens:  # N.dim raises above the window
-        N.dim(d + dg)
-    rows = scalar_rows(res.diffs[0], len(gens))
-    width = len(N.gens) if isinstance(N, FreeModule) else 1
-    if isinstance(N, SyzygyModule):
-        width = len(N.ambient.gens)
-        if char:
-            _check_independent_mod_p(N, [d + dh for dh in next_gens], char, set())
-    out, kernels = [], {}
-    for block in _dual_blocks(gens, res.syzygies[0].fine, N, d).values():
-        key = tuple((g, tuple(scalar.items())) for (g, _), scalar in block)
-        kernel = kernels.get(key)
-        if kernel is None:
-            cols = [dual_column(rows[g], scalar, width) for (g, _), scalar in block]
-            kernel = kernels[key] = linalg.kernel_of(cols, char)
-        for vec in kernel:
-            out.append({block[q][0]: c for q, c in vec.items()})
+    dual = _Dual(res, N, char, lambda cols: linalg.kernel_of(cols, char))
+    dual.guard(0, d)
+    fine = res.syzygies[0].fine
+    out = []
+    for block, part_a, part_b, kernel in dual.blocks(0, d):
+        if not kernel:
+            continue
+        labels = [(g, fine[g], dual.degree(j)[1], len(rect[2])) for g, (j, _), rect in block]
+        for da, db in product(part_a, part_b):
+            keys = [
+                (g, index_of((tuple(map(add, da, fa)), tuple(map(add, db, fb))), q))
+                for g, (fa, fb), index_of, n in labels
+                for q in range(n)
+            ]
+            out += [{keys[q]: c for q, c in vec.items()} for vec in kernel]
     return out
 
 
@@ -725,7 +741,9 @@ class HomCalculator:
         self.lo = lo
         self.hi = hi
         self.char = char
-        self.free_rank_one = FreeModule(ringA, ringB, (0,))
+        # R is the diagonal module of shift 0, the quivers' vertex R, so
+        # hom bases into it share their cache entries with that vertex
+        self.free_rank_one = DiagonalModule(ringA, ringB, 0)
         self._res = {}
         self._hom = {}
         self._section = {}

@@ -23,12 +23,8 @@ field, has d∘d = 0.
 
 `kappa_masks`, the generator bitmask below each fine degree of one
 factor, also splits the cover steps of `resolution` into fine-degree
-blocks, and with negated fine degrees (`negated_groups`) the dual of a
-resolution into a diagonal or free target (`resolution.ext_dims`);
-`rectangle_masks` does the same for a target given by rectangles of fine
-degrees, a syzygy's; `count_masks` pairs the two factors' masks for
-`Strands.table` and for `ext_dims`.  `scalar_rows` and `dual_column`
-write a block of that dual over the scalar forms of the target.
+blocks.  `scalar_rows` and `dual_column` write a δ-block of the dual of
+a resolution over the scalar forms of the target (`resolution._Dual`).
 
 This code is kept out of `complexes` and `resolution` to keep those
 files small: where no bytecode is cached (PYTHONDONTWRITEBYTECODE), every
@@ -40,7 +36,6 @@ largest file.
 from __future__ import annotations
 
 from collections import Counter
-from operator import sub
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
@@ -154,7 +149,9 @@ def kappa_masks(spec: WeightedRingSpec, level: int, groups: dict) -> dict:
     `level` that lie above some group: `groups` maps (fine degree f,
     degree d) to the bitmask of the generators with fine degree f, and
     the mask of κ holds every generator with f ≤ κ, that is with κ = f·m
-    for a monomial m of degree level - d."""
+    for a monomial m of degree level - d.  The generators are those of a
+    complex's strands (`Strands.table`) or of a cover step
+    (`resolution._cover_degree`)."""
     out = {}
     for (f, d), bits in groups.items():
         for m in monomials(spec, level - d):
@@ -166,43 +163,11 @@ def kappa_masks(spec: WeightedRingSpec, level: int, groups: dict) -> dict:
 def count_masks(masks_a: dict, masks_b: dict, out: Counter):
     """Add to `out` one count at mask_A & mask_B for every pair of a κ_A
     of `masks_a` and a κ_B of `masks_b` ({κ: mask} each, as
-    `kappa_masks` gives them)."""
+    `kappa_masks` gives them), as `Strands.table` counts them."""
     counts_b = Counter(masks_b.values()).items()
     for ma, ka in Counter(masks_a.values()).items():
         for mb, kb in counts_b:
             out[ma & mb] += ka * kb
-
-
-def negated_groups(gens, fine) -> tuple[dict, dict]:
-    """`kappa_masks` groups for the duals of generators: per factor,
-    (-f(g), -deg g) -> bitmask of the generators g of that fine degree
-    and degree, so that at the level s + d - τ a group's κ are the
-    δ = m / f(g) over the monomials m of degree s + d - τ + deg g."""
-    side_a, side_b = {}, {}
-    for g, (dg, (fa, fb)) in enumerate(zip(gens, fine)):
-        key_a, key_b = (tuple(-x for x in fa), -dg), (tuple(-x for x in fb), -dg)
-        side_a[key_a] = side_a.get(key_a, 0) | 1 << g
-        side_b[key_b] = side_b.get(key_b, 0) | 1 << g
-    return side_a, side_b
-
-
-def rectangle_masks(pairs) -> Counter:
-    """{mask: number of fine degrees δ} for pairs (f, (S_A, S_B, ...)) of
-    a generator's fine degree and a rectangle of fine degrees: the b-th
-    pair is bit b of the A mask of κ_A / f_A for κ_A in S_A and of the B
-    mask of κ_B / f_B for κ_B in S_B, so it lies in mask_A & mask_B at δ
-    exactly when δ·f is in S_A × S_B."""
-    side_a, side_b = {}, {}
-    for b, ((fa, fb), (sa, sb, *_)) in enumerate(pairs):
-        for ka in sa:
-            key = tuple(map(sub, ka, fa))
-            side_a[key] = side_a.get(key, 0) | 1 << b
-        for kb in sb:
-            key = tuple(map(sub, kb, fb))
-            side_b[key] = side_b.get(key, 0) | 1 << b
-    out = Counter()
-    count_masks(side_a, side_b, out)
-    return out
 
 
 def dual_column(row: dict, scalar: dict, width: int) -> dict:

@@ -97,7 +97,9 @@ def test_resolution_of_free_module():
     assert item_fields(res) == item_fields(reference_free_resolution(free, 2, 0, 5)[0])
     assert res.betti == [(0, 1, 1), (), ()]
     calc = HomCalculator(A2, B3, 0, 5)
-    assert len(calc.hom_basis(calc.free_rank_one, M(1), 1)) == M(1).dim(1)
+    basis = calc.hom_basis(free, M(1), 1)
+    assert len(basis) == M(1).dim(1) + 2 * M(1).dim(2)
+    _assert_hom_space_matches_reference(calc.resolution(free), M(1), 1, 0, basis)
 
 
 def test_ext_values():
@@ -175,6 +177,33 @@ def test_resolution_window_exactness():
     for j in range(0, 7):
         f0_dim = FreeModule(A2, B3, res.frees[0].gens).dim(j)
         assert f0_dim - om1.dim(j) == M(1).dim(j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=3),
+    st.sampled_from([-2, -1, 1, 2, 3]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+@example([1, 1], [1, 1, 1], -1, 3, 3)  # k2_k3
+@example([1, 1, 1], [1, 2], 2, 3, 3)  # k3_w12
+@example([1, 1, 1], [1, 1, 1], 3, 3, 3)  # k3_k3
+def test_resolution_satisfies_the_euler_identity_in_low_degrees(wa, wb, shift, depth, extra):
+    """Σ_i (-1)^i dim(F_i)_j = dim M_j for j <= t_0 + depth inside the
+    window, t_0 the lowest generator degree: each differential raises
+    the lowest generator degree by at least one, so no F_i beyond the
+    depth reaches these degrees."""
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    module = DiagonalModule(specA, specB, shift)
+    hi = module.generation_bound() + extra
+    res = free_resolution(module, depth, 0, hi)
+    t0 = min(res.frees[0].gens, default=0)  # a module zero on the window has no generators
+    for j in range(min(t0 + depth, hi) + 1):
+        euler = sum((-1) ** i * F.dim(j) for i, F in enumerate(res.frees))
+        assert euler == module.dim(j), (j, [F.dim(j) for F in res.frees])
 
 
 def test_syzygy_requires_window():
@@ -1171,6 +1200,55 @@ def _assert_hom_space_matches_reference(res, N, d, char, basis):
     assert {type(x) for v in fast for x in v.values()} == {type(x) for v in ref for x in v.values()}
 
 
+def _dual_blocks(gens, fine, N, d: int) -> dict:
+    """The columns of Hom(F, N)_d by fine degree, one at a time, F
+    generated in the degrees `gens` at the fine degrees `fine`: δ ->
+    [((g, n), scalar form of n)], n the n-th basis vector of
+    N_(d + deg g), at κ = δ·f(g).  The entry (g, h) of a differential, c
+    times f(h) / f(g), sends (g, n) to c·(h, (f(h) / f(g))·n), at δ·f(h)
+    with the scalar form of n."""
+    blocks = {}
+    for g, (dg, f) in enumerate(zip(gens, fine)):
+        for n, (kappa, scalar) in enumerate(N.fine_basis(d + dg)):
+            blocks.setdefault(resolution._pair_sub(kappa, f), []).append(((g, n), scalar))
+    return blocks
+
+
+def reference_hom_space(res, N, d, char):
+    """`hom_space` by every column (g, n): the kernel of each δ-block of
+    `_dual_blocks`, taken once per block content (the pairs (g, scalar
+    form of n)) and read back on the block's own (g, n).  It reads
+    N.fine_basis, so it assembles every degree it lists."""
+    if len(res.frees) < 2:
+        raise CertificationError("resolution not deep enough for the Hom space")
+    gens, next_gens = res.frees[0].gens, res.frees[1].gens
+    for dg in gens + next_gens:
+        N.dim(d + dg)
+    rows = strands.scalar_rows(res.diffs[0], len(gens))
+    width = len(N.gens) if isinstance(N, FreeModule) else 1
+    if isinstance(N, SyzygyModule):
+        width = len(N.ambient.gens)
+        if char:
+            resolution._check_independent_mod_p(N, [d + dh for dh in next_gens], char, set())
+    out, kernels = [], {}
+    for block in _dual_blocks(gens, res.syzygies[0].fine, N, d).values():
+        key = tuple((g, tuple(scalar.items())) for (g, _), scalar in block)
+        kernel = kernels.get(key)
+        if kernel is None:
+            cols = [strands.dual_column(rows[g], scalar, width) for (g, _), scalar in block]
+            kernel = kernels[key] = linalg.kernel_of(cols, char)
+        for vec in kernel:
+            out.append({block[q][0]: c for q, c in vec.items()})
+    return out
+
+
+def _sorted_basis(outcome):
+    """A hom basis as a sorted list of sorted items, or its error."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return sorted(sorted(v.items()) for v in outcome)
+
+
 def _typed_outcome(fn, *args):
     """`_outcome` with every dict of the value as its typed item list."""
 
@@ -1261,6 +1339,81 @@ def test_hom_space_takes_each_distinct_block_kernel_once(monkeypatch):
     assert repeats  # some block content repeats, so the memo is exercised
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=2),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from(["diagonal", "tail", "free"]),
+    st.sampled_from([0, 2, 3]),
+    st.sampled_from(["diagonal", "free", "pending", "assembled", "dict"]),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+)
+@example([1, 1], [1, 1, 1], 1, "diagonal", 0, "pending", 1, 0, 2, 3)  # k2_k3's canonical module and its syz2
+@example([1, 1], [1, 1, 1], 1, "tail", 3, "pending", 1, 0, 1, 3)  # End(syz1) of k2_k3's canonical module
+# k2_k3's M_-2 into syzygies of M_-1, whose fine degrees carry several
+# tests that its maps tell apart
+@example([1, 1], [1, 1, 1], -2, "diagonal", 0, "pending", 2, 0, 1, 2)
+@example([1, 1], [1, 1, 1], -2, "diagonal", 3, "dict", -1, 0, 2, 3)
+@example([1, 2], [1, 1], -2, "tail", 2, "diagonal", 1, -1, 1, 1)  # merged bits in F_0
+@example([1, 2], [1, 1], -2, "free", 3, "dict", -1, 0, 1, 2)  # merged bits; a syzygy over a plain dict
+@example([1, 1], [1, 1], 1, "free", 0, "free", 0, 1, 1, 1)
+def test_hom_space_matches_per_column_reference(wa, wb, shift, source, char, kind, t, twist, k, extra):
+    """`hom_space` by masks equals the per-column `reference_hom_space`
+    vector for vector, or both raise the same CertificationError, on
+    twisted diagonal, free and syzygy targets (pending, assembled and
+    plain-dict) and sources with merged bits, over Q, F_2 and F_3.  A
+    syzygy target resolves a shift next to the source's, so that maps
+    into it exist inside the window; d runs to one past the last degree
+    whose Hom reads N inside the window."""
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    calc, res = _ext_source(specA, specB, shift, source, 1, char, extra)
+    if kind in ("diagonal", "free"):
+        N = _ext_target(specA, specB, res, kind, t, twist)
+    else:
+        N = _outcome(_syzygy_target, specA, specB, calc, shift + t % 3 - 1, k, kind)
+        if isinstance(N, tuple):
+            return  # CertificationError: the resolution properties compare those
+    top = calc.hi - max(res.frees[0].gens + res.frees[1].gens, default=0)
+    for d in range(min(top, 0) - 2, top + 2):
+        # the mask path first, so that a pending target is still pending
+        fast = _sorted_basis(_outcome(hom_space, res, N, d, char))
+        assert fast == _sorted_basis(_outcome(reference_hom_space, res, N, d, char))
+
+
+def test_hom_basis_into_a_pending_syzygy_assembles_only_where_a_map_lands(monkeypatch):
+    """Hom(R, syz²ω)_d over k2_k3 assembles no pending degree of the
+    syzygy where it has no map, and only the degree d where a map lands,
+    since R has its one generator in degree 0."""
+    a, b = catalog.ring_pair("k2_k3")
+    calc = HomCalculator(a, b, 0, 8)
+    R = DiagonalModule(a, b, 0)
+    syz2 = calc.resolution(DiagonalModule(a, b, 1), 2).syzygy(2)
+    # its cover step assembled degree 2, where it has generators
+    pending = set(syz2.bases._pending)
+    assert {0, 1, 3} <= pending and 2 not in pending
+    assembled = []
+    assemble = resolution._KernelBases._assemble
+
+    def spy(bases, j, *args):
+        assembled.append((bases, j))
+        return assemble(bases, j, *args)
+
+    monkeypatch.setattr(resolution._KernelBases, "_assemble", spy)
+    for d in range(4):
+        assembled.clear()
+        basis = calc.hom_basis(R, syz2, d)
+        assert (basis == []) == (d < 2)
+        assert [j for bases, j in assembled if bases is syz2.bases] == (
+            [d] if basis and d in pending else []
+        )
+        _assert_hom_space_matches_reference(calc.resolution(R), syz2, d, 0, basis)
+
+
 def test_hom_complex_rejects_an_entry_of_two_pairs():
     res = free_resolution(M(1), 1, 0, 4)
     key, poly = next(iter(res.diffs[0].items()))
@@ -1291,12 +1444,13 @@ def _merged(res) -> bool:
     )
 
 
-def _ext_source(specA, specB, shift, source, depth, char):
-    """A calculator and the resolution of a drawn source: a diagonal
-    module, the tail of its resolution at its first syzygy, or a free
-    module with two generators of one degree."""
+def _ext_source(specA, specB, shift, source, depth, char, extra=1):
+    """A calculator, on a window `extra` above the diagonal module's
+    generation bound, and the resolution of a drawn source: that module,
+    the tail of its resolution at its first syzygy, or a free module
+    with two generators of one degree."""
     M = DiagonalModule(specA, specB, shift)
-    calc = HomCalculator(specA, specB, 0, M.generation_bound() + 1, char=char)
+    calc = HomCalculator(specA, specB, 0, M.generation_bound() + extra, char=char)
     if source == "free":
         return calc, calc.resolution(FreeModule(specA, specB, (0, 0, 1)), depth)
     full = calc.resolution(M, depth + 1)
@@ -1438,7 +1592,7 @@ def reference_syzygy_counts(res, N, i, d, char, checked):
     rows = strands.scalar_rows(res.diffs[i], len(gens[i]))
     width = len(N.ambient.gens)
     dim = total = 0
-    for block in resolution._dual_blocks(gens[i], res.syzygies[i].fine, N, d).values():
+    for block in _dual_blocks(gens[i], res.syzygies[i].fine, N, d).values():
         cols = [strands.dual_column(rows[g], scalar, width) for (g, _), scalar in block]
         dim += len(block)
         total += linalg.rank_of(cols, char)
