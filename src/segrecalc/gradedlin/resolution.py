@@ -70,14 +70,27 @@ g and each test of r, written in the scalar forms of N.  Blocks of equal
 content, the pairs (g, tests of r), recur, so each call ranks
 (`ext_dims`) or takes the kernel of (`hom_space`) each content once.
 `ext_dims` counts the δ of each block and never lists them; `hom_space`
-lists the δ of a block only when it has a kernel.  A map M -> N is keyed
-by (g, n), its coefficient on n in its value on the generator g of F_0,
-so no map carries per-generator offsets.
+lists the δ of a block only when it has a kernel.
+
+A map M -> N stays in this fine form: (δ, {(g, q): c}), c its
+coefficient on the q-th test of the rectangle that holds κ = δ·f(g) in
+N_(d + deg g), in its value on the generator g of F_0.  The key needs no
+basis index, so no degree of N is assembled for it.  Written over the
+ambient generators e of N, the value on g is a scalar form, {(g, e): c}
+(`HomCalculator.form`), and multiplying by a monomial keeps a scalar
+form.  So ψ∘φ takes φ(g) over the generators s of the middle module from
+the section of its cover at (κ, q), and sums their ψ(s): it lands at
+δ1·δ2 with no action matrix (`compose_hom`).  A map through a free module
+is φ: M -> R times the scalar form of a generator of N
+(`through_free_vectors`).  Maps are ranked in ambient coordinates, one
+echelon per δ: the forms at one κ are the tests' span, so the rank is
+that over the tests while they stay independent, which over F_p is
+checked at every degree a map into a syzygy lands in.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -105,6 +118,11 @@ def _act_matrix_frozen(module, pair, p: int, j: int):
 def _pair_sub(kappa, f):
     """The monomial pair kappa / f of two fine degrees."""
     return tuple(map(sub, kappa[0], f[0])), tuple(map(sub, kappa[1], f[1]))
+
+
+def _pair_add(delta, f):
+    """The fine degree delta·f."""
+    return tuple(map(add, delta[0], f[0])), tuple(map(add, delta[1], f[1]))
 
 
 class _Block:
@@ -161,7 +179,8 @@ def _rectangles(module, j: int):
     """Degree j of a module as rectangles (S_A, S_B, tests): every fine
     degree κ of S_A × S_B carries the scalar forms `tests`, in basis
     order.  Also returns index_of(κ, q), the basis index of the q-th of
-    them at κ.
+    them at κ, which only a cover step reads, for its new generators:
+    maps are keyed by q itself.
 
     A diagonal module is one rectangle, its pairs in the product order of
     `_diag_basis`.  A degree of a syzygy from a cover step is that step's
@@ -557,7 +576,7 @@ class _Dual:
         self.res, self.N, self.char, self.solve = res, N, char, solve
         self.gens = [F.gens for F in res.frees]
         self.rows, self.read, self.checked = {}, set(), set()
-        self._degrees = {}  # j -> ([(S_A, S_B, tests, tests id)], index_of)
+        self._degrees = {}  # j -> [(S_A, S_B, tests, tests id)]
         self._tests = {}  # tests -> id
         self._bits = {}  # (i, bit contents) -> id
         self._by_mask = {}  # (bits id, mask) -> (block bits, solution)
@@ -575,16 +594,14 @@ class _Dual:
             self.rows[i] = scalar_rows(self.res.diffs[i], len(self.gens[i]))
 
     def degree(self, j: int):
-        """N_j as ([(S_A, S_B, tests, tests id)], index_of)."""
+        """N_j as [(S_A, S_B, tests, tests id)]."""
         hit = self._degrees.get(j)
         if hit is None:
-            rects, index_of = _rectangles(self.N, j)
             ids = self._tests
-            rects = [
+            hit = self._degrees[j] = [
                 (sa, sb, tests, ids.setdefault(tuple(tuple(t.items()) for t in tests), len(ids)))
-                for sa, sb, tests in rects
+                for sa, sb, tests in _rectangles(self.N, j)[0]
             ]
-            hit = self._degrees[j] = rects, index_of
         return hit
 
     def blocks(self, i: int, d: int):
@@ -596,7 +613,7 @@ class _Dual:
         bits = [
             (g, (d + dg, r), rect)
             for g, dg in enumerate(self.gens[i])
-            for r, rect in enumerate(self.degree(d + dg)[0])
+            for r, rect in enumerate(self.degree(d + dg))
         ]
         sig = (i, tuple((g, rect[3]) for g, _, rect in bits))
         sid = self._bits.setdefault(sig, len(self._bits))
@@ -667,11 +684,11 @@ def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
     Every κ of a rectangle (`_rectangles`) carries its tests, so each
     degree and each distinct tests are ranked once per `checked`: per
     rectangle of a syzygy's cover step, per κ for a syzygy given as a
-    dict."""
+    dict.  A degree enters `checked` only once all its tests pass, so a
+    `checked` that outlives a raise never skips a dependent degree."""
     for j in degrees:
         if j in checked:
             continue
-        checked.add(j)
         for sa, sb, tests in _rectangles(N, j)[0]:
             key = tuple(tuple(t.items()) for t in tests)
             if key in checked:
@@ -682,47 +699,47 @@ def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
                     f" are dependent mod {char}"
                 )
             checked.add(key)
+        checked.add(j)
 
 
-def hom_space(res: Resolution, N, d: int, char: int) -> list[dict]:
+def hom_space(res: Resolution, N, d: int, char: int) -> list[tuple]:
     """Basis over F_char of the degree-d maps M -> N, M the module `res`
     resolves: the kernels of the δ-blocks of Hom(F_0, N)_d -> Hom(F_1,
-    N)_d (`_Dual`), each kernel taken once per block content.  Only a
-    block with a kernel is walked δ by δ: a map is keyed by (g, n), n
-    the n-th basis vector of N_(d + deg g), at δ·f(g), in the value on
-    the generator g of F_0, so only a degree that a map lands in is
-    indexed, and assembled if a cover step left it pending.  Raises as
-    `ext_dims` does, and in its order, after a CertificationError when
-    `res` has no F_1."""
+    N)_d (`_Dual`), each kernel taken once per block content.  A map is
+    (δ, {(g, q): c}), c its coefficient on the q-th test of the rectangle
+    that holds δ·f(g) in N_(d + deg g), in the value on the generator g
+    of F_0.  That key is the block's own column, the same at every δ of
+    the block, so the maps of one kernel vector share one dict (never
+    mutated, like `_UNIT`), and no degree of N is indexed or assembled.
+    Raises as `ext_dims` does, and in its order, after a
+    CertificationError when `res` has no F_1; for a syzygy N over F_p
+    the mod-p independence is checked at the degrees of F_0, where the
+    values land, and then of F_1."""
     if len(res.frees) < 2:
         raise CertificationError("resolution not deep enough for the Hom space")
     dual = _Dual(res, N, char, lambda cols: linalg.kernel_of(cols, char))
     dual.guard(0, d)
-    fine = res.syzygies[0].fine
+    if char and isinstance(N, SyzygyModule):
+        _check_independent_mod_p(N, [d + dg for dg in dual.gens[0]], char, dual.checked)
     out = []
     for block, part_a, part_b, kernel in dual.blocks(0, d):
         if not kernel:
             continue
-        labels = [(g, fine[g], dual.degree(j)[1], len(rect[2])) for g, (j, _), rect in block]
-        for da, db in product(part_a, part_b):
-            keys = [
-                (g, index_of((tuple(map(add, da, fa)), tuple(map(add, db, fb))), q))
-                for g, (fa, fb), index_of, n in labels
-                for q in range(n)
-            ]
-            out += [{keys[q]: c for q, c in vec.items()} for vec in kernel]
+        keys = [(g, q) for g, _, rect in block for q in range(len(rect[2]))]
+        vecs = [{keys[p]: c for p, c in vec.items()} for vec in kernel]
+        out += [((da, db), vec) for da in part_a for db in part_b for vec in vecs]
     return out
 
 
 # ---------------------------------------------------------------------------
-# maps as degreewise matrices, compositions, and stable quotients
+# maps in fine form: scalar forms, compositions, and stable quotients
 
 
 class HomCalculator:
-    """The one owner of resolutions, hom bases, sections and element
-    matrices for a ring pair and a window; the caller creates it and
-    passes it to every computation on that pair and window.  A section
-    of the cover re-runs one degree of it on the stored generators.
+    """The one owner of resolutions, hom bases and sections for a ring
+    pair and a window; the caller creates it and passes it to every
+    computation on that pair and window.  A section of the cover re-runs
+    one degree of it on the stored generators.
 
     Its dicts are keyed by the modules themselves: the frozen
     DiagonalModule and FreeModule by value, so equal modules built
@@ -731,6 +748,12 @@ class HomCalculator:
     Resolving M to depth D also registers, for k < D, the tail from step
     k on as the resolution of the k-th syzygy, so syzygies of a resolved
     module are never resolved again.
+
+    A map stays in the fine form `hom_space` gives it, (δ, {(g, q): c});
+    `form` writes it over the ambient generators of its target, and
+    `compose_hom`, `through_free_vectors`, `stable_hom_dims` and the
+    quivers rank such forms one δ at a time.  `element_matrix` is the
+    flat path by action matrices, which none of them reads.
 
     `char` is the field of every rank, kernel and stable quotient taken
     here: 0 for Q, a prime p for F_p.  Resolutions stay over Q."""
@@ -747,6 +770,8 @@ class HomCalculator:
         self._res = {}
         self._hom = {}
         self._section = {}
+        self._tests = {}
+        self._checked = {}  # syzygy -> degrees and tests found independent mod char
         self._elem_cache = {}
 
     def resolution(self, M, depth: int = 1) -> Resolution:
@@ -769,63 +794,120 @@ class HomCalculator:
         res = self.resolution(M, max(i_values) + 1)
         return ext_dims(res, N, i_values, d_values, self.char)
 
-    def hom_basis(self, M, N, d: int) -> list[dict]:
+    def hom_basis(self, M, N, d: int) -> list[tuple]:
         key = (M, N, d)
         if key not in self._hom:
             self._hom[key] = hom_space(self.resolution(M), N, d, self.char)
         return self._hom[key]
 
-    def section(self, M, t: int) -> list[dict]:
-        """A section of the cover F0 -> M in degree t: for each basis
-        vector of M_t, its coordinates over F0 in flat order (the order
-        `element_matrix` sums them), keyed by (generator index, pair).
+    def section(self, M, t: int) -> dict:
+        """A section of the cover F0 -> M in degree t: κ -> for each test
+        q at κ of M_t (`_rectangles`), in order, its coordinates {s: λ}
+        over the generators s of F0 with f(s) <= κ, the element
+        Σ λ_s (κ / f(s)) * s.
 
         Re-runs `_cover_degree` on the stored generators of degree < t,
         whose blocks the resolution has eliminated; their pivots are the
-        independent cover columns, reduced in order.  Each fine degree
-        of a sub-rectangle reads its block's coordinates on its own
-        columns, u * s for u = κ / f(s), and new generators."""
+        independent cover columns, reduced in order.  A block's
+        coordinates over its columns, relabelled to their generators,
+        are shared by the fine degrees of its sub-rectangle; only a block
+        with new generators, whose index depends on κ, is relabelled at
+        each κ."""
         key = (M, t)
-        if key not in self._section:
+        sec = self._section.get(key)
+        if sec is None:
             if not self.lo <= t <= self.hi:
                 raise CertificationError(f"degree {t} outside the window")
             res = self.resolution(M)
             before = [g for g in res.generators[0] if g[0] < t]
-            new, gen_data, parts, index_of = _cover_degree(M, t, before, res.blocks, {})
+            new, _, parts, index_of = _cover_degree(M, t, before, res.blocks, {})
             if new != [g for g in res.generators[0] if g[0] == t]:
                 raise AssertionError(f"degree-{t} generators differ from the resolution's")
             index = {i: len(before) + r for r, (_, (i,)) in enumerate(new)}
-            sections = [None] * M.dim(t)
+            sec = self._section[key] = {}
             for sa, sb, cols, _, block in parts:
+                shared = None if block.new else _relabel(block.coords, cols)
                 for kappa in product(sa, sb):
-                    keys = [(s, _pair_sub(kappa, gen_data[s][1])) for s in cols]
-                    keys += [(index[index_of(kappa, q)], _pair_sub(kappa, kappa)) for q in block.new]
-                    for q, coords in enumerate(block.coords):
-                        sections[index_of(kappa, q)] = {keys[p]: c for p, c in coords.items()}
-            self._section[key] = sections
-        return self._section[key]
+                    sec[kappa] = shared or _relabel(
+                        block.coords, cols + [index[index_of(kappa, q)] for q in block.new]
+                    )
+        return sec
 
-    def element_matrix(self, M, N, d: int, vec: dict, t: int) -> list[dict]:
-        """Columns of the degree-d map `vec` (keyed by (g, n), as
-        `hom_space` gives it) on the degree-t piece of M."""
-        key = (M, N, d, t, tuple(sorted(vec.items())))
+    def _tests_at(self, N, j: int) -> dict:
+        """κ -> the tests at κ of N_j (`_rectangles`), in order: the q of a
+        map's key (g, q) indexes them.  Read from the rectangles, so a
+        pending syzygy degree is not assembled."""
+        key = (N, j)
+        at = self._tests.get(key)
+        if at is None:
+            at = self._tests[key] = {
+                kappa: tests for sa, sb, tests in _rectangles(N, j)[0] for kappa in product(sa, sb)
+            }
+        return at
+
+    def form(self, M, N, d: int, phi) -> dict:
+        """The degree-d map phi: M -> N, (δ, {(g, q): c}) as `hom_basis`
+        gives it, over the ambient generators e of N: {(g, e): c}, the
+        scalar form of its value on each generator g of F_0.  A diagonal N
+        has one ambient generator and the test {0: 1} at every κ, so its
+        form is phi's own dict."""
+        delta, vec = phi
+        if type(N).fine_basis is DiagonalModule.fine_basis:
+            return vec
+        res = self.resolution(M)
+        gens, fine = res.frees[0].gens, res.syzygies[0].fine
+        out = {}
+        for (g, q), c in vec.items():
+            test = self._tests_at(N, d + gens[g])[_pair_add(delta, fine[g])][q]
+            for e, v in test.items():
+                z = out.get((g, e), 0) + c * v
+                if z:
+                    out[(g, e)] = z
+                elif (g, e) in out:
+                    del out[(g, e)]
+        return out
+
+    def land(self, N, j: int):
+        """Read N.dim(j), where values of maps into N land
+        (CertificationError above the window); over F_p for a syzygy N,
+        then check that its tests there stay independent mod p
+        (`_check_independent_mod_p`), which ranking forms in ambient
+        coordinates needs."""
+        N.dim(j)
+        if self.char and isinstance(N, SyzygyModule):
+            _check_independent_mod_p(N, [j], self.char, self._checked.setdefault(N, set()))
+
+    def element_matrix(self, M, N, d: int, phi, t: int) -> list[dict]:
+        """Columns of the degree-d map phi (as `hom_basis` gives it) on the
+        degree-t piece of M, in the bases of M_t and N_(t + d), through
+        action matrices.  It is the flat path that `compose_hom`
+        replaced, kept for the references; no computation here reads
+        it."""
+        delta, vec = phi
+        key = (M, N, d, t, delta, tuple(sorted(vec.items())))
         cached = self._elem_cache
         if key in cached:
             return cached[key]
-        F0 = self.resolution(M).frees[0]
-        gen_values = _by_generator(vec)
-        cols = []
-        for coords in self.section(M, t):
+        res = self.resolution(M)
+        gens, fine = res.frees[0].gens, res.syzygies[0].fine
+        at, gen_values = {}, {}
+        for (g, q), v in vec.items():
+            j = d + gens[g]
+            if j not in at:
+                at[j] = _by_kappa(N.fine_basis(j))
+            gen_values.setdefault(g, {})[at[j][_pair_add(delta, fine[g])][q]] = v
+        sec, seen, cols = self.section(M, t), Counter(), []
+        for kappa, _ in M.fine_basis(t):
             out = {}
-            for (g_idx, pair), coeff in coords.items():
-                base = gen_values.get(g_idx)
+            for s, coeff in sec[kappa][seen[kappa]].items():
+                base = gen_values.get(s)
                 if not base:
                     continue
-                g = F0.gens[g_idx]
+                g = gens[s]
                 img = (
                     dict(base)
                     if g == t
-                    else linalg.apply_columns(_act_cached(N, pair, t - g, d + g), base)
+                    else linalg.apply_columns(_act_cached(N, _pair_sub(kappa, fine[s]), t - g, d + g), base)
                 )
                 for k, v in img.items():
                     z = out.get(k, 0) + coeff * v
@@ -833,90 +915,104 @@ class HomCalculator:
                         out[k] = z
                     elif k in out:
                         del out[k]
+            seen[kappa] += 1
             cols.append(out)
         cached[key] = cols
         return cols
 
 
-def _by_generator(vec: dict) -> dict:
-    """The values of a map keyed by (g, n) on each generator: g -> {n: v}."""
-    out = {}
-    for (g, n), v in vec.items():
-        out.setdefault(g, {})[n] = v
+def _relabel(coords, labels) -> list[dict]:
+    """A block's coordinates over its positions, relabelled."""
+    return [{labels[p]: c for p, c in row.items()} for row in coords]
+
+
+def _by_generator(vec: dict) -> defaultdict:
+    """A map keyed by (g, k) as its values on each generator, g -> {k: v},
+    {} for a generator without one."""
+    out = defaultdict(dict)
+    for (g, k), v in vec.items():
+        out[g][k] = v
     return out
 
 
-def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi: dict, psi: dict) -> dict:
-    """psi∘phi for phi: a->b degree e, psi: b->c degree f, each keyed by
-    (g, n) as `hom_space` gives it.  c.dim is read at the degree of every
-    generator of a, once per degree, before the first element matrix of
-    that degree (CertificationError above the window)."""
-    gens = calc.resolution(a).frees[0].gens
-    values = _by_generator(phi)
+def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi, psi) -> tuple:
+    """psi∘phi for phi: a -> b of degree e and psi: b -> c of degree f,
+    (δ1, ·) and (δ2, ·) as `hom_basis` gives them: (δ1·δ2, {(g, k): x}),
+    its value on each generator g of F_0(a) as a scalar form over the
+    ambient generators k of c, as `HomCalculator.form` writes maps.
+
+    phi(g) is the element of b at κ = δ1·f(g) with the coefficient
+    phi[(g, q)] on the q-th test there; the section of the cover of b
+    (`HomCalculator.section`) writes it as Σ λ_s (κ / f(s))·s over the
+    generators s of b.  psi(s) has a scalar form σ_s at δ2·f(s), and
+    multiplying by the monomial κ / f(s) keeps it, so psi(phi(g)) is
+    Σ λ_s σ_s at δ1·δ2·f(g): no action matrix is read.  For each
+    generator of a in turn, c is read at its degree once per degree
+    (`HomCalculator.land`), and then the section of b if phi has a value
+    on it."""
+    (delta1, vec1), (delta2, _) = phi, psi
+    res = calc.resolution(a)
+    values = _by_generator(vec1)
+    images = _by_generator(calc.form(b, c, f, psi))
     out, read = {}, set()
-    for g, dg in enumerate(gens):
+    for g, (dg, fg) in enumerate(zip(res.frees[0].gens, res.syzygies[0].fine)):
         if dg not in read:
             read.add(dg)
-            c.dim(dg + e + f)
+            calc.land(c, dg + e + f)
         val = values.get(g)
         if val:  # in b at degree dg + e
-            mat = calc.element_matrix(b, c, f, psi, dg + e)
-            for k, v in linalg.apply_columns(mat, val).items():
+            coords = linalg.apply_columns(calc.section(b, dg + e)[_pair_add(delta1, fg)], val)
+            for k, v in linalg.apply_columns(images, coords).items():
                 out[(g, k)] = v
-    return out
+    return _pair_add(delta1, delta2), out
 
 
-def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[dict]:
-    """Maps a -> b of degree d, keyed by (g, n) as `hom_space` gives them,
-    spanning those that factor through a free module.
+def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[tuple]:
+    """Maps a -> b of degree d spanning those that factor through a free
+    module, each (δ, {(g, e): c}) over the ambient generators e of b, as
+    `compose_hom` gives maps.
 
     A map a -> F -> b with F free lifts through the cover F0(b) -> b,
     because F is projective, so it factors through F0(b): it is a sum of
-    phi * g over the minimal generators g of b, with phi: a -> R of
-    degree d - deg g.  One vector per such phi and g therefore spans the
-    whole space.  The generators of b are found over Q; they generate b
-    over F_p as well when they are monomials, as for diagonal and free
-    targets, and only then is the span complete over F_p.  b.dim is read
-    at the degree of every generator of a, once per degree, when the
-    first phi is found (CertificationError above the window)."""
+    phi * s over the minimal generators s of b, with phi: a -> R of
+    degree d - deg s.  phi = (δ', {(g, 0): c}) sends g to c·x^(δ'·f(g)),
+    so phi * s sends it to c·x^(δ'·f(g)) * s: the map sits at δ'·f(s),
+    and its value on g is c times the scalar form of s.  One vector per
+    such phi and s therefore spans the whole space.  The generators of b
+    are found over Q; they generate b over F_p as well when they are
+    monomials, as for diagonal and free targets, and only then is the
+    span complete over F_p.  b is read at the degree of every generator
+    of a, once per degree, when the first phi is found
+    (`HomCalculator.land`)."""
     R = calc.free_rank_one
     gens = calc.resolution(a).frees[0].gens
     out, unread = [], dict.fromkeys(gens)
-    for j, gen in calc.resolution(b).generators[0]:
-        u = d - j
-        for phi in calc.hom_basis(a, R, u):
-            for dg in unread:
-                b.dim(d + dg)
-            unread = ()
-            vec = {}
-            for (g, n), coeff in phi.items():
-                # coeff times the n-th pair of R_(deg g + u) is a term of phi(g)
-                p = gens[g] + u
-                pair = r_basis(calc.ringA, calc.ringB, p)[n]
-                img = gen if p == 0 else linalg.apply_columns(_act_cached(b, pair, p, j), gen)
-                for k, w in img.items():
-                    key = (g, k)
-                    z = vec.get(key, 0) + coeff * w
-                    if z:
-                        vec[key] = z
-                    elif key in vec:
-                        del vec[key]
-            if vec:
-                out.append(vec)
+    for j, (i,) in calc.resolution(b).generators[0]:
+        phis = calc.hom_basis(a, R, d - j)
+        if not phis:
+            continue
+        for dg in unread:
+            calc.land(b, d + dg)
+        unread = ()
+        fs, scalar = b.fine_basis(j)[i]
+        for delta, vec in phis:
+            form = {(g, e): c * v for (g, _), c in vec.items() for e, v in scalar.items()}
+            out.append((_pair_add(delta, fs), form))
     return out
 
 
 def stable_hom_dims(calc: HomCalculator, a, b, d_values) -> dict:
-    """dim Hom_d and dim of the stable quotient (mod maps through frees)."""
+    """dim Hom_d and dim of the stable quotient (mod maps through frees),
+    ranked in one echelon per δ: maps of different δ have disjoint
+    values."""
     out = {}
     for d in d_values:
         basis = calc.hom_basis(a, b, d)
-        frees = through_free_vectors(calc, a, b, d)
-        ech = linalg.Echelon(calc.char)
-        for v in frees:
-            ech.add(v)
-        p_dim = ech.rank
-        for v in basis:
-            ech.add(v)
-        out[d] = (len(basis), ech.rank - p_dim)
+        echs = defaultdict(lambda: linalg.Echelon(calc.char))
+        for delta, v in through_free_vectors(calc, a, b, d):
+            echs[delta].add(v)
+        p_dim = sum(ech.rank for ech in echs.values())
+        for phi in basis:
+            echs[phi[0]].add(calc.form(a, b, d, phi))
+        out[d] = (len(basis), sum(ech.rank for ech in echs.values()) - p_dim)
     return out

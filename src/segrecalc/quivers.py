@@ -5,6 +5,7 @@ two folding constructions (doubling for d=3, tripling for d=4)."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,6 +111,12 @@ class EndoQuiver:
     Every resolution and hom basis comes from
     `calc`, the HomCalculator of the summands' ring pair and window, and
     every rank is taken over its field.
+
+    Maps stay in fine form: each lies in one fine degree δ, and a
+    composition of maps at δ1 and δ2 lies at δ1·δ2.  Hom(a, b)_d is the
+    sum of its pieces Hom_δ, so rad, rad², the maps through frees and
+    their ranks split by δ, and each δ is ranked in its own echelon
+    (`HomCalculator.form`) up to dim Hom_δ.
     """
 
     def __init__(self, calc, summands, degree_top: int = 3):
@@ -145,17 +152,22 @@ class EndoQuiver:
             return []
         return self.calc.hom_basis(a, b, d)
 
-    def _rad_square(self, a, b, d: int, mods, ech, target: int) -> None:
+    def _rad_square(self, a, b, d: int, mods, echs, target) -> None:
         """Insert the nonzero compositions a -> c -> b of degree d, both
-        factors radical, into `ech` until its rank reaches `target`.
+        factors radical, into the echelon of their fine degree δ in
+        `echs` while its rank is below target[δ] = dim Hom(a, b)_δ, and
+        stop once every δ is full.  A product's δ is δ1·δ2, known before
+        composing, so a product at a full δ, or at a δ outside `target`,
+        is never composed.
 
         A split (e, d - e) whose hom data lies above the window (`_d_top`)
-        is skipped.  When the rank stays below `target`, a skipped split
+        is skipped.  When some δ stays below its target, a skipped split
         is harmless only if it has an in-window side without radical
         maps: CertificationError otherwise."""
-        from .gradedlin.resolution import compose_hom
+        from .gradedlin.resolution import _pair_add, compose_hom
         from .linalg import CertificationError
 
+        open_ = sum(echs[delta].rank < n for delta, n in target.items())
         top_a, skipped = self._d_top(a), []
         for c in mods:
             e_lo = self._d_floor(a, c) if c is not a else max(self._d_floor(a, c), 1)
@@ -173,9 +185,15 @@ class EndoQuiver:
                     continue
                 for phi in phis:
                     for psi in psis:
-                        vec = compose_hom(self.calc, a, c, b, e, d - e, phi, psi)
-                        if vec and ech.add(vec) and ech.rank >= target:
-                            return
+                        delta = _pair_add(phi[0], psi[0])
+                        ech = echs.get(delta)
+                        if ech is None or ech.rank >= target[delta]:
+                            continue
+                        _, vec = compose_hom(self.calc, a, c, b, e, d - e, phi, psi)
+                        if vec and ech.add(vec) and ech.rank >= target[delta]:
+                            open_ -= 1
+                            if not open_:
+                                return
         for c, e, top_c in skipped:
             if e <= top_a:
                 side = self._rad_basis(a, c, e)
@@ -207,23 +225,26 @@ class EndoQuiver:
                         continue
                     # rad is all of Hom(a, b)_d (only a is b in degree <= 0
                     # is skipped), so every map through frees and every
-                    # composition lies in its span: once F + rad^2 spans
-                    # len(rad) dimensions no further product can matter
-                    ech = linalg.Echelon(self.calc.char)
+                    # composition of fine degree δ lies in the span of
+                    # rad's maps at δ: once F + rad^2 spans dim Hom_δ at
+                    # every δ no further product can matter
+                    target = Counter(delta for delta, _ in rad)
+                    echs = {delta: linalg.Echelon(self.calc.char) for delta in target}
                     if drop_free:
-                        for v in through_free_vectors(self.calc, a, b, d):
-                            ech.add(v)
-                    if ech.rank < len(rad):
-                        self._rad_square(a, b, d, mods, ech, len(rad))
-                    covered = ech.rank
+                        for delta, v in through_free_vectors(self.calc, a, b, d):
+                            echs.setdefault(delta, linalg.Echelon(self.calc.char)).add(v)
+                    if any(echs[delta].rank < n for delta, n in target.items()):
+                        self._rad_square(a, b, d, mods, echs, target)
+                    covered = sum(ech.rank for ech in echs.values())
                     for v in rad:
-                        ech.add(v)
-                    if ech.rank != len(rad):
+                        echs[v[0]].add(self.calc.form(a, b, d, v))
+                    rank = sum(ech.rank for ech in echs.values())
+                    if rank != len(rad):
                         raise AssertionError(
                             f"{la}->{lb} in degree {d}: F + rad^2 + rad has rank "
-                            f"{ech.rank}, not dim Hom = {len(rad)}"
+                            f"{rank}, not dim Hom = {len(rad)}"
                         )
-                    total += ech.rank - covered
+                    total += rank - covered
                 if total:
                     arrows[(la, lb)] = total
         return Quiver(tuple(l for l, _ in keep), arrows)

@@ -4,11 +4,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from segrecalc import linalg
+from segrecalc import cli, linalg
 from segrecalc.hilbert import ring
-from segrecalc.gradedlin import catalog
-from segrecalc.gradedlin.modules import DiagonalModule
-from segrecalc.gradedlin.resolution import HomCalculator, compose_hom, through_free_vectors
+from segrecalc.gradedlin import catalog, resolution
+from segrecalc.gradedlin.modules import DiagonalModule, FreeModule, SyzygyModule
+from segrecalc.gradedlin.resolution import HomCalculator, through_free_vectors
 from segrecalc.quivers import (
     EndoQuiver,
     Quiver,
@@ -20,6 +20,7 @@ from segrecalc.quivers import (
     middle_multiplicities,
     p_segre_quiver,
 )
+from test_resolution import flat_hom, flat_of, flat_of_form, flat_values, reference_compose_values
 
 A2 = ring(("x0", "x1"), (1, 1))
 B3 = ring(("y0", "y1", "y2"), (1, 1, 1))
@@ -207,8 +208,10 @@ def test_p_segre_rejects_bad_p():
 
 def reference_rad_square(eq, a, b, d, mods):
     """Every nonzero composition a -> c -> b of degree d with both factors
-    radical: the all-pairs product that `EndoQuiver._rad_square` stops
-    early."""
+    radical, in flat coordinates through element matrices
+    (`reference_compose_values`): the all-pairs product that
+    `EndoQuiver._rad_square` stops early, one δ at a time."""
+    res = eq.calc.resolution(a)
     out = []
     for c in mods:
         e_lo = eq._d_floor(a, c) if c is not a else max(eq._d_floor(a, c), 1)
@@ -218,9 +221,9 @@ def reference_rad_square(eq, a, b, d, mods):
         for e in range(e_lo, e_hi + 1):
             phis = eq._rad_basis(a, c, e)
             psis = eq._rad_basis(c, b, d - e) if phis else []
-            for phi in phis:
+            for values in [flat_values(res, c, e, phi) for phi in phis] if psis else ():
                 for psi in psis:
-                    vec = compose_hom(eq.calc, a, c, b, e, d - e, phi, psi)
+                    vec = reference_compose_values(eq.calc, a, c, b, e, d - e, values, psi)
                     if vec:
                         out.append(vec)
     return out
@@ -229,7 +232,8 @@ def reference_rad_square(eq, a, b, d, mods):
 def reference_arrows(eq, drop_free=None):
     """The quiver of `eq` (its stable part with `drop_free`) from every
     product of radical maps: arrows from a to b in degree d number
-    rank(F + rad^2 + rad) - rank(F + rad^2), F the maps through frees."""
+    rank(F + rad^2 + rad) - rank(F + rad^2), F the maps through frees,
+    ranked in one echelon over the flat coordinates of Hom(a, b)_d."""
     keep = [(l, m) for l, m in eq.summands if not drop_free or l not in drop_free]
     mods = [m for _, m in keep]
     arrows = {}
@@ -240,14 +244,16 @@ def reference_arrows(eq, drop_free=None):
                 rad = eq._rad_basis(a, b, d)
                 if not rad:
                     continue
+                res = eq.calc.resolution(a)
+                gens = res.frees[0].gens
                 ech = linalg.Echelon(eq.calc.char)
                 for v in through_free_vectors(eq.calc, a, b, d) if drop_free else ():
-                    ech.add(v)
+                    ech.add(flat_hom(gens, b, d, flat_of_form(res, b, d, v)))
                 for v in reference_rad_square(eq, a, b, d, mods):
                     ech.add(v)
                 covered = ech.rank
                 for v in rad:
-                    ech.add(v)
+                    ech.add(flat_hom(gens, b, d, flat_of(res, b, d, v)))
                 total += ech.rank - covered
             if total:
                 arrows[(la, lb)] = total
@@ -277,6 +283,33 @@ def test_early_stop_matches_reference_with_a_syzygy_vertex(char):
         calc, [("R", DiagonalModule(A2, B3, 0)), ("om", omega), ("syz2", syz2)], degree_top=3
     )
     _assert_matches_reference(eq, ["R"])
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_quiver_path_reads_no_action_matrix(monkeypatch, char):
+    """The Gorenstein k3_w12 quiver and its stable part, the k2_k3 quiver
+    with the syz² vertex and the stable End of ω, built with every action
+    matrix and element matrix unavailable, equal their expected values."""
+
+    def no_act(*args):
+        raise AssertionError("an action matrix was read")
+
+    for cls in (DiagonalModule, FreeModule, SyzygyModule):
+        monkeypatch.setattr(cls, "act", no_act)
+    monkeypatch.setattr(resolution, "_act_cached", no_act)
+    monkeypatch.setattr(HomCalculator, "element_matrix", no_act)
+    eq = cli._gorenstein_endo_quiver("k3_w12", 8, char)
+    assert eq.quiver.arrows == cli._expected_endo_quivers()["k3_w12"]
+    assert eq.stable_reduce(["R"]).arrows == {("M1", "M-1"): 1}
+    a, b = catalog.ring_pair("k2_k3")
+    calc = HomCalculator(a, b, 0, 8, char)
+    omega = DiagonalModule(a, b, 1)
+    syz2 = calc.resolution(omega, 3).syzygy(2)
+    eq = EndoQuiver(
+        calc, [("R", DiagonalModule(a, b, 0)), ("om", omega), ("syz2", syz2)], degree_top=3
+    )
+    assert eq.quiver.arrows == {("R", "om"): 2, ("om", "syz2"): 3, ("syz2", "R"): 3}
+    assert catalog.stable_end_omega(calc) == {"0": 1, "1": 0, "2": 0, "3": 0}
 
 
 small_weights = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2)

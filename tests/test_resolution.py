@@ -708,11 +708,12 @@ def test_rectangle_cover_matches_per_kappa_reference(wa, wb, shift, extra):
     syz1 = res.syzygy(1)
     # sections first, while the degrees of syz1 without generators are
     # still pending rectangles
-    sections = [typed(calc.section(N, t)) for N in (module, syz1) for t in range(hi + 1)]
+    raw = [(N, t, calc.section(N, t)) for N in (module, syz1) for t in range(hi + 1)]
     ref = reference_block_resolution(module, 2, 0, hi)
     assert item_fields(res) == item_fields(ref)
     for prev, syz in zip([module] + res.syzygies, res.syzygies):
         assert basis_items(syz.bases) == basis_items(reference_kernel_bases(prev, 0, hi))
+    sections = [typed(flat_section(calc, N, t, sec)) for N, t, sec in raw]
     assert sections == [
         typed(reference_block_section(N, gens, t))
         for N, gens in ((module, ref.generators[0]), (syz1, ref.generators[1]))
@@ -937,14 +938,31 @@ def reference_section(covers, F0, M, t):
 
 def typed(sections):
     """Coordinates with their order and value types, so ints and
-    Fractions that compare equal still differ."""
+    Fractions that compare equal still differ; a section by fine degree
+    (`HomCalculator.section`) with its κ too."""
+    if isinstance(sections, dict):
+        return [(kappa, typed(rows)) for kappa, rows in sections.items()]
     return [[(k, type(v), v) for k, v in s.items()] for s in sections]
+
+
+def flat_section(calc, M, t, sec=None):
+    """A section by fine degree (`HomCalculator.section`, or `sec`) in
+    the flat form of the references: per basis vector of M_t, in basis
+    order, its coordinates keyed (generator s, pair κ / f(s))."""
+    sec = calc.section(M, t) if sec is None else sec
+    fine = calc.resolution(M).syzygies[0].fine
+    out, seen = [], Counter()
+    for kappa, _ in M.fine_basis(t):
+        row = sec[kappa][seen[kappa]]
+        seen[kappa] += 1
+        out.append({(s, resolution._pair_sub(kappa, fine[s])): c for s, c in row.items()})
+    return out
 
 
 def _assert_sections_match_reference(calc, M):
     ref, covers = reference_free_resolution(M, 0, calc.lo, calc.hi)
     for t in range(calc.lo, calc.hi + 1):
-        assert typed(calc.section(M, t)) == typed(reference_section(covers, ref.frees[0], M, t))
+        assert typed(flat_section(calc, M, t)) == typed(reference_section(covers, ref.frees[0], M, t))
     for t in (calc.lo - 1, calc.hi + 1):
         with pytest.raises(CertificationError, match="outside the window"):
             calc.section(M, t)
@@ -990,6 +1008,44 @@ def flat_hom(gens, N, d, vec):
     return {offs[g] + n: v for (g, n), v in vec.items()}
 
 
+def flat_of(res, N, d, phi):
+    """A fine map (δ, {(g, q): c}) of degree d from the module `res`
+    resolves, as `hom_space` gives it, keyed by (g, n): n is the q-th
+    basis vector of N_(d + deg g) at κ = δ·f(g), in basis order."""
+    delta, vec = phi
+    gens, fine = res.frees[0].gens, res.syzygies[0].fine
+    return {
+        (g, basis_positions(N, d + gens[g])[resolution._pair_add(delta, fine[g])][q]): c
+        for (g, q), c in vec.items()
+    }
+
+
+@lru_cache(maxsize=256)
+def basis_positions(N, j):
+    """κ -> the indices of the basis vectors of N_j at κ, in basis order."""
+    return resolution._by_kappa(N.fine_basis(j))
+
+
+def flat_of_form(res, N, d, fmap):
+    """A map (δ, {(g, e): c}) over the ambient generators e of N, as
+    `compose_hom` and `through_free_vectors` give it, keyed by (g, n):
+    the coordinates over Q of each value over the basis vectors of
+    N_(d + deg g) at κ = δ·f(g), sorted."""
+    delta, form = fmap
+    gens, fine = res.frees[0].gens, res.syzygies[0].fine
+    out = {}
+    for g in sorted({g for g, _ in form}):
+        kappa = resolution._pair_add(delta, fine[g])
+        ech = linalg.Echelon(track=True)
+        for n, (k, scalar) in enumerate(N.fine_basis(d + gens[g])):
+            if k == kappa:
+                ech.add(scalar, tag=n)
+        coords = ech.coordinates({e: c for (h, e), c in form.items() if h == g})
+        assert coords is not None, "a value outside the target"
+        out.update(((g, n), c) for n, c in sorted(coords.items()) if c)
+    return out
+
+
 def split_gen_values(gens, N, d, flat):
     """A map in flat coordinates, {n: v} per generator."""
     out, off = [], 0
@@ -1018,7 +1074,8 @@ def reference_through_free_vectors(calc, a, b, d):
             continue
         dim_bv = b.dim(v)
         for phi in homs:
-            phi_vals = split_gen_values(F0.gens, R, u, flat_hom(F0.gens, R, u, phi))
+            flat = flat_hom(F0.gens, R, u, flat_of(calc.resolution(a), R, u, phi))
+            phi_vals = split_gen_values(F0.gens, R, u, flat)
             for nb in range(dim_bv):
                 vec = {}
                 off = 0
@@ -1046,8 +1103,12 @@ def reference_through_free_vectors(calc, a, b, d):
 def _assert_same_span(calc, a, b, d):
     """The cover-generator vectors span what the twist search spans, over
     the calculator's field, and are never more numerous."""
-    gens = calc.resolution(a).frees[0].gens
-    fast = [flat_hom(gens, b, d, v) for v in resolution.through_free_vectors(calc, a, b, d)]
+    res = calc.resolution(a)
+    gens = res.frees[0].gens
+    fast = [
+        flat_hom(gens, b, d, flat_of_form(res, b, d, v))
+        for v in resolution.through_free_vectors(calc, a, b, d)
+    ]
     ref = reference_through_free_vectors(calc, a, b, d)
     assert len(fast) <= len(ref)
     rank_fast = linalg.rank_of(fast, calc.char)
@@ -1157,26 +1218,43 @@ def reference_ext_dims(res, N, i_values, d_values, char):
 
 
 def reference_compose_hom(calc, a, b, c, e, f, phi, psi):
-    """psi∘phi in flat coordinates (`flat_hom`), with every generator's
-    image summed into the output and zeros filtered at the end."""
+    """psi∘phi in flat coordinates (`flat_hom`) through the element
+    matrices of psi (`reference_compose_values`)."""
+    values = flat_values(calc.resolution(a), b, e, phi)
+    return reference_compose_values(calc, a, b, c, e, f, values, psi)
+
+
+def flat_values(res, N, d, phi):
+    """A fine map's values on the generators of F_0 (`flat_of`), g -> {n:
+    c} over the basis of N_(d + deg g)."""
+    out = {}
+    for (g, n), c in flat_of(res, N, d, phi).items():
+        out.setdefault(g, {})[n] = c
+    return out
+
+
+def reference_compose_values(calc, a, b, c, e, f, values, psi):
+    """psi∘phi in flat coordinates, phi given by its values (`flat_values`),
+    with every generator's image through the element matrices of psi
+    summed into the output and zeros filtered at the end, sorted."""
     F0 = calc.resolution(a).frees[0]
     out = {}
     off = 0
-    phi_vals = split_gen_values(F0.gens, b, e, flat_hom(F0.gens, b, e, phi))
     for g_idx, g in enumerate(F0.gens):
-        val = phi_vals[g_idx]
+        val = values.get(g_idx)
         dim_c = c.dim(g + e + f)
         img = linalg.apply_columns(calc.element_matrix(b, c, f, psi, g + e), val) if val else {}
         for k, v in img.items():
             out[off + k] = out.get(off + k, 0) + v
         off += dim_c
-    return {k: v for k, v in out.items() if v}
+    return {k: v for k, v in sorted(out.items()) if v}
 
 
 def flat_compose_hom(calc, a, b, c, e, f, phi, psi):
-    """`compose_hom` in flat coordinates."""
-    gens = calc.resolution(a).frees[0].gens
-    return flat_hom(gens, c, e + f, compose_hom(calc, a, b, c, e, f, phi, psi))
+    """`compose_hom` in flat coordinates, sorted."""
+    res = calc.resolution(a)
+    form = compose_hom(calc, a, b, c, e, f, phi, psi)
+    return dict(sorted(flat_hom(res.frees[0].gens, c, e + f, flat_of_form(res, c, e + f, form)).items()))
 
 
 def _assert_hom_space_matches_reference(res, N, d, char, basis):
@@ -1192,7 +1270,7 @@ def _assert_hom_space_matches_reference(res, N, d, char, basis):
         return
     assert not isinstance(basis, tuple), basis
     ref = linalg.kernel_of(cols, char)
-    fast = [flat_hom(res.frees[0].gens, N, d, v) for v in basis]
+    fast = [flat_hom(res.frees[0].gens, N, d, flat_of(res, N, d, v)) for v in basis]
     for v in fast:
         image = linalg.apply_columns(cols, v)
         assert not (linalg.reduce_mod(image, char) if char else image), (N, d, v)
@@ -1217,8 +1295,11 @@ def _dual_blocks(gens, fine, N, d: int) -> dict:
 def reference_hom_space(res, N, d, char):
     """`hom_space` by every column (g, n): the kernel of each δ-block of
     `_dual_blocks`, taken once per block content (the pairs (g, scalar
-    form of n)) and read back on the block's own (g, n).  It reads
-    N.fine_basis, so it assembles every degree it lists."""
+    form of n)), read back on the block's own (g, n) and keyed (g, q), q
+    the position of n among the basis vectors at its fine degree, as
+    fine maps (δ, {(g, q): c}).  It reads N.fine_basis, so it assembles
+    every degree it lists.  Over F_p a syzygy N is checked at the
+    degrees of F_0 and then of F_1."""
     if len(res.frees) < 2:
         raise CertificationError("resolution not deep enough for the Hom space")
     gens, next_gens = res.frees[0].gens, res.frees[1].gens
@@ -1229,24 +1310,32 @@ def reference_hom_space(res, N, d, char):
     if isinstance(N, SyzygyModule):
         width = len(N.ambient.gens)
         if char:
-            resolution._check_independent_mod_p(N, [d + dh for dh in next_gens], char, set())
+            degrees = [d + dg for dg in gens + next_gens]
+            resolution._check_independent_mod_p(N, degrees, char, set())
+    position = {}  # (g, n) -> q
+    for g, dg in enumerate(gens):
+        seen = Counter()
+        for n, (kappa, _) in enumerate(N.fine_basis(d + dg)):
+            position[(g, n)] = seen[kappa]
+            seen[kappa] += 1
     out, kernels = [], {}
-    for block in _dual_blocks(gens, res.syzygies[0].fine, N, d).values():
+    for delta, block in _dual_blocks(gens, res.syzygies[0].fine, N, d).items():
         key = tuple((g, tuple(scalar.items())) for (g, _), scalar in block)
         kernel = kernels.get(key)
         if kernel is None:
             cols = [strands.dual_column(rows[g], scalar, width) for (g, _), scalar in block]
             kernel = kernels[key] = linalg.kernel_of(cols, char)
         for vec in kernel:
-            out.append({block[q][0]: c for q, c in vec.items()})
+            out.append((delta, {(block[q][0][0], position[block[q][0]]): c for q, c in vec.items()}))
     return out
 
 
 def _sorted_basis(outcome):
-    """A hom basis as a sorted list of sorted items, or its error."""
+    """A hom basis of fine maps as a sorted list of (δ, sorted items), or
+    its error."""
     if isinstance(outcome, tuple):
         return outcome
-    return sorted(sorted(v.items()) for v in outcome)
+    return sorted((delta, sorted(v.items())) for delta, v in outcome)
 
 
 def _typed_outcome(fn, *args):
@@ -1361,6 +1450,14 @@ def test_hom_space_takes_each_distinct_block_kernel_once(monkeypatch):
 @example([1, 2], [1, 1], -2, "tail", 2, "diagonal", 1, -1, 1, 1)  # merged bits in F_0
 @example([1, 2], [1, 1], -2, "free", 3, "dict", -1, 0, 1, 2)  # merged bits; a syzygy over a plain dict
 @example([1, 1], [1, 1], 1, "free", 0, "free", 0, 1, 1, 1)
+# syzygy targets whose fine degrees carry several tests, with maps that
+# tell the tests apart, from sources with a nonzero F_1: over Q, F_2 and
+# F_3, pending, assembled and plain-dict, from a diagonal module and a tail
+@example([2, 1, 1], [1, 2], -2, "tail", 3, "pending", -1, 1, 1, 2)
+@example([2, 1, 2], [2, 1], 2, "diagonal", 2, "pending", -2, -1, 1, 2)
+@example([1, 1, 2], [2, 2], -2, "tail", 0, "assembled", 2, 1, 2, 3)
+@example([1, 2, 1], [1, 2], -2, "tail", 2, "dict", 2, -1, 2, 2)
+@example([1, 1], [2, 1], -2, "tail", 0, "dict", -1, -1, 1, 2)
 def test_hom_space_matches_per_column_reference(wa, wb, shift, source, char, kind, t, twist, k, extra):
     """`hom_space` by masks equals the per-column `reference_hom_space`
     vector for vector, or both raise the same CertificationError, on
@@ -1385,10 +1482,10 @@ def test_hom_space_matches_per_column_reference(wa, wb, shift, source, char, kin
         assert fast == _sorted_basis(_outcome(reference_hom_space, res, N, d, char))
 
 
-def test_hom_basis_into_a_pending_syzygy_assembles_only_where_a_map_lands(monkeypatch):
+def test_hom_basis_into_a_pending_syzygy_assembles_nothing(monkeypatch):
     """Hom(R, syz²ω)_d over k2_k3 assembles no pending degree of the
-    syzygy where it has no map, and only the degree d where a map lands,
-    since R has its one generator in degree 0."""
+    syzygy for any d, also where maps land: a map is keyed by the tests
+    of the rectangles, so no degree is indexed."""
     a, b = catalog.ring_pair("k2_k3")
     calc = HomCalculator(a, b, 0, 8)
     R = DiagonalModule(a, b, 0)
@@ -1404,14 +1501,66 @@ def test_hom_basis_into_a_pending_syzygy_assembles_only_where_a_map_lands(monkey
         return assemble(bases, j, *args)
 
     monkeypatch.setattr(resolution._KernelBases, "_assemble", spy)
-    for d in range(4):
-        assembled.clear()
-        basis = calc.hom_basis(R, syz2, d)
+    bases = {d: calc.hom_basis(R, syz2, d) for d in range(6)}
+    assert [j for owner, j in assembled if owner is syz2.bases] == []
+    assert set(syz2.bases._pending) == pending
+    for d, basis in bases.items():
         assert (basis == []) == (d < 2)
-        assert [j for bases, j in assembled if bases is syz2.bases] == (
-            [d] if basis and d in pending else []
-        )
         _assert_hom_space_matches_reference(calc.resolution(R), syz2, d, 0, basis)
+
+
+def colon_deltas(Ms, Mt, d) -> set:
+    """The fine degrees δ of the degree-d maps M_s -> M_t by the monomial
+    colon (M_t :_K M_s): the Laurent monomials x^δ with x^δ·κ in M_t for
+    every basis pair κ of M_s up to its generation bound.  A δ sends the
+    first pair κ0, of the lowest degree j0 where M_s is nonzero, to a
+    pair of M_t in degree j0 + d, and its degrees then match on every κ,
+    so only the signs of the exponents of δ·κ decide."""
+    by_degree = [(j, Ms.basis(j)) for j in range(Ms.min_degree, Ms.generation_bound() + 1)]
+    pairs = [k for _, basis in by_degree for k in basis]
+    if not pairs:
+        return set()
+    j0 = next(j for j, basis in by_degree if basis)
+    candidates = {resolution._pair_sub(m, pairs[0]) for m in Mt.basis(j0 + d)}
+    return {
+        delta
+        for delta in candidates
+        if all(x >= 0 for k in pairs for side in resolution._pair_add(delta, k) for x in side)
+    }
+
+
+def _assert_hom_is_the_colon(calc, Ms, Mt, d):
+    deltas = [delta for delta, _ in calc.hom_basis(Ms, Mt, d)]
+    assert len(set(deltas)) == len(deltas), (Ms, Mt, d)  # one map per δ
+    assert set(deltas) == colon_deltas(Ms, Mt, d), (Ms, Mt, d)
+
+
+@pytest.mark.parametrize("key,hi", [("k2_k3", 7), ("k3_w12", 8), ("k3_k3", 7)])
+def test_diagonal_hom_is_the_monomial_colon(key, hi):
+    calc = HomCalculator(*catalog.RINGS[key], 0, hi)
+    mods = [catalog.diagonal_module(key, s) for s in (-1, 0, 1)]
+    for Ms, Mt in product(mods, repeat=2):
+        for d in range(-1, 4):
+            _assert_hom_is_the_colon(calc, Ms, Mt, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-1, max_value=3),
+)
+def test_diagonal_hom_is_the_monomial_colon_on_weighted_pairs(wa, wb, s, t, d):
+    """On a window twice the generation bound of M_s, which holds the
+    relations among its generators, whose fine degrees are least common
+    multiples of two generators."""
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    Ms, Mt = DiagonalModule(specA, specB, s), DiagonalModule(specA, specB, t)
+    calc = HomCalculator(specA, specB, 0, 2 * Ms.generation_bound())
+    _assert_hom_is_the_colon(calc, Ms, Mt, d)
 
 
 def test_hom_complex_rejects_an_entry_of_two_pairs():
@@ -1534,6 +1683,69 @@ def test_ext_into_syzygy_forms_dependent_mod_p_raises():
             assert len(basis) == len(hom_space(res, amb, d, char))
         with pytest.raises(CertificationError, match="dependent mod 2"):
             hom_space(res, N, d, 2)
+
+
+def test_hom_into_syzygy_forms_dependent_mod_p_raises(monkeypatch):
+    """The twin of test_ext_into_syzygy_forms_dependent_mod_p_raises for
+    maps, which are ranked over the ambient generators of a syzygy: that
+    is their rank over its tests only while the tests at each fine degree
+    stay independent mod p.  First R^2 with the forms e0 + e1, e0 - e1,
+    equal mod 2, as a target of R, whose F_1 is zero: hom_basis checks the
+    degrees of F_0, where the values land.  Then k2_k3's syz²ω with the
+    two tests t0, t1 of a rectangle replaced by t0 + t1 and t0 - t1,
+    independent over Q and F_3 and equal mod 2: hom_basis, compose_hom and
+    through_free_vectors into it check where their values land."""
+    amb = FreeModule(A2, B3, (0, 0))
+    zero = ((0, 0), (0, 0, 0))
+    forms = ({0: 1, 1: 1}, {0: 1, 1: -1})
+    bases = {j: [(u, s) for u in r_basis(A2, B3, j) for s in forms] for j in range(9)}
+    N = SyzygyModule(amb, bases, "R^2", (zero, zero))
+    R = M(0)
+    for char in (0, 3):
+        calc = HomCalculator(A2, B3, 0, 6, char=char)
+        for d in range(3):
+            basis = calc.hom_basis(R, N, d)
+            _assert_hom_space_matches_reference(calc.resolution(R), N, d, char, basis)
+            assert len(basis) == len(calc.hom_basis(R, amb, d))
+    over_f2 = HomCalculator(A2, B3, 0, 6, char=2)
+    for d in range(3):
+        with pytest.raises(CertificationError, match="dependent mod 2"):
+            over_f2.hom_basis(R, N, d)
+
+    a, b = catalog.ring_pair("k2_k3")
+    R, omega = DiagonalModule(a, b, 0), DiagonalModule(a, b, 1)
+    rectangles = resolution._rectangles
+
+    def mixed(module, j):
+        rects, index_of = rectangles(module, j)
+        if module is not syz2:
+            return rects, index_of
+        out = []
+        for sa, sb, tests in rects:
+            if len(tests) == 2:
+                tests = [linalg.combine(*tests, 1, 1), linalg.combine(*tests, 1, -1)]
+            out.append((sa, sb, tests))
+        return out, index_of
+
+    for char in (2, 3):
+        calc = HomCalculator(a, b, 0, 8, char=char)
+        syz2 = calc.resolution(omega, 3).syzygy(2)
+        # from degree 3 on, a rectangle of syz2 carries two tests
+        assert [len(t) for *_, t in rectangles(syz2, 3)[0]].count(2) == 1
+        phi, psi = calc.hom_basis(R, R, 1)[0], calc.hom_basis(R, syz2, 2)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(resolution, "_rectangles", mixed)
+            calls = [
+                lambda: calc.hom_basis(R, syz2, 4),
+                lambda: compose_hom(calc, R, R, syz2, 1, 2, phi, psi),
+                lambda: resolution.through_free_vectors(calc, R, syz2, 3),
+            ]
+            for call in calls:
+                if char == 2:
+                    with pytest.raises(CertificationError, match="dependent mod 2"):
+                        call()
+                else:
+                    assert call()
 
 
 def test_rigidity_ext_table_needs_no_act(monkeypatch):
