@@ -1,6 +1,6 @@
 """Batch front end: run declarative config jobs or the bundled
-reproduction manifest, with cached artifacts, JSON/text/DOT outputs and
-deterministic bytes.
+reproduction manifest, with JSON/text/DOT outputs and deterministic
+bytes.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config
 error, 3 window-certification gap.
@@ -15,7 +15,6 @@ import time
 from math import isqrt
 from pathlib import Path
 
-from . import cache as cache_mod
 from . import hilbert, kronecker, numsgp
 from .config import ConfigError, parse_config, want_int, want_ints, want_str
 from .gradedlin import catalog
@@ -544,15 +543,8 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         shift = want_int(block, "shift", 0)
         depth = want_int(job, "depth", opts.get("depth", 4))
         hi = want_int(job, "window", opts.get("window", 6))
-
-        def produce():
-            module = catalog.diagonal_module(pair, shift)
-            res = free_resolution(module, depth, 0, hi)
-            return res.to_json_dict()
-
-        key = {"kind": "resolve", "pair": pair, "shift": shift, "depth": depth, "window": hi}
-        art = cache_mod.cache(key, produce)
-        write_artifact(out_dir, name, art)
+        res = free_resolution(catalog.diagonal_module(pair, shift), depth, 0, hi)
+        write_artifact(out_dir, name, res.to_json_dict())
         return True
     if kind == "sequence-check":
         pair = want_str(job, "pair")
@@ -588,10 +580,6 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         write_artifact(out_dir, name, art)
         write_text(out_dir, f"{name}.dot", eq.quiver.to_dot(name.replace("-", "_")))
         return True
-    if kind == "fold":
-        art = check_folding(opts)
-        write_artifact(out_dir, name, art)
-        return bool(art["pass"])
     if kind == "kronecker":
         n = want_int(job, "arrows", 3)
         bound = want_int(job, "bound", 10)
@@ -600,9 +588,6 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         write_artifact(out_dir, name, art)
         write_text(out_dir, f"{name}.dot", kronecker.ar_component_dot(ctx))
         return True
-    if kind == "reproduce-paper":
-        sections = set(job.get("sections", []))
-        return run_manifest(sections, out_dir / name, opts) == 0
     raise ValueError(f"unknown job kind {kind!r}")
 
 

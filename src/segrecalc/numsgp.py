@@ -180,7 +180,6 @@ def from_generators(group: FiniteAbelianGroup, gens) -> ExtNumSemigroup:
         d = gcd(d, n)
     # Bezout combination of the degrees, tracked on the group side
     bez_n, bez_el = pos[0]
-    bez_coeff = {0: 1}
     for idx in range(1, len(pos)):
         n, el = pos[idx]
         g, x, y = _xgcd(bez_n, n)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import runpy
 from collections import Counter
@@ -7,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from segrecalc import cache as cache_mod
 from segrecalc import cli
 from segrecalc.cli import check_kronecker_suite, main
 from segrecalc.gradedlin import catalog, resolution
@@ -58,46 +58,6 @@ def test_config_errors_carry_positions():
     with pytest.raises(ConfigError) as err:
         parse_config("[widget A]\n")
     assert "widget" in str(err.value)
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path))
-    calls = []
-
-    def produce():
-        calls.append(1)
-        return {"answer": 42}
-
-    key = {"kind": "test", "n": 1}
-    assert cache_mod.cache(key, produce) == {"answer": 42}
-    assert cache_mod.cache(key, produce) == {"answer": 42}
-    assert len(calls) == 1
-    # distinct key recomputes
-    cache_mod.cache({"kind": "test", "n": 2}, produce)
-    assert len(calls) == 2
-    # entries of another cache format are not read back
-    monkeypatch.setattr(cache_mod, "CACHE_FORMAT", cache_mod.CACHE_FORMAT + 1)
-    cache_mod.cache(key, produce)
-    assert len(calls) == 3
-    # every write goes through a temporary file that is renamed away
-    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json"] * 3
-
-
-def test_cache_corruption_recovers(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path))
-    warnings = []
-    key = {"kind": "corrupt"}
-    cache_mod.cache(key, lambda: {"v": 1}, warn=warnings.append)
-    path = tmp_path / f"{cache_mod.content_key(key)}.json"
-    path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    assert cache_mod.cache(key, lambda: {"v": 1}, warn=warnings.append) == {"v": 1}
-    assert warnings and "recomputing" in warnings[0]
-    # tampered payload fails the integrity check
-    record = json.loads(path.read_text())
-    record["payload"] = {"v": 999}
-    path.write_text(json.dumps(record))
-    assert cache_mod.cache(key, lambda: {"v": 1}, warn=warnings.append) == {"v": 1}
-    assert any("integrity" in w for w in warnings)
 
 
 def test_usage_exit_codes(tmp_path, capsys):
@@ -165,8 +125,7 @@ semigroup = S
     assert not (tmp_path / "out" / "sgp.json").exists()
 
 
-def test_run_jobs(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path / "cache"))
+def test_run_jobs(tmp_path):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text(
         """
@@ -220,7 +179,7 @@ window = 4
     assert res["betti"][0] == [0, 0]
     seq = json.loads((out / "seq.json").read_text())
     assert seq["exact"]
-    # resolve twice: cache hit produces identical bytes
+    # resolve twice: a recomputation produces identical bytes
     first = (out / "res.json").read_bytes()
     rc = main(["run", "--config", str(cfg), "--jobs", "res", "--out", str(out)])
     assert rc == 0 and (out / "res.json").read_bytes() == first
@@ -240,6 +199,17 @@ def test_unknown_job_name(tmp_path):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("[job a]\nkind = kronecker\n")
     assert main(["run", "--config", str(cfg), "--jobs", "missing", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["fold", "reproduce-paper"])
+def test_removed_job_kinds_are_usage_errors(tmp_path, capsys, kind):
+    # the folding suite and the manifest run through `reproduce-paper` only
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(f"[job a]\nkind = {kind}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown job kind" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_field_flag_validation(tmp_path, capsys):
@@ -284,8 +254,7 @@ def test_checks_build_their_calculators_over_the_field(tmp_path, monkeypatch):
     assert fields == [32003] * (len(checks) + 1)
 
 
-def test_certification_gap_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path / "cache"))
+def test_certification_gap_exit_code(tmp_path, capsys):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text(
         """
@@ -371,12 +340,24 @@ def test_depth_is_a_run_flag_only(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_demo_config_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_VAR, str(tmp_path / "cache"))
+def test_demo_config_outputs_match_pinned_digests(tmp_path):
     out = tmp_path / "demo"
     assert main(["run", "--config", str(DEMO_CONFIG), "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == json.loads(DEMO_DIGESTS.read_text())
+
+
+def test_run_writes_only_under_out(tmp_path, monkeypatch):
+    home, out = tmp_path / "home", tmp_path / "demo"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    for var in [v for v in os.environ if v.startswith("SEGRECALC_")]:
+        monkeypatch.delenv(var)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(DEMO_CONFIG), "--out", str(out)]) == 0
+    assert sorted(tmp_path.iterdir()) == [out, home]
+    assert not any(home.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == sorted(json.loads(DEMO_DIGESTS.read_text()))
 
 
 def test_folding_builds_only_the_stable_quivers(monkeypatch):
