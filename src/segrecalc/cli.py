@@ -410,12 +410,6 @@ def check_kronecker_suite(opts) -> dict:
         ctx.q(ctx.preinjective(i)) == 1 for i in range(1, 21)
     )
     d_ok = [kronecker.degree_one_dims(i) for i in range(1, 5)] == [3, 12, 33, 87]
-    pairs = kronecker.rigid_pairs(ctx, 10)
-    pair_ok = (
-        all(e["rigid"] for e in pairs["adjacent"])
-        and all(not e["rigid"] for e in pairs["skip"])
-        and all(not e["rigid"] for e in pairs["mixed"])
-    )
     calc = _ext_calc(opts)
     report = kronecker.classification_report(
         ctx,
@@ -425,6 +419,12 @@ def check_kronecker_suite(opts) -> dict:
             "syz3_self_extension": catalog.syz3_self_extension(calc),
             "stable_end_omega": catalog.stable_end_omega(calc),
         },
+    )
+    pairs = report["euler_verdicts"]
+    pair_ok = (
+        all(e["rigid"] for e in pairs["adjacent"])
+        and all(not e["rigid"] for e in pairs["skip"])
+        and all(not e["rigid"] for e in pairs["mixed"])
     )
     rigid_ok = all(
         v["rigid_on_window"] for v in report["maximal_rigid_windowed"].values()

@@ -72,13 +72,14 @@ content, the pairs (g, tests of r), recur, so each call ranks
 `ext_dims` counts the δ of each block and never lists them; `hom_space`
 lists the δ of a block only when it has a kernel.
 
-A map M -> N stays in this fine form: (δ, {(g, q): c}), c its
-coefficient on the q-th test of the rectangle that holds κ = δ·f(g) in
-N_(d + deg g), in its value on the generator g of F_0.  The key needs no
-basis index, so no degree of N is assembled for it.  Written over the
-ambient generators e of N, the value on g is a scalar form, {(g, e): c}
-(`HomCalculator.form`), and multiplying by a monomial keeps a scalar
-form.  So ψ∘φ takes φ(g) over the generators s of the middle module from
+A map M -> N stays in this fine form: (δ, {(g, q): c}, {(g, e): c}),
+with c its coefficient on the q-th test of the rectangle that holds
+κ = δ·f(g) in N_(d + deg g), in its value on the generator g of F_0,
+and then that value over the ambient generators e of N, a scalar form.
+The key needs no basis index, so no degree of N is assembled for it, and
+a map carries its form from `hom_space`, which writes it from the tests
+of the block it solved.  Multiplying by a monomial keeps a scalar form.
+So ψ∘φ takes φ(g) over the generators s of the middle module from
 the section of its cover at (κ, q), and sums their ψ(s): it lands at
 δ1·δ2 with no action matrix (`compose_hom`).  A map through a free module
 is φ: M -> R times the scalar form of a generator of N
@@ -424,7 +425,6 @@ class Resolution:
     lo: int
     hi: int
     frees: list[FreeModule]
-    betti: list[tuple[int, ...]]
     diffs: list[dict]  # diffs[k]: F_(k+1) -> F_k, (row gen, col gen) -> pair poly
     syzygies: list[SyzygyModule]
     generators: list[list[tuple[int, dict]]] = field(default_factory=list)
@@ -444,7 +444,6 @@ class Resolution:
             self.lo,
             self.hi,
             self.frees[k:],
-            self.betti[k:],
             self.diffs[k:],
             self.syzygies[k:],
             self.generators[k:],
@@ -452,7 +451,7 @@ class Resolution:
         )
 
     def betti_table(self) -> list[list[int]]:
-        return [sorted(b) for b in self.betti]
+        return [sorted(F.gens) for F in self.frees]
 
     def check_minimality(self):
         for entries in self.diffs:
@@ -465,7 +464,7 @@ class Resolution:
         return {
             "module": getattr(self.module, "label", "module"),
             "window": [self.lo, self.hi],
-            "betti": [sorted(b) for b in self.betti],
+            "betti": self.betti_table(),
             "differentials": [
                 [
                     [r, c, sorted([list(ma), list(mb), v] for (ma, mb), v in poly.items())]
@@ -486,12 +485,11 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     """
     ringA, ringB = rings_of(module)
     cur = module
-    res = Resolution(module, lo, hi, [], [], [], [])
+    res = Resolution(module, lo, hi, [], [], [])
     for step in range(depth + 1):
         gens, bases = _cover_step(cur, lo, hi, res.blocks)
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         res.frees.append(free)
-        res.betti.append(free.gens)
         res.generators.append(gens)
         fine, entries = [], {}
         for col, (dg, (i,)) in enumerate(gens):
@@ -706,15 +704,18 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[tuple]:
     """Basis over F_char of the degree-d maps M -> N, M the module `res`
     resolves: the kernels of the δ-blocks of Hom(F_0, N)_d -> Hom(F_1,
     N)_d (`_Dual`), each kernel taken once per block content.  A map is
-    (δ, {(g, q): c}), c its coefficient on the q-th test of the rectangle
-    that holds δ·f(g) in N_(d + deg g), in the value on the generator g
-    of F_0.  That key is the block's own column, the same at every δ of
-    the block, so the maps of one kernel vector share one dict (never
-    mutated, like `_UNIT`), and no degree of N is indexed or assembled.
-    Raises as `ext_dims` does, and in its order, after a
-    CertificationError when `res` has no F_1; for a syzygy N over F_p
-    the mod-p independence is checked at the degrees of F_0, where the
-    values land, and then of F_1."""
+    (δ, {(g, q): c}, form), c its coefficient on the q-th test of the
+    rectangle that holds δ·f(g) in N_(d + deg g), in the value on the
+    generator g of F_0, and form that value over the ambient generators e
+    of N, {(g, e): Σ_q c·test_q[e]}: a map carries its form from
+    `hom_space`.  The key and the tests are the block's own, the same at
+    every δ of the block, so the maps of one kernel vector share their
+    two dicts (never mutated, like `_UNIT`), and no degree of N is
+    indexed or assembled.  Every test of a diagonal N is {0: 1}, so there
+    the form is the coefficient dict itself.  Raises as `ext_dims` does,
+    and in its order, after a CertificationError when `res` has no F_1;
+    for a syzygy N over F_p the mod-p independence is checked at the
+    degrees of F_0, where the values land, and then of F_1."""
     if len(res.frees) < 2:
         raise CertificationError("resolution not deep enough for the Hom space")
     dual = _Dual(res, N, char, lambda cols: linalg.kernel_of(cols, char))
@@ -726,8 +727,18 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[tuple]:
         if not kernel:
             continue
         keys = [(g, q) for g, _, rect in block for q in range(len(rect[2]))]
-        vecs = [{keys[p]: c for p, c in vec.items()} for vec in kernel]
-        out += [((da, db), vec) for da in part_a for db in part_b for vec in vecs]
+        tests = [t for _, _, rect in block for t in rect[2]]
+        # column (g, q) over the ambient generators e of N is its test at
+        # g; a diagonal N's tests are all {0: 1}, so its forms are the
+        # coefficient dicts themselves
+        forms = None
+        if any(t is not _UNIT for t in tests):
+            forms = [{(g, e): v for e, v in t.items()} for (g, _), t in zip(keys, tests)]
+        maps = []
+        for vec in kernel:
+            coeffs = {keys[p]: c for p, c in vec.items()}
+            maps.append((coeffs, linalg.apply_columns(forms, vec) if forms else coeffs))
+        out += [((da, db), *m) for da in part_a for db in part_b for m in maps]
     return out
 
 
@@ -749,11 +760,12 @@ class HomCalculator:
     k on as the resolution of the k-th syzygy, so syzygies of a resolved
     module are never resolved again.
 
-    A map stays in the fine form `hom_space` gives it, (δ, {(g, q): c});
-    `form` writes it over the ambient generators of its target, and
-    `compose_hom`, `through_free_vectors`, `stable_hom_dims` and the
-    quivers rank such forms one δ at a time.  `element_matrix` is the
-    flat path by action matrices, which none of them reads.
+    A map stays in the fine form `hom_space` gives it, (δ, {(g, q): c},
+    form): a map carries its form from `hom_space`, written over the
+    ambient generators of its target, and `compose_hom`,
+    `through_free_vectors`, `stable_hom_dims` and the quivers rank such
+    forms one δ at a time.  `element_matrix` is the flat path by action
+    matrices, which none of them reads.
 
     `char` is the field of every rank, kernel and stable quotient taken
     here: 0 for Q, a prime p for F_p.  Resolutions stay over Q."""
@@ -770,7 +782,6 @@ class HomCalculator:
         self._res = {}
         self._hom = {}
         self._section = {}
-        self._tests = {}
         self._checked = {}  # syzygy -> degrees and tests found independent mod char
         self._elem_cache = {}
 
@@ -833,40 +844,6 @@ class HomCalculator:
                     )
         return sec
 
-    def _tests_at(self, N, j: int) -> dict:
-        """κ -> the tests at κ of N_j (`_rectangles`), in order: the q of a
-        map's key (g, q) indexes them.  Read from the rectangles, so a
-        pending syzygy degree is not assembled."""
-        key = (N, j)
-        at = self._tests.get(key)
-        if at is None:
-            at = self._tests[key] = {
-                kappa: tests for sa, sb, tests in _rectangles(N, j)[0] for kappa in product(sa, sb)
-            }
-        return at
-
-    def form(self, M, N, d: int, phi) -> dict:
-        """The degree-d map phi: M -> N, (δ, {(g, q): c}) as `hom_basis`
-        gives it, over the ambient generators e of N: {(g, e): c}, the
-        scalar form of its value on each generator g of F_0.  A diagonal N
-        has one ambient generator and the test {0: 1} at every κ, so its
-        form is phi's own dict."""
-        delta, vec = phi
-        if type(N).fine_basis is DiagonalModule.fine_basis:
-            return vec
-        res = self.resolution(M)
-        gens, fine = res.frees[0].gens, res.syzygies[0].fine
-        out = {}
-        for (g, q), c in vec.items():
-            test = self._tests_at(N, d + gens[g])[_pair_add(delta, fine[g])][q]
-            for e, v in test.items():
-                z = out.get((g, e), 0) + c * v
-                if z:
-                    out[(g, e)] = z
-                elif (g, e) in out:
-                    del out[(g, e)]
-        return out
-
     def land(self, N, j: int):
         """Read N.dim(j), where values of maps into N land
         (CertificationError above the window); over F_p for a syzygy N,
@@ -883,7 +860,7 @@ class HomCalculator:
         action matrices.  It is the flat path that `compose_hom`
         replaced, kept for the references; no computation here reads
         it."""
-        delta, vec = phi
+        delta, vec, _ = phi
         key = (M, N, d, t, delta, tuple(sorted(vec.items())))
         cached = self._elem_cache
         if key in cached:
@@ -937,23 +914,24 @@ def _by_generator(vec: dict) -> defaultdict:
 
 def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi, psi) -> tuple:
     """psi∘phi for phi: a -> b of degree e and psi: b -> c of degree f,
-    (δ1, ·) and (δ2, ·) as `hom_basis` gives them: (δ1·δ2, {(g, k): x}),
-    its value on each generator g of F_0(a) as a scalar form over the
-    ambient generators k of c, as `HomCalculator.form` writes maps.
+    (δ1, ·, ·) and (δ2, ·, ·) as `hom_basis` gives them: (δ1·δ2, {(g, k):
+    x}), its value on each generator g of F_0(a) as a scalar form over the
+    ambient generators k of c, as a map carries its form from
+    `hom_space`.
 
     phi(g) is the element of b at κ = δ1·f(g) with the coefficient
     phi[(g, q)] on the q-th test there; the section of the cover of b
     (`HomCalculator.section`) writes it as Σ λ_s (κ / f(s))·s over the
-    generators s of b.  psi(s) has a scalar form σ_s at δ2·f(s), and
-    multiplying by the monomial κ / f(s) keeps it, so psi(phi(g)) is
-    Σ λ_s σ_s at δ1·δ2·f(g): no action matrix is read.  For each
-    generator of a in turn, c is read at its degree once per degree
-    (`HomCalculator.land`), and then the section of b if phi has a value
-    on it."""
-    (delta1, vec1), (delta2, _) = phi, psi
+    generators s of b.  psi(s) has the scalar form σ_s at δ2·f(s), read
+    from psi's form, and multiplying by the monomial κ / f(s) keeps it,
+    so psi(phi(g)) is Σ λ_s σ_s at δ1·δ2·f(g): no action matrix is read.
+    For each generator of a in turn, c is read at its degree once per
+    degree (`HomCalculator.land`), and then the section of b if phi has a
+    value on it."""
+    (delta1, vec1, _), (delta2, _, form2) = phi, psi
     res = calc.resolution(a)
     values = _by_generator(vec1)
-    images = _by_generator(calc.form(b, c, f, psi))
+    images = _by_generator(form2)
     out, read = {}, set()
     for g, (dg, fg) in enumerate(zip(res.frees[0].gens, res.syzygies[0].fine)):
         if dg not in read:
@@ -995,7 +973,7 @@ def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[tuple]:
             calc.land(b, d + dg)
         unread = ()
         fs, scalar = b.fine_basis(j)[i]
-        for delta, vec in phis:
+        for delta, vec, _ in phis:
             form = {(g, e): c * v for (g, _), c in vec.items() for e, v in scalar.items()}
             out.append((_pair_add(delta, fs), form))
     return out
@@ -1012,7 +990,7 @@ def stable_hom_dims(calc: HomCalculator, a, b, d_values) -> dict:
         for delta, v in through_free_vectors(calc, a, b, d):
             echs[delta].add(v)
         p_dim = sum(ech.rank for ech in echs.values())
-        for phi in basis:
-            echs[phi[0]].add(calc.form(a, b, d, phi))
+        for delta, _, form in basis:
+            echs[delta].add(form)
         out[d] = (len(basis), sum(ech.rank for ech in echs.values()) - p_dim)
     return out

@@ -115,8 +115,9 @@ class EndoQuiver:
     Maps stay in fine form: each lies in one fine degree δ, and a
     composition of maps at δ1 and δ2 lies at δ1·δ2.  Hom(a, b)_d is the
     sum of its pieces Hom_δ, so rad, rad², the maps through frees and
-    their ranks split by δ, and each δ is ranked in its own echelon
-    (`HomCalculator.form`) up to dim Hom_δ.
+    their ranks split by δ, and each δ is ranked in its own echelon up to
+    dim Hom_δ, on the ambient forms: a map carries its form from
+    `hom_space`.
     """
 
     def __init__(self, calc, summands, degree_top: int = 3):
@@ -126,26 +127,24 @@ class EndoQuiver:
             raise ValueError("duplicate summand labels")
         self.calc = calc
         self.degree_top = degree_top
+        self._gen_tops, self._d_tops = {}, {}  # module -> its top, read once
         for label, mod in self.summands:
             if len(self.calc.hom_basis(mod, mod, 0)) != 1:
                 raise ValueError(f"vertex {label} does not have scalar End_0")
+            frees = self.calc.resolution(mod).frees
+            self._gen_tops[mod] = max(frees[0].gens, default=0)
+            # largest hom degree whose presentation data fits in the window
+            self._d_tops[mod] = calc.hi - max(frees[0].gens + frees[1].gens, default=0)
 
     @cached_property
     def quiver(self) -> Quiver:
         return self._arrows(drop_free=None)
 
-    def _gen_top(self, module) -> int:
-        gens = self.calc.resolution(module).frees[0].gens
-        return max(gens) if gens else 0
-
     def _d_floor(self, a, b) -> int:
-        return b.min_degree - self._gen_top(a)
+        return b.min_degree - self._gen_tops[a]
 
     def _d_top(self, a) -> int:
-        # largest hom degree whose presentation data fits in the window
-        res = self.calc.resolution(a)
-        tops = [max(f.gens) for f in res.frees[:2] if f.gens]
-        return self.calc.hi - (max(tops) if tops else 0)
+        return self._d_tops[a]
 
     def _rad_basis(self, a, b, d: int):
         if a is b and d <= 0:
@@ -228,7 +227,7 @@ class EndoQuiver:
                     # composition of fine degree δ lies in the span of
                     # rad's maps at δ: once F + rad^2 spans dim Hom_δ at
                     # every δ no further product can matter
-                    target = Counter(delta for delta, _ in rad)
+                    target = Counter(delta for delta, *_ in rad)
                     echs = {delta: linalg.Echelon(self.calc.char) for delta in target}
                     if drop_free:
                         for delta, v in through_free_vectors(self.calc, a, b, d):
@@ -236,8 +235,8 @@ class EndoQuiver:
                     if any(echs[delta].rank < n for delta, n in target.items()):
                         self._rad_square(a, b, d, mods, echs, target)
                     covered = sum(ech.rank for ech in echs.values())
-                    for v in rad:
-                        echs[v[0]].add(self.calc.form(a, b, d, v))
+                    for delta, _, form in rad:
+                        echs[delta].add(form)
                     rank = sum(ech.rank for ech in echs.values())
                     if rank != len(rad):
                         raise AssertionError(

@@ -95,7 +95,7 @@ def test_resolution_of_free_module():
     free = FreeModule(A2, B3, (0, 1, 1))
     res = free_resolution(free, 2, 0, 5)
     assert item_fields(res) == item_fields(reference_free_resolution(free, 2, 0, 5)[0])
-    assert res.betti == [(0, 1, 1), (), ()]
+    assert [F.gens for F in res.frees] == [(0, 1, 1), (), ()]
     calc = HomCalculator(A2, B3, 0, 5)
     basis = calc.hom_basis(free, M(1), 1)
     assert len(basis) == M(1).dim(1) + 2 * M(1).dim(2)
@@ -335,7 +335,7 @@ def reference_free_resolution(module, depth, lo, hi):
     columns."""
     ringA, ringB = resolution.rings_of(module)
     cur = module
-    res = Resolution(module, lo, hi, [], [], [], [])
+    res = Resolution(module, lo, hi, [], [], [])
     covers = {}
     for step in range(depth + 1):
         gens = reference_minimal_generators(cur, lo, hi)
@@ -350,7 +350,6 @@ def reference_free_resolution(module, depth, lo, hi):
                     poly[pair] = poly.get(pair, 0) + coeff
             res.diffs.append(entries)
         res.frees.append(free)
-        res.betti.append(free.gens)
         res.generators.append(gens)
         bases, cover = {}, {}
         for j in range(lo, hi + 1):
@@ -374,7 +373,7 @@ def reference_free_resolution(module, depth, lo, hi):
 
 def resolution_fields(res):
     return (
-        res.betti,
+        [F.gens for F in res.frees],
         res.diffs,
         res.generators,
         [flat_bases(s) for s in res.syzygies],
@@ -613,7 +612,7 @@ def item_fields(res):
     """`resolution_fields` with every dict as its item list, so that dict
     order counts too."""
     return (
-        res.betti,
+        [F.gens for F in res.frees],
         [[(k, list(poly.items())) for k, poly in e.items()] for e in res.diffs],
         res.generators,
         [[(j, [list(v.items()) for v in b]) for j, b in flat_bases(s).items()] for s in res.syzygies],
@@ -649,14 +648,13 @@ def reference_block_resolution(module, depth, lo, hi):
     (`reference_kernel_bases`), as a SyzygyModule over a plain dict."""
     ringA, ringB = resolution.rings_of(module)
     cur = module
-    res = Resolution(module, lo, hi, [], [], [], [])
+    res = Resolution(module, lo, hi, [], [], [])
     for step in range(depth + 1):
         gens, memo = [], {}
         for j in range(lo, hi + 1):
             gens += reference_cover_degree(cur, j, gens, memo)[0]
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         res.frees.append(free)
-        res.betti.append(free.gens)
         res.generators.append(gens)
         fine, entries = [], {}
         for col, (dg, (i,)) in enumerate(gens):
@@ -906,7 +904,7 @@ def test_resolution_tails_match_fresh_resolutions(key):
         tail = calc.resolution(syz, 2)
         assert tail.frees[0] is res.frees[k]  # served from the tail, not resolved
         fresh = free_resolution(syz, 2, lo, hi)
-        assert tail.betti[:3] == fresh.betti
+        assert tail.frees[:3] == fresh.frees
         assert tail.diffs[:2] == fresh.diffs
         assert tail.generators[:3] == fresh.generators
         assert [s.bases for s in tail.syzygies[:3]] == [s.bases for s in fresh.syzygies]
@@ -1010,9 +1008,10 @@ def flat_hom(gens, N, d, vec):
 
 def flat_of(res, N, d, phi):
     """A fine map (δ, {(g, q): c}) of degree d from the module `res`
-    resolves, as `hom_space` gives it, keyed by (g, n): n is the q-th
-    basis vector of N_(d + deg g) at κ = δ·f(g), in basis order."""
-    delta, vec = phi
+    resolves, as `hom_space` gives it (its form, a third entry, unread),
+    keyed by (g, n): n is the q-th basis vector of N_(d + deg g) at
+    κ = δ·f(g), in basis order."""
+    delta, vec = phi[:2]
     gens, fine = res.frees[0].gens, res.syzygies[0].fine
     return {
         (g, basis_positions(N, d + gens[g])[resolution._pair_add(delta, fine[g])][q]): c
@@ -1331,11 +1330,11 @@ def reference_hom_space(res, N, d, char):
 
 
 def _sorted_basis(outcome):
-    """A hom basis of fine maps as a sorted list of (δ, sorted items), or
-    its error."""
+    """A hom basis of fine maps as a sorted list of (δ, sorted items of
+    {(g, q): c}), or its error."""
     if isinstance(outcome, tuple):
         return outcome
-    return sorted((delta, sorted(v.items())) for delta, v in outcome)
+    return sorted((phi[0], sorted(phi[1].items())) for phi in outcome)
 
 
 def _typed_outcome(fn, *args):
@@ -1509,6 +1508,49 @@ def test_hom_basis_into_a_pending_syzygy_assembles_nothing(monkeypatch):
         _assert_hom_space_matches_reference(calc.resolution(R), syz2, d, 0, basis)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    small_weights,
+    small_weights,
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from(["diagonal", "free", "syzygy"]),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0, 10007]),
+)
+# R into k2_k3's syz²ω, 90 maps in degrees 2 to 4, whose rectangles carry
+# two tests from degree 3 on
+@example([1, 1], [1, 1, 1], 0, "syzygy", 1, 2, 3, 0)
+@example([1, 1], [1, 1, 1], 0, "syzygy", 1, 2, 3, 10007)
+def test_hom_space_maps_carry_their_ambient_forms(wa, wb, shift, kind, t, k, extra, char):
+    """Every map (δ, coeffs, form) of `hom_space` has the value over the
+    ambient generators of N that its coefficients give over the tests:
+    both read in flat coordinates agree.  A diagonal N's form is its
+    coefficient dict itself, and any other N's form is a dict of its own.
+    The target is a diagonal module M_(s+t), a free module or the k-th
+    syzygy of M_(s+t), on a window `extra` above both generation bounds."""
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    M, T = DiagonalModule(specA, specB, shift), DiagonalModule(specA, specB, shift + t)
+    hi = max(M.generation_bound(), T.generation_bound()) + extra
+    calc = HomCalculator(specA, specB, 0, hi, char=char)
+    res = calc.resolution(M)
+    if kind == "diagonal":
+        N = T
+    elif kind == "free":
+        N = FreeModule(specA, specB, (0, 1, 1))
+    else:
+        N = calc.resolution(T, 2).syzygy(k)
+    for d in range(-2, calc.hi + 1):
+        basis = _outcome(hom_space, res, N, d, char)
+        if isinstance(basis, tuple):
+            continue  # a CertificationError: the hom space properties compare those
+        for delta, coeffs, form in basis:
+            assert flat_of_form(res, N, d, (delta, form)) == flat_of(res, N, d, (delta, coeffs))
+            assert (form is coeffs) == (kind == "diagonal")
+
+
 def colon_deltas(Ms, Mt, d) -> set:
     """The fine degrees δ of the degree-d maps M_s -> M_t by the monomial
     colon (M_t :_K M_s): the Laurent monomials x^δ with x^δ·κ in M_t for
@@ -1530,7 +1572,7 @@ def colon_deltas(Ms, Mt, d) -> set:
 
 
 def _assert_hom_is_the_colon(calc, Ms, Mt, d):
-    deltas = [delta for delta, _ in calc.hom_basis(Ms, Mt, d)]
+    deltas = [delta for delta, *_ in calc.hom_basis(Ms, Mt, d)]
     assert len(set(deltas)) == len(deltas), (Ms, Mt, d)  # one map per δ
     assert set(deltas) == colon_deltas(Ms, Mt, d), (Ms, Mt, d)
 
@@ -1571,7 +1613,7 @@ def test_hom_complex_rejects_an_entry_of_two_pairs():
     diffs = dict(res.diffs[0])
     diffs[key] = {pair: c, other: 1}
     bad = Resolution(
-        res.module, res.lo, res.hi, res.frees, res.betti, [diffs], res.syzygies, res.generators
+        res.module, res.lo, res.hi, res.frees, [diffs], res.syzygies, res.generators
     )
     # the accumulating reference sums the two pairs without a word
     assert reference_hom_block_matrix(bad, 0, M(1), 0)[0]
