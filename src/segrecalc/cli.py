@@ -521,6 +521,14 @@ def _semigroup_from_block(block) -> numsgp.ExtNumSemigroup:
     raise ValueError("semigroup block needs 'generators' or 'gaps'")
 
 
+def _want_nonnegative(job: dict, key: str, default: int) -> int:
+    """A job's window or depth, rejected when negative like the flags."""
+    value = want_int(job, key, default)
+    if value < 0:
+        raise ValueError(f"{key} must be >= 0, not {value}")
+    return value
+
+
 def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
     kind = want_str(job, "kind")
     if kind == "segre-report":
@@ -541,15 +549,15 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         block = cfg.modules[want_str(job, "module")]
         pair = want_str(block, "pair")
         shift = want_int(block, "shift", 0)
-        depth = want_int(job, "depth", opts.get("depth", 4))
-        hi = want_int(job, "window", opts.get("window", 6))
+        depth = _want_nonnegative(job, "depth", opts.get("depth", 4))
+        hi = _want_nonnegative(job, "window", opts.get("window", 6))
         res = free_resolution(catalog.diagonal_module(pair, shift), depth, 0, hi)
         write_artifact(out_dir, name, res.to_json_dict())
         return True
     if kind == "sequence-check":
         pair = want_str(job, "pair")
         at = want_str(job, "at", "")
-        hi = want_int(job, "window", opts.get("window", 5))
+        hi = _want_nonnegative(job, "window", opts.get("window", 5))
         char = opts.get("char", 0)
         if at:
             seq = catalog.almost_split_sequence(pair, at, (0, hi))
@@ -569,7 +577,7 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
     if kind == "endo-quiver":
         pair = want_str(job, "pair")
         shifts = want_ints(job, "shifts", (-1, 0, 1))
-        hi = want_int(job, "window", 8)
+        hi = _want_nonnegative(job, "window", 8)
         a, b = catalog.ring_pair(pair)
         mods = [(f"M{s}" if s else "R", DiagonalModule(a, b, s)) for s in shifts]
         calc = HomCalculator(a, b, 0, hi, opts.get("char", 0))

@@ -85,9 +85,6 @@ class FreeComplex:
                     col[key] = col.get(key, 0) + coeff
         return [{k: v for k, v in c.items() if v} for c in cols]
 
-    def dim_at(self, t: int, j: int) -> int:
-        return _offsets(self.ring, self.terms[t], j)[-1]
-
 
 def _offsets(spec: WeightedRingSpec, gens: tuple[int, ...], j: int) -> list[int]:
     out = [0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 Degree = tuple  # lattice degree vector, entries int
@@ -33,10 +32,6 @@ def vec_sub(a: Degree, b: Degree) -> Degree:
 
 def vec_neg(a: Degree) -> Degree:
     return tuple(-x for x in a)
-
-
-def vec_scale(c: int, a: Degree) -> Degree:
-    return tuple(c * x for x in a)
 
 
 def as_degree(d, rank: int) -> Degree:
@@ -164,9 +159,6 @@ class Window:
         hi = tuple(min(a, b) for a, b in zip(self.upper, other.upper))
         return Window(lo, hi)
 
-    def negate(self) -> "Window":
-        return Window(vec_neg(self.upper), vec_neg(self.lower))
-
 
 def window(lo, hi, rank: int = 1) -> Window:
     if isinstance(lo, int):
@@ -174,14 +166,6 @@ def window(lo, hi, rank: int = 1) -> Window:
     if isinstance(hi, int):
         hi = (hi,) * rank
     return Window(tuple(lo), tuple(hi))
-
-
-@dataclass(frozen=True)
-class ExactForm:
-    """Rational form numerator / prod (1 - t^w), numerator a Laurent polynomial."""
-
-    numerator: tuple[tuple[Degree, int], ...]
-    denominator: tuple[Degree, ...]
 
 
 @dataclass(frozen=True)
@@ -201,9 +185,6 @@ class HilbertSeries:
     support_lower: Degree | None = None
     support_upper: Degree | None = None
     zero_certified: bool = False
-    exact_form: ExactForm | None = None
-
-    _allow_negative = False
 
     def __post_init__(self):
         if self.window.rank != self.rank:
@@ -213,7 +194,7 @@ class HilbertSeries:
                 raise ValueError(f"coefficient at {d} outside window")
             if v == 0:
                 raise ValueError("zero coefficients must be omitted")
-            if v < 0 and not self._allow_negative:
+            if v < 0:
                 raise ValueError("module series coefficients must be >= 0")
         if self.zero_certified and self.coeffs:
             raise ValueError("certified-zero series has nonzero coefficients")
@@ -237,12 +218,6 @@ class HilbertSeries:
             raise KeyError(f"degree {d} outside certified window")
         return self.as_dict().get(d, 0)
 
-    def values(self, degrees) -> list[int]:
-        return [self.coeff(d) for d in degrees]
-
-    def is_zero_on_window(self) -> bool:
-        return not self.coeffs
-
     def status(self) -> str:
         if self.zero_certified:
             return "zero-certified"
@@ -261,15 +236,7 @@ class HilbertSeries:
             out["support_lower"] = list(self.support_lower)
         if self.support_upper is not None:
             out["support_upper"] = list(self.support_upper)
-        if self.exact_form is not None:
-            out["exact_form"] = rational_form_str(self)
         return out
-
-
-class SignedSeries(HilbertSeries):
-    """Same contract as HilbertSeries but without the positivity invariant."""
-
-    _allow_negative = True
 
 
 def make_series(
@@ -279,19 +246,15 @@ def make_series(
     support_lower=None,
     support_upper=None,
     zero_certified: bool = False,
-    exact_form: ExactForm | None = None,
-    signed: bool = False,
 ) -> HilbertSeries:
     coeffs = tuple(sorted((tuple(d), v) for d, v in table.items() if v))
-    cls = SignedSeries if signed else HilbertSeries
-    return cls(
+    return HilbertSeries(
         rank=rank,
         window=win,
         coeffs=coeffs,
         support_lower=tuple(support_lower) if support_lower is not None else None,
         support_upper=tuple(support_upper) if support_upper is not None else None,
         zero_certified=zero_certified,
-        exact_form=exact_form,
     )
 
 
@@ -308,10 +271,7 @@ def ring_series(spec: WeightedRingSpec, win: Window) -> HilbertSeries:
     if win.rank != spec.rank:
         raise ValueError("window rank does not match ring rank")
     table = {d: dim_at(spec, d) for d in win.degrees() if all(x >= 0 for x in d)}
-    form = ExactForm((((0,) * spec.rank, 1),), spec.weights)
-    return make_series(
-        spec.rank, win, table, support_lower=(0,) * spec.rank, exact_form=form
-    )
+    return make_series(spec.rank, win, table, support_lower=(0,) * spec.rank)
 
 
 def twist(a: HilbertSeries, t) -> HilbertSeries:
@@ -321,9 +281,7 @@ def twist(a: HilbertSeries, t) -> HilbertSeries:
     table = {vec_sub(d, t): v for d, v in a.coeffs}
     lo = vec_sub(a.support_lower, t) if a.support_lower is not None else None
     hi = vec_sub(a.support_upper, t) if a.support_upper is not None else None
-    return make_series(
-        a.rank, win, table, lo, hi, a.zero_certified, signed=isinstance(a, SignedSeries)
-    )
+    return make_series(a.rank, win, table, lo, hi, a.zero_certified)
 
 
 def hadamard(a: HilbertSeries, b: HilbertSeries) -> HilbertSeries:
@@ -400,156 +358,7 @@ def add_series(parts: list[HilbertSeries]) -> HilbertSeries:
             lo = tuple(min(xs) for xs in zip(*los))
         if all(x is not None for x in his):
             hi = tuple(max(xs) for xs in zip(*his))
-    return make_series(
-        rank,
-        win,
-        table,
-        lo,
-        hi,
-        zero_certified=not live,
-        signed=any(isinstance(p, SignedSeries) for p in parts),
-    )
-
-
-def graded_dual(a: HilbertSeries) -> HilbertSeries:
-    """Reflection d -> -d; an involution on symmetric windows."""
-    win = a.window.negate()
-    table = {vec_neg(d): v for d, v in a.coeffs}
-    lo = vec_neg(a.support_upper) if a.support_upper is not None else None
-    hi = vec_neg(a.support_lower) if a.support_lower is not None else None
-    return make_series(
-        a.rank, win, table, lo, hi, a.zero_certified, signed=isinstance(a, SignedSeries)
-    )
-
-
-def veronese(a: HilbertSeries, sublattice, shift=None) -> HilbertSeries:
-    """Restrict to shift + (integer span of the sublattice), reindexed.
-
-    The sublattice generators must be linearly independent; the output is
-    indexed by their integer coordinates.  The output window is the
-    largest coordinate box whose image stays inside the input window
-    (shrunk from the bounding box of the solvable points when needed).
-    """
-    gens = [as_degree(g, a.rank) for g in sublattice]
-    k = len(gens)
-    shift = as_degree(shift, a.rank) if shift is not None else (0,) * a.rank
-    if _rational_rank(gens) != k:
-        raise ValueError("sublattice generators are dependent")
-    from . import linalg
-
-    solver = linalg.CoordSolver(
-        [{i: x for i, x in enumerate(g) if x} for g in gens]
-    )
-    points = {}
-    for d in a.window.degrees():
-        j = _lattice_coords(solver, vec_sub(d, shift))
-        if j is not None:
-            points[j] = a.as_dict().get(d, 0)
-    if not points:
-        return zero_series(k, window(0, 0, k), certified=a.zero_certified)
-    los = tuple(min(j[i] for j in points) for i in range(k))
-    his = tuple(max(j[i] for j in points) for i in range(k))
-    while True:
-        ok = True
-        for corner in itertools.product(*[(l, h) for l, h in zip(los, his)]):
-            img = shift
-            for c, g in zip(corner, gens):
-                img = vec_add(img, vec_scale(c, g))
-            if not a.window.contains(img):
-                ok = False
-                break
-        if ok:
-            break
-        # shrink the widest axis; terminates since the box strictly shrinks
-        axis = max(range(k), key=lambda i: his[i] - los[i])
-        if his[axis] == los[axis]:
-            raise ValueError("cannot certify a veronese window")
-        his = tuple(h - (1 if i == axis else 0) for i, h in enumerate(his))
-        los = tuple(l + (1 if i == axis else 0) for i, l in enumerate(los))
-    win = Window(los, his)
-    table = {j: v for j, v in points.items() if v and win.contains(j)}
-    return make_series(k, win, table, signed=isinstance(a, SignedSeries))
-
-
-def _rational_rank(vectors) -> int:
-    from . import linalg
-
-    cols = [{i: x for i, x in enumerate(v) if x} for v in vectors]
-    return linalg.rank_of(cols)
-
-
-def _lattice_coords(solver, target) -> Degree | None:
-    """Integer coordinates of target in the span of the solver's basis."""
-    sol = solver.solve({i: x for i, x in enumerate(target) if x})
-    if sol is None or any(isinstance(c, Fraction) for c in sol):
-        return None
-    return tuple(sol)
-
-
-def verify_exact_form(a: HilbertSeries) -> bool:
-    """Expand the attached rational form and compare on the whole window."""
-    if a.exact_form is None:
-        raise ValueError("series has no exact form")
-    table = _expand_form(a.exact_form, a.window)
-    return table == {d: v for d, v in a.coeffs}
-
-
-def _expand_form(form: ExactForm, win: Window) -> dict:
-    rank = win.rank
-    num_lo = tuple(min(d[i] for d, _ in form.numerator) for i in range(rank))
-    aux = Window(
-        tuple(0 for _ in range(rank)),
-        tuple(max(0, u - l) for u, l in zip(win.upper, num_lo)),
-    )
-    denom = {(0,) * rank: 1}
-    for w in form.denominator:
-        new = dict(denom)
-        for d in sorted(aux.degrees()):
-            prev = new.get(vec_sub(d, w))
-            if prev:
-                new[d] = new.get(d, 0) + prev
-        denom = {d: v for d, v in new.items() if v}
-    table = {}
-    for nd, nv in form.numerator:
-        for d, v in denom.items():
-            tot = vec_add(nd, d)
-            if win.contains(tot):
-                table[tot] = table.get(tot, 0) + nv * v
-    return {d: v for d, v in table.items() if v}
-
-
-def rational_form_str(a: HilbertSeries) -> str:
-    if a.exact_form is None:
-        raise ValueError("series has no exact form")
-    names = ["t"] if a.rank == 1 else [f"t{i}" for i in range(1, a.rank + 1)]
-
-    def mono(d):
-        parts = []
-        for n, e in zip(names, d):
-            if e == 0:
-                continue
-            parts.append(n if e == 1 else f"{n}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    terms = []
-    for d, v in sorted(a.exact_form.numerator):
-        m = mono(d)
-        if m == "1":
-            terms.append(str(v))
-        elif v == 1:
-            terms.append(m)
-        else:
-            terms.append(f"{v}*{m}")
-    num = " + ".join(terms).replace("+ -", "- ")
-    denoms = {}
-    for w in a.exact_form.denominator:
-        denoms[w] = denoms.get(w, 0) + 1
-    parts = []
-    for w in sorted(denoms):
-        base = f"(1-{mono(w)})"
-        e = denoms[w]
-        parts.append(base if e == 1 else f"{base}^{e}")
-    return f"{num}/({''.join(parts)})" if parts else num
+    return make_series(rank, win, table, lo, hi, zero_certified=not live)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +493,9 @@ def segre_a_invariant(specA: WeightedRingSpec, specB: WeightedRingSpec) -> int:
     raise ValueError("no nonzero top cohomology degree found in search range")
 
 
+_RADIUS = 8
+
+
 @dataclass
 class SegreReport:
     """Cohen-Macaulay / Gorenstein report for a Segre product of rings."""
@@ -724,9 +536,9 @@ def segre_report(
     specA: WeightedRingSpec,
     specB: WeightedRingSpec,
     shifts=(0,),
-    radius: int = 8,
 ) -> SegreReport:
-    """Dimension, depth/CM flags per shift, a-invariant and Gorenstein tests.
+    """Dimension, depth/CM flags per shift, a-invariant and Gorenstein tests,
+    on the degree window [-8, 8].
 
     Both rings must be rank 1 with negative a-invariant, the first of
     dimension >= 2.  The Gorenstein flag comes from two independent
@@ -740,7 +552,7 @@ def segre_report(
     aA, aB = -delta(specA.weight_sum), -delta(specB.weight_sum)
     if aA >= 0 or aB >= 0:
         raise ValueError("both a-invariants must be negative")
-    win = window(-radius, radius)
+    win = window(-_RADIUS, _RADIUS)
     dim = segre_dimension(specA, specB)
     a_inv = segre_a_invariant(specA, specB)
 
@@ -753,7 +565,7 @@ def segre_report(
     # the converse fails on degenerate products (a one-variable factor
     # leaves the ring unchanged), so only the implication is asserted
     crit_test = aA == aB
-    series_test = _matches_some_shift(canonical, ring_s, radius)
+    series_test = _matches_some_shift(canonical, ring_s)
     if crit_test and not series_test:
         raise AssertionError(
             "equal negative a-invariants must force a Gorenstein series"
@@ -796,13 +608,13 @@ def segre_report(
     )
 
 
-def _matches_some_shift(candidate: HilbertSeries, base: HilbertSeries, radius: int) -> bool:
+def _matches_some_shift(candidate: HilbertSeries, base: HilbertSeries) -> bool:
     """Does candidate equal base twisted by some degree shift on the window?"""
-    for s in range(-2 * radius, 2 * radius + 1):
+    for s in range(-2 * _RADIUS, 2 * _RADIUS + 1):
         shifted = twist(base, (s,))
         lo = max(candidate.window.lower[0], shifted.window.lower[0])
         hi = min(candidate.window.upper[0], shifted.window.upper[0])
-        if hi - lo < radius:
+        if hi - lo < _RADIUS:
             continue
         win = Window((lo,), (hi,))
         if all(

@@ -328,12 +328,11 @@ def semigroup_series(S: ExtNumSemigroup, lo: int = 0, hi: int = 8) -> HilbertSer
     return make_series(1, window(lo, hi), table, support_lower=(0,))
 
 
-def subspace_quiver_data(S: ExtNumSemigroup, char: int, splitting: bool | None = None):
+def subspace_quiver_data(S: ExtNumSemigroup, char: int):
     """Star quiver (one source, |L| sinks) attached to the parametrized
     family with gaps {(0, lam) : lam != 1} plus a single degree-1 gap.
 
-    Errors when S is outside the family, when char divides |L|, or when
-    the group algebra is asserted not to split.
+    Errors when S is outside the family or when char divides |L|.
     """
     from .quivers import Quiver
 
@@ -341,10 +340,6 @@ def subspace_quiver_data(S: ExtNumSemigroup, char: int, splitting: bool | None =
     n = group.order
     if char != 0 and n % char == 0:
         raise SemigroupError("characteristic divides the group order")
-    if splitting is None:
-        splitting = True
-    if not splitting:
-        raise SemigroupError("base field must split the group algebra")
     if not is_connected(S):
         raise SemigroupError("semigroup outside the family: not connected")
     if S.conductor != 2 or frobenius(S) != 1:
@@ -357,16 +352,16 @@ def subspace_quiver_data(S: ExtNumSemigroup, char: int, splitting: bool | None =
     return Quiver(tuple(vertices), arrows)
 
 
-def gap_table_str(S: ExtNumSemigroup, depth: int | None = None) -> str:
-    """Bullet table of the low-degree rows, one column per group element."""
+def gap_table_str(S: ExtNumSemigroup) -> str:
+    """Bullet table of the rows of degree 0 to conductor + 1, one column per
+    group element."""
     group = S.group
     els = group.elements()
-    depth = S.conductor + 1 if depth is None else depth
     labels = [group.label(el) for el in els]
     widths = [max(len(l), 1) for l in labels]
     head = "    | " + "  ".join(l.rjust(w) for l, w in zip(labels, widths))
     lines = [head, "-" * len(head)]
-    for nrow in range(depth + 1):
+    for nrow in range(S.conductor + 2):
         cells = []
         for el, w in zip(els, widths):
             cells.append(("*" if S.contains(nrow, el) else " ").rjust(w))
@@ -374,7 +369,7 @@ def gap_table_str(S: ExtNumSemigroup, depth: int | None = None) -> str:
     return "\n".join(lines)
 
 
-def report(S: ExtNumSemigroup, char: int = 0, hi: int = 8) -> dict:
+def report(S: ExtNumSemigroup, char: int = 0) -> dict:
     taus = twisted_symmetric(S)
     return {
         "semigroup": S.to_json_dict(),
@@ -385,6 +380,6 @@ def report(S: ExtNumSemigroup, char: int = 0, hi: int = 8) -> dict:
         "gorenstein": bool(taus),
         "reduced": reduced(S, char),
         "char": char,
-        "series": semigroup_series(S, 0, hi).to_json_dict(),
+        "series": semigroup_series(S).to_json_dict(),
         "table": gap_table_str(S),
     }

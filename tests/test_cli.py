@@ -3,6 +3,8 @@ import json
 import os
 import re
 import runpy
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -330,6 +332,24 @@ def test_negative_window_or_depth_is_a_usage_error(tmp_path, capsys):
     assert "--window must be >= 0" in err and "--depth must be >= 0" in err
 
 
+def test_negative_job_window_or_depth_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        "[module omega]\npair = k2_k3\nshift = 1\n\n"
+        "[job seq]\nkind = sequence-check\npair = k3_w12\nat = at-M1\nwindow = -1\n\n"
+        "[job res]\nkind = resolve\nmodule = omega\ndepth = -2\n\n"
+        "[job quiver]\nkind = endo-quiver\npair = k2_k3\nwindow = -1\n"
+    )
+    out = tmp_path / "o"
+    for job in ("seq", "res", "quiver"):
+        assert main(["run", "--config", str(cfg), "--jobs", job, "--out", str(out)]) == 2, job
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "job seq: window must be >= 0, not -1" in err
+    assert "job res: depth must be >= 0, not -2" in err
+    assert "job quiver: window must be >= 0, not -1" in err
+
+
 def test_depth_is_a_run_flag_only(tmp_path, capsys):
     # no manifest check reads a depth, so reproduce-paper does not accept one
     out = tmp_path / "r"
@@ -398,3 +418,17 @@ def test_manifest_timings_go_to_stderr_only(tmp_path, capsys):
     for name in names:
         assert re.search(rf"^{name}: \d+\.\d\d s$", captured.err, re.M)
     assert captured.out.split() == [names[0], "[pass]", names[1], "[pass]"]
+
+
+def test_benchmark_tracer_binds_every_name():
+    # perfbench wraps program functions by name from outside, so deleting or
+    # renaming one crashes every benchmark worker; `install` rebinds module
+    # globals, hence a fresh interpreter
+    root = Path(__file__).parents[1]
+    code = "import tracer; tracer.install(tracer.Tracer()); assert tracer.cache_counters()"
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

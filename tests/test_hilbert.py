@@ -5,21 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 from segrecalc.hilbert import (
-    SignedSeries,
-    add_series,
-    graded_dual,
+    HilbertSeries,
     gw_segre_cohomology,
     hadamard,
     local_cohomology_poly,
     make_series,
     module_series,
-    rational_form_str,
     ring,
     ring_series,
     segre_report,
-    twist,
-    verify_exact_form,
-    veronese,
     window,
     zero_series,
 )
@@ -62,12 +56,6 @@ def test_ring_series_negative_window():
     assert s.coeff(-2) == 0 and s.coeff(1) == 2
 
 
-def test_exact_form_matches_expansion():
-    for spec in (A2, UV, B3):
-        assert verify_exact_form(ring_series(spec, window(0, 6)))
-    assert rational_form_str(ring_series(UV, window(0, 3))) == "1/((1-t)(1-t^2))"
-
-
 small_rings = st.builds(
     lambda ws: ring(tuple(f"v{i}" for i in range(len(ws))), tuple(ws)),
     st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
@@ -108,48 +96,6 @@ def test_hadamard_rank_mismatch():
         )
 
 
-def test_veronese_diagonal():
-    s = ring_series(ring(tuple("xyzw"), (1, 1, 1, 1)), window(0, 5))
-    v = veronese(s, [(2,)], (0,))
-    assert [v.coeff(j) for j in range(3)] == [1, 10, 35]
-
-
-def test_veronese_shift_outside_support():
-    s = ring_series(A2, window(0, 4))
-    v = veronese(s, [(2,)], (1,))
-    # odd degrees of a rank-one lattice shifted by 1: dims 2, 4
-    assert [v.coeff(j) for j in range(2)] == [2, 4]
-    # a shift landing between the supported degrees gives the zero series
-    even = ring_series(ring(("x",), (2,)), window(0, 6))
-    assert veronese(even, [(2,)], (1,)).is_zero_on_window()
-
-
-def test_veronese_bigraded_diagonal():
-    spec = ring(("x", "y", "u", "v"), ((1, 0), (1, 0), (0, 1), (0, 1)))
-    s = ring_series(spec, window((0, 0), (4, 4)))
-    v = veronese(s, [(1, 1)], (1, 0))
-    assert [v.coeff(j) for j in range(3)] == [2, 6, 12]
-
-
-def test_veronese_dependent_generators():
-    s = ring_series(A2, window(0, 4))
-    with pytest.raises(ValueError):
-        veronese(ring_series(ring(("a", "b"), ((1, 0), (0, 1))), window((0, 0), (3, 3))),
-                 [(1, 1), (2, 2)], (0, 0))
-
-
-def test_graded_dual_reflection():
-    d = graded_dual(ring_series(A2, window(0, 4)))
-    assert d.coeff(-2) == 3
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_rings)
-def test_graded_dual_involution(spec):
-    s = ring_series(spec, window(0, 5))
-    assert graded_dual(graded_dual(s)).coeffs == s.coeffs
-
-
 def cech_style_top_dims(spec, j):
     """Independent oracle: monomials with every exponent >= 1."""
     weights = [w[0] for w in spec.weights]
@@ -183,9 +129,7 @@ def test_local_cohomology_examples():
     assert max(d[0] for d, _ in puv.per_degree[2].coeffs) == -3
     single = local_cohomology_poly(ring(("x",), (1,)), win)
     assert all(single.per_degree[1].coeff(j) == 1 for j in range(-8, 0))
-    # dual of the three-variable ring series, shifted by the weight sum
-    dual = twist(graded_dual(ring_series(B3, window(0, 8))), (3,))
-    assert dual.coeff(-4) == 3
+    assert local_cohomology_poly(B3, win).per_degree[3].coeff(-4) == 3
 
 
 def test_gw_segre_cohomology():
@@ -245,8 +189,14 @@ def test_gorenstein_criterion_implies_series_test(wa, wb):
         assert rep.gorenstein_series_test
 
 
-def test_signed_series_allows_negative():
-    s = make_series(1, window(0, 2), {(1,): -2}, signed=True)
-    assert isinstance(s, SignedSeries) and s.coeff(1) == -2
-    t = add_series([twist(s, (0,))])
-    assert t.coeff(1) == -2
+def test_series_reject_invalid_tables():
+    win = window(0, 2)
+    for table in ({(1,): -2}, {(3,): 1}):
+        with pytest.raises(ValueError):
+            make_series(1, win, table)
+    with pytest.raises(ValueError):
+        make_series(1, win, {(1,): 1}, zero_certified=True)
+    # make_series omits zero coefficients; the series itself rejects them
+    assert make_series(1, win, {(1,): 0, (2,): 3}).coeffs == (((2,), 3),)
+    with pytest.raises(ValueError):
+        HilbertSeries(1, win, (((1,), 0),))

@@ -109,8 +109,6 @@ def test_subspace_quiver_rejections():
         subspace_quiver_data(S, 2)  # char divides |L|
     with pytest.raises(SemigroupError):
         subspace_quiver_data(from_complement(group, []), 0)
-    with pytest.raises(SemigroupError):
-        subspace_quiver_data(S, 0, splitting=False)
 
 
 def test_gap_table_render():
