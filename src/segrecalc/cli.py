@@ -87,7 +87,8 @@ def check_gorenstein_suite(opts) -> dict:
 def check_koszul_diagonal_suite(opts) -> dict:
     from math import comb
 
-    window = (0, opts.get("window", 6))
+    hi = opts.get("window", 6)
+    window = (0, hi)
     char = opts.get("char", 0)
     results = {}
     ok = True
@@ -101,7 +102,7 @@ def check_koszul_diagonal_suite(opts) -> dict:
             else:
                 expected = {(last, 0): i + 1} if i >= 0 else {}
             for _t, j in expected:
-                if not window[0] <= j <= window[1]:
+                if not 0 <= j <= hi:
                     raise CertificationError(
                         f"koszul variant{variant},i={i} expects homology in degree "
                         f"{j}, outside the window {list(window)}"
@@ -489,14 +490,10 @@ def run_manifest(sections, out_dir: Path, opts) -> int:
 
 
 def _ring_from_block(block) -> hilbert.WeightedRingSpec:
-    names = block["variables"]
-    weights = []
-    for tok in block["weights"]:
-        if "," in tok:
-            weights.append(tuple(int(t) for t in tok.split(",")))
-        else:
-            weights.append(int(tok))
-    return hilbert.ring(tuple(names), weights)
+    weights = block["weights"]
+    if not all(tok.isdecimal() for tok in weights):
+        raise ValueError(f"weights must be positive integers, not {' '.join(weights)}")
+    return hilbert.ring(block["variables"], (int(tok) for tok in weights))
 
 
 def _semigroup_from_block(block) -> numsgp.ExtNumSemigroup:
@@ -522,7 +519,7 @@ def _semigroup_from_block(block) -> numsgp.ExtNumSemigroup:
 
 
 def _want_nonnegative(job: dict, key: str, default: int) -> int:
-    """A job's window or depth, rejected when negative like the flags."""
+    """A job's window, depth or count, rejected when negative like the flags."""
     value = want_int(job, key, default)
     if value < 0:
         raise ValueError(f"{key} must be >= 0, not {value}")
@@ -581,7 +578,7 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         a, b = catalog.ring_pair(pair)
         mods = [(f"M{s}" if s else "R", DiagonalModule(a, b, s)) for s in shifts]
         calc = HomCalculator(a, b, 0, hi, opts.get("char", 0))
-        eq = EndoQuiver(calc, mods, degree_top=want_int(job, "degree_top", 3))
+        eq = EndoQuiver(calc, mods, degree_top=_want_nonnegative(job, "degree_top", 3))
         art = {"quiver": eq.quiver.to_json_dict()}
         if "drop" in job:
             art["stable"] = eq.stable_reduce(job["drop"]).to_json_dict()
@@ -590,7 +587,7 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         return True
     if kind == "kronecker":
         n = want_int(job, "arrows", 3)
-        bound = want_int(job, "bound", 10)
+        bound = _want_nonnegative(job, "bound", 10)
         ctx = kronecker.KroneckerContext(n)
         art = kronecker.rigid_pairs(ctx, bound)
         write_artifact(out_dir, name, art)

@@ -22,7 +22,9 @@ The grammar is a sectioned key-value text format:
     shifts = -1 0 1 2 3
 
 Values are whitespace-separated tokens; numbers are exact integers, and
-no expression evaluation happens.  Parse errors carry line and column.
+no expression evaluation happens.  Ring weights are positive integers,
+one per variable: every ring is graded by Z.  Parse errors carry line
+and column.
 """
 
 from __future__ import annotations

@@ -128,10 +128,8 @@ def koszul(spec: WeightedRingSpec) -> FreeComplex:
     Exact except at the right end, where the cokernel is the base field
     in degree zero (checked on windows by `DegreewiseComplex.homology`).
     """
-    if spec.rank != 1:
-        raise ValueError("koszul complexes are built for rank-1 gradings")
     n = len(spec.variables)
-    weights = [w[0] for w in spec.weights]
+    weights = spec.weights
     terms = []
     index = []
     for size in range(n, -1, -1):
@@ -453,8 +451,8 @@ class DegreewiseComplex:
         """Splice through a shared term: the last term of self must agree
         with the first term of other, and the junction map becomes the
         composite through it."""
-        lo = max(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
+        (lo_a, hi_a), (lo_b, hi_b) = self.window, other.window
+        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
         for j in range(lo, hi + 1):
             if self.dim(len(self.dims) - 1, j) != other.dim(0, j):
                 raise ValueError("splice terms differ")
@@ -668,7 +666,7 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
     symmetric powers, then S; homology is the base field at the right
     end only.
     """
-    if any(w != (1,) for w in spec.weights):
+    if any(w != 1 for w in spec.weights):
         raise ValueError("diff_complex needs the standard grading")
     n = len(spec.variables)
     lo, hi = window

@@ -70,7 +70,7 @@ class DiagonalModule:
         b = j - self.twist
         if a < 0 or b < 0:
             return 0
-        return dim_at(self.ringA, (a,)) * dim_at(self.ringB, (b,))
+        return dim_at(self.ringA, a) * dim_at(self.ringB, b)
 
     def act(self, pair, p: int, j: int) -> list[dict]:
         """Columns of multiplication by the degree-p pair on the degree-j piece."""
@@ -92,8 +92,8 @@ class DiagonalModule:
         contains the multiples of one of its variable weights up to the
         other ring's maximal weight times it.
         """
-        wa = max(w[0] for w in self.ringA.weights)
-        wb = max(w[0] for w in self.ringB.weights)
+        wa = max(self.ringA.weights)
+        wb = max(self.ringB.weights)
         return self.min_degree + wa * wb
 
 

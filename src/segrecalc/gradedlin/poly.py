@@ -17,10 +17,8 @@ Mono = tuple
 
 @lru_cache(maxsize=None)
 def monomials(spec: WeightedRingSpec, d: int) -> tuple[Mono, ...]:
-    """Monomials of weighted degree d (rank-1 grading), lex descending."""
-    if spec.rank != 1:
-        raise ValueError("monomial enumeration needs a rank-1 grading")
-    weights = [w[0] for w in spec.weights]
+    """Monomials of weighted degree d, lex descending."""
+    weights = spec.weights
     out = []
 
     def rec(i, rest, expo):

@@ -97,8 +97,8 @@ class Strands:
         for t in range(len(cols) - 1):
             if any(linalg.compose(cols[t + 1], cols[t])):
                 raise AssertionError(f"d∘d != 0 at position {t} (scalar strand matrices)")
-        wA = [w[0] for w in bi.ringA.weights]
-        wB = [w[0] for w in bi.ringB.weights]
+        wA = bi.ringA.weights
+        wB = bi.ringB.weights
         consts = {}
         parts = []
         for t, term in enumerate(bi.terms):

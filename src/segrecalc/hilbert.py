@@ -1,55 +1,25 @@
-"""Degree lattices, Hilbert series of weighted polynomial rings, and the
-local cohomology calculus for Segre products.
+"""Hilbert series of weighted polynomial rings, and the local cohomology
+calculus for Segre products.
 
-Series are windowed integer coefficient tables over a lattice Z^r; the
-window is the region on which the table is exact.  Optional certified
-global support bounds ride along so that vanishing statements following
-from disjoint supports can be certified rather than merely observed on
-the window.
+Every ring, module and series is graded by Z: a Segre product is the
+diagonal of a Z x Z grading.  Series are windowed integer coefficient
+tables; the window is the interval of degrees on which the table is
+exact.  Optional certified global support bounds ride along so that
+vanishing statements following from disjoint supports can be certified
+rather than merely observed on the window.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-
-Degree = tuple  # lattice degree vector, entries int
-
-
-def delta(d: Degree) -> int:
-    """Total degree: the sum of the components."""
-    return sum(d)
-
-
-def vec_add(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Degree, b: Degree) -> Degree:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a: Degree) -> Degree:
-    return tuple(-x for x in a)
-
-
-def as_degree(d, rank: int) -> Degree:
-    if isinstance(d, int):
-        if rank != 1:
-            raise ValueError("integer degree only valid for rank 1")
-        return (d,)
-    d = tuple(d)
-    if len(d) != rank:
-        raise ValueError(f"degree {d} does not have rank {rank}")
-    return d
 
 
 @dataclass(frozen=True)
 class WeightedRingSpec:
-    """A weighted polynomial ring: named variables with lattice weights."""
+    """A weighted polynomial ring: named variables with positive int weights."""
 
-    variables: tuple[tuple[str, Degree], ...]
+    variables: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         names = [n for n, _ in self.variables]
@@ -57,12 +27,9 @@ class WeightedRingSpec:
             raise ValueError("variable names must be distinct")
         if not self.variables:
             raise ValueError("ring needs at least one variable")
-        r = len(self.variables[0][1])
-        for _, w in self.variables:
-            if len(w) != r:
-                raise ValueError("all weights must have the same rank")
-            if any(x < 0 for x in w) or all(x == 0 for x in w):
-                raise ValueError("weights must be >= 0 and nonzero")
+        if any(type(w) is not int or w < 1 for w in self.weights):
+            weights = " ".join(map(str, self.weights))
+            raise ValueError(f"weights must be positive integers, not {weights}")
         # every memo and calculator dict hashes ring specs, mostly nested in
         # module keys; the variables are frozen, so the hash is computed
         # once.  The field is not part of a spec: it is set on the
@@ -75,97 +42,63 @@ class WeightedRingSpec:
         return self._hash
 
     @property
-    def rank(self) -> int:
-        return len(self.variables[0][1])
-
-    @property
-    def weights(self) -> tuple[Degree, ...]:
+    def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.variables)
 
     @property
-    def weight_sum(self) -> Degree:
-        total = (0,) * self.rank
-        for w in self.weights:
-            total = vec_add(total, w)
-        return total
+    def weight_sum(self) -> int:
+        return sum(self.weights)
 
     def describe(self) -> str:
-        parts = []
-        for n, w in self.variables:
-            wtxt = str(w[0]) if self.rank == 1 else str(w)
-            parts.append(f"{n}:{wtxt}")
-        return "k[" + ",".join(parts) + "]"
+        return "k[" + ",".join(f"{n}:{w}" for n, w in self.variables) + "]"
 
 
 def ring(names, weights) -> WeightedRingSpec:
-    """Convenience constructor; weights may be ints (rank 1) or tuples."""
-    names = tuple(names)
-    ws = []
-    for w in weights:
-        ws.append((w,) if isinstance(w, int) else tuple(w))
-    if len(names) != len(ws):
+    """Convenience constructor: one positive int weight per variable."""
+    names, weights = tuple(names), tuple(weights)
+    if len(names) != len(weights):
         raise ValueError("need one weight per variable")
-    return WeightedRingSpec(tuple(zip(names, ws)))
+    return WeightedRingSpec(tuple(zip(names, weights)))
 
 
 @lru_cache(maxsize=None)
-def dim_at(spec: WeightedRingSpec, d: Degree) -> int:
-    """Number of monomials of the given weighted degree (exact, global)."""
+def dim_at(spec: WeightedRingSpec, d: int) -> int:
+    """Number of monomials of weighted degree d (exact, global)."""
     weights = spec.weights
 
     @lru_cache(maxsize=None)
-    def count(i: int, rest: Degree) -> int:
-        if any(x < 0 for x in rest):
-            return 0
+    def count(i: int, rest: int) -> int:
         if i == len(weights):
-            return 1 if all(x == 0 for x in rest) else 0
-        w = weights[i]
-        total = 0
-        r = rest
-        while all(x >= 0 for x in r):
-            total += count(i + 1, r)
-            r = vec_sub(r, w)
-        return total
+            return 1 if rest == 0 else 0
+        # rest < 0 leaves the range empty
+        return sum(count(i + 1, r) for r in range(rest, -1, -weights[i]))
 
     return count(0, d)
 
 
 @dataclass(frozen=True)
 class Window:
-    """A box of lattice degrees, inclusive bounds per coordinate."""
+    """An interval of degrees, inclusive bounds."""
 
-    lower: Degree
-    upper: Degree
+    lower: int
+    upper: int
 
     def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise ValueError("window bound ranks differ")
-        if any(l > u for l, u in zip(self.lower, self.upper)):
+        if self.lower > self.upper:
             raise ValueError("empty window")
 
-    @property
-    def rank(self) -> int:
-        return len(self.lower)
+    def contains(self, d: int) -> bool:
+        return self.lower <= d <= self.upper
 
-    def contains(self, d: Degree) -> bool:
-        return all(l <= x <= u for l, x, u in zip(self.lower, d, self.upper))
-
-    def degrees(self):
-        ranges = [range(l, u + 1) for l, u in zip(self.lower, self.upper)]
-        return itertools.product(*ranges)
+    def degrees(self) -> range:
+        return range(self.lower, self.upper + 1)
 
     def intersect(self, other: "Window") -> "Window":
-        lo = tuple(max(a, b) for a, b in zip(self.lower, other.lower))
-        hi = tuple(min(a, b) for a, b in zip(self.upper, other.upper))
-        return Window(lo, hi)
+        return Window(max(self.lower, other.lower), min(self.upper, other.upper))
 
 
-def window(lo, hi, rank: int = 1) -> Window:
-    if isinstance(lo, int):
-        lo = (lo,) * rank
-    if isinstance(hi, int):
-        hi = (hi,) * rank
-    return Window(tuple(lo), tuple(hi))
+def window(lo: int, hi: int) -> Window:
+    return Window(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -179,16 +112,13 @@ class HilbertSeries:
     known to vanish identically.
     """
 
-    rank: int
     window: Window
-    coeffs: tuple[tuple[Degree, int], ...]
-    support_lower: Degree | None = None
-    support_upper: Degree | None = None
+    coeffs: tuple[tuple[int, int], ...]
+    support_lower: int | None = None
+    support_upper: int | None = None
     zero_certified: bool = False
 
     def __post_init__(self):
-        if self.window.rank != self.rank:
-            raise ValueError("window rank mismatch")
         for d, v in self.coeffs:
             if not self.window.contains(d):
                 raise ValueError(f"coefficient at {d} outside window")
@@ -202,18 +132,13 @@ class HilbertSeries:
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
-    def coeff(self, d) -> int:
-        d = as_degree(d, self.rank)
+    def coeff(self, d: int) -> int:
         if not self.window.contains(d):
             if self.zero_certified:
                 return 0
-            if self.support_lower is not None and any(
-                x < l for x, l in zip(d, self.support_lower)
-            ):
+            if self.support_lower is not None and d < self.support_lower:
                 return 0
-            if self.support_upper is not None and any(
-                x > u for x, u in zip(d, self.support_upper)
-            ):
+            if self.support_upper is not None and d > self.support_upper:
                 return 0
             raise KeyError(f"degree {d} outside certified window")
         return self.as_dict().get(d, 0)
@@ -226,73 +151,62 @@ class HilbertSeries:
         return "nonzero"
 
     def to_json_dict(self) -> dict:
+        # the pinned artifact digests fix this format: "rank": 1 and
+        # one-element degree lists
         out = {
-            "rank": self.rank,
-            "window": {"lower": list(self.window.lower), "upper": list(self.window.upper)},
-            "coeffs": [[list(d), v] for d, v in self.coeffs],
+            "rank": 1,
+            "window": {"lower": [self.window.lower], "upper": [self.window.upper]},
+            "coeffs": [[[d], v] for d, v in self.coeffs],
             "status": self.status(),
         }
         if self.support_lower is not None:
-            out["support_lower"] = list(self.support_lower)
+            out["support_lower"] = [self.support_lower]
         if self.support_upper is not None:
-            out["support_upper"] = list(self.support_upper)
+            out["support_upper"] = [self.support_upper]
         return out
 
 
 def make_series(
-    rank: int,
     win: Window,
     table: dict,
-    support_lower=None,
-    support_upper=None,
+    support_lower: int | None = None,
+    support_upper: int | None = None,
     zero_certified: bool = False,
 ) -> HilbertSeries:
-    coeffs = tuple(sorted((tuple(d), v) for d, v in table.items() if v))
-    return HilbertSeries(
-        rank=rank,
-        window=win,
-        coeffs=coeffs,
-        support_lower=tuple(support_lower) if support_lower is not None else None,
-        support_upper=tuple(support_upper) if support_upper is not None else None,
-        zero_certified=zero_certified,
-    )
+    coeffs = tuple(sorted((d, v) for d, v in table.items() if v))
+    return HilbertSeries(win, coeffs, support_lower, support_upper, zero_certified)
 
 
-def zero_series(rank: int, win: Window, certified: bool = False) -> HilbertSeries:
-    return make_series(rank, win, {}, zero_certified=certified)
+def zero_series(win: Window, certified: bool = False) -> HilbertSeries:
+    return make_series(win, {}, zero_certified=certified)
 
 
 def ring_series(spec: WeightedRingSpec, win: Window) -> HilbertSeries:
     """Hilbert series of a weighted polynomial ring on the window.
 
-    Coefficients count monomials of each degree; degrees with a negative
-    coordinate get coefficient zero (the ring is positively graded).
+    Coefficients count monomials of each degree; negative degrees get
+    coefficient zero (the ring is positively graded).
     """
-    if win.rank != spec.rank:
-        raise ValueError("window rank does not match ring rank")
-    table = {d: dim_at(spec, d) for d in win.degrees() if all(x >= 0 for x in d)}
-    return make_series(spec.rank, win, table, support_lower=(0,) * spec.rank)
+    table = {d: dim_at(spec, d) for d in win.degrees() if d >= 0}
+    return make_series(win, table, support_lower=0)
 
 
-def twist(a: HilbertSeries, t) -> HilbertSeries:
+def twist(a: HilbertSeries, t: int) -> HilbertSeries:
     """Degree shift: twist(a, t)[d] = a[d + t] (the module M(t))."""
-    t = as_degree(t, a.rank)
-    win = Window(vec_sub(a.window.lower, t), vec_sub(a.window.upper, t))
-    table = {vec_sub(d, t): v for d, v in a.coeffs}
-    lo = vec_sub(a.support_lower, t) if a.support_lower is not None else None
-    hi = vec_sub(a.support_upper, t) if a.support_upper is not None else None
-    return make_series(a.rank, win, table, lo, hi, a.zero_certified)
+    win = Window(a.window.lower - t, a.window.upper - t)
+    table = {d - t: v for d, v in a.coeffs}
+    lo = a.support_lower - t if a.support_lower is not None else None
+    hi = a.support_upper - t if a.support_upper is not None else None
+    return make_series(win, table, lo, hi, a.zero_certified)
 
 
 def hadamard(a: HilbertSeries, b: HilbertSeries) -> HilbertSeries:
     """Coefficientwise product on the intersected window.
 
     This is the Hilbert series of a Segre product of modules.  When the
-    certified supports of the factors are disjoint in some coordinate the
-    result is certified zero globally.
+    certified supports of the factors are disjoint the result is
+    certified zero globally.
     """
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch in coefficientwise product")
     win = a.window.intersect(b.window)
     ad, bd = a.as_dict(), b.as_dict()
     table = {}
@@ -305,7 +219,7 @@ def hadamard(a: HilbertSeries, b: HilbertSeries) -> HilbertSeries:
     certified = a.zero_certified or b.zero_certified or _supports_disjoint(a, b)
     if certified and table:
         raise AssertionError("support certification contradicts window data")
-    return make_series(a.rank, win, table, lo, hi, certified)
+    return make_series(win, table, lo, hi, certified)
 
 
 def _combine_bound(x, y, pick):
@@ -313,21 +227,15 @@ def _combine_bound(x, y, pick):
         return y
     if y is None:
         return x
-    return tuple(pick(p, q) for p, q in zip(x, y))
+    return pick(x, y)
 
 
 def _supports_disjoint(a: HilbertSeries, b: HilbertSeries) -> bool:
-    for i in range(a.rank):
+    for x, y in ((a, b), (b, a)):
         if (
-            a.support_upper is not None
-            and b.support_lower is not None
-            and a.support_upper[i] < b.support_lower[i]
-        ):
-            return True
-        if (
-            b.support_upper is not None
-            and a.support_lower is not None
-            and b.support_upper[i] < a.support_lower[i]
+            x.support_upper is not None
+            and y.support_lower is not None
+            and x.support_upper < y.support_lower
         ):
             return True
     return False
@@ -337,11 +245,8 @@ def add_series(parts: list[HilbertSeries]) -> HilbertSeries:
     """Coefficientwise sum on the intersected window."""
     if not parts:
         raise ValueError("empty sum")
-    rank = parts[0].rank
     win = parts[0].window
     for p in parts[1:]:
-        if p.rank != rank:
-            raise ValueError("rank mismatch in sum")
         win = win.intersect(p.window)
     table = {}
     for p in parts:
@@ -355,10 +260,10 @@ def add_series(parts: list[HilbertSeries]) -> HilbertSeries:
         los = [p.support_lower for p in live]
         his = [p.support_upper for p in live]
         if all(x is not None for x in los):
-            lo = tuple(min(xs) for xs in zip(*los))
+            lo = min(los)
         if all(x is not None for x in his):
-            hi = tuple(max(xs) for xs in zip(*his))
-    return make_series(rank, win, table, lo, hi, zero_certified=not live)
+            hi = max(his)
+    return make_series(win, table, lo, hi, zero_certified=not live)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +281,10 @@ class LocalCohomologyProfile:
     ring_dim: int
     per_degree: dict[int, HilbertSeries]
 
-    def series(self, p: int, rank: int, win: Window) -> HilbertSeries:
+    def series(self, p: int, win: Window) -> HilbertSeries:
         if p in self.per_degree:
             return self.per_degree[p]
-        return zero_series(rank, win, certified=True)
+        return zero_series(win, certified=True)
 
     def depth_on_window(self) -> int:
         for p in range(0, self.ring_dim + 1):
@@ -396,18 +301,14 @@ class LocalCohomologyProfile:
         return out
 
 
-def module_series(spec: WeightedRingSpec, win: Window, shift=0) -> HilbertSeries:
+def module_series(spec: WeightedRingSpec, win: Window, shift: int = 0) -> HilbertSeries:
     """Series of the shifted free module S(shift) on the window."""
-    shift = as_degree(shift, spec.rank)
-    big = Window(
-        tuple(min(l + s, 0) for l, s in zip(win.lower, shift)),
-        tuple(u + max(s, 0) for u, s in zip(win.upper, shift)),
-    )
+    big = Window(min(win.lower + shift, 0), win.upper + max(shift, 0))
     return twist(ring_series(spec, big), shift)
 
 
 def local_cohomology_poly(
-    spec: WeightedRingSpec, win: Window, shift=0
+    spec: WeightedRingSpec, win: Window, shift: int = 0
 ) -> LocalCohomologyProfile:
     """Local cohomology of S(shift) at the graded maximal ideal.
 
@@ -415,21 +316,15 @@ def local_cohomology_poly(
     the ring twisted by the weight sum, so the coefficient in degree j is
     dim S in degree -j - (sum of weights) - shift.
     """
-    shift = as_degree(shift, spec.rank)
     d = len(spec.variables)
     wsum = spec.weight_sum
     table = {}
     for j in win.degrees():
-        v = dim_at(spec, vec_neg(vec_add(vec_add(j, wsum), shift)))
+        v = dim_at(spec, -j - wsum - shift)
         if v:
             table[j] = v
-    top = make_series(
-        spec.rank,
-        win,
-        table,
-        support_upper=vec_neg(vec_add(wsum, shift)),
-    )
-    per = {p: zero_series(spec.rank, win, certified=True) for p in range(d)}
+    top = make_series(win, table, support_upper=-wsum - shift)
+    per = {p: zero_series(win, certified=True) for p in range(d)}
     per[d] = top
     return LocalCohomologyProfile(ring_dim=d, per_degree=per)
 
@@ -446,7 +341,6 @@ def gw_segre_cohomology(
     convolution sum of H^i(M) # H^(p+1-i)(N) over 0 < i <= p.  The first
     argument must have certified-zero H^0 and H^1.
     """
-    rank = m_series.rank
     win = m_series.window.intersect(n_series.window)
     for p in (0, 1):
         s = m_profile.per_degree.get(p)
@@ -458,14 +352,14 @@ def gw_segre_cohomology(
     out = {}
     for p in range(0, dim + 1):
         parts = [
-            hadamard(m_profile.series(p, rank, win), n_series),
-            hadamard(m_series, n_profile.series(p, rank, win)),
+            hadamard(m_profile.series(p, win), n_series),
+            hadamard(m_series, n_profile.series(p, win)),
         ]
         for i in range(1, p + 1):
             parts.append(
                 hadamard(
-                    m_profile.series(i, rank, win),
-                    n_profile.series(p + 1 - i, rank, win),
+                    m_profile.series(i, win),
+                    n_profile.series(p + 1 - i, win),
                 )
             )
         out[p] = add_series(parts)
@@ -483,11 +377,11 @@ def segre_a_invariant(specA: WeightedRingSpec, specB: WeightedRingSpec) -> int:
     factor dimensions are positive; exact because single-degree monomial
     counts are global.
     """
-    aA = -delta(specA.weight_sum)
-    aB = -delta(specB.weight_sum)
+    aA = -specA.weight_sum
+    aB = -specB.weight_sum
     j = min(aA, aB)
     for _ in range(10000):
-        if dim_at(specA, (aA - j,)) > 0 and dim_at(specB, (aB - j,)) > 0:
+        if dim_at(specA, aA - j) > 0 and dim_at(specB, aB - j) > 0:
             return j
         j -= 1
     raise ValueError("no nonzero top cohomology degree found in search range")
@@ -540,18 +434,14 @@ def segre_report(
     """Dimension, depth/CM flags per shift, a-invariant and Gorenstein tests,
     on the degree window [-8, 8].
 
-    Both rings must be rank 1 with negative a-invariant, the first of
-    dimension >= 2.  The Gorenstein flag comes from two independent
-    tests, a series comparison and the equal-a-invariant criterion, which
-    are required to agree.
+    The first ring must have dimension >= 2; positive weights make both
+    a-invariants negative.  The Gorenstein flag comes from two
+    independent tests, a series comparison and the equal-a-invariant
+    criterion, which are required to agree.
     """
-    if specA.rank != 1 or specB.rank != 1:
-        raise ValueError("segre_report expects rank-1 graded rings")
     if len(specA.variables) < 2 or len(specB.variables) < 1:
         raise ValueError("need dim A >= 2 and dim B >= 1")
-    aA, aB = -delta(specA.weight_sum), -delta(specB.weight_sum)
-    if aA >= 0 or aB >= 0:
-        raise ValueError("both a-invariants must be negative")
+    aA, aB = -specA.weight_sum, -specB.weight_sum
     win = window(-_RADIUS, _RADIUS)
     dim = segre_dimension(specA, specB)
     a_inv = segre_a_invariant(specA, specB)
@@ -575,8 +465,8 @@ def segre_report(
     shift_reports = {}
     top = None
     for s in shifts:
-        profA = local_cohomology_poly(specA, win, shift=(s,))
-        msA = module_series(specA, win, shift=(s,))
+        profA = local_cohomology_poly(specA, win, shift=s)
+        msA = module_series(specA, win, shift=s)
         prof = gw_segre_cohomology(msA, profA, seriesB, profB)
         statuses = prof.statuses()
         cm = all(statuses[p].startswith("zero") for p in range(dim))
@@ -586,13 +476,13 @@ def segre_report(
             "certified": certified,
             "depth_at_least": prof.depth_on_window(),
             "statuses": {str(p): v for p, v in statuses.items()},
-            "top": prof.series(dim, 1, win).to_json_dict(),
+            "top": prof.series(dim, win).to_json_dict(),
         }
         if s == 0:
-            top = prof.series(dim, 1, win)
+            top = prof.series(dim, win)
     if top is None:
         profA = local_cohomology_poly(specA, win)
-        top = gw_segre_cohomology(seriesA, profA, seriesB, profB).series(dim, 1, win)
+        top = gw_segre_cohomology(seriesA, profA, seriesB, profB).series(dim, win)
     return SegreReport(
         specA=specA,
         specB=specB,
@@ -611,14 +501,13 @@ def segre_report(
 def _matches_some_shift(candidate: HilbertSeries, base: HilbertSeries) -> bool:
     """Does candidate equal base twisted by some degree shift on the window?"""
     for s in range(-2 * _RADIUS, 2 * _RADIUS + 1):
-        shifted = twist(base, (s,))
-        lo = max(candidate.window.lower[0], shifted.window.lower[0])
-        hi = min(candidate.window.upper[0], shifted.window.upper[0])
+        shifted = twist(base, s)
+        lo = max(candidate.window.lower, shifted.window.lower)
+        hi = min(candidate.window.upper, shifted.window.upper)
         if hi - lo < _RADIUS:
             continue
-        win = Window((lo,), (hi,))
         if all(
-            candidate.coeff(d) == shifted.as_dict().get(d, 0) for d in win.degrees()
+            candidate.coeff(d) == shifted.as_dict().get(d, 0) for d in range(lo, hi + 1)
         ):
             return True
     return False

@@ -324,8 +324,8 @@ def semigroup_series(S: ExtNumSemigroup, lo: int = 0, hi: int = 8) -> HilbertSer
     for n in range(max(lo, 0), hi + 1):
         v = len(S.rows[n]) if n < S.conductor else S.group.order
         if v:
-            table[(n,)] = v
-    return make_series(1, window(lo, hi), table, support_lower=(0,))
+            table[n] = v
+    return make_series(window(lo, hi), table, support_lower=0)
 
 
 def subspace_quiver_data(S: ExtNumSemigroup, char: int):

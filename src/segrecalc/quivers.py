@@ -30,9 +30,6 @@ class Quiver:
                 raise ValueError("arrow multiplicities must be >= 0")
         self.arrows = {k: v for k, v in self.arrows.items() if v}
 
-    def multiplicity(self, a: str, b: str) -> int:
-        return self.arrows.get((a, b), 0)
-
     def arrow_count(self) -> int:
         return sum(self.arrows.values())
 

@@ -350,6 +350,36 @@ def test_negative_job_window_or_depth_is_a_usage_error(tmp_path, capsys):
     assert "job quiver: window must be >= 0, not -1" in err
 
 
+def test_negative_job_counts_are_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        "[job quiver]\nkind = endo-quiver\npair = k2_k3\ndegree_top = -1\n\n"
+        "[job kr]\nkind = kronecker\nbound = -3\n"
+    )
+    out = tmp_path / "o"
+    for job in ("quiver", "kr"):
+        assert main(["run", "--config", str(cfg), "--jobs", job, "--out", str(out)]) == 2, job
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "job quiver: degree_top must be >= 0, not -1" in err
+    assert "job kr: bound must be >= 0, not -3" in err
+
+
+@pytest.mark.parametrize("weights", ["1,0 0,1", "0 1"])
+def test_ring_weights_must_be_positive_integers(tmp_path, capsys, weights):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        f"[ring A]\nvariables = x y\nweights = {weights}\n\n"
+        "[ring B]\nvariables = u v\nweights = 1 1\n\n"
+        "[job report]\nkind = segre-report\nring_a = A\nring_b = B\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"job report: weights must be positive integers, not {weights}" in err
+
+
 def test_depth_is_a_run_flag_only(tmp_path, capsys):
     # no manifest check reads a depth, so reproduce-paper does not accept one
     out = tmp_path / "r"

@@ -30,7 +30,7 @@ UV = ring(("u", "v"), (1, 2))
 
 def test_quiver_basics():
     q = Quiver(("a", "b"), {("a", "b"): 2, ("b", "a"): 0})
-    assert q.multiplicity("a", "b") == 2
+    assert q.arrows[("a", "b")] == 2
     assert q.arrows == {("a", "b"): 2}
     assert "digraph" in q.to_dot()
     with pytest.raises(ValueError):
