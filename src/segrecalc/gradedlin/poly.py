@@ -43,6 +43,18 @@ def monomial_index(spec: WeightedRingSpec, d: int) -> dict:
     return {m: i for i, m in enumerate(monomials(spec, d))}
 
 
+@lru_cache(maxsize=None)
+def monomial_codes(spec: WeightedRingSpec, d: int, base: int) -> tuple[int, ...]:
+    """The monomials of degree d packed into ints, in `monomials` order:
+    exponent i is digit i in base `base`.  A weight is at least 1, so no
+    exponent exceeds d; with d < base every digit fits, and the product of
+    two monomials whose exponents stay below base is the sum of their
+    codes.  AssertionError when d >= base."""
+    if d >= base:
+        raise AssertionError(f"monomials of degree {d} do not fit base {base}")
+    return tuple(sum(e * base**i for i, e in enumerate(m)) for m in monomials(spec, d))
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 

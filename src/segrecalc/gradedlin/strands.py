@@ -21,10 +21,14 @@ D_(t+1)·D_t of the scalar columns.  That product is zero exactly when
 the bigraded complex, hence its diagonal in every degree and over every
 field, has d∘d = 0.
 
-`kappa_masks`, the generator bitmask below each fine degree of one
-factor, also splits the cover steps of `resolution` into fine-degree
-blocks.  `scalar_rows` and `dual_column` write a δ-block of the dual of
-a resolution over the scalar forms of the target (`resolution._Dual`).
+`Strands.table` only counts the fine degrees κ of each factor per
+generator mask (`mask_counts`), so it packs each κ into one int and
+never builds it: a product f·m is the sum of two packed exponent
+vectors (Monagan and Pearce, CASC 2007).  `kappa_masks`, the same map
+with the κ themselves as keys, splits the cover steps of `resolution`
+into fine-degree blocks.  `scalar_rows` and `dual_column` write a
+δ-block of the dual of a resolution over the scalar forms of the
+target (`resolution._Dual`).
 
 This code is kept out of `complexes` and `resolution` to keep those
 files small: where no bytecode is cached (PYTHONDONTWRITEBYTECODE), every
@@ -39,7 +43,7 @@ from collections import Counter
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
-from .poly import mono_mul, monomials
+from .poly import mono_mul, monomial_codes, monomials
 
 
 class Strands:
@@ -117,12 +121,17 @@ class Strands:
         return cls((bi.ringA, bi.ringB), shift, cols, parts)
 
     def table(self, t: int, j: int) -> Counter:
-        """{column mask: number of fine degrees κ} at position t, degree j."""
+        """{column mask: number of fine degrees κ} at position t, degree j:
+        κ = (κ_A, κ_B) has mask mask_A(κ_A) & mask_B(κ_B), so each
+        component adds count_A · count_B at every pair of a mask of
+        `mask_counts` on side A and one on side B."""
         specA, specB = self.specs
         out = Counter()
         for (ca, cb), side_a, side_b in self.parts[t]:
-            masks_a = kappa_masks(specA, self.shift + j - ca, side_a)
-            count_masks(masks_a, kappa_masks(specB, j - cb, side_b), out)
+            counts_b = mask_counts(specB, j - cb, side_b).items()
+            for ma, ka in mask_counts(specA, self.shift + j - ca, side_a).items():
+                for mb, kb in counts_b:
+                    out[ma & mb] += ka * kb
         return out
 
     def rank(self, t: int, j: int, char: int, dim: int) -> int:
@@ -150,8 +159,8 @@ def kappa_masks(spec: WeightedRingSpec, level: int, groups: dict) -> dict:
     degree d) to the bitmask of the generators with fine degree f, and
     the mask of κ holds every generator with f ≤ κ, that is with κ = f·m
     for a monomial m of degree level - d.  The generators are those of a
-    complex's strands (`Strands.table`) or of a cover step
-    (`resolution._cover_degree`)."""
+    cover step (`resolution._cover_degree`); `mask_counts` counts the
+    same κ per mask."""
     out = {}
     for (f, d), bits in groups.items():
         for m in monomials(spec, level - d):
@@ -160,14 +169,31 @@ def kappa_masks(spec: WeightedRingSpec, level: int, groups: dict) -> dict:
     return out
 
 
-def count_masks(masks_a: dict, masks_b: dict, out: Counter):
-    """Add to `out` one count at mask_A & mask_B for every pair of a κ_A
-    of `masks_a` and a κ_B of `masks_b` ({κ: mask} each, as
-    `kappa_masks` gives them), as `Strands.table` counts them."""
-    counts_b = Counter(masks_b.values()).items()
-    for ma, ka in Counter(masks_a.values()).items():
-        for mb, kb in counts_b:
-            out[ma & mb] += ka * kb
+def mask_counts(spec: WeightedRingSpec, level: int, groups: dict) -> Counter:
+    """{mask: number of κ} over the masks of `kappa_masks(spec, level,
+    groups)`, without building a κ.
+
+    Each κ = f·m is packed into one int, exponent i in digit i of base
+    B, offset by lo_i, the least f_i over the groups that reach `level`
+    (fine degrees can be negative: `Strands.of` roots each component at
+    0).  A weight is at least 1, so m_i <= deg m = level - d, and digit i
+    of κ is f_i - lo_i + m_i, between 0 and
+    max_i (f_i - lo_i) + level - d.  With B = 1 + the largest such bound
+    over the groups, every digit of every κ lies in [0, B), so the code
+    of f·m is code(f - lo) + code(m) with no carry, and distinct κ get
+    distinct codes: each κ is counted once, under the same mask as in
+    `kappa_masks`."""
+    live = [(f, level - d, bits) for (f, d), bits in groups.items() if level >= d]
+    if not live:
+        return Counter()
+    lo = [min(col) for col in zip(*(f for f, _, _ in live))]
+    base = 1 + max(max(x - l for x, l in zip(f, lo)) + e for f, e, _ in live)
+    masks = {}
+    for f, e, bits in live:
+        fc = sum((x - l) * base**i for i, (x, l) in enumerate(zip(f, lo)))
+        for mc in monomial_codes(spec, e, base):
+            masks[fc + mc] = masks.get(fc + mc, 0) | bits
+    return Counter(masks.values())
 
 
 def dual_column(row: dict, scalar: dict, width: int) -> dict:

@@ -4,7 +4,6 @@ two folding constructions (doubling for d=3, tripling for d=4)."""
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -301,12 +300,12 @@ class VeroneseSideData:
 TRIVIAL_SIDE = VeroneseSideData(hilbert.ring(("t",), (1,)))
 
 
-def _monomials(spec: WeightedRingSpec | None, d: int):
+def _monomial_codes(spec: WeightedRingSpec | None, d: int, base: int):
     if spec is None:
-        return ((),) if d == 0 else ()
-    from .gradedlin.poly import monomials
+        return (0,) if d == 0 else ()
+    from .gradedlin.poly import monomial_codes
 
-    return monomials(spec, d) if d >= 0 else ()
+    return monomial_codes(spec, d, base)
 
 
 def p_segre_quiver(
@@ -324,6 +323,17 @@ def p_segre_quiver(
     rad/rad^2, which for monomial data is a set computation.  With
     `drop_free` a list of vertex labels, arrows are computed in the
     stable quotient killing maps that factor through those vertices.
+
+    A monomial pair (mA, mB) is packed into one int, the exponents of mA
+    and then those of mB as the digits in base B.  The call reads
+    components with n <= degree_top and l' - l <= p - 1, so on each side
+    a component degree is at most q*(degree_top + p - 1) + the largest
+    residue, and B is 1 + the larger of the two.  A weight is at
+    least 1, so no exponent exceeds its degree: every digit of a pair
+    the call reads, and of a product of two, lies in [0, B).  So
+    distinct pairs get distinct codes, and the code of a product is the
+    sum of the codes.  AssertionError when a component degree exceeds
+    the bound (a negative residue can make it).
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -340,23 +350,25 @@ def p_segre_quiver(
             return "R" if l == 0 else f"M{l}"
         return f"({l};{ra},{rb})"
 
+    base = 1 + max(
+        side.order * (degree_top + p - 1) + max(side.residues) for side in (sideA, sideB)
+    )
+    shift_b = base ** (len(sideA.ring.variables) if sideA.ring else 0)
+    comps = {}  # (v, w, n) -> codes of the component; every split asks again
+
     def comp(v, w, n):
-        (l, ra, rb), (l2, ra2, rb2) = v, w
-        da = sideA.component_degree(ra, ra2, n + l2 - l)
-        db = sideB.component_degree(rb, rb2, n)
-        if da < 0 or db < 0:
-            return frozenset()
-        return frozenset(
-            itertools.product(_monomials(sideA.ring, da), _monomials(sideB.ring, db))
-        )
+        key = (v, w, n)
+        if key not in comps:
+            (l, ra, rb), (l2, ra2, rb2) = v, w
+            da = sideA.component_degree(ra, ra2, n + l2 - l)
+            db = sideB.component_degree(rb, rb2, n)
+            codes_a = _monomial_codes(sideA.ring, da, base)
+            codes_b = _monomial_codes(sideB.ring, db, base)
+            comps[key] = frozenset(x + shift_b * y for x in codes_a for y in codes_b)
+        return comps[key]
 
     drop = set(drop_free or ())
     keep = [v for v in verts if label(v) not in drop]
-
-    def mono_pair_mul(x, y):
-        a = tuple(i + j for i, j in zip(x[0], y[0]))
-        b = tuple(i + j for i, j in zip(x[1], y[1]))
-        return (a, b)
 
     # add the radical compositions from v to w in degree n to `covered`,
     # stopping once they cover `hom`: every product lies in hom, and only
@@ -377,9 +389,7 @@ def p_segre_quiver(
                 second = comp(c, w, e2)
                 if not second:
                     continue
-                covered.update(
-                    mono_pair_mul(x, y) for x in first for y in second
-                )
+                covered.update(x + y for x in first for y in second)
                 if hom <= covered:
                     return
 

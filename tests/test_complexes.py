@@ -23,6 +23,7 @@ from segrecalc.gradedlin.complexes import (
 )
 from segrecalc.gradedlin import catalog, complexes
 from segrecalc.gradedlin.poly import monomial_index, monomials, mono_mul, variable
+from segrecalc.gradedlin.strands import kappa_masks, mask_counts
 
 A2 = ring(("x0", "x1"), (1, 1))
 B3 = ring(("y0", "y1", "y2"), (1, 1, 1))
@@ -673,6 +674,64 @@ def test_complexes_without_fine_degrees_get_no_strands():
     assert dc.strands is None
     for char in (0, 10007):
         assert dc.homology(char) == _expanded_homology(dc, char)
+
+
+# ---------------------------------------------------------------------------
+# strand counts from packed fine degrees against the κ themselves
+
+
+def reference_table(strands, t, j):
+    """`Strands.table` from the κ tuples of `kappa_masks`, counted per
+    mask on each side and multiplied out per pair of masks."""
+    specA, specB = strands.specs
+    out = Counter()
+    for (ca, cb), side_a, side_b in strands.parts[t]:
+        counts_a = Counter(kappa_masks(specA, strands.shift + j - ca, side_a).values())
+        counts_b = Counter(kappa_masks(specB, j - cb, side_b).values())
+        for ma, ka in counts_a.items():
+            for mb, kb in counts_b.items():
+                out[ma & mb] += ka * kb
+    return out
+
+
+@st.composite
+def mask_groups(draw):
+    """A ring of 1-3 variables with weights 1-3, a level, and groups
+    {(fine degree f, degree d): bitmask}, possibly none, with negative
+    entries in f and degrees d above and below the level."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    spec = ring(tuple(f"z{i}" for i in range(len(weights))), tuple(weights))
+    # small ranges, so that κ of different groups often share digits: a
+    # packing base one too small then merges two κ in most runs
+    fine = st.tuples(*[st.integers(-2, 1)] * len(weights))
+    keys = draw(st.lists(st.tuples(fine, st.integers(-3, 3)), max_size=6, unique=True))
+    groups = {key: draw(st.integers(1, 31)) for key in keys}
+    return spec, draw(st.integers(-3, 5)), groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_groups())
+def test_packed_mask_counts_match_kappa_masks(drawn):
+    spec, level, groups = drawn
+    assert mask_counts(spec, level, groups) == Counter(kappa_masks(spec, level, groups).values())
+
+
+def test_strand_tables_match_reference_on_bundled_diagonals():
+    complexes_ = [
+        catalog.almost_split_sequence(key, at, (0, 10)).complex
+        for key, recipes in catalog.AR_RECIPES.items()
+        for at in recipes
+    ]
+    complexes_ += [
+        catalog.koszul_diagonal("k2_k3", variant, i, (0, 10))
+        for i in range(-2, 4)
+        for variant in (1, 2)
+    ]
+    for dc in complexes_:
+        assert dc.strands is not None
+        for t in range(len(dc.mats)):
+            for j in range(0, 11):
+                assert dc.strands.table(t, j) == reference_table(dc.strands, t, j), (t, j)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from segrecalc import cli, linalg
 from segrecalc.hilbert import ring
 from segrecalc.gradedlin import catalog, resolution
+from segrecalc.gradedlin.poly import monomials
 from segrecalc.gradedlin.modules import DiagonalModule, FreeModule, SyzygyModule
 from segrecalc.gradedlin.resolution import HomCalculator, through_free_vectors
 from segrecalc.quivers import (
@@ -14,7 +15,6 @@ from segrecalc.quivers import (
     Quiver,
     VeroneseSideData,
     TRIVIAL_SIDE,
-    _monomials,
     fold_d3,
     fold_d4,
     middle_multiplicities,
@@ -338,9 +338,18 @@ def test_early_stop_matches_reference_on_weighted_pairs(wa, wb, shifts, degree_t
     _assert_matches_reference(eq, free if len(mods) > 1 else [])
 
 
+def _monomials(spec, d):
+    """The monomials of degree d as exponent tuples; a None ring is the
+    base field."""
+    if spec is None:
+        return ((),) if d == 0 else ()
+    return monomials(spec, d) if d >= 0 else ()
+
+
 def reference_p_segre_quiver(sideA, sideB, p, degree_top=6, drop_free=None):
     """`p_segre_quiver` from the full product set of every degree split,
-    with no stop once hom is covered."""
+    with no stop once hom is covered, on monomial pairs as exponent
+    tuples."""
     verts = [(l, ra, rb) for l in range(p) for ra in sideA.residues for rb in sideB.residues]
 
     def label(v):
@@ -420,3 +429,32 @@ def test_p_segre_stop_matches_full_product_reference(side_a, side_b, p, degree_t
     assert p_segre_quiver(side_a, side_b, p, degree_top, drop_free=drop) == (
         reference_p_segre_quiver(side_a, side_b, p, degree_top, drop_free=drop)
     )
+
+
+def test_p_segre_packing_reaches_the_last_digit():
+    """One-variable sides of order 2 with residues (0, 1), p = 3 and
+    degree_top = 6 read a component of degree 2 * (6 + 2) + 1 = 17 on
+    side A, the largest that the packing base 18 holds: its monomial is
+    digit 17.  Weights (1, 2) at degree_top = 2 read x^2 and y in degree
+    2 = base - 1, where a base one smaller would give both the code 2."""
+    one_t = VeroneseSideData(ring(("t",), (1,)), order=2, residues=(0, 1))
+    one_s = VeroneseSideData(ring(("s",), (1,)), order=2, residues=(0, 1))
+    cases = [(one_t, one_s, 3, 6), (VeroneseSideData(UV), TRIVIAL_SIDE, 1, 2)]
+    for side_a, side_b, p, top in cases:
+        full = p_segre_quiver(side_a, side_b, p, degree_top=top)
+        assert full == reference_p_segre_quiver(side_a, side_b, p, degree_top=top)
+        for drop in (full.vertices[:1], full.vertices[:1] + full.vertices[-1:]):
+            assert p_segre_quiver(side_a, side_b, p, degree_top=top, drop_free=drop) == (
+                reference_p_segre_quiver(side_a, side_b, p, degree_top=top, drop_free=drop)
+            )
+    assert p_segre_quiver(VeroneseSideData(UV), TRIVIAL_SIDE, 1, degree_top=2).arrows == {
+        ("R", "R"): 2
+    }
+
+
+def test_p_segre_rejects_a_component_above_the_packing_base():
+    # a negative residue makes a component degree order * n + 0 - (-1)
+    # larger than the base allows for
+    side = VeroneseSideData(ring(("t",), (1,)), order=1, residues=(-1, 0))
+    with pytest.raises(AssertionError, match="do not fit base"):
+        p_segre_quiver(side, TRIVIAL_SIDE, 1, degree_top=2)
