@@ -44,9 +44,9 @@ def ring_pair(key: str):
         raise KeyError(f"unknown ring pair {key!r}; choose from {sorted(RINGS)}")
 
 
-def diagonal_module(key: str, shift: int, twist: int = 0) -> DiagonalModule:
+def diagonal_module(key: str, shift: int) -> DiagonalModule:
     a, b = ring_pair(key)
-    return DiagonalModule(a, b, shift, twist)
+    return DiagonalModule(a, b, shift)
 
 
 def koszul_diagonal(key: str, variant: int, shift: int, window) -> DegreewiseComplex:

@@ -26,6 +26,10 @@ degree, one tuple holds the target index of u·m for every source
 monomial m.  The diagonal of a bigraded complex uses one table per
 factor, since the row of (ua·mA)⊗(ub·mB) splits into an A part and a B
 part.
+
+Both contraction complexes take their contractions from one rule,
+`_contract`.  In `diff_complex`, d_0 = 0 makes S = Diff^0, so the map
+into S is one more contraction, in identity coordinates on S.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .. import linalg
-from ..hilbert import WeightedRingSpec
+from ..hilbert import WeightedRingSpec, ring
 from .poly import Mono, monomials, monomial_index, variable
 from .strands import Strands
 
@@ -607,31 +611,36 @@ def _diag_label(term, shift: int) -> str:
 # contraction complexes
 
 
-def _sym_monomials(n: int, d: int):
-    spec = _std_spec(n)
-    return monomials(spec, d)
-
-
 @lru_cache(maxsize=None)
 def _std_spec(n: int) -> WeightedRingSpec:
-    from ..hilbert import ring
-
     return ring(tuple(f"e{i}" for i in range(n)), (1,) * n)
 
 
-def alpha_complex(n: int, m: int, window=None) -> DegreewiseComplex:
+def _contract(sub: tuple[int, ...], mu: Mono):
+    """The contraction rule of both complexes: e_sub ⊗ μ goes to the sum
+    over the positions p of sub, v = sub[p] with μ_v > 0, of
+    (-1)^p e_(sub without v) ⊗ (μ lowered at v).  Yields
+    (sign, sub without v, μ lowered at v)."""
+    for p, v in enumerate(sub):
+        if mu[v]:
+            lowered = mu[:v] + (mu[v] - 1,) + mu[v + 1 :]
+            yield (-1 if p % 2 else 1), sub[:p] + sub[p + 1 :], lowered
+
+
+def alpha_complex(n: int, m: int) -> DegreewiseComplex:
     """The contraction complex on wedge powers against dual symmetric
     powers; exact for m != -n, with a one-dimensional defect at the left
     end (in internal degree n) when m = -n."""
     if n < 1:
         raise ValueError("need at least one variable")
+    spec = _std_spec(n)
     deg = -m
     labels = []
     dims = []
     bases = []
     for l in range(n, -1, -1):
         subs = list(itertools.combinations(range(n), l))
-        duals = _sym_monomials(n, m + l)
+        duals = monomials(spec, m + l)
         bases.append((subs, duals))
         labels.append(f"wedge^{l}(V)xD(Sym^{m + l})")
         dim = len(subs) * len(duals)
@@ -646,13 +655,8 @@ def alpha_complex(n: int, m: int, window=None) -> DegreewiseComplex:
         for s in subs:
             for mu in duals:
                 col = {}
-                for p, v in enumerate(s):
-                    if mu[v] == 0:
-                        continue
-                    rest = s[:p] + s[p + 1 :]
-                    mu2 = tuple(e - 1 if i == v else e for i, e in enumerate(mu))
+                for sign, rest, mu2 in _contract(s, mu):
                     key = sub_idx[rest] * len(tduals) + dual_idx[mu2]
-                    sign = -1 if p % 2 else 1
                     col[key] = col.get(key, 0) + sign
                 cols.append({k: v for k, v in col.items() if v})
         mats.append({deg: cols} if cols else {})
@@ -662,8 +666,13 @@ def alpha_complex(n: int, m: int, window=None) -> DegreewiseComplex:
 def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseComplex:
     """The spliced kernel complex on a standard-graded polynomial ring.
 
-    Terms are S⊗wedge^n(V), then ker(koszul)_i tensored with dual
-    symmetric powers, then S; homology is the base field at the right
+    Terms are S⊗wedge^n(V), then Diff^i⊗D(Sym^i) for i = n-1, ..., 0,
+    where Diff^i is the kernel of the Koszul differential
+    d_i : S⊗wedge^i -> S⊗wedge^(i-1).  As d_0 = 0, S is Diff^0 and the
+    last term is S.  The first map sends s⊗top to Σ_μ d_n(s·μ⊗top)⊗μ over
+    the monomials μ of degree n-1; every later map is the one contraction
+    rule `_contract` on the wedge factor and the dual symmetric power,
+    written in the kernel bases.  Homology is the base field at the right
     end only.
     """
     if any(w != 1 for w in spec.weights):
@@ -671,169 +680,117 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
     n = len(spec.variables)
     lo, hi = window
     kos = koszul(spec)
-    if n == 1:
-        dims = [
-            {j: len(monomials(spec, j - 1)) for j in range(lo, hi + 1) if j >= 1},
-            {j: len(monomials(spec, j)) for j in range(lo, hi + 1) if j >= 0},
-        ]
-        mats = [
-            {j: kos.matrix_at(0, j) for j in range(max(lo, 1), hi + 1)}
-        ]
-        return DegreewiseComplex(["Sxwedge^1", "S"], dims, mats, window)
+    kernels = {}
 
-    @lru_cache(maxsize=None)
-    def kernel_basis(i: int, s: int):
-        # kernel of d_i : S⊗wedge^i -> S⊗wedge^(i-1) in S-degree s,
-        # positions n-i -> n-i+1 in the koszul complex
-        t = n - i
-        cols = kos.matrix_at(t, s)
-        return linalg.kernel_of(cols)
+    def kernel(i: int, s: int):
+        # ker d_i in total degree s (Koszul position n - i) as a basis and
+        # a function giving the nonzero coordinates of a vector in it
+        if (i, s) not in kernels:
+            if i == 0:  # S = Diff^0: a vector is its own coordinates
+                basis = [{k: 1} for k in range(len(monomials(spec, s)))]
+                coords = dict.items
+            else:
+                basis = linalg.kernel_of(kos.matrix_at(n - i, s))
+                solver = linalg.CoordSolver(basis)
 
-    @lru_cache(maxsize=None)
-    def kernel_solver(i: int, s: int):
-        basis = kernel_basis(i, s)
-        return linalg.CoordSolver(basis) if basis else None
+                def coords(vec):
+                    found = solver.solve(vec)
+                    if found is None:
+                        raise AssertionError(f"map leaves the kernel of d_{i}")
+                    return [(k, v) for k, v in enumerate(found) if v]
 
-    labels = ["Sxwedge^n"]
-    dims = [dict()]
-    for j in range(lo, hi + 1):
-        d = len(monomials(spec, j - n))
-        if d:
-            dims[0][j] = d
-    for i in range(n - 1, 0, -1):
-        labels.append(f"Diff^{i}xD(Sym^{i})")
+            kernels[i, s] = basis, coords
+        return kernels[i, s]
+
+    labels = ["Sxwedge^1" if n == 1 else "Sxwedge^n"]
+    dims = [{j: len(monomials(spec, j - n)) for j in range(lo, hi + 1) if j >= n}]
+    for i in range(n - 1, -1, -1):
+        labels.append(f"Diff^{i}xD(Sym^{i})" if i else "S")
         table = {}
         for j in range(lo, hi + 1):
-            d = len(kernel_basis(i, j + i)) * len(_sym_monomials(n, i))
+            d = len(kernel(i, j + i)[0]) * len(monomials(spec, i))
             if d:
                 table[j] = d
         dims.append(table)
-    labels.append("S")
-    dims.append({j: len(monomials(spec, j)) for j in range(lo, hi + 1) if j >= 0})
 
-    mats = []
-    # first map: s⊗top ↦ Σ_i d_n(s·m_i ⊗ top) ⊗ μ_i
+    # first map: s⊗top ↦ Σ_μ d_n(s·μ⊗top) ⊗ μ
     first = {}
-    sym_top = _sym_monomials(n, n - 1)
+    tops = monomials(spec, n - 1)
     rows = _mul_rows(spec, "top map degree mismatch")
     for j in range(lo, hi + 1):
         src = monomials(spec, j - n)
         if not src:
             continue
-        solver = kernel_solver(n - 1, j + n - 1)
-        nduals = len(sym_top)
-        # the deepest koszul differential on (s·m_i) ⊗ top, s·m_i of degree j - 1
+        coords = kernel(n - 1, j + n - 1)[1]
+        # the deepest koszul differential on (s·μ) ⊗ top, s·μ of degree j - 1
         images = kos.matrix_at(0, j + n - 1)
-        prods = [rows(mi, j - n, j - 1) for mi in sym_top]
+        prods = [rows(mu, j - n, j - 1) for mu in tops]
         cols = []
         for k_s in range(len(src)):
             col = {}
-            for mi_idx, targets in enumerate(prods):
-                vec = images[targets[k_s]]
-                coords = solver.solve(vec)
-                if coords is None:
-                    raise AssertionError("top map misses the kernel")
-                for k, v in enumerate(coords):
-                    if v:
-                        key = k * nduals + mi_idx
-                        col[key] = col.get(key, 0) + v
+            for d, targets in enumerate(prods):
+                for k, v in coords(images[targets[k_s]]):
+                    col[k * len(tops) + d] = v
             cols.append(col)
         first[j] = cols
-    mats.append(first)
+    mats = [first]
 
-    for i in range(n - 1, 1, -1):
+    # the contraction Diff^i⊗D(Sym^i) -> Diff^(i-1)⊗D(Sym^(i-1)); a kernel
+    # vector has coordinate sub_k * nmono + mono_k on e_sub ⊗ (S-monomial)
+    for i in range(n - 1, 0, -1):
+        tsub_idx = {s: k for k, s in enumerate(itertools.combinations(range(n), i - 1))}
+        tdual_idx = monomial_index(spec, i - 1)
+        duals = monomials(spec, i)
+        # per (wedge index, dual index): (sign, target wedge, target dual)
+        rule = [
+            [
+                [(sign, tsub_idx[rest], tdual_idx[low]) for sign, rest, low in _contract(sub, mu)]
+                for mu in duals
+            ]
+            for sub in itertools.combinations(range(n), i)
+        ]
         step = {}
-        duals = _sym_monomials(n, i)
-        tduals = _sym_monomials(n, i - 1)
-        tdual_idx = {d: k for k, d in enumerate(tduals)}
-        subs = list(itertools.combinations(range(n), i))
-        tsubs = list(itertools.combinations(range(n), i - 1))
-        tsub_idx = {s: k for k, s in enumerate(tsubs)}
         for j in range(lo, hi + 1):
-            basis = kernel_basis(i, j + i)
+            basis = kernel(i, j + i)[0]
             if not basis:
                 continue
+            coords = kernel(i - 1, j + i - 1)[1]
             nmono = len(monomials(spec, j))  # wedge coordinates carry S-degree j
-            tsolver = kernel_solver(i - 1, j + i - 1)
-            tcols = []
+            cols = []
             for w in basis:
-                for mu in duals:
-                    per_mu2 = {}
-                    for flat, cval in w.items():
-                        sub_i, mono_i = divmod(flat, nmono)
-                        sub = subs[sub_i]
-                        for p, v in enumerate(sub):
-                            if mu[v] == 0:
-                                continue
-                            mu2 = tuple(
-                                e - 1 if idx == v else e for idx, e in enumerate(mu)
-                            )
-                            rest = sub[:p] + sub[p + 1 :]
-                            sign = -1 if p % 2 else 1
-                            vec = per_mu2.setdefault(mu2, {})
-                            key = tsub_idx[rest] * nmono + mono_i
+                terms = [(divmod(flat, nmono), cval) for flat, cval in w.items()]
+                for mu_k in range(len(duals)):
+                    per_dual = {}
+                    for (sub_k, mono_k), cval in terms:
+                        for sign, r, d in rule[sub_k][mu_k]:
+                            vec = per_dual.setdefault(d, {})
+                            key = r * nmono + mono_k
                             val = vec.get(key, 0) + sign * cval
                             if val:
                                 vec[key] = val
                             elif key in vec:
                                 del vec[key]
                     col = {}
-                    for mu2, vec in per_mu2.items():
-                        if not vec:
-                            continue
-                        coords = tsolver.solve(vec)
-                        if coords is None:
-                            raise AssertionError("contraction leaves the kernel")
-                        for k, v in enumerate(coords):
-                            if v:
-                                key = k * len(tduals) + tdual_idx[mu2]
-                                col[key] = col.get(key, 0) + v
-                    tcols.append(col)
-            step[j] = tcols
+                    for d, vec in per_dual.items():
+                        if vec:
+                            for k, v in coords(vec):
+                                col[k * len(tdual_idx) + d] = v
+                    cols.append(col)
+            step[j] = cols
         mats.append(step)
-
-    last = {}
-    duals1 = _sym_monomials(n, 1)
-    for j in range(lo, hi + 1):
-        basis = kernel_basis(1, j + 1)
-        if not basis:
-            continue
-        nmono = len(monomials(spec, j))
-        out_idx = monomial_index(spec, j)
-        cols = []
-        for w in basis:
-            for mu in duals1:
-                v_mu = mu.index(1)
-                col = {}
-                for flat, cval in w.items():
-                    sub_i, mono_i = divmod(flat, nmono)
-                    if sub_i != v_mu:
-                        continue
-                    s_mono = monomials(spec, j)[mono_i]
-                    key = out_idx[s_mono]
-                    val = col.get(key, 0) + cval
-                    if val:
-                        col[key] = val
-                    elif key in col:
-                        del col[key]
-                cols.append(col)
-        last[j] = cols
-    mats.append(last)
     return DegreewiseComplex(labels, dims, mats, window)
 
 
-def extend_diagonal(
-    c: DegreewiseComplex, specA: WeightedRingSpec, shift: int = 0
-) -> DegreewiseComplex:
+def extend_diagonal(c: DegreewiseComplex, specA: WeightedRingSpec) -> DegreewiseComplex:
     """Tensor a one-sided degreewise complex with the other polynomial
-    factor and take the (shift + j, j) diagonal: the piece in degree j
-    becomes A_(shift+j) ⊗ (original piece in degree j)."""
+    factor and take the (j, j) diagonal: the piece in degree j becomes
+    A_j ⊗ (original piece in degree j)."""
     lo, hi = c.window
     dims = []
     for table in c.dims:
         out = {}
         for j, d in table.items():
-            da = len(monomials(specA, shift + j))
+            da = len(monomials(specA, j))
             if da * d:
                 out[j] = da * d
         dims.append(out)
@@ -841,7 +798,7 @@ def extend_diagonal(
     for t, table in enumerate(c.mats):
         out = {}
         for j, cols in table.items():
-            da = len(monomials(specA, shift + j))
+            da = len(monomials(specA, j))
             if not da or not cols:
                 continue
             nrows_orig = c.dim(t + 1, j)

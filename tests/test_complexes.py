@@ -1,4 +1,6 @@
+import itertools
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import hypothesis.strategies as st
@@ -816,6 +818,219 @@ def test_diff_complex_builds_top_koszul_matrix_once_per_degree(monkeypatch):
         assert diff_complex(spec, (0, 5)).homology() == {(n, 0): 1}
         top = {j: k for (t, j), k in built.items() if t == 0}
         assert top and max(top.values()) == 1
+        # every Koszul position: one kernel cache per call
+        assert {t for t, _ in built} == set(range(n))
+        assert max(built.values()) == 1
+
+
+def _reference_sym_monomials(n, d):
+    return monomials(complexes._std_spec(n), d)
+
+
+def reference_alpha_complex(n, m):
+    """alpha_complex with the contraction written out in its loop."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    deg = -m
+    labels = []
+    dims = []
+    bases = []
+    for l in range(n, -1, -1):
+        subs = list(itertools.combinations(range(n), l))
+        duals = _reference_sym_monomials(n, m + l)
+        bases.append((subs, duals))
+        labels.append(f"wedge^{l}(V)xD(Sym^{m + l})")
+        dim = len(subs) * len(duals)
+        dims.append({deg: dim} if dim else {})
+    mats = []
+    for t in range(n):
+        subs, duals = bases[t]
+        tsubs, tduals = bases[t + 1]
+        sub_idx = {s: i for i, s in enumerate(tsubs)}
+        dual_idx = {d: i for i, d in enumerate(tduals)}
+        cols = []
+        for s in subs:
+            for mu in duals:
+                col = {}
+                for p, v in enumerate(s):
+                    if mu[v] == 0:
+                        continue
+                    rest = s[:p] + s[p + 1 :]
+                    mu2 = tuple(e - 1 if i == v else e for i, e in enumerate(mu))
+                    key = sub_idx[rest] * len(tduals) + dual_idx[mu2]
+                    sign = -1 if p % 2 else 1
+                    col[key] = col.get(key, 0) + sign
+                cols.append({k: v for k, v in col.items() if v})
+        mats.append({deg: cols} if cols else {})
+    return DegreewiseComplex(labels, dims, mats, (deg, deg))
+
+
+def reference_diff_complex(spec, window):
+    """diff_complex with a branch for one variable, the contraction
+    written out in the middle maps and a hand-written last map into S."""
+    if any(w != 1 for w in spec.weights):
+        raise ValueError("diff_complex needs the standard grading")
+    n = len(spec.variables)
+    lo, hi = window
+    kos = koszul(spec)
+    if n == 1:
+        dims = [
+            {j: len(monomials(spec, j - 1)) for j in range(lo, hi + 1) if j >= 1},
+            {j: len(monomials(spec, j)) for j in range(lo, hi + 1) if j >= 0},
+        ]
+        mats = [{j: kos.matrix_at(0, j) for j in range(max(lo, 1), hi + 1)}]
+        return DegreewiseComplex(["Sxwedge^1", "S"], dims, mats, window)
+
+    @lru_cache(maxsize=None)
+    def kernel_basis(i, s):
+        # kernel of d_i : S⊗wedge^i -> S⊗wedge^(i-1) in S-degree s,
+        # positions n-i -> n-i+1 in the koszul complex
+        return linalg.kernel_of(kos.matrix_at(n - i, s))
+
+    @lru_cache(maxsize=None)
+    def kernel_solver(i, s):
+        basis = kernel_basis(i, s)
+        return linalg.CoordSolver(basis) if basis else None
+
+    labels = ["Sxwedge^n"]
+    dims = [dict()]
+    for j in range(lo, hi + 1):
+        d = len(monomials(spec, j - n))
+        if d:
+            dims[0][j] = d
+    for i in range(n - 1, 0, -1):
+        labels.append(f"Diff^{i}xD(Sym^{i})")
+        table = {}
+        for j in range(lo, hi + 1):
+            d = len(kernel_basis(i, j + i)) * len(_reference_sym_monomials(n, i))
+            if d:
+                table[j] = d
+        dims.append(table)
+    labels.append("S")
+    dims.append({j: len(monomials(spec, j)) for j in range(lo, hi + 1) if j >= 0})
+
+    mats = []
+    # first map: s⊗top ↦ Σ_i d_n(s·m_i ⊗ top) ⊗ μ_i
+    first = {}
+    sym_top = _reference_sym_monomials(n, n - 1)
+    rows = complexes._mul_rows(spec, "top map degree mismatch")
+    for j in range(lo, hi + 1):
+        src = monomials(spec, j - n)
+        if not src:
+            continue
+        solver = kernel_solver(n - 1, j + n - 1)
+        nduals = len(sym_top)
+        images = kos.matrix_at(0, j + n - 1)
+        prods = [rows(mi, j - n, j - 1) for mi in sym_top]
+        cols = []
+        for k_s in range(len(src)):
+            col = {}
+            for mi_idx, targets in enumerate(prods):
+                coords = solver.solve(images[targets[k_s]])
+                if coords is None:
+                    raise AssertionError("top map misses the kernel")
+                for k, v in enumerate(coords):
+                    if v:
+                        key = k * nduals + mi_idx
+                        col[key] = col.get(key, 0) + v
+            cols.append(col)
+        first[j] = cols
+    mats.append(first)
+
+    for i in range(n - 1, 1, -1):
+        step = {}
+        duals = _reference_sym_monomials(n, i)
+        tduals = _reference_sym_monomials(n, i - 1)
+        tdual_idx = {d: k for k, d in enumerate(tduals)}
+        subs = list(itertools.combinations(range(n), i))
+        tsubs = list(itertools.combinations(range(n), i - 1))
+        tsub_idx = {s: k for k, s in enumerate(tsubs)}
+        for j in range(lo, hi + 1):
+            basis = kernel_basis(i, j + i)
+            if not basis:
+                continue
+            nmono = len(monomials(spec, j))  # wedge coordinates carry S-degree j
+            tsolver = kernel_solver(i - 1, j + i - 1)
+            tcols = []
+            for w in basis:
+                for mu in duals:
+                    per_mu2 = {}
+                    for flat, cval in w.items():
+                        sub_i, mono_i = divmod(flat, nmono)
+                        sub = subs[sub_i]
+                        for p, v in enumerate(sub):
+                            if mu[v] == 0:
+                                continue
+                            mu2 = tuple(
+                                e - 1 if idx == v else e for idx, e in enumerate(mu)
+                            )
+                            rest = sub[:p] + sub[p + 1 :]
+                            sign = -1 if p % 2 else 1
+                            vec = per_mu2.setdefault(mu2, {})
+                            key = tsub_idx[rest] * nmono + mono_i
+                            val = vec.get(key, 0) + sign * cval
+                            if val:
+                                vec[key] = val
+                            elif key in vec:
+                                del vec[key]
+                    col = {}
+                    for mu2, vec in per_mu2.items():
+                        if not vec:
+                            continue
+                        coords = tsolver.solve(vec)
+                        if coords is None:
+                            raise AssertionError("contraction leaves the kernel")
+                        for k, v in enumerate(coords):
+                            if v:
+                                key = k * len(tduals) + tdual_idx[mu2]
+                                col[key] = col.get(key, 0) + v
+                    tcols.append(col)
+            step[j] = tcols
+        mats.append(step)
+
+    last = {}
+    duals1 = _reference_sym_monomials(n, 1)
+    for j in range(lo, hi + 1):
+        basis = kernel_basis(1, j + 1)
+        if not basis:
+            continue
+        nmono = len(monomials(spec, j))
+        out_idx = monomial_index(spec, j)
+        cols = []
+        for w in basis:
+            for mu in duals1:
+                v_mu = mu.index(1)
+                col = {}
+                for flat, cval in w.items():
+                    sub_i, mono_i = divmod(flat, nmono)
+                    if sub_i != v_mu:
+                        continue
+                    key = out_idx[monomials(spec, j)[mono_i]]
+                    val = col.get(key, 0) + cval
+                    if val:
+                        col[key] = val
+                    elif key in col:
+                        del col[key]
+                cols.append(col)
+        last[j] = cols
+    mats.append(last)
+    return DegreewiseComplex(labels, dims, mats, window)
+
+
+def _contraction_fields(c):
+    """Labels, dims and every column, entries in order and typed."""
+    return c.labels, [list(d.items()) for d in c.dims], [_typed(m) for m in c.mats]
+
+
+def test_contraction_complexes_match_reference():
+    for n in (1, 2, 3, 4):
+        spec = ring(tuple(f"y{i}" for i in range(n)), (1,) * n)
+        for window in ((-2, 5), (n + 1, 10)):
+            got, want = diff_complex(spec, window), reference_diff_complex(spec, window)
+            assert _contraction_fields(got) == _contraction_fields(want), (n, window)
+        for m in range(-6, 7):
+            got, want = alpha_complex(n, m), reference_alpha_complex(n, m)
+            assert _contraction_fields(got) == _contraction_fields(want), (n, m)
 
 
 def test_fourfold_homology_over_prime_field_matches_rationals():
