@@ -29,7 +29,11 @@ part.
 
 Both contraction complexes take their contractions from one rule,
 `_contract`.  In `diff_complex`, d_0 = 0 makes S = Diff^0, so the map
-into S is one more contraction, in identity coordinates on S.
+into S is one more contraction, in identity coordinates on S.  Every
+other target is a kernel of a Koszul differential, and
+`linalg.kernel_coordinates` reads an image's coordinates in its basis
+off the basis's free columns, one lookup per key of the image, after
+certifying that the differential sends the image to zero.
 """
 
 from __future__ import annotations
@@ -672,7 +676,11 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
     last term is S.  The first map sends s⊗top to Σ_μ d_n(s·μ⊗top)⊗μ over
     the monomials μ of degree n-1; every later map is the one contraction
     rule `_contract` on the wedge factor and the dual symmetric power,
-    written in the kernel bases.  Homology is the base field at the right
+    written in the kernel bases.  A kernel basis comes with its reader
+    `linalg.kernel_coordinates`, built on the Koszul matrix of d_i: an
+    image's coordinates are read off the basis's free columns, and an
+    image that d_i does not send to zero raises AssertionError ("map
+    leaves the kernel of d_i").  Homology is the base field at the right
     end only.
     """
     if any(w != 1 for w in spec.weights):
@@ -690,14 +698,13 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
                 basis = [{k: 1} for k in range(len(monomials(spec, s)))]
                 coords = dict.items
             else:
-                basis = linalg.kernel_of(kos.matrix_at(n - i, s))
-                solver = linalg.CoordSolver(basis)
+                basis, read = linalg.kernel_coordinates(kos.matrix_at(n - i, s))
 
                 def coords(vec):
-                    found = solver.solve(vec)
+                    found = read(vec)
                     if found is None:
                         raise AssertionError(f"map leaves the kernel of d_{i}")
-                    return [(k, v) for k, v in enumerate(found) if v]
+                    return found
 
             kernels[i, s] = basis, coords
         return kernels[i, s]

@@ -24,11 +24,14 @@ field, has d∘d = 0.
 `Strands.table` only counts the fine degrees κ of each factor per
 generator mask (`mask_counts`), so it packs each κ into one int and
 never builds it: a product f·m is the sum of two packed exponent
-vectors (Monagan and Pearce, CASC 2007).  `kappa_masks`, the same map
-with the κ themselves as keys, splits the cover steps of `resolution`
-into fine-degree blocks.  `scalar_rows` and `dual_column` write a
-δ-block of the dual of a resolution over the scalar forms of the
-target (`resolution._Dual`).
+vectors (Monagan and Pearce, CASC 2007).  The counts depend only on the
+ring, the level and the groups, so `table_counts` memoises them by
+value for the whole process: complexes rebuilt from the same pieces
+(the six shifts of one Koszul diagonal, say) count each input once.
+`kappa_masks`, the same map with the κ themselves as keys, splits the
+cover steps of `resolution` into fine-degree blocks.  `scalar_rows`
+and `dual_column` write a δ-block of the dual of a resolution over the
+scalar forms of the target (`resolution._Dual`).
 
 This code is kept out of `complexes` and `resolution` to keep those
 files small: where no bytecode is cached (PYTHONDONTWRITEBYTECODE), every
@@ -40,6 +43,7 @@ largest file.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from .. import linalg
 from ..hilbert import WeightedRingSpec
@@ -128,8 +132,8 @@ class Strands:
         specA, specB = self.specs
         out = Counter()
         for (ca, cb), side_a, side_b in self.parts[t]:
-            counts_b = mask_counts(specB, j - cb, side_b).items()
-            for ma, ka in mask_counts(specA, self.shift + j - ca, side_a).items():
+            counts_b = table_counts(specB, j - cb, frozenset(side_b.items()))
+            for ma, ka in table_counts(specA, self.shift + j - ca, frozenset(side_a.items())):
                 for mb, kb in counts_b:
                     out[ma & mb] += ka * kb
         return out
@@ -167,6 +171,15 @@ def kappa_masks(spec: WeightedRingSpec, level: int, groups: dict) -> dict:
             kappa = mono_mul(f, m)
             out[kappa] = out.get(kappa, 0) | bits
     return out
+
+
+@lru_cache(maxsize=None)
+def table_counts(spec: WeightedRingSpec, level: int, items: frozenset) -> tuple:
+    """The items of `mask_counts(spec, level, dict(items))`, memoised by
+    value: the key is the ring, the level and the groups' items, never an
+    object's identity, so equal groups built apart share one entry.  The
+    counts are a pure function of the key, so an entry cannot go stale."""
+    return tuple(mask_counts(spec, level, dict(items)).items())
 
 
 def mask_counts(spec: WeightedRingSpec, level: int, groups: dict) -> Counter:

@@ -12,8 +12,12 @@ always cross-multiplies and divides by the content would give; so every
 rank, normalised kernel vector and coordinate ratio is the same.
 `Echelon`, `rank_of` and `kernel_of` take a prime characteristic to run
 the same elimination over F_p; a rational entry n/d enters F_p as
-n * d^-1.  `Echelon.coordinates`, `CoordSolver`, `apply_columns` and
-`compose` work over Q.
+n * d^-1.  `Echelon.coordinates`, `CoordSolver`, `kernel_coordinates`,
+`apply_columns` and `compose` work over Q.  `kernel_coordinates` reads
+the coordinates of a kernel vector off the free columns of the basis
+`kernel_of` returns, with no elimination per vector; `CoordSolver`, one
+elimination per basis and one reduction per vector, stays as the tests'
+reference for it and for the other coordinate paths.
 """
 
 from __future__ import annotations
@@ -223,12 +227,55 @@ def kernel_of(cols: list[Col], char: int = 0) -> list[Col]:
     """Kernel basis of the matrix with the given columns.
 
     Vectors are dicts over column indices, integer and primitive over Q,
-    deterministic (first nonzero coordinate positive).
+    deterministic (first nonzero coordinate positive).  The basis is in
+    free-column form: vector k comes from the k-th column that reduced
+    to zero, its free column f_k; f_k is its largest key, since the rest
+    of the vector combines earlier accepted columns, and no other basis
+    vector is nonzero at f_k, since a dependent column never becomes a
+    pivot.  `kernel_coordinates` relies on this.
     """
     ech = Echelon(char, track=True)
     for i, c in enumerate(cols):
         ech.add(c, tag=i)
     return ech.kernel_basis()
+
+
+def kernel_coordinates(cols: list[Col]):
+    """The kernel basis of `kernel_of(cols)` over Q, and a reader of
+    coordinates in it.
+
+    A kernel vector v = Σ c_k b_k has v[f_k] = c_k b_k[f_k] at the free
+    column f_k of b_k, so c_k = v[f_k] / b_k[f_k], read over v's own keys
+    only.  The reader returns the nonzero (k, c_k) sorted by k, c_k an
+    int when integral and a Fraction otherwise (the values and types of
+    `Echelon.coordinates`), or None when `cols` does not send v to zero.
+    AssertionError when the basis is not in free-column form."""
+    basis = kernel_of(cols)
+    seen = {}
+    for b in basis:
+        for f in b:
+            seen[f] = seen.get(f, 0) + 1
+    free = {}  # free column -> (k, b_k at it)
+    for k, b in enumerate(basis):
+        f = max(b)
+        if seen[f] != 1:
+            raise AssertionError(f"kernel vector {k} has no free column")
+        free[f] = (k, b[f])
+
+    def read(vec: Col) -> list | None:
+        if apply_columns(cols, vec):
+            return None
+        out = []
+        for f, x in vec.items():
+            hit = free.get(f)
+            if hit is not None and x:
+                k, p = hit
+                q, r = divmod(x, p)
+                out.append((k, Fraction(x, p) if r else q))
+        out.sort()
+        return out
+
+    return basis, read
 
 
 def _normalize_vec(vec: Col, char: int = 0) -> Col:

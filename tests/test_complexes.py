@@ -23,7 +23,7 @@ from segrecalc.gradedlin.complexes import (
     tensor,
     truncate_split,
 )
-from segrecalc.gradedlin import catalog, complexes
+from segrecalc.gradedlin import catalog, complexes, strands
 from segrecalc.gradedlin.poly import monomial_index, monomials, mono_mul, variable
 from segrecalc.gradedlin.strands import kappa_masks, mask_counts
 
@@ -736,6 +736,40 @@ def test_strand_tables_match_reference_on_bundled_diagonals():
                 assert dc.strands.table(t, j) == reference_table(dc.strands, t, j), (t, j)
 
 
+def test_strand_counts_run_once_per_distinct_input(monkeypatch):
+    """The koszul-diagonal suite rebuilds one bigraded complex per shift;
+    with the memo cold, the packed enumeration runs once per distinct
+    (ring, level, groups), 82 times, where it ran 554 times unmemoised."""
+    seen = []
+
+    def counting(spec, level, groups):
+        seen.append((spec, level, frozenset(groups.items())))
+        return mask_counts(spec, level, groups)
+
+    monkeypatch.setattr(strands, "mask_counts", counting)
+    strands.table_counts.cache_clear()
+    assert cli.check_koszul_diagonal_suite({"window": 10, "char": 10007})["pass"]
+    assert len(seen) == len(set(seen)) == 82
+
+
+def test_strand_count_memo_keys_by_value():
+    strands.table_counts.cache_clear()
+    spec = ring(("z0", "z1"), (1, 2))
+    built = [{((0, 1), 2): 1, ((-1, 0), -1): 6}, {((-1, 0), -1): 6}]
+    built[1][((0, 1), 2)] = 1  # equal to built[0], built apart, other order
+    for groups in built:
+        strands.table_counts(spec, 3, frozenset(groups.items()))
+    assert strands.table_counts.cache_info().misses == 1
+    strands.table_counts(spec, 4, frozenset(built[0].items()))
+    strands.table_counts(ring(("z0", "z1"), (1, 1)), 3, frozenset(built[0].items()))
+    info = strands.table_counts.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+    for level in (3, 4):
+        assert dict(strands.table_counts(spec, level, frozenset(built[0].items()))) == (
+            mask_counts(spec, level, built[0])
+        )
+
+
 # ---------------------------------------------------------------------------
 # d∘d = 0: one scalar certificate per stranded complex
 
@@ -1031,6 +1065,21 @@ def test_contraction_complexes_match_reference():
         for m in range(-6, 7):
             got, want = alpha_complex(n, m), reference_alpha_complex(n, m)
             assert _contraction_fields(got) == _contraction_fields(want), (n, m)
+
+
+def test_diff_complex_certifies_kernel_membership(monkeypatch):
+    """A contraction rule missing its first term sends kernel vectors out
+    of the kernel; the free-column reader still applies d_1 and raises."""
+    rule = complexes._contract
+
+    def dropped(sub, mu):
+        terms = rule(sub, mu)
+        next(terms, None)
+        yield from terms
+
+    monkeypatch.setattr(complexes, "_contract", dropped)
+    with pytest.raises(AssertionError, match="map leaves the kernel of d_1"):
+        diff_complex(XYZ, (0, 5))
 
 
 def test_fourfold_homology_over_prime_field_matches_rationals():

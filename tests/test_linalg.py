@@ -70,6 +70,66 @@ def test_modp_rank_bounded_by_rational(dense):
     assert linalg.rank_of(cols, char=32003) <= linalg.rank_of(cols)
 
 
+def _solver_coordinates(solver, vec):
+    """`CoordSolver.solve` as the sparse (k, value, type) list that the
+    kernel reader returns, or None off the span."""
+    found = solver.solve(vec)
+    return None if found is None else [(k, v, type(v)) for k, v in enumerate(found) if v]
+
+
+def _typed_pairs(found):
+    return None if found is None else [(k, v, type(v)) for k, v in found]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matrices,
+    st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=5, max_size=5
+    ),
+)
+@example([[0, 0, 0], [0, 0, 0]], [Fraction(1, 2), Fraction(-2, 3), 0, 1, 0])  # all zero
+@example([[1, 0, 2], [0, 3, 0], [4, 0, 5]], [1, 1, 1, 1, 1])  # full rank
+@example([[2, 4, 1, 0], [0, 0, 3, 6]], [Fraction(1, 3), Fraction(-1, 2), 0, 0, 0])
+def test_kernel_coordinates_match_coord_solver(dense, coeffs):
+    """The free-column reader gives CoordSolver's coordinates, values and
+    types, on combinations of kernel vectors with fractional coefficients,
+    and None off the kernel, on drawn, all-zero and full-rank matrices."""
+    cols = to_cols(dense)
+    basis, read = linalg.kernel_coordinates(cols)
+    assert basis == linalg.kernel_of(cols)
+    solver = linalg.CoordSolver(basis)
+    probes = [{}] + [dict(b) for b in basis]
+    vec = {}
+    for c, b in zip(coeffs, basis):
+        for k, x in b.items():
+            vec[k] = vec.get(k, 0) + c * x
+    vec = {k: int(v) if v.denominator == 1 else v for k, v in vec.items() if v}
+    probes.append(vec)
+    for probe in probes:
+        found = read(probe)
+        assert found is not None
+        assert _typed_pairs(found) == _solver_coordinates(solver, probe)
+        assert _recombine(basis, dict(found)) == probe
+    for j, col in enumerate(cols):
+        if col:  # the unit vector at j leaves the kernel, so does vec + e_j
+            for off in ({j: 1}, {**vec, j: vec.get(j, 0) + 1}):
+                assert read(off) is None
+                assert solver.solve(off) is None
+
+
+def test_kernel_coordinates_read_off_free_columns():
+    basis, read = linalg.kernel_coordinates([{0: 2}, {0: 4}, {0: 1, 1: 3}, {1: 6}])
+    # free columns 1 and 3: each the largest key of its vector, in no other
+    assert basis == [{0: 2, 1: -1}, {0: 1, 2: -2, 3: 1}]
+    # sorted by k whatever the vector's key order; ints when integral
+    found = read({3: 1, 2: -2, 1: -3, 0: 7})
+    assert found == [(0, 3), (1, 1)] and all(type(v) is int for _, v in found)
+    assert read({0: 1, 1: Fraction(-1, 2)}) == [(0, Fraction(1, 2))]
+    assert read({0: 1}) is None
+    assert read({}) == []
+
+
 def test_coord_solver_roundtrip():
     basis = [{0: 1, 1: 2}, {1: 1, 2: 3}]
     solver = linalg.CoordSolver(basis)
