@@ -618,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "reproduce-paper", help="re-run the bundled reference computations"
     )
-    rep.add_argument("--section", default="all", help="2, 5, 6, 7 or all")
+    sections = sorted({section for _, section, _ in MANIFEST}) + ["all"]
+    rep.add_argument("--section", default="all", choices=sections, help="a chapter of checks, or all")
     rep.add_argument("--out", default="segrecalc-out")
     _common_flags(rep)
 

@@ -39,20 +39,20 @@ basis vectors of M_j at κ.  A column at κ only meets pivots at κ, so the
 blocks eliminated one by one perform exactly the operations of one
 elimination of the whole degree, in the same order.  Blocks equal after
 an order-preserving relabelling of their rows are eliminated once per
-resolution (`Resolution.blocks`).  The generators with f(g) <= κ are
-those in both the A mask of κ_A and the B mask of κ_B, so fine degrees
-come in rectangles S_A × S_B whose κ carry the same tests and meet one
-block: a diagonal degree is one rectangle, and a syzygy degree not yet
-assembled is the previous step's rectangles whose block has a kernel.
+`free_resolution` call.  The generators with f(g) <= κ are those in both
+the A mask of κ_A and the B mask of κ_B, so fine degrees come in
+rectangles S_A × S_B whose κ carry the same tests and meet one block: a
+diagonal degree is one rectangle, and a syzygy degree not yet assembled
+is the previous step's rectangles whose block has a kernel.
 Each degree splits its rectangles by mask on either side and takes one
 block per (mask, tests); only a block with new generators is read at
 single κ.  A kernel vector of a block stays in fine form, (κ, scalar
 form over the generators), and the vectors of a degree come in the order
-one elimination of the whole degree gives.  A syzygy's basis of a degree
-is assembled from its rectangles the first time it is read
-(`_KernelBases`): by the next cover step only where it finds a
-generator, so the last syzygy of a resolution, which only its own cover
-would read, is never assembled.
+one elimination of the whole degree gives.  A cover step keeps each
+degree's blocks (`_KernelBases.covers`), and assembles a syzygy's basis
+of a degree from them the first time it is read: by the next cover step
+only where it finds a generator, so the last syzygy of a resolution,
+which only its own cover would read, is never assembled.
 
 The dual of a resolution splits the same way.  Every entry of a
 differential is one monomial pair f(h) / f(g) times an integer, so the
@@ -66,11 +66,11 @@ cover step's rectangles, read without assembling the degree.  The
 δ-block holds the bits (g, r) with δ·f(g) in r, which is mask_A & mask_B
 for the bit (g, r) set at κ_A / f_A(g) over κ_A in S_A and at
 κ_B / f_B(g) over κ_B in S_B (`_delta_blocks`); its columns are those of
-g and each test of r, written in the scalar forms of N.  Blocks of equal
-content, the pairs (g, tests of r), recur, so each call ranks
-(`ext_dims`) or takes the kernel of (`hom_space`) each content once.
-`ext_dims` counts the δ of each block and never lists them; `hom_space`
-lists the δ of a block only when it has a kernel.
+g and each test of r, written in the scalar forms of N.  A block seen
+again under the same bits and mask is solved once per call: ranked
+(`ext_dims`) or its kernel taken (`hom_space`).  `ext_dims` counts the
+δ of each block and never lists them; `hom_space` lists the δ of a
+block only when it has a kernel.
 
 A map M -> N stays in this fine form: (δ, {(g, q): c}, {(g, e): c}),
 with c its coefficient on the q-th test of the rectangle that holds
@@ -274,13 +274,11 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
     """Minimal generators and cover kernel on [lo, hi].
 
     One `_cover_degree` per degree j finds the generators of degree j.
-    The kernel basis of degree j is not built here: each degree keeps
-    what `_cover_degree` returned, and `_KernelBases` assembles the basis
-    from it the first time it is read.  `minimal_generators` therefore
-    builds no kernel vector, and the next step assembles a degree of
-    this syzygy only where it finds a generator there.  The cover
-    columns are not kept: `HomCalculator.section` re-runs the one degree
-    it needs.
+    `_KernelBases` keeps each degree's result and assembles the kernel
+    basis of the degree from it the first time it is read.
+    `minimal_generators` therefore builds no kernel vector, and the next
+    step assembles a degree of this syzygy only where it finds a
+    generator there.
 
     The generators are complete when the module has a certified
     generation bound inside the window (CertificationError otherwise);
@@ -295,12 +293,11 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
         raise CertificationError(
             "window does not reach the bottom degree of the module"
         )
-    gens, pending, seen = [], {}, {}
+    gens, covers, seen = [], {}, {}
     for j in range(lo, hi + 1):
-        new, gen_data, parts, _ = _cover_degree(module, j, gens, memo, seen)
-        pending[j] = gen_data, parts
-        gens += new
-    return gens, _KernelBases(rings_of(module), pending)
+        covers[j] = _cover_degree(module, j, gens, memo, seen)
+        gens += covers[j][0]
+    return gens, _KernelBases(rings_of(module), covers)
 
 
 def _relabelled(cols, block) -> list:
@@ -319,38 +316,36 @@ class _KernelBases(Mapping):
     one tracked elimination of all the degree's columns lists them in;
     within one κ that is the block's elimination order.  A
     sub-rectangle's vectors share their scalar forms across its fine
-    degrees; they are never mutated, like `_UNIT`.  A degree's
-    (gen_data, parts) from `_cover_degree` is pending until its basis is
-    built, and dropped then.  Its rectangles (`rectangles`), which share
-    their vectors with the basis, are kept: the next cover step, `dim`
-    and Ext into this syzygy read them, assembled or not.
-    `nonempty_degrees`, the degrees with a block that has a kernel, is
-    known without assembling any of them."""
+    degrees; they are never mutated, like `_UNIT`.  `covers` keeps what
+    `_cover_degree` returned for each degree, for the basis, the
+    rectangles and `HomCalculator.section`.  The rectangles share their
+    vectors with the basis: the next cover step, `dim` and Ext into this
+    syzygy read them, assembled or not.  `nonempty_degrees`, the degrees
+    with a block that has a kernel, is known without assembling any."""
 
-    def __init__(self, rings, pending: dict):
+    def __init__(self, rings, covers: dict):
         self._rings = rings
-        self._pending = pending  # degree -> (gen_data, parts) until assembled
+        self.covers = covers  # degree -> the `_cover_degree` result
         self._rects = {}  # degree -> rectangles, from its first read on
-        self._built = dict.fromkeys(pending)  # degree -> basis, None until assembled
+        self._built = dict.fromkeys(covers)  # degree -> basis, None until assembled
         self.nonempty_degrees = [
-            j for j, (_, parts) in pending.items() if any(block.kernel for *_, block in parts)
+            j for j, (_, _, parts, _) in covers.items() if any(block.kernel for *_, block in parts)
         ]
 
     def __getitem__(self, j):
         basis = self._built[j]
         if basis is None:
-            rects = self.rectangles(j)
-            basis = self._built[j] = self._assemble(j, rects, *self._pending.pop(j))
+            basis = self._built[j] = self._assemble(j)
         return basis
 
     def rectangles(self, j: int):
         """Degree j as rectangles (S_A, S_B, tests), the tests being a
         block's kernel vectors in basis order; None outside the step."""
         rects = self._rects.get(j)
-        if rects is None and j in self._pending:
+        if rects is None and j in self.covers:
             rects = self._rects[j] = [
                 (sa, sb, _relabelled(cols, block))
-                for sa, sb, cols, _, block in self._pending[j][1]
+                for sa, sb, cols, _, block in self.covers[j][2]
                 if block.kernel
             ]
         return rects
@@ -363,11 +358,12 @@ class _KernelBases(Mapping):
             return len(basis)
         return sum(len(sa) * len(sb) * len(tests) for sa, sb, tests in self.rectangles(j) or ())
 
-    def _assemble(self, j: int, rects, gen_data, parts) -> list:
+    def _assemble(self, j: int) -> list:
         specA, specB = self._rings
+        _, gen_data, parts, _ = self.covers[j]
         kernel = []
         with_kernel = [(cols, block) for _, _, cols, _, block in parts if block.kernel]
-        for (sa, sb, tests), (cols, block) in zip(rects, with_kernel):
+        for (sa, sb, tests), (cols, block) in zip(self.rectangles(j), with_kernel):
             deps = [cols[dep] for dep, _ in block.kernel]
             for kappa in product(sa, sb):
                 for s, scalar in zip(deps, tests):
@@ -407,9 +403,9 @@ class Resolution:
     at step k (the module itself for k = 0, its k-th syzygy after), as
     `minimal_generators` returns them: (degree, {i: 1}) for the i-th
     basis vector of that degree.  F_k has one generator for each, in
-    the same order.  The cover columns are not kept; a section of the
-    cover re-runs one degree of it (`HomCalculator.section`) on the
-    eliminated fine-degree blocks in `blocks`, which the tails share.
+    the same order.  `syzygies[k].bases` keeps the cover step of the
+    module resolved at step k, degree by degree (`_KernelBases.covers`),
+    and `HomCalculator.section` reads the section of the cover off it.
     Each syzygy assembles its basis of a degree on the first read, so
     `syzygies[-1]`, which no step covers, stays unassembled unless a
     caller reads it.
@@ -428,7 +424,6 @@ class Resolution:
     diffs: list[dict]  # diffs[k]: F_(k+1) -> F_k, (row gen, col gen) -> pair poly
     syzygies: list[SyzygyModule]
     generators: list[list[tuple[int, dict]]] = field(default_factory=list)
-    blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def syzygy(self, k: int) -> SyzygyModule:
         """The k-th syzygy module (k >= 1)."""
@@ -447,7 +442,6 @@ class Resolution:
             self.diffs[k:],
             self.syzygies[k:],
             self.generators[k:],
-            self.blocks,
         )
 
     def betti_table(self) -> list[list[int]]:
@@ -478,16 +472,17 @@ class Resolution:
 def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     """Resolve to homological depth `depth`, exactly on [lo, hi].
 
-    Kernels are computed block by block (`_cover_step`); the k-th
-    syzygy is stored with its basis vectors in fine form and the fine
-    degrees of its ambient generators, and remains usable as a module
-    afterwards.
+    Kernels are computed block by block (`_cover_step`), each distinct
+    block once over the steps; the k-th syzygy is stored with its basis
+    vectors in fine form and the fine degrees of its ambient generators,
+    and remains usable as a module afterwards.
     """
     ringA, ringB = rings_of(module)
     cur = module
     res = Resolution(module, lo, hi, [], [], [])
+    blocks = {}
     for step in range(depth + 1):
-        gens, bases = _cover_step(cur, lo, hi, res.blocks)
+        gens, bases = _cover_step(cur, lo, hi, blocks)
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         res.frees.append(free)
         res.generators.append(gens)
@@ -561,9 +556,9 @@ class _Dual:
     so the δ-block is the bits (g, r) with δ·f(g) in r (`_delta_blocks`)
     and its columns are the `dual_column`s of g and each test of r: g
     first, then basis order at κ, the order of listing the columns (g, n)
-    one by one.  `solve` runs once per block content, the pairs (g, tests
-    of r), before any column is built; the bits of one (i, d) are
-    interned, so a mask seen again under the same bits is found by ints.
+    one by one.  `solve` runs once per mask of the bits of one (i, d),
+    which are interned, so a mask seen again under the same bits is found
+    by ints before any column is built.
     """
 
     def __init__(self, res: Resolution, N, char: int, solve):
@@ -578,7 +573,6 @@ class _Dual:
         self._tests = {}  # tests -> id
         self._bits = {}  # (i, bit contents) -> id
         self._by_mask = {}  # (bits id, mask) -> (block bits, solution)
-        self._by_content = {}  # (i, block content) -> solution
 
     def guard(self, i: int, d: int):
         """Read N.dim at d + deg over F_i and then F_(i+1), once per
@@ -620,18 +614,14 @@ class _Dual:
             hit = self._by_mask.get((sid, mask))
             if hit is None:
                 block = [bits[b] for b in range(mask.bit_length()) if mask >> b & 1]
-                content = (i, tuple((g, rect[3]) for g, _, rect in block))
-                solution = self._by_content.get(content)
-                if solution is None:
-                    rows, width = self.rows[i], self.width
-                    # a diagonal target's column is the row itself
-                    cols = [
-                        rows[g] if width == 1 and t is _UNIT else dual_column(rows[g], t, width)
-                        for g, _, (_, _, tests, _) in block
-                        for t in tests
-                    ]
-                    solution = self._by_content[content] = self.solve(cols)
-                hit = self._by_mask[(sid, mask)] = block, solution
+                rows, width = self.rows[i], self.width
+                # a diagonal target's column is the row itself
+                cols = [
+                    rows[g] if width == 1 and t is _UNIT else dual_column(rows[g], t, width)
+                    for g, _, (_, _, tests, _) in block
+                    for t in tests
+                ]
+                hit = self._by_mask[(sid, mask)] = block, self.solve(cols)
             out.append((hit[0], part_a, part_b, hit[1]))
         return out
 
@@ -703,7 +693,7 @@ def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
 def hom_space(res: Resolution, N, d: int, char: int) -> list[tuple]:
     """Basis over F_char of the degree-d maps M -> N, M the module `res`
     resolves: the kernels of the δ-blocks of Hom(F_0, N)_d -> Hom(F_1,
-    N)_d (`_Dual`), each kernel taken once per block content.  A map is
+    N)_d (`_Dual`), each kernel taken once per block.  A map is
     (δ, {(g, q): c}, form), c its coefficient on the q-th test of the
     rectangle that holds δ·f(g) in N_(d + deg g), in the value on the
     generator g of F_0, and form that value over the ambient generators e
@@ -749,8 +739,8 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[tuple]:
 class HomCalculator:
     """The one owner of resolutions, hom bases and sections for a ring
     pair and a window; the caller creates it and passes it to every
-    computation on that pair and window.  A section of the cover re-runs
-    one degree of it on the stored generators.
+    computation on that pair and window.  A section of the cover is read
+    off the cover step its resolution kept.
 
     Its dicts are keyed by the modules themselves: the frozen
     DiagonalModule and FreeModule by value, so equal modules built
@@ -817,8 +807,8 @@ class HomCalculator:
         over the generators s of F0 with f(s) <= κ, the element
         Σ λ_s (κ / f(s)) * s.
 
-        Re-runs `_cover_degree` on the stored generators of degree < t,
-        whose blocks the resolution has eliminated; their pivots are the
+        Read off degree t of the cover step of M, which the resolution
+        kept (`_KernelBases.covers`): its blocks' pivots are the
         independent cover columns, reduced in order.  A block's
         coordinates over its columns, relabelled to their generators,
         are shared by the fine degrees of its sub-rectangle; only a block
@@ -829,12 +819,8 @@ class HomCalculator:
         if sec is None:
             if not self.lo <= t <= self.hi:
                 raise CertificationError(f"degree {t} outside the window")
-            res = self.resolution(M)
-            before = [g for g in res.generators[0] if g[0] < t]
-            new, _, parts, index_of = _cover_degree(M, t, before, res.blocks, {})
-            if new != [g for g in res.generators[0] if g[0] == t]:
-                raise AssertionError(f"degree-{t} generators differ from the resolution's")
-            index = {i: len(before) + r for r, (_, (i,)) in enumerate(new)}
+            new, gen_data, parts, index_of = self.resolution(M).syzygies[0].bases.covers[t]
+            index = {i: len(gen_data) + r for r, (_, (i,)) in enumerate(new)}
             sec = self._section[key] = {}
             for sa, sb, cols, _, block in parts:
                 shared = None if block.new else _relabel(block.coords, cols)

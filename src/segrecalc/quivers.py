@@ -245,7 +245,12 @@ class EndoQuiver:
         return Quiver(tuple(l for l, _ in keep), arrows)
 
     def stable_reduce(self, free_labels) -> Quiver:
-        return self._arrows(drop_free=set(free_labels))
+        """The stable quiver without the free vertices `free_labels`: one
+        or more of its vertices (ValueError otherwise)."""
+        drop = set(free_labels)
+        if not drop or not drop <= {l for l, _ in self.summands}:
+            raise ValueError(f"the free vertices to drop must be vertices, not {sorted(drop)}")
+        return self._arrows(drop_free=drop)
 
 
 def middle_multiplicities(seq) -> dict:

@@ -282,6 +282,32 @@ def test_reproduce_section_six(tmp_path):
     assert summary["pass"] and summary["checks"] == {"numsgp-suite": True}
 
 
+def test_reproduce_section_without_checks_is_a_usage_error(tmp_path, capsys):
+    # section 9 used to run no check, exit 0 and write an empty passing summary
+    out = tmp_path / "r"
+    for section in ("9", "3", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce-paper", "--section", section, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{section}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_endo_quiver_drop_without_a_vertex_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(
+        "[job none]\nkind = endo-quiver\npair = k3_w12\nwindow = 8\ndrop =\n\n"
+        "[job unknown]\nkind = endo-quiver\npair = k3_w12\nwindow = 8\ndrop = X\n"
+    )
+    out = tmp_path / "o"
+    for job in ("none", "unknown"):
+        assert main(["run", "--config", str(cfg), "--jobs", job, "--out", str(out)]) == 2, job
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "job none: the free vertices to drop must be vertices, not []" in err
+    assert "job unknown: the free vertices to drop must be vertices, not ['X']" in err
+
+
 def test_kronecker_suite_resolves_each_module_once(monkeypatch):
     # omega to depth 5 (its syzygies are served as tails) and M_2 as a source
     calls = []

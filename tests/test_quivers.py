@@ -136,6 +136,17 @@ def test_gorenstein_quivers_and_stable():
     assert eq.stable_reduce(["R"]).arrows == {("M1", "M-1"): 1}
 
 
+def test_stable_reduce_rejects_no_label_and_unknown_labels(monkeypatch):
+    mods = [(f"M{s}" if s else "R", DiagonalModule(XYZ, UV, s)) for s in (-1, 0, 1)]
+    eq = EndoQuiver(HomCalculator(XYZ, UV, 0, 8), mods, degree_top=3)
+    # both used to return a quiver: the full one for [], and the stable
+    # arrows over all three vertices for ["X"]
+    monkeypatch.setattr(EndoQuiver, "_arrows", lambda *args: pytest.fail("quiver built"))
+    for labels in ([], ["X"], ["R", "X"]):
+        with pytest.raises(ValueError, match=r"free vertices to drop must be vertices, not \["):
+            eq.stable_reduce(labels)
+
+
 def test_gorenstein_quiver_over_prime_field_matches_rationals():
     mods = [(f"M{s}" if s else "R", DiagonalModule(XYZ, UV, s)) for s in (-1, 0, 1)]
     rational = EndoQuiver(HomCalculator(XYZ, UV, 0, 8), mods, degree_top=3)
