@@ -579,9 +579,10 @@ def run_job(name: str, job: dict, cfg, out_dir: Path, opts) -> bool:
         mods = [(f"M{s}" if s else "R", DiagonalModule(a, b, s)) for s in shifts]
         calc = HomCalculator(a, b, 0, hi, opts.get("char", 0))
         eq = EndoQuiver(calc, mods, degree_top=_want_nonnegative(job, "degree_top", 3))
+        drop = eq.free_vertices(job["drop"]) if "drop" in job else None
         art = {"quiver": eq.quiver.to_json_dict()}
-        if "drop" in job:
-            art["stable"] = eq.stable_reduce(job["drop"]).to_json_dict()
+        if drop:
+            art["stable"] = eq.stable_reduce(drop).to_json_dict()
         write_artifact(out_dir, name, art)
         write_text(out_dir, f"{name}.dot", eq.quiver.to_dot(name.replace("-", "_")))
         return True

@@ -81,7 +81,8 @@ a map carries its form from `hom_space`, which writes it from the tests
 of the block it solved.  Multiplying by a monomial keeps a scalar form.
 So ψ∘φ takes φ(g) over the generators s of the middle module from
 the section of its cover at (κ, q), and sums their ψ(s): it lands at
-δ1·δ2 with no action matrix (`compose_hom`).  A map through a free module
+δ1·δ2 with no action matrix (`compose_hom`, the product of φ's half,
+`cover_coordinates`, and ψ's, `generator_split`).  A map through a free module
 is φ: M -> R times the scalar form of a generator of N
 (`through_free_vectors`).  Maps are ranked in ambient coordinates, one
 echelon per δ: the forms at one κ are the tests' span, so the rank is
@@ -300,12 +301,6 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
     return gens, _KernelBases(rings_of(module), covers)
 
 
-def _relabelled(cols, block) -> list:
-    """The kernel vectors of a block over the generators, {generator:
-    coefficient}, in elimination order."""
-    return [{cols[q]: c for q, c in vec.items()} for _, vec in block.kernel]
-
-
 class _KernelBases(Mapping):
     """The kernel bases of one cover step, degree -> [(κ, {generator:
     coefficient})], each degree assembled on its first read.
@@ -344,7 +339,7 @@ class _KernelBases(Mapping):
         rects = self._rects.get(j)
         if rects is None and j in self.covers:
             rects = self._rects[j] = [
-                (sa, sb, _relabelled(cols, block))
+                (sa, sb, _relabel([v for _, v in block.kernel], cols))
                 for sa, sb, cols, _, block in self.covers[j][2]
                 if block.kernel
             ]
@@ -911,24 +906,51 @@ def compose_hom(calc: HomCalculator, a, b, c, e: int, f: int, phi, psi) -> tuple
     generators s of b.  psi(s) has the scalar form σ_s at δ2·f(s), read
     from psi's form, and multiplying by the monomial κ / f(s) keeps it,
     so psi(phi(g)) is Σ λ_s σ_s at δ1·δ2·f(g): no action matrix is read.
+
+    The product of two halves (`compose_halves`): phi's half, the
+    coordinates λ of each phi(g) (`cover_coordinates`), and psi's, its
+    form split by generator (`generator_split`).  A caller composing
+    many pairs of one split builds each half once."""
+    coords = cover_coordinates(calc, a, b, c, e, e + f, phi)
+    return _pair_add(phi[0], psi[0]), compose_halves(coords, generator_split(psi))
+
+
+def cover_coordinates(calc: HomCalculator, a, b, c, e: int, d: int, phi) -> dict:
+    """phi's half of a composition a -> b -> c of degree d, phi: a -> b
+    of degree e: g -> the coordinates {s: λ} of phi(g) over the
+    generators s of b, from the section of b's cover in degree
+    deg g + e, for each generator g of F_0(a) that phi has a value on.
     For each generator of a in turn, c is read at its degree once per
-    degree (`HomCalculator.land`), and then the section of b if phi has a
-    value on it."""
-    (delta1, vec1, _), (delta2, _, form2) = phi, psi
+    degree (`HomCalculator.land`), and then the section of b if phi has
+    a value on it."""
+    delta, vec, _ = phi
     res = calc.resolution(a)
-    values = _by_generator(vec1)
-    images = _by_generator(form2)
+    values = _by_generator(vec)
     out, read = {}, set()
     for g, (dg, fg) in enumerate(zip(res.frees[0].gens, res.syzygies[0].fine)):
         if dg not in read:
             read.add(dg)
-            calc.land(c, dg + e + f)
+            calc.land(c, dg + d)
         val = values.get(g)
         if val:  # in b at degree dg + e
-            coords = linalg.apply_columns(calc.section(b, dg + e)[_pair_add(delta1, fg)], val)
-            for k, v in linalg.apply_columns(images, coords).items():
-                out[(g, k)] = v
-    return _pair_add(delta1, delta2), out
+            out[g] = linalg.apply_columns(calc.section(b, dg + e)[_pair_add(delta, fg)], val)
+    return out
+
+
+def generator_split(psi) -> defaultdict:
+    """psi's half of a composition: its form split by generator s of its
+    source, s -> the scalar form σ_s of psi(s)."""
+    return _by_generator(psi[2])
+
+
+def compose_halves(coords: dict, images) -> dict:
+    """The composite's {(g, k): x} from phi's `cover_coordinates` and
+    psi's `generator_split`: on g, Σ λ_s σ_s."""
+    out = {}
+    for g, row in coords.items():
+        for k, v in linalg.apply_columns(images, row).items():
+            out[(g, k)] = v
+    return out
 
 
 def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[tuple]:

@@ -158,8 +158,20 @@ class EndoQuiver:
         A split (e, d - e) whose hom data lies above the window (`_d_top`)
         is skipped.  When some δ stays below its target, a skipped split
         is harmless only if it has an in-window side without radical
-        maps: CertificationError otherwise."""
-        from .gradedlin.resolution import _pair_add, compose_hom
+        maps: CertificationError otherwise.
+
+        A product is `compose_hom` taken in its two halves.  Within a
+        split (c, e), each φ's coordinates over c's cover
+        (`cover_coordinates`, which also reads b where the product lands)
+        are built once, at its first product that a non-full δ needs, and
+        each ψ's form split by generator (`generator_split`) once, at its
+        first such product; a pair then costs one `compose_halves`."""
+        from .gradedlin.resolution import (
+            _pair_add,
+            compose_halves,
+            cover_coordinates,
+            generator_split,
+        )
         from .linalg import CertificationError
 
         open_ = sum(echs[delta].rank < n for delta, n in target.items())
@@ -178,13 +190,19 @@ class EndoQuiver:
                 psis = self._rad_basis(c, b, d - e)
                 if not psis:
                     continue
+                splits = [None] * len(psis)
                 for phi in phis:
-                    for psi in psis:
+                    coords = None
+                    for i, psi in enumerate(psis):
                         delta = _pair_add(phi[0], psi[0])
                         ech = echs.get(delta)
                         if ech is None or ech.rank >= target[delta]:
                             continue
-                        _, vec = compose_hom(self.calc, a, c, b, e, d - e, phi, psi)
+                        if coords is None:
+                            coords = cover_coordinates(self.calc, a, c, b, e, d, phi)
+                        if splits[i] is None:
+                            splits[i] = generator_split(psi)
+                        vec = compose_halves(coords, splits[i])
                         if vec and ech.add(vec) and ech.rank >= target[delta]:
                             open_ -= 1
                             if not open_:
@@ -244,13 +262,18 @@ class EndoQuiver:
                     arrows[(la, lb)] = total
         return Quiver(tuple(l for l, _ in keep), arrows)
 
-    def stable_reduce(self, free_labels) -> Quiver:
-        """The stable quiver without the free vertices `free_labels`: one
-        or more of its vertices (ValueError otherwise)."""
+    def free_vertices(self, free_labels) -> set:
+        """`free_labels` as a set, one or more of the vertex labels
+        (ValueError otherwise); nothing is computed."""
         drop = set(free_labels)
         if not drop or not drop <= {l for l, _ in self.summands}:
             raise ValueError(f"the free vertices to drop must be vertices, not {sorted(drop)}")
-        return self._arrows(drop_free=drop)
+        return drop
+
+    def stable_reduce(self, free_labels) -> Quiver:
+        """The stable quiver without the free vertices `free_labels`
+        (`free_vertices`)."""
+        return self._arrows(drop_free=self.free_vertices(free_labels))
 
 
 def middle_multiplicities(seq) -> dict:

@@ -293,7 +293,12 @@ def test_reproduce_section_without_checks_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_endo_quiver_drop_without_a_vertex_is_a_usage_error(tmp_path, capsys):
+def test_endo_quiver_drop_without_a_vertex_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a bad drop is refused before any quiver is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quiver was built for a bad drop")
+
+    monkeypatch.setattr(EndoQuiver, "_arrows", refuse)
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text(
         "[job none]\nkind = endo-quiver\npair = k3_w12\nwindow = 8\ndrop =\n\n"

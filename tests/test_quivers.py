@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -294,6 +295,66 @@ def test_early_stop_matches_reference_with_a_syzygy_vertex(char):
         calc, [("R", DiagonalModule(A2, B3, 0)), ("om", omega), ("syz2", syz2)], degree_top=3
     )
     _assert_matches_reference(eq, ["R"])
+
+
+@pytest.mark.parametrize("char", [0, 10007])
+@pytest.mark.parametrize("case", ["k3_w12", "k2_k3-syz2"])
+def test_rad_square_builds_each_half_once_per_split(monkeypatch, case, char):
+    """Within one `_rad_square` call, no φ's cover coordinates (keyed by
+    its split (c, e)) and no ψ's generator split is built twice, each φ
+    half lands where that call's products land, every product pairs the
+    halves of a φ and a ψ of one split, and the quiver and its stable
+    part keep their values (`test_quiver_path_reads_no_action_matrix`)."""
+    real_rad_square = EndoQuiver._rad_square
+    real = resolution.cover_coordinates, resolution.generator_split, resolution.compose_halves
+    builds, totals, call = Counter(), Counter(), []
+    made = {}  # id of a half built in this call -> (the half, its split or ψ)
+
+    def rad_square(self, a, b, d, *args):
+        builds.clear()
+        made.clear()
+        call[:] = [self.calc, a, b, d]
+        real_rad_square(self, a, b, d, *args)
+        assert max(builds.values(), default=0) <= 1, builds.most_common(1)
+        totals.update(kind for kind, *_ in builds)
+
+    def coords(calc, a, c, b, e, d, phi):
+        assert [calc, a, b, d] == call
+        builds[("phi", c, e, id(phi))] += 1
+        out = real[0](calc, a, c, b, e, d, phi)
+        made[id(out)] = (out, (c, e))
+        return out
+
+    def split(psi):
+        builds[("psi", id(psi))] += 1
+        out = real[1](psi)
+        made[id(out)] = (out, psi)
+        return out
+
+    def halves(coords, images):
+        calc, _, b, d = call
+        (_, (c, e)), (_, psi) = made[id(coords)], made[id(images)]
+        assert any(psi is other for other in calc.hom_basis(c, b, d - e))
+        return real[2](coords, images)
+
+    monkeypatch.setattr(EndoQuiver, "_rad_square", rad_square)
+    monkeypatch.setattr(resolution, "cover_coordinates", coords)
+    monkeypatch.setattr(resolution, "generator_split", split)
+    monkeypatch.setattr(resolution, "compose_halves", halves)
+    if case == "k3_w12":
+        eq = cli._gorenstein_endo_quiver(case, 8, char)
+        quiver, stable = cli._expected_endo_quivers()[case], {("M1", "M-1"): 1}
+    else:
+        calc = HomCalculator(A2, B3, 0, 8, char=char)
+        omega = DiagonalModule(A2, B3, 1)
+        syz2 = calc.resolution(omega, 3).syzygy(2)
+        mods = [("R", DiagonalModule(A2, B3, 0)), ("om", omega), ("syz2", syz2)]
+        eq = EndoQuiver(calc, mods, degree_top=3)
+        quiver = {("R", "om"): 2, ("om", "syz2"): 3, ("syz2", "R"): 3}
+        stable = {("om", "syz2"): 3}
+    assert eq.quiver.arrows == quiver
+    assert eq.stable_reduce(["R"]).arrows == stable
+    assert totals["phi"] and totals["psi"]
 
 
 @pytest.mark.parametrize("char", [0, 2])
