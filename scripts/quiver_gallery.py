@@ -16,6 +16,11 @@ from segrecalc.hilbert import ring
 from segrecalc.quivers import EndoQuiver, Quiver, VeroneseSideData, p_segre_quiver
 
 
+def from_json(art) -> Quiver:
+    """The quiver that `Quiver.to_json_dict` wrote as `art`."""
+    return Quiver(tuple(art["vertices"]), {(s, t): m for s, t, m in art["arrows"]})
+
+
 def main(out="quiver-gallery"):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -36,20 +41,15 @@ def main(out="quiver-gallery"):
     )
     dump("nongorenstein_tilting", eq.quiver)
 
-    for key in ("k3_w12", "k3_k3"):
+    # check_folding builds the stable quivers of both k3 pairs (on the
+    # same windows) and keeps them in its artifact
+    folds = check_folding({})
+    for key, fold in (("k3_w12", "threefold"), ("k3_k3", "fourfold")):
         eq = _gorenstein_endo_quiver(key, 8 if key == "k3_w12" else 7)
         dump(f"endo_{key}", eq.quiver)
-        dump(f"endo_{key}_stable", eq.stable_reduce(["R"]))
-
-    folds = check_folding({})
-    dump("folded_threefold", Quiver(
-        tuple(folds["threefold"]["folded"]["vertices"]),
-        {(s, t): m for s, t, m in folds["threefold"]["folded"]["arrows"]},
-    ))
-    dump("folded_fourfold", Quiver(
-        tuple(folds["fourfold"]["folded"]["vertices"]),
-        {(s, t): m for s, t, m in folds["fourfold"]["folded"]["arrows"]},
-    ))
+        dump(f"endo_{key}_stable", from_json(folds[fold]["stable"]))
+    dump("folded_threefold", from_json(folds["threefold"]["folded"]))
+    dump("folded_fourfold", from_json(folds["fourfold"]["folded"]))
 
     dump("p3_loop_example", p_segre_quiver(
         VeroneseSideData(ring(("x", "y"), (1, 2))),

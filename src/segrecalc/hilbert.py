@@ -3,16 +3,20 @@ calculus for Segre products.
 
 Every ring, module and series is graded by Z: a Segre product is the
 diagonal of a Z x Z grading.  Series are windowed integer coefficient
-tables; the window is the interval of degrees on which the table is
-exact.  Optional certified global support bounds ride along so that
-vanishing statements following from disjoint supports can be certified
-rather than merely observed on the window.
+tables; the window is a plain (lo, hi) pair, the inclusive interval of
+degrees on which the table is exact, as in the resolution layer.
+Optional certified global support bounds ride along so that vanishing
+statements following from disjoint supports can be certified rather
+than merely observed on the window.  A local-cohomology profile is a
+plain dict {p: HilbertSeries} over the cohomological degrees p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .linalg import CertificationError
 
 
 @dataclass(frozen=True)
@@ -77,50 +81,31 @@ def dim_at(spec: WeightedRingSpec, d: int) -> int:
 
 
 @dataclass(frozen=True)
-class Window:
-    """An interval of degrees, inclusive bounds."""
-
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError("empty window")
-
-    def contains(self, d: int) -> bool:
-        return self.lower <= d <= self.upper
-
-    def degrees(self) -> range:
-        return range(self.lower, self.upper + 1)
-
-    def intersect(self, other: "Window") -> "Window":
-        return Window(max(self.lower, other.lower), min(self.upper, other.upper))
-
-
-def window(lo: int, hi: int) -> Window:
-    return Window(lo, hi)
-
-
-@dataclass(frozen=True)
 class HilbertSeries:
     """Windowed coefficient table of a graded dimension function.
 
-    `coeffs` holds the nonzero values inside `window` as a sorted tuple
-    of (degree, value) pairs.  `support_lower`/`support_upper` are
-    certified global bounds: all coefficients outside them vanish, in
-    every degree, not only on the window.  `zero_certified` marks series
-    known to vanish identically.
+    `window` is the (lo, hi) interval of degrees, bounds included, on
+    which the table is exact; lo > hi is rejected.  `coeffs` holds the
+    nonzero values inside it as a sorted tuple of (degree, value) pairs.
+    `support_lower`/`support_upper` are certified global bounds: all
+    coefficients outside them vanish, in every degree, not only on the
+    window.  `zero_certified` marks series known to vanish identically.
+    A coefficient outside the window that none of these certifies raises
+    CertificationError.
     """
 
-    window: Window
+    window: tuple[int, int]
     coeffs: tuple[tuple[int, int], ...]
     support_lower: int | None = None
     support_upper: int | None = None
     zero_certified: bool = False
 
     def __post_init__(self):
+        lo, hi = self.window
+        if lo > hi:
+            raise ValueError("empty window")
         for d, v in self.coeffs:
-            if not self.window.contains(d):
+            if not lo <= d <= hi:
                 raise ValueError(f"coefficient at {d} outside window")
             if v == 0:
                 raise ValueError("zero coefficients must be omitted")
@@ -133,14 +118,15 @@ class HilbertSeries:
         return dict(self.coeffs)
 
     def coeff(self, d: int) -> int:
-        if not self.window.contains(d):
+        lo, hi = self.window
+        if not lo <= d <= hi:
             if self.zero_certified:
                 return 0
             if self.support_lower is not None and d < self.support_lower:
                 return 0
             if self.support_upper is not None and d > self.support_upper:
                 return 0
-            raise KeyError(f"degree {d} outside certified window")
+            raise CertificationError(f"degree {d} outside the window [{lo}, {hi}]")
         return self.as_dict().get(d, 0)
 
     def status(self) -> str:
@@ -155,7 +141,7 @@ class HilbertSeries:
         # one-element degree lists
         out = {
             "rank": 1,
-            "window": {"lower": [self.window.lower], "upper": [self.window.upper]},
+            "window": {"lower": [self.window[0]], "upper": [self.window[1]]},
             "coeffs": [[[d], v] for d, v in self.coeffs],
             "status": self.status(),
         }
@@ -167,7 +153,7 @@ class HilbertSeries:
 
 
 def make_series(
-    win: Window,
+    win: tuple[int, int],
     table: dict,
     support_lower: int | None = None,
     support_upper: int | None = None,
@@ -177,23 +163,23 @@ def make_series(
     return HilbertSeries(win, coeffs, support_lower, support_upper, zero_certified)
 
 
-def zero_series(win: Window, certified: bool = False) -> HilbertSeries:
+def zero_series(win: tuple[int, int], certified: bool = False) -> HilbertSeries:
     return make_series(win, {}, zero_certified=certified)
 
 
-def ring_series(spec: WeightedRingSpec, win: Window) -> HilbertSeries:
+def ring_series(spec: WeightedRingSpec, win: tuple[int, int]) -> HilbertSeries:
     """Hilbert series of a weighted polynomial ring on the window.
 
     Coefficients count monomials of each degree; negative degrees get
     coefficient zero (the ring is positively graded).
     """
-    table = {d: dim_at(spec, d) for d in win.degrees() if d >= 0}
+    table = {d: dim_at(spec, d) for d in range(max(win[0], 0), win[1] + 1)}
     return make_series(win, table, support_lower=0)
 
 
 def twist(a: HilbertSeries, t: int) -> HilbertSeries:
     """Degree shift: twist(a, t)[d] = a[d + t] (the module M(t))."""
-    win = Window(a.window.lower - t, a.window.upper - t)
+    win = (a.window[0] - t, a.window[1] - t)
     table = {d - t: v for d, v in a.coeffs}
     lo = a.support_lower - t if a.support_lower is not None else None
     hi = a.support_upper - t if a.support_upper is not None else None
@@ -207,10 +193,10 @@ def hadamard(a: HilbertSeries, b: HilbertSeries) -> HilbertSeries:
     certified supports of the factors are disjoint the result is
     certified zero globally.
     """
-    win = a.window.intersect(b.window)
+    win = _intersect(a.window, b.window)
     ad, bd = a.as_dict(), b.as_dict()
     table = {}
-    for d in win.degrees():
+    for d in range(win[0], win[1] + 1):
         v = ad.get(d, 0) * bd.get(d, 0)
         if v:
             table[d] = v
@@ -220,6 +206,12 @@ def hadamard(a: HilbertSeries, b: HilbertSeries) -> HilbertSeries:
     if certified and table:
         raise AssertionError("support certification contradicts window data")
     return make_series(win, table, lo, hi, certified)
+
+
+def _intersect(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """The common degrees of two windows; a series on it rejects it if
+    the windows are disjoint."""
+    return max(u[0], v[0]), min(u[1], v[1])
 
 
 def _combine_bound(x, y, pick):
@@ -247,11 +239,11 @@ def add_series(parts: list[HilbertSeries]) -> HilbertSeries:
         raise ValueError("empty sum")
     win = parts[0].window
     for p in parts[1:]:
-        win = win.intersect(p.window)
+        win = _intersect(win, p.window)
     table = {}
     for p in parts:
         for d, v in p.coeffs:
-            if win.contains(d):
+            if win[0] <= d <= win[1]:
                 table[d] = table.get(d, 0) + v
     live = [p for p in parts if not p.zero_certified]
     lo = None
@@ -270,100 +262,71 @@ def add_series(parts: list[HilbertSeries]) -> HilbertSeries:
 # local cohomology of weighted polynomial rings and their Segre products
 
 
-@dataclass
-class LocalCohomologyProfile:
-    """Graded local cohomology, one windowed series per cohomological degree.
-
-    For a Cohen-Macaulay module every series below the depth is zero; the
-    top degree of the series in position `ring_dim` is the a-invariant.
-    """
-
-    ring_dim: int
-    per_degree: dict[int, HilbertSeries]
-
-    def series(self, p: int, win: Window) -> HilbertSeries:
-        if p in self.per_degree:
-            return self.per_degree[p]
-        return zero_series(win, certified=True)
-
-    def depth_on_window(self) -> int:
-        for p in range(0, self.ring_dim + 1):
-            s = self.per_degree.get(p)
-            if s is not None and s.coeffs:
-                return p
-        return self.ring_dim
-
-    def statuses(self) -> dict[int, str]:
-        out = {}
-        for p in range(0, self.ring_dim + 1):
-            s = self.per_degree.get(p)
-            out[p] = "zero-certified" if s is None else s.status()
-        return out
-
-
-def module_series(spec: WeightedRingSpec, win: Window, shift: int = 0) -> HilbertSeries:
+def module_series(
+    spec: WeightedRingSpec, win: tuple[int, int], shift: int = 0
+) -> HilbertSeries:
     """Series of the shifted free module S(shift) on the window."""
-    big = Window(min(win.lower + shift, 0), win.upper + max(shift, 0))
+    big = (min(win[0] + shift, 0), win[1] + max(shift, 0))
     return twist(ring_series(spec, big), shift)
 
 
 def local_cohomology_poly(
-    spec: WeightedRingSpec, win: Window, shift: int = 0
-) -> LocalCohomologyProfile:
-    """Local cohomology of S(shift) at the graded maximal ideal.
+    spec: WeightedRingSpec, win: tuple[int, int], shift: int = 0
+) -> dict[int, HilbertSeries]:
+    """Local cohomology of S(shift) at the graded maximal ideal, as
+    {p: series of H^p} for p = 0..dim S.
 
-    Everything below dim S vanishes, and the top is the graded dual of
-    the ring twisted by the weight sum, so the coefficient in degree j is
-    dim S in degree -j - (sum of weights) - shift.
+    Everything below dim S vanishes (certified zero), and the top is the
+    graded dual of the ring twisted by the weight sum, so the coefficient
+    in degree j is dim S in degree -j - (sum of weights) - shift; its top
+    degree is the a-invariant of S(shift).
     """
     d = len(spec.variables)
     wsum = spec.weight_sum
     table = {}
-    for j in win.degrees():
+    for j in range(win[0], win[1] + 1):
         v = dim_at(spec, -j - wsum - shift)
         if v:
             table[j] = v
-    top = make_series(win, table, support_upper=-wsum - shift)
-    per = {p: zero_series(win, certified=True) for p in range(d)}
-    per[d] = top
-    return LocalCohomologyProfile(ring_dim=d, per_degree=per)
+    out = {p: zero_series(win, certified=True) for p in range(d)}
+    out[d] = make_series(win, table, support_upper=-wsum - shift)
+    return out
 
 
 def gw_segre_cohomology(
     m_series: HilbertSeries,
-    m_profile: LocalCohomologyProfile,
+    m_profile: dict[int, HilbertSeries],
     n_series: HilbertSeries,
-    n_profile: LocalCohomologyProfile,
-) -> LocalCohomologyProfile:
-    """Local cohomology of a Segre product of modules, series by series.
+    n_profile: dict[int, HilbertSeries],
+) -> dict[int, HilbertSeries]:
+    """Local cohomology of a Segre product of modules, series by series,
+    as {p: series of H^p} for p = 0..dim M + dim N - 1.
 
-    H^p of the product decomposes as H^p(M) # N plus M # H^p(N) plus the
-    convolution sum of H^i(M) # H^(p+1-i)(N) over 0 < i <= p.  The first
-    argument must have certified-zero H^0 and H^1.
+    Each profile maps p to the series of H^p of its factor.  The factor's
+    dimension is read as the profile's largest key, and a p missing from
+    a profile is certified zero.  H^p of the product decomposes as
+    H^p(M) # N plus M # H^p(N) plus the convolution sum of
+    H^i(M) # H^(p+1-i)(N) over 0 < i <= p.  The first argument must have
+    certified-zero H^0 and H^1 (ValueError otherwise).
     """
-    win = m_series.window.intersect(n_series.window)
+    zero = zero_series(_intersect(m_series.window, n_series.window), certified=True)
     for p in (0, 1):
-        s = m_profile.per_degree.get(p)
+        s = m_profile.get(p)
         if s is not None and not s.zero_certified:
             raise ValueError(
                 "hypothesis violation: H^0 and H^1 of the first factor must vanish"
             )
-    dim = m_profile.ring_dim + n_profile.ring_dim - 1
+    dim = max(m_profile) + max(n_profile) - 1
     out = {}
     for p in range(0, dim + 1):
         parts = [
-            hadamard(m_profile.series(p, win), n_series),
-            hadamard(m_series, n_profile.series(p, win)),
+            hadamard(m_profile.get(p, zero), n_series),
+            hadamard(m_series, n_profile.get(p, zero)),
         ]
         for i in range(1, p + 1):
-            parts.append(
-                hadamard(
-                    m_profile.series(i, win),
-                    n_profile.series(p + 1 - i, win),
-                )
-            )
+            parts.append(hadamard(m_profile.get(i, zero), n_profile.get(p + 1 - i, zero)))
         out[p] = add_series(parts)
-    return LocalCohomologyProfile(ring_dim=dim, per_degree=out)
+    return out
 
 
 def segre_dimension(specA: WeightedRingSpec, specB: WeightedRingSpec) -> int:
@@ -442,7 +405,7 @@ def segre_report(
     if len(specA.variables) < 2 or len(specB.variables) < 1:
         raise ValueError("need dim A >= 2 and dim B >= 1")
     aA, aB = -specA.weight_sum, -specB.weight_sum
-    win = window(-_RADIUS, _RADIUS)
+    win = (-_RADIUS, _RADIUS)
     dim = segre_dimension(specA, specB)
     a_inv = segre_a_invariant(specA, specB)
 
@@ -468,21 +431,21 @@ def segre_report(
         profA = local_cohomology_poly(specA, win, shift=s)
         msA = module_series(specA, win, shift=s)
         prof = gw_segre_cohomology(msA, profA, seriesB, profB)
-        statuses = prof.statuses()
+        statuses = {p: prof[p].status() for p in range(dim + 1)}
         cm = all(statuses[p].startswith("zero") for p in range(dim))
         certified = all(statuses[p] == "zero-certified" for p in range(dim)) if cm else False
         shift_reports[s] = {
             "cm": cm,
             "certified": certified,
-            "depth_at_least": prof.depth_on_window(),
+            "depth_at_least": next((p for p in range(dim) if prof[p].coeffs), dim),
             "statuses": {str(p): v for p, v in statuses.items()},
-            "top": prof.series(dim, win).to_json_dict(),
+            "top": prof[dim].to_json_dict(),
         }
         if s == 0:
-            top = prof.series(dim, win)
+            top = prof[dim]
     if top is None:
         profA = local_cohomology_poly(specA, win)
-        top = gw_segre_cohomology(seriesA, profA, seriesB, profB).series(dim, win)
+        top = gw_segre_cohomology(seriesA, profA, seriesB, profB)[dim]
     return SegreReport(
         specA=specA,
         specB=specB,
@@ -502,8 +465,7 @@ def _matches_some_shift(candidate: HilbertSeries, base: HilbertSeries) -> bool:
     """Does candidate equal base twisted by some degree shift on the window?"""
     for s in range(-2 * _RADIUS, 2 * _RADIUS + 1):
         shifted = twist(base, s)
-        lo = max(candidate.window.lower, shifted.window.lower)
-        hi = min(candidate.window.upper, shifted.window.upper)
+        lo, hi = _intersect(candidate.window, shifted.window)
         if hi - lo < _RADIUS:
             continue
         if all(

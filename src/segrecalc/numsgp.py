@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .hilbert import HilbertSeries, make_series, window
+from .hilbert import HilbertSeries, make_series
 
 
 class SemigroupError(ValueError):
@@ -325,7 +325,7 @@ def semigroup_series(S: ExtNumSemigroup, lo: int = 0, hi: int = 8) -> HilbertSer
         v = len(S.rows[n]) if n < S.conductor else S.group.order
         if v:
             table[n] = v
-    return make_series(window(lo, hi), table, support_lower=0)
+    return make_series((lo, hi), table, support_lower=0)
 
 
 def subspace_quiver_data(S: ExtNumSemigroup, char: int):

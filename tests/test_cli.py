@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from segrecalc import cli
+from segrecalc import cli, hilbert, numsgp
 from segrecalc.cli import check_kronecker_suite, main
 from segrecalc.gradedlin import catalog, resolution
 from segrecalc.gradedlin.resolution import CertificationError, HomCalculator
@@ -459,6 +459,40 @@ def test_quiver_gallery_matches_pinned_digests(tmp_path):
     assert runpy.run_path(str(GALLERY))["main"](str(out)) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == json.loads(GALLERY_DIGESTS.read_text())
+
+
+def test_quiver_gallery_builds_each_stable_quiver_once(tmp_path, monkeypatch):
+    # the gallery reads the k3 stable quivers off check_folding's artifact
+    drops = []
+    real = EndoQuiver._arrows
+
+    def recording(self, drop_free):
+        drops.append(drop_free)
+        return real(self, drop_free)
+
+    monkeypatch.setattr(EndoQuiver, "_arrows", recording)
+    assert runpy.run_path(str(GALLERY))["main"](str(tmp_path / "gallery")) == 0
+    assert drops.count({"R"}) == 2
+
+
+def test_series_coefficient_outside_its_window_is_a_certification_gap(
+    tmp_path, capsys, monkeypatch
+):
+    # numsgp-suite reads semigroup_series(S, 0, 4).coeff(3); a window that
+    # stops below 3 leaves that coefficient uncertified
+    narrow = numsgp.semigroup_series
+    monkeypatch.setattr(numsgp, "semigroup_series", lambda S, lo, hi: narrow(S, lo, 2))
+    rc = main(["reproduce-paper", "--section", "6", "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "certification gap: degree 3 outside the window [0, 2]" in capsys.readouterr().err
+    # a run job reports the same gap as exit 3, not as a usage error
+    monkeypatch.setattr(
+        hilbert, "segre_report", lambda a, b, shifts: hilbert.ring_series(a, (0, 4)).coeff(9)
+    )
+    argv = ["run", "--config", str(DEMO_CONFIG), "--out", str(tmp_path / "d")]
+    rc = main(argv + ["--jobs", "gorenstein-report"])
+    assert rc == 3
+    assert "certification gap: degree 9 outside the window [0, 4]" in capsys.readouterr().err
 
 
 def test_koszul_window_too_small_is_a_certification_gap(tmp_path, capsys):
