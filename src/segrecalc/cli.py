@@ -40,6 +40,60 @@ def write_text(out_dir: Path, name: str, text: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
+# the run's session
+
+
+class Session:
+    """The calculators and Gorenstein endo quivers that the manifest
+    checks share, each built on its first request: a `HomCalculator` per
+    (pair, lo, hi, char) and an `EndoQuiver` per (pair, hi, char), over
+    the calculator of (pair, 0, hi, char).  A construction that raises
+    keeps nothing.
+
+    Every value is a pure function of its key, and the keys are the
+    manifest's constants, so the session stays bounded and a check reads
+    the same values whichever check filled it.  Checks are called as
+    `fn(opts)`, by `run_manifest`, the tests and the benchmark alike, so
+    the session is process-wide, one module global that every check reads
+    when called; `run_manifest` starts each run with a fresh one
+    (`new_session()`).  Config jobs build their own calculators."""
+
+    def __init__(self):
+        self._calcs = {}
+        self._quivers = {}
+
+    def calculator(self, pair: str, lo: int, hi: int, char: int = 0) -> HomCalculator:
+        key = (pair, lo, hi, char)
+        if key not in self._calcs:
+            self._calcs[key] = HomCalculator(*catalog.ring_pair(pair), lo, hi, char)
+        return self._calcs[key]
+
+    def endo_quiver(self, pair: str, hi: int, char: int = 0) -> EndoQuiver:
+        """The quiver of End(M_-1 ⊕ R ⊕ M_1) over the pair, to degree 3."""
+        key = (pair, hi, char)
+        if key not in self._quivers:
+            calc = self.calculator(pair, 0, hi, char)
+            a, b = calc.ringA, calc.ringB
+            mods = [
+                ("M-1", DiagonalModule(a, b, -1)),
+                ("R", DiagonalModule(a, b, 0)),
+                ("M1", DiagonalModule(a, b, 1)),
+            ]
+            self._quivers[key] = EndoQuiver(calc, mods, degree_top=3)
+        return self._quivers[key]
+
+
+_session = Session()
+
+
+def new_session() -> Session:
+    """Replace the session by an empty one, and return it."""
+    global _session
+    _session = Session()
+    return _session
+
+
+# ---------------------------------------------------------------------------
 # the reproduction manifest
 
 
@@ -147,14 +201,8 @@ def _expected_endo_quivers():
     }
 
 
-def _gorenstein_endo_quiver(key: str, hi: int, char: int = 0):
-    a, b = catalog.ring_pair(key)
-    mods = [
-        ("M-1", DiagonalModule(a, b, -1)),
-        ("R", DiagonalModule(a, b, 0)),
-        ("M1", DiagonalModule(a, b, 1)),
-    ]
-    return EndoQuiver(HomCalculator(a, b, 0, hi, char), mods, degree_top=3)
+def _gorenstein_endo_quiver(key: str, hi: int, char: int = 0) -> EndoQuiver:
+    return _session.endo_quiver(key, hi, char)
 
 
 def check_gorenstein_quivers(opts) -> dict:
@@ -331,7 +379,7 @@ def check_contraction_suite(opts) -> dict:
 
 
 def _ext_calc(opts) -> HomCalculator:
-    return HomCalculator(*catalog.ring_pair("k2_k3"), 0, 8, opts.get("char", 0))
+    return _session.calculator("k2_k3", 0, 8, opts.get("char", 0))
 
 
 def _ext_degrees(opts) -> range:
@@ -383,7 +431,7 @@ def check_nongor_quiver(opts) -> dict:
     results = {}
     ok = True
     for D, hi in ((4, 7), (5, 8), (6, 9)):
-        calc = HomCalculator(a, b, 0, hi, opts.get("char", 0))
+        calc = _session.calculator("k2_k3", 0, hi, opts.get("char", 0))
         omega = DiagonalModule(a, b, 1)
         # depth 3 registers the tail from step 2 as the resolution of syz2
         syz2 = calc.resolution(omega, 3).syzygy(2)
@@ -465,6 +513,12 @@ MANIFEST = [
 
 
 def run_manifest(sections, out_dir: Path, opts) -> int:
+    """Run the manifest checks of `sections` (all for None) in manifest
+    order, write each artifact and the summary under `out_dir`, and
+    return the exit code.  The run starts with a fresh session, which
+    its checks share: a calculator or quiver that one check builds is
+    read, not rebuilt, by the next."""
+    new_session()
     failures = 0
     summary = {}
     for name, section, fn in MANIFEST:

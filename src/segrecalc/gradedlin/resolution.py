@@ -732,10 +732,10 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[tuple]:
 
 
 class HomCalculator:
-    """The one owner of resolutions, hom bases and sections for a ring
-    pair and a window; the caller creates it and passes it to every
-    computation on that pair and window.  A section of the cover is read
-    off the cover step its resolution kept.
+    """The one owner of resolutions, hom bases, sections and Ext values
+    for a ring pair and a window; the caller creates it and passes it to
+    every computation on that pair and window.  A section of the cover
+    is read off the cover step its resolution kept.
 
     Its dicts are keyed by the modules themselves: the frozen
     DiagonalModule and FreeModule by value, so equal modules built
@@ -769,6 +769,7 @@ class HomCalculator:
         self._section = {}
         self._checked = {}  # syzygy -> degrees and tests found independent mod char
         self._elem_cache = {}
+        self._ext = {}  # (M, N, i, d) -> dim Ext^i(M, N)_d
 
     def resolution(self, M, depth: int = 1) -> Resolution:
         res = self._res.get(M)
@@ -784,11 +785,28 @@ class HomCalculator:
     def ext_dims(self, M, N, i_values, d_values) -> dict:
         """Graded Ext dimensions (i, d) -> dim Ext^i(M, N)_d on the
         window, over the resolution of M held here; {} for no i, and
-        then nothing is resolved."""
+        then nothing is resolved.
+
+        Each value is kept by (M, N, i, d).  Only the degrees d with some
+        requested i not kept yet are computed, in the requested order and
+        for every requested i, and they are kept only once that
+        computation returns, so a call that raises keeps nothing and
+        raises again when repeated.  A kept (i, d) passed every check
+        that a call asking for it computes, the guards at d for F_0 up to
+        F_(i+1) and the blocks of the maps i - 1 and i, so a request met
+        from kept values would not have raised."""
+        i_values, d_values = sorted(set(i_values)), list(d_values)
         if not i_values:
             return {}
-        res = self.resolution(M, max(i_values) + 1)
-        return ext_dims(res, N, i_values, d_values, self.char)
+        kept = self._ext
+        missing = [
+            d for d in dict.fromkeys(d_values) if any((M, N, i, d) not in kept for i in i_values)
+        ]
+        if missing:
+            res = self.resolution(M, i_values[-1] + 1)
+            new = ext_dims(res, N, i_values, missing, self.char)
+            kept.update(((M, N, i, d), v) for (i, d), v in new.items())
+        return {(i, d): kept[(M, N, i, d)] for d in d_values for i in i_values}
 
     def hom_basis(self, M, N, d: int) -> list[tuple]:
         key = (M, N, d)

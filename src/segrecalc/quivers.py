@@ -103,7 +103,8 @@ class EndoQuiver:
     degree-zero endomorphisms.  `quiver` is computed on first access, so
     a caller that needs only the stable part never builds it.
     `stable_reduce` recomputes the radical in the quotient by maps
-    factoring through free modules and drops the named free vertices.
+    factoring through free modules and drops the named free vertices,
+    once per set of them.
     Every resolution and hom basis comes from
     `calc`, the HomCalculator of the summands' ring pair and window, and
     every rank is taken over its field.
@@ -123,6 +124,7 @@ class EndoQuiver:
             raise ValueError("duplicate summand labels")
         self.calc = calc
         self.degree_top = degree_top
+        self._stable = {}  # frozenset of dropped labels -> stable quiver
         self._gen_tops, self._d_tops = {}, {}  # module -> its top, read once
         for label, mod in self.summands:
             if len(self.calc.hom_basis(mod, mod, 0)) != 1:
@@ -272,8 +274,12 @@ class EndoQuiver:
 
     def stable_reduce(self, free_labels) -> Quiver:
         """The stable quiver without the free vertices `free_labels`
-        (`free_vertices`)."""
-        return self._arrows(drop_free=self.free_vertices(free_labels))
+        (`free_vertices`), built once per set of dropped labels and then
+        returned again, as `quiver` is."""
+        drop = frozenset(self.free_vertices(free_labels))
+        if drop not in self._stable:
+            self._stable[drop] = self._arrows(drop_free=drop)
+        return self._stable[drop]
 
 
 def middle_multiplicities(seq) -> dict:

@@ -13,6 +13,7 @@ import pytest
 from segrecalc import cli, hilbert, numsgp
 from segrecalc.cli import check_kronecker_suite, main
 from segrecalc.gradedlin import catalog, resolution
+from segrecalc.gradedlin.modules import DiagonalModule
 from segrecalc.gradedlin.resolution import CertificationError, HomCalculator
 from segrecalc.config import ConfigError, parse_config
 from segrecalc.quivers import EndoQuiver
@@ -26,6 +27,7 @@ GALLERY = Path(__file__).parents[1] / "scripts" / "quiver_gallery.py"
 # sha256 of the ten DOT files `scripts/quiver_gallery.py` writes, pinned
 # like demo_sha256.json
 GALLERY_DIGESTS = Path(__file__).with_name("gallery_sha256.json")
+REPRODUCE_DIGESTS = Path(__file__).with_name("reproduce_sha256.json")
 
 
 def test_config_parse():
@@ -473,6 +475,82 @@ def test_quiver_gallery_builds_each_stable_quiver_once(tmp_path, monkeypatch):
     monkeypatch.setattr(EndoQuiver, "_arrows", recording)
     assert runpy.run_path(str(GALLERY))["main"](str(tmp_path / "gallery")) == 0
     assert drops.count({"R"}) == 2
+
+
+def test_kronecker_suite_reads_main_suites_resolutions_and_ext_values(monkeypatch):
+    # kronecker-suite needs omega to depth 5, as main-sequence-suite left
+    # it, and M_2 as a source, which main does not resolve; every Ext
+    # value main computed is read from the session's calculator
+    resolved, asked = [], []
+    real_resolution, real_ext = resolution.free_resolution, resolution.ext_dims
+
+    def counted_resolution(module, depth, *args):
+        resolved.append((module, depth))
+        return real_resolution(module, depth, *args)
+
+    def counted_ext(res, N, i_values, d_values, char):
+        asked.append({(res.module, N, i, d) for i in i_values for d in d_values})
+        return real_ext(res, N, i_values, d_values, char)
+
+    monkeypatch.setattr(resolution, "free_resolution", counted_resolution)
+    monkeypatch.setattr(resolution, "ext_dims", counted_ext)
+    assert cli.check_main_suite({})["pass"]
+    answered = set().union(*asked)
+    asked.clear()
+    assert check_kronecker_suite({})["pass"]
+    assert all(not keys & answered for keys in asked)
+    a, b = catalog.ring_pair("k2_k3")
+    omega, M2 = DiagonalModule(a, b, 1), DiagonalModule(a, b, 2)
+    assert sorted(resolved, key=repr) == [(omega, 5), (M2, 2)]
+
+
+def test_folding_reads_the_quivers_of_gorenstein_endo_quivers(monkeypatch):
+    built = []
+    real = EndoQuiver._arrows
+
+    def recording(self, drop_free):
+        built.append(drop_free)
+        return real(self, drop_free)
+
+    monkeypatch.setattr(EndoQuiver, "_arrows", recording)
+    assert cli.check_gorenstein_quivers({})["pass"]
+    assert built == [{"R"}, None, {"R"}, None]
+    assert cli.check_folding({})["pass"]
+    assert len(built) == 4
+
+
+def test_nongor_endo_quiver_takes_its_three_calculators_from_the_session(monkeypatch):
+    used = []
+    real = EndoQuiver.__init__
+
+    def recording(self, calc, *args, **kwargs):
+        used.append(calc)
+        real(self, calc, *args, **kwargs)
+
+    monkeypatch.setattr(EndoQuiver, "__init__", recording)
+    session = cli.new_session()
+    assert cli.check_nongor_quiver({})["pass"]
+    assert [calc.hi for calc in used] == [7, 8, 9]
+    assert all(calc is session.calculator("k2_k3", 0, calc.hi) for calc in used)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_session_checks_match_pinned_digests_in_either_order(char):
+    # the five checks that share calculators or quivers, each order on a
+    # fresh session: no artifact depends on which check filled it
+    names = {
+        "main-sequence-suite", "kronecker-suite", "gorenstein-endo-quivers",
+        "folding-suite", "nongor-endo-quiver",
+    }
+    checks = [(name, fn) for name, _, fn in cli.MANIFEST if name in names]
+    assert len(checks) == len(names)
+    pinned = json.loads(REPRODUCE_DIGESTS.read_text())
+    for order in (checks, checks[::-1]):
+        cli.new_session()
+        for name, fn in order:
+            art = fn({"char": char})
+            digest = hashlib.sha256((json.dumps(art, **cli.JSON_KW) + "\n").encode()).hexdigest()
+            assert digest == pinned[f"{name}.json"], (name, [n for n, _ in order])
 
 
 def test_series_coefficient_outside_its_window_is_a_certification_gap(

@@ -1966,6 +1966,81 @@ def test_ext_into_syzygies_by_rectangle_masks_matches_per_column_reference(
     assert fast == [_outcome(reference_syzygy_ext_dims, *args) for args in cases]
 
 
+def _ext_module(specA, specB, calc, kind, shift):
+    """The diagonal module of this shift, or its first syzygy as the
+    calculator's resolution holds it."""
+    D = DiagonalModule(specA, specB, shift)
+    return D if kind == "diagonal" else calc.resolution(D, 2).syzygy(1)
+
+
+def _fresh_ext_dims(calc, M, N, i_values, d_values):
+    """`ext_dims` over a resolution of M made afresh on the window."""
+    if not i_values:
+        return {}
+    res = free_resolution(M, max(i_values) + 1, calc.lo, calc.hi)
+    return ext_dims(res, N, i_values, d_values, calc.char)
+
+
+def _items(outcome):
+    return list(outcome.items()) if isinstance(outcome, dict) else outcome
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=2),
+    st.tuples(st.sampled_from(["diagonal", "syzygy"]), st.integers(min_value=-2, max_value=2)),
+    st.tuples(st.sampled_from(["diagonal", "syzygy"]), st.integers(min_value=-2, max_value=2)),
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(min_value=0, max_value=2), max_size=2),
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=4),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    st.sampled_from([0, 10007]),
+)
+@example([1, 1], [1, 1, 1], ("syzygy", 1), ("syzygy", 1), [({1}, [0, 3]), ({1}, [0])], 0)
+@example([1, 2], [1, 1], ("diagonal", 0), ("syzygy", -1), [({0, 1}, [1, -1]), ({1}, [-1, 1, 2])], 10007)
+def test_kept_ext_values_equal_ext_over_a_fresh_resolution(wa, wb, source, target, requests, char):
+    """`HomCalculator.ext_dims`, asked a drawn sequence of overlapping
+    requests, answers each as `ext_dims` over a resolution made afresh,
+    in the same order, or raises the same CertificationError; a request
+    that raises keeps no value and raises again when repeated."""
+    specA = ring(tuple(f"x{i}" for i in range(len(wa))), tuple(wa))
+    specB = ring(tuple(f"y{i}" for i in range(len(wb))), tuple(wb))
+    hi = DiagonalModule(specA, specB, max(source[1], target[1])).generation_bound() + 1
+    calc = HomCalculator(specA, specB, 0, hi, char=char)
+    M = _outcome(_ext_module, specA, specB, calc, *source)
+    N = _outcome(_ext_module, specA, specB, calc, *target)
+    if isinstance(M, tuple) or isinstance(N, tuple):
+        return  # CertificationError: the resolution properties compare those
+    for i_values, d_values in requests:
+        kept = dict(calc._ext)
+        got = _outcome(calc.ext_dims, M, N, i_values, d_values)
+        assert _items(got) == _items(_outcome(_fresh_ext_dims, calc, M, N, i_values, d_values))
+        if isinstance(got, tuple):
+            assert calc._ext == kept
+            assert _outcome(calc.ext_dims, M, N, i_values, d_values) == got
+            assert calc._ext == kept
+
+
+def test_ext_call_that_raises_keeps_nothing_and_raises_again():
+    calc = HomCalculator(A2, B3, 0, 6)
+    N = calc.resolution(M(1), 2).syzygy(1)
+    # Ext^1 in degree 9 reads N above the window; degrees 0 and 1 do not
+    with pytest.raises(CertificationError, match="not computed in degree 9"):
+        calc.ext_dims(M(1), N, [1], [0, 1, 9])
+    assert calc._ext == {}
+    fresh = _fresh_ext_dims(calc, M(1), N, [1], [0, 1])
+    assert calc.ext_dims(M(1), N, [1], [0, 1]) == fresh
+    assert set(calc._ext) == {(M(1), N, 1, 0), (M(1), N, 1, 1)}
+    with pytest.raises(CertificationError, match="not computed in degree 9"):
+        calc.ext_dims(M(1), N, [1], [0, 1, 9])
+    assert set(calc._ext) == {(M(1), N, 1, 0), (M(1), N, 1, 1)}
+
+
 def test_syz3_self_extension_assembles_no_pending_target_degree(monkeypatch):
     a, b = catalog.ring_pair("k2_k3")
     calc = HomCalculator(a, b, 0, 8)
