@@ -14,11 +14,16 @@ monomial pair, its diagonal is graded by the full exponent lattice
 Z^n × Z^m, and `diagonal` attaches the fine degrees (`strands.Strands`):
 the rank of a differential in a degree is then a sum over fine-degree
 blocks, each distinct block ranked once per complex, and d∘d = 0 is
-checked once, on the scalar differentials.  Such a complex expands its
-scalar matrices only when something reads `mats` (twists, splices, the
-image term of a sink sequence).  Every other complex is built with its
-matrices and ranked and checked as one matrix per differential and
-degree.
+checked once, on the scalar differentials.  `diff_complex` is graded
+by Z^n in the same way, and is ranked by multidegree pattern
+(`DiffStrands`): each pattern's block is built, checked and ranked once
+per field, and counted with the number of multidegrees it stands for.
+`extend_diagonal` ranks its complex through the ranks of the one it
+extends (`ExtendedStrands`).  These complexes expand their scalar
+matrices only when something reads `mats` (twists, splices, the image
+term of a sink sequence, a test against the flat matrices).  Every
+other complex is built with its matrices and ranked and checked as one
+matrix per differential and degree.
 
 Scalar matrices are expanded through multiplication tables built once
 per call (`_mul_rows`): for an entry monomial u and a source and target
@@ -33,7 +38,8 @@ into S is one more contraction, in identity coordinates on S.  Every
 other target is a kernel of a Koszul differential, and
 `linalg.kernel_coordinates` reads an image's coordinates in its basis
 off the basis's free columns, one lookup per key of the image, after
-certifying that the differential sends the image to zero.
+certifying that the differential sends the image to zero; the pattern
+blocks and the flat matrices both read their kernels this way.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from math import comb
 from typing import Callable
 
 from .. import linalg
@@ -370,26 +377,36 @@ class DegreewiseComplex:
     """Complex of graded pieces: per position a degree->dim table and a
     human-readable label, per adjacent pair and internal degree a scalar
     matrix (stored column-wise).  d∘d = 0 is asserted at construction:
-    in every degree by `Strands.of` when the complex has strands, else
-    by `assert_dd` degree by degree on the window.
+    by whatever builds the strands when the complex has them (an
+    extension's holds by its inner complex's), else by `assert_dd`
+    degree by degree on the window.
 
-    `diagonal` fills the last three fields: `summands` lists
-    (shift index m, twist, multiplicity) per position, `strands` holds
-    the fine degrees of a monomial bigraded complex, through which
-    `rank_at` ranks, and `expand` builds the matrices.  It passes
-    `mats` as None, and `expand` builds them on first read, so a complex
-    with strands whose matrices nothing reads never expands them.  Every
-    other complex leaves all three None."""
+    `strands` ranks the differentials through `rank(t, j, char, dim)`,
+    which raises AssertionError unless its blocks cover the dim columns:
+    the fine degrees of a monomial bigraded complex (`Strands`, from
+    `diagonal`), the multidegree patterns of `diff_complex`
+    (`DiffStrands`) or an extension's ranks (`ExtendedStrands`).  Such a
+    complex is built with `mats` None and `expand`, which builds the
+    matrices on first read, so one whose matrices nothing reads never
+    expands them.  `diagonal` also lists, in `summands`, (shift index m,
+    twist, multiplicity) per position.  Every other complex leaves the
+    last three fields None.  ValueError("empty window") when the window
+    has lo > hi."""
 
     labels: list[str]
     dims: list[dict]
     mats: list[dict] | None
     window: tuple[int, int]
     summands: list | None = field(default=None, compare=False, repr=False)
-    strands: Strands | None = field(default=None, compare=False, repr=False)
+    strands: Strands | DiffStrands | ExtendedStrands | None = field(
+        default=None, compare=False, repr=False
+    )
     expand: Callable[[], list[dict]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        lo, hi = self.window
+        if lo > hi:
+            raise ValueError("empty window")
         if self.mats is None:
             del self.mats  # `__getattr__` builds it
         if self.strands is None:
@@ -677,14 +694,36 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
     the monomials μ of degree n-1; every later map is the one contraction
     rule `_contract` on the wedge factor and the dual symmetric power,
     written in the kernel bases.  A kernel basis comes with its reader
-    `linalg.kernel_coordinates`, built on the Koszul matrix of d_i: an
-    image's coordinates are read off the basis's free columns, and an
-    image that d_i does not send to zero raises AssertionError ("map
-    leaves the kernel of d_i").  Homology is the base field at the right
-    end only.
+    `linalg.kernel_coordinates`: an image's coordinates are read off the
+    basis's free columns, and an image that d_i does not send to zero
+    raises AssertionError ("map leaves the kernel of d_i").  Homology is
+    the base field at the right end only.
+
+    The complex is ranked, and its dims counted, by multidegree pattern
+    (`DiffStrands`), which builds every map once per pattern and so
+    raises at construction; `_diff_mats` builds the flat matrices, on
+    the Koszul matrices of each total degree, when `mats` is first read.
     """
     if any(w != 1 for w in spec.weights):
         raise ValueError("diff_complex needs the standard grading")
+    n = len(spec.variables)
+    strands = DiffStrands(spec, window)
+    labels = ["Sxwedge^1" if n == 1 else "Sxwedge^n"]
+    labels += [f"Diff^{i}xD(Sym^{i})" if i else "S" for i in range(n - 1, -1, -1)]
+    return DegreewiseComplex(
+        labels,
+        strands.dims(),
+        None,
+        window,
+        strands=strands,
+        expand=partial(_diff_mats, spec, window),
+    )
+
+
+def _diff_mats(spec: WeightedRingSpec, window: tuple[int, int]) -> list[dict]:
+    """The scalar matrices of `diff_complex(spec, window)`, column-wise,
+    over the kernel bases of `linalg.kernel_coordinates` on the Koszul
+    matrix of each total degree, one kernel per (i, degree)."""
     n = len(spec.variables)
     lo, hi = window
     kos = koszul(spec)
@@ -698,27 +737,9 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
                 basis = [{k: 1} for k in range(len(monomials(spec, s)))]
                 coords = dict.items
             else:
-                basis, read = linalg.kernel_coordinates(kos.matrix_at(n - i, s))
-
-                def coords(vec):
-                    found = read(vec)
-                    if found is None:
-                        raise AssertionError(f"map leaves the kernel of d_{i}")
-                    return found
-
+                basis, coords = _kernel_reader(i, kos.matrix_at(n - i, s))
             kernels[i, s] = basis, coords
         return kernels[i, s]
-
-    labels = ["Sxwedge^1" if n == 1 else "Sxwedge^n"]
-    dims = [{j: len(monomials(spec, j - n)) for j in range(lo, hi + 1) if j >= n}]
-    for i in range(n - 1, -1, -1):
-        labels.append(f"Diff^{i}xD(Sym^{i})" if i else "S")
-        table = {}
-        for j in range(lo, hi + 1):
-            d = len(kernel(i, j + i)[0]) * len(monomials(spec, i))
-            if d:
-                table[j] = d
-        dims.append(table)
 
     # first map: s⊗top ↦ Σ_μ d_n(s·μ⊗top) ⊗ μ
     first = {}
@@ -770,13 +791,7 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
                     per_dual = {}
                     for (sub_k, mono_k), cval in terms:
                         for sign, r, d in rule[sub_k][mu_k]:
-                            vec = per_dual.setdefault(d, {})
-                            key = r * nmono + mono_k
-                            val = vec.get(key, 0) + sign * cval
-                            if val:
-                                vec[key] = val
-                            elif key in vec:
-                                del vec[key]
+                            _add(per_dual.setdefault(d, {}), r * nmono + mono_k, sign * cval)
                     col = {}
                     for d, vec in per_dual.items():
                         if vec:
@@ -785,14 +800,216 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
                     cols.append(col)
             step[j] = cols
         mats.append(step)
-    return DegreewiseComplex(labels, dims, mats, window)
+    return mats
+
+
+def _add(vec: dict, key, value) -> None:
+    """vec[key] += value, keeping no zero entry."""
+    value += vec.get(key, 0)
+    if value:
+        vec[key] = value
+    else:
+        vec.pop(key, None)
+
+
+def _kernel_reader(i: int, cols: list[dict]):
+    """`linalg.kernel_coordinates(cols)` for the Koszul differential d_i,
+    its reader raising AssertionError("map leaves the kernel of d_i")
+    where the plain reader returns None."""
+    basis, read = linalg.kernel_coordinates(cols)
+
+    def coords(vec):
+        found = read(vec)
+        if found is None:
+            raise AssertionError(f"map leaves the kernel of d_{i}")
+        return found
+
+    return basis, coords
+
+
+def _compositions(m: int, parts: int) -> int:
+    """The number of ways to write m as an ordered sum of `parts`
+    positive integers."""
+    if not parts:
+        return int(m == 0)
+    return comb(m - 1, parts - 1) if m >= parts else 0
+
+
+class DiffStrands:
+    """The ranks and dims of `diff_complex` by multidegree pattern.
+
+    The basis vector x^a e_sub ⊗ μ* of every term has the multidegree
+    β = a + 1_sub - μ in Z^n (x^a ⊗ top in term 0 has β = a + 1 and maps
+    to Σ_μ d_n(x^(a+μ) ⊗ top) ⊗ μ*, of the same β), and every map keeps
+    it: a Koszul kernel vector of `kernel_of` lies in one
+    multidegree, since a dependent column's unique dependency on the
+    accepted columns before it uses only columns of its own block, and
+    the contraction keeps a + 1_sub - μ.  In multidegree α the Koszul
+    complex is the simplex complex on supp α (Miller and Sturmfels,
+    Combinatorial Commutative Algebra, GTM 227, ch. 1), so the block at
+    β reads the kernel of d_i at the support of β + μ for each μ with
+    β + μ >= 0, with the same vectors, in the order of its subsets, as
+    `_diff_mats` has at every α of that support.  The block therefore
+    depends only on β clipped to [1 - n, 1] in each coordinate: β_v >= 1
+    puts v in every support, and β_v < 1 - n does not occur, because μ
+    has degree at most n - 1.
+
+    A pattern p in [1 - n, 1]^n stands for the β with β_v = p_v where
+    p_v <= 0 and β_v >= 1 where p_v = 1; in total degree j there are
+    `_compositions(j - Σ_(p_v <= 0) p_v, #{p_v = 1})` of them.  Each
+    pattern that occurs in the window is built once: its basis per term,
+    its maps (the kernel readers certify that every image lies in its
+    kernel) and d∘d = 0 on its blocks.  The rank in degree j is
+    Σ count · rank(block), each block ranked once per field; the blocks
+    are the flat blocks up to the order of rows and columns, so the rank
+    is that of the flat matrix over every field."""
+
+    def __init__(self, spec: WeightedRingSpec, window: tuple[int, int]):
+        self.spec = spec
+        n = len(spec.variables)
+        lo, hi = window
+        self._kernels = {}  # (support, i) -> (subsets, their index, basis, reader)
+        self.blocks = []  # per pattern: (basis size per term, columns per position)
+        self.live = {j: [] for j in range(lo, hi + 1)}  # j -> [(block, count)]
+        self._ranks = {}  # (block, position, char) -> rank
+        for p in itertools.product(range(1 - n, 2), repeat=n):
+            rest = sum(x for x in p if x < 1)
+            counts = [(j, _compositions(j - rest, p.count(1))) for j in self.live]
+            counts = [(j, k) for j, k in counts if k]
+            if not counts:
+                continue
+            sizes, maps = self._block(p)
+            if not any(sizes):
+                continue
+            for j, k in counts:
+                self.live[j].append((len(self.blocks), k))
+            self.blocks.append((sizes, maps))
+
+    def _kernel(self, supp: tuple[int, ...], i: int):
+        """ker d_i in a multidegree of support supp: the i-subsets of
+        supp in order, their index, the kernel basis over them and its
+        coordinate reader."""
+        key = (supp, i)
+        if key not in self._kernels:
+            subs = list(itertools.combinations(supp, i))
+            index = {s: k for k, s in enumerate(subs)}
+            if i == 0:  # S = Diff^0: e_∅ is its own kernel
+                basis, coords = [{0: 1}], dict.items
+            else:
+                faces = {s: k for k, s in enumerate(itertools.combinations(supp, i - 1))}
+                basis, coords = _kernel_reader(i, [_koszul_column(s, faces) for s in subs])
+            self._kernels[key] = subs, index, basis, coords
+        return self._kernels[key]
+
+    def _block(self, p: tuple[int, ...]):
+        """The basis sizes per term and the columns per position of the
+        block at pattern p; raises AssertionError when a map leaves a
+        kernel or d∘d != 0."""
+        n = len(p)
+
+        def support(mu):
+            return tuple(v for v in range(n) if p[v] + mu[v] >= 1)
+
+        # term 0 has one vector, x^(β - 1) ⊗ top, when every β_v >= 1;
+        # term n - i has (μ, k) for kernel vector k at the support of β + μ
+        bases = [[()] if min(p) == 1 else []]
+        for i in range(n - 1, -1, -1):
+            basis = {}
+            for mu in monomials(self.spec, i):
+                if min(x + m for x, m in zip(p, mu)) >= 0:
+                    _, _, kernel, _ = self._kernel(support(mu), i)
+                    for k in range(len(kernel)):
+                        basis[mu, k] = len(basis)
+            bases.append(basis)
+
+        def column(images, i):
+            # images: {μ: vector over the i-subsets of supp(β + μ)}
+            col = {}
+            for mu, vec in images.items():
+                if vec:
+                    _, _, _, coords = self._kernel(support(mu), i)
+                    for k, v in coords(vec):
+                        col[bases[n - i][mu, k]] = v
+            return col
+
+        maps = [[]]
+        if bases[0]:
+            full = tuple(range(n))
+            _, faces, _, _ = self._kernel(full, n - 1)
+            top = _koszul_column(full, faces)
+            maps[0].append(column(dict.fromkeys(monomials(self.spec, n - 1), top), n - 1))
+        for i in range(n - 1, 0, -1):
+            cols = []
+            for mu, k in bases[n - i]:
+                subs, _, kernel, _ = self._kernel(support(mu), i)
+                images = {}
+                for f, cval in kernel[k].items():
+                    for sign, rest, low in _contract(subs[f], mu):
+                        _, faces, _, _ = self._kernel(support(low), i - 1)
+                        _add(images.setdefault(low, {}), faces[rest], sign * cval)
+                cols.append(column(images, i - 1))
+            maps.append(cols)
+        for t in range(n - 1):
+            if any(linalg.compose(maps[t + 1], maps[t])):
+                raise AssertionError(f"d∘d != 0 at position {t}, pattern {p}")
+        return [len(b) for b in bases], maps
+
+    def dims(self) -> list[dict]:
+        """{degree: dimension} per term, from the pattern counts."""
+        out = []
+        for t in range(len(self.spec.variables) + 1):
+            table = {}
+            for j, live in self.live.items():
+                d = sum(k * self.blocks[b][0][t] for b, k in live)
+                if d:
+                    table[j] = d
+            out.append(table)
+        return out
+
+    def rank(self, t: int, j: int, char: int, dim: int) -> int:
+        """Rank of the flat matrix at position t, degree j, whose dim
+        columns the patterns must cover, counted with multiplicity."""
+        live = self.live.get(j, ())
+        if sum(k * self.blocks[b][0][t] for b, k in live) != dim:
+            raise AssertionError(f"patterns miss the basis at position {t}, degree {j}")
+        total = 0
+        for b, k in live:
+            key = (b, t, char)
+            r = self._ranks.get(key)
+            if r is None:
+                cols = self.blocks[b][1][t]
+                r = self._ranks[key] = linalg.rank_of(cols, char) if cols else 0
+            total += k * r
+        return total
+
+
+def _koszul_column(sub: tuple[int, ...], faces: dict) -> dict:
+    """The column of e_sub in the Koszul differential of a simplex: the
+    face without sub[q], by its index in `faces`, gets (-1)^q."""
+    return {faces[sub[:q] + sub[q + 1 :]]: -1 if q % 2 else 1 for q in range(len(sub))}
+
+
+@dataclass
+class ExtendedStrands:
+    """The ranks of `extend_diagonal(inner, spec)`: the piece in degree j
+    is A_j ⊗ (inner's piece), so each rank is dim A_j times inner's."""
+
+    inner: DegreewiseComplex
+    spec: WeightedRingSpec
+
+    def rank(self, t: int, j: int, char: int, dim: int) -> int:
+        da = len(monomials(self.spec, j))
+        if da * self.inner.dim(t, j) != dim:
+            raise AssertionError(f"extension misses the basis at position {t}, degree {j}")
+        return da * self.inner.rank_at(t, j, char)
 
 
 def extend_diagonal(c: DegreewiseComplex, specA: WeightedRingSpec) -> DegreewiseComplex:
     """Tensor a one-sided degreewise complex with the other polynomial
     factor and take the (j, j) diagonal: the piece in degree j becomes
-    A_j ⊗ (original piece in degree j)."""
-    lo, hi = c.window
+    A_j ⊗ (original piece in degree j).  It is ranked through c's ranks
+    (`ExtendedStrands`) and expands its matrices, from c's, only when
+    `mats` is first read."""
     dims = []
     for table in c.dims:
         out = {}
@@ -801,6 +1018,19 @@ def extend_diagonal(c: DegreewiseComplex, specA: WeightedRingSpec) -> Degreewise
             if da * d:
                 out[j] = da * d
         dims.append(out)
+    labels = [f"A#({l})" for l in c.labels]
+    return DegreewiseComplex(
+        labels,
+        dims,
+        None,
+        c.window,
+        strands=ExtendedStrands(c, specA),
+        expand=partial(_extended_mats, c, specA),
+    )
+
+
+def _extended_mats(c: DegreewiseComplex, specA: WeightedRingSpec) -> list[dict]:
+    """The scalar matrices of `extend_diagonal(c, specA)`, column-wise."""
     mats = []
     for t, table in enumerate(c.mats):
         out = {}
@@ -815,5 +1045,4 @@ def extend_diagonal(c: DegreewiseComplex, specA: WeightedRingSpec) -> Degreewise
                     newcols.append({ia * nrows_orig + r: v for r, v in col.items()})
             out[j] = newcols
         mats.append(out)
-    labels = [f"A#({l})" for l in c.labels]
-    return DegreewiseComplex(labels, dims, mats, c.window)
+    return mats

@@ -5,7 +5,7 @@ from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from segrecalc import cli, linalg
 from segrecalc.hilbert import ring
@@ -291,6 +291,70 @@ def test_extend_diagonal_dims():
     for t in range(len(dc.dims)):
         for j in range(0, 5):
             assert ext.dim(t, j) == dc.dim(t, j) * (j + 1)
+
+
+def test_catalog_sequences_reject_an_empty_window():
+    makers = [
+        catalog.sink_sequence_at_omega,
+        catalog.sink_sequence_at_syzygy2,
+        catalog.claim3_core_sequence,
+        lambda w: diff_complex(B3, w),
+    ]
+    for key in catalog.RINGS:
+        for variant in (1, 2):
+            makers.append(lambda w, key=key, v=variant: catalog.koszul_diagonal(key, v, 0, w))
+    for key, recipes in catalog.AR_RECIPES.items():
+        makers.append(lambda w, key=key: catalog.almost_split_suite(key, w))
+        for at in recipes:
+            makers.append(lambda w, key=key, at=at: catalog.almost_split_sequence(key, at, w))
+    for build in makers:
+        with pytest.raises(ValueError, match="empty window"):
+            build((5, 2))
+    assert catalog.sink_sequence_at_omega((2, 2)).verify()["window"] == [2, 2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(-3, 5),
+    st.integers(0, 3),
+    st.sampled_from((0, 2, 3, 10007)),
+)
+@example(1, -1, 2, 2)  # β = 0, the least pattern entry for one variable
+@example(4, 5, 3, 3)  # lo > n
+def test_diff_complex_pattern_ranks_match_flat_matrices(n, lo, width, char):
+    """rank_at, dims and homology of diff_complex and of its extension
+    over A2, ranked by multidegree pattern, against rank_of over the
+    expanded matrices; the last term S has the dims of S (times A_j)."""
+    spec = ring(tuple(f"y{i}" for i in range(n)), (1,) * n)
+    window = (lo, lo + width)
+    dc = diff_complex(spec, window)
+    for c, spread in ((dc, lambda j: 1), (extend_diagonal(dc, A2), lambda j: j + 1)):
+        got = {
+            (t, j): (c.dim(t, j), c.rank_at(t, j, char))
+            for t in range(len(c.dims))
+            for j in range(lo, lo + width + 1)
+        }
+        h = c.homology(char)
+        last = len(c.dims) - 1
+        for (t, j), (dim, rank) in got.items():
+            cols = c.mats[t].get(j, []) if t < last else []
+            want = len(cols) if t < last else spread(j) * len(monomials(spec, j))
+            assert dim == want, (t, j)
+            assert rank == (linalg.rank_of(cols, char) if cols else 0), (t, j)
+        flat = DegreewiseComplex(c.labels, c.dims, c.mats, c.window)
+        assert flat.strands is None and h == flat.homology(char)
+
+
+def test_contraction_homology_reads_no_flat_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("flat matrices expanded")
+
+    monkeypatch.setattr(complexes, "_diff_mats", refuse)
+    monkeypatch.setattr(complexes, "_extended_mats", refuse)
+    arts = [cli.check_contraction_suite({"window": 10, "char": p}) for p in (0, 2, 3)]
+    assert arts[0]["pass"] and arts[1] == arts[0] and arts[2] == arts[0]
+    assert catalog.claim3_core_sequence((0, 5)).verify()["exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +913,11 @@ def test_diff_complex_builds_top_koszul_matrix_once_per_degree(monkeypatch):
     for n in (1, 2, 3):
         built.clear()
         spec = ring(tuple(f"y{i}" for i in range(n)), (1,) * n)
-        assert diff_complex(spec, (0, 5)).homology() == {(n, 0): 1}
+        dc = diff_complex(spec, (0, 5))
+        assert dc.homology() == {(n, 0): 1}
+        # the pattern blocks build their own simplex kernels
+        assert not built
+        assert dc.mats
         top = {j: k for (t, j), k in built.items() if t == 0}
         assert top and max(top.values()) == 1
         # every Koszul position: one kernel cache per call
