@@ -19,18 +19,18 @@ by Z^n in the same way, and is ranked by multidegree pattern
 (`DiffStrands`): each pattern's block is built, checked and ranked once
 per field, and counted with the number of multidegrees it stands for.
 `extend_diagonal` ranks its complex through the ranks of the one it
-extends (`ExtendedStrands`).  These complexes expand their scalar
-matrices only when something reads `mats` (twists, splices, the image
-term of a sink sequence, a test against the flat matrices).  Every
-other complex is built with its matrices and ranked and checked as one
-matrix per differential and degree.
+extends (`ExtendedStrands`).  These two have ranks and dims only, and a
+read of their `mats` raises AttributeError.  `diagonal` expands its
+scalar matrices only when something reads `mats` (twists, splices, the
+image term of a sink sequence, a test against the reference
+expansion).  Every other complex is built with its matrices and ranked
+and checked as one matrix per differential and degree.
 
-Scalar matrices are expanded through multiplication tables built once
-per call (`_mul_rows`): for an entry monomial u and a source and target
-degree, one tuple holds the target index of u·m for every source
-monomial m.  The diagonal of a bigraded complex uses one table per
-factor, since the row of (ua·mA)⊗(ub·mB) splits into an A part and a B
-part.
+The diagonal's scalar matrices are expanded through multiplication
+tables built once per call (`_mul_rows`), one per factor, since the row
+of (ua·mA)⊗(ub·mB) splits into an A part and a B part: for an entry
+monomial u and a source and target degree, one tuple holds the target
+index of u·m for every source monomial m.
 
 Both contraction complexes take their contractions from one rule,
 `_contract`.  In `diff_complex`, d_0 = 0 makes S = Diff^0, so the map
@@ -39,7 +39,7 @@ other target is a kernel of a Koszul differential, and
 `linalg.kernel_coordinates` reads an image's coordinates in its basis
 off the basis's free columns, one lookup per key of the image, after
 certifying that the differential sends the image to zero; the pattern
-blocks and the flat matrices both read their kernels this way.
+blocks read every kernel this way.
 """
 
 from __future__ import annotations
@@ -81,40 +81,15 @@ class FreeComplex:
         terms = [tuple(g - l for g in t) for t in self.terms]
         return FreeComplex(self.ring, terms, self.diffs)
 
-    def matrix_at(self, t: int, j: int) -> list[dict]:
-        """Scalar columns of diffs[t] in internal degree j."""
-        src, dst = self.terms[t], self.terms[t + 1]
-        src_off = _offsets(self.ring, src, j)
-        dst_off = _offsets(self.ring, dst, j)
-        rows = _mul_rows(self.ring, "entry degree mismatch")
-        cols = [dict() for _ in range(src_off[-1])]
-        for (r, c), poly in self.diffs[t].items():
-            terms = [
-                (rows(u, j - src[c], j - dst[r]), coeff) for u, coeff in poly.items()
-            ]
-            base, off = src_off[c], dst_off[r]
-            for k in range(src_off[c + 1] - base):
-                col = cols[base + k]
-                for targets, coeff in terms:
-                    key = off + targets[k]
-                    col[key] = col.get(key, 0) + coeff
-        return [{k: v for k, v in c.items() if v} for c in cols]
 
-
-def _offsets(spec: WeightedRingSpec, gens: tuple[int, ...], j: int) -> list[int]:
-    out = [0]
-    for g in gens:
-        out.append(out[-1] + len(monomials(spec, j - g)))
-    return out
-
-
-def _mul_rows(spec: WeightedRingSpec, mismatch: str):
+def _mul_rows(spec: WeightedRingSpec):
     """Multiplication tables of one ring, each built once and kept for
     as long as the caller keeps `rows`.
 
     `rows(u, d, e)[k]` is the index of u·m_k in the degree-e monomial
     basis, m_k the k-th monomial of degree d.  A product outside that
-    basis (deg u + d != e) raises AssertionError(mismatch); an empty
+    basis (deg u + d != e) raises AssertionError("diagonal degree
+    mismatch"), since only `diagonal` expands through them; an empty
     degree-d basis gives an empty table and raises nothing.
     """
     memo = {}
@@ -130,7 +105,7 @@ def _mul_rows(spec: WeightedRingSpec, mismatch: str):
                     for m in monomials(spec, d)
                 )
             except KeyError:
-                raise AssertionError(mismatch) from None
+                raise AssertionError("diagonal degree mismatch") from None
             memo[key] = out
         return out
 
@@ -386,12 +361,13 @@ class DegreewiseComplex:
     the fine degrees of a monomial bigraded complex (`Strands`, from
     `diagonal`), the multidegree patterns of `diff_complex`
     (`DiffStrands`) or an extension's ranks (`ExtendedStrands`).  Such a
-    complex is built with `mats` None and `expand`, which builds the
-    matrices on first read, so one whose matrices nothing reads never
-    expands them.  `diagonal` also lists, in `summands`, (shift index m,
-    twist, multiplicity) per position.  Every other complex leaves the
-    last three fields None.  ValueError("empty window") when the window
-    has lo > hi."""
+    complex is built with `mats` None.  Only `diagonal` passes `expand`,
+    which builds the matrices on first read, so a diagonal whose
+    matrices nothing reads never expands them; a read of `mats` on the
+    other two raises AttributeError.  `diagonal` also lists, in
+    `summands`, (shift index m, twist, multiplicity) per position.
+    Every other complex leaves the last three fields None.
+    ValueError("empty window") when the window has lo > hi."""
 
     labels: list[str]
     dims: list[dict]
@@ -571,8 +547,7 @@ def _diag_basis(bi: BiFreeComplex, shift: int, term, j: int):
 def _diagonal_mats(bi: BiFreeComplex, shift: int, window: tuple[int, int]) -> list[dict]:
     """The scalar matrices of `diagonal(bi, shift, window)`, column-wise."""
     lo, hi = window
-    rowsA = _mul_rows(bi.ringA, "diagonal degree mismatch")
-    rowsB = _mul_rows(bi.ringB, "diagonal degree mismatch")
+    rowsA, rowsB = _mul_rows(bi.ringA), _mul_rows(bi.ringB)
     mats = []
     for t, entries in enumerate(bi.diffs):
         src, dst = bi.terms[t], bi.terms[t + 1]
@@ -701,8 +676,8 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
 
     The complex is ranked, and its dims counted, by multidegree pattern
     (`DiffStrands`), which builds every map once per pattern and so
-    raises at construction; `_diff_mats` builds the flat matrices, on
-    the Koszul matrices of each total degree, when `mats` is first read.
+    raises at construction.  It has no flat matrices: a read of `mats`
+    raises AttributeError.
     """
     if any(w != 1 for w in spec.weights):
         raise ValueError("diff_complex needs the standard grading")
@@ -716,91 +691,7 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
         None,
         window,
         strands=strands,
-        expand=partial(_diff_mats, spec, window),
     )
-
-
-def _diff_mats(spec: WeightedRingSpec, window: tuple[int, int]) -> list[dict]:
-    """The scalar matrices of `diff_complex(spec, window)`, column-wise,
-    over the kernel bases of `linalg.kernel_coordinates` on the Koszul
-    matrix of each total degree, one kernel per (i, degree)."""
-    n = len(spec.variables)
-    lo, hi = window
-    kos = koszul(spec)
-    kernels = {}
-
-    def kernel(i: int, s: int):
-        # ker d_i in total degree s (Koszul position n - i) as a basis and
-        # a function giving the nonzero coordinates of a vector in it
-        if (i, s) not in kernels:
-            if i == 0:  # S = Diff^0: a vector is its own coordinates
-                basis = [{k: 1} for k in range(len(monomials(spec, s)))]
-                coords = dict.items
-            else:
-                basis, coords = _kernel_reader(i, kos.matrix_at(n - i, s))
-            kernels[i, s] = basis, coords
-        return kernels[i, s]
-
-    # first map: s⊗top ↦ Σ_μ d_n(s·μ⊗top) ⊗ μ
-    first = {}
-    tops = monomials(spec, n - 1)
-    rows = _mul_rows(spec, "top map degree mismatch")
-    for j in range(lo, hi + 1):
-        src = monomials(spec, j - n)
-        if not src:
-            continue
-        coords = kernel(n - 1, j + n - 1)[1]
-        # the deepest koszul differential on (s·μ) ⊗ top, s·μ of degree j - 1
-        images = kos.matrix_at(0, j + n - 1)
-        prods = [rows(mu, j - n, j - 1) for mu in tops]
-        cols = []
-        for k_s in range(len(src)):
-            col = {}
-            for d, targets in enumerate(prods):
-                for k, v in coords(images[targets[k_s]]):
-                    col[k * len(tops) + d] = v
-            cols.append(col)
-        first[j] = cols
-    mats = [first]
-
-    # the contraction Diff^i⊗D(Sym^i) -> Diff^(i-1)⊗D(Sym^(i-1)); a kernel
-    # vector has coordinate sub_k * nmono + mono_k on e_sub ⊗ (S-monomial)
-    for i in range(n - 1, 0, -1):
-        tsub_idx = {s: k for k, s in enumerate(itertools.combinations(range(n), i - 1))}
-        tdual_idx = monomial_index(spec, i - 1)
-        duals = monomials(spec, i)
-        # per (wedge index, dual index): (sign, target wedge, target dual)
-        rule = [
-            [
-                [(sign, tsub_idx[rest], tdual_idx[low]) for sign, rest, low in _contract(sub, mu)]
-                for mu in duals
-            ]
-            for sub in itertools.combinations(range(n), i)
-        ]
-        step = {}
-        for j in range(lo, hi + 1):
-            basis = kernel(i, j + i)[0]
-            if not basis:
-                continue
-            coords = kernel(i - 1, j + i - 1)[1]
-            nmono = len(monomials(spec, j))  # wedge coordinates carry S-degree j
-            cols = []
-            for w in basis:
-                terms = [(divmod(flat, nmono), cval) for flat, cval in w.items()]
-                for mu_k in range(len(duals)):
-                    per_dual = {}
-                    for (sub_k, mono_k), cval in terms:
-                        for sign, r, d in rule[sub_k][mu_k]:
-                            _add(per_dual.setdefault(d, {}), r * nmono + mono_k, sign * cval)
-                    col = {}
-                    for d, vec in per_dual.items():
-                        if vec:
-                            for k, v in coords(vec):
-                                col[k * len(tdual_idx) + d] = v
-                    cols.append(col)
-            step[j] = cols
-        mats.append(step)
-    return mats
 
 
 def _add(vec: dict, key, value) -> None:
@@ -810,21 +701,6 @@ def _add(vec: dict, key, value) -> None:
         vec[key] = value
     else:
         vec.pop(key, None)
-
-
-def _kernel_reader(i: int, cols: list[dict]):
-    """`linalg.kernel_coordinates(cols)` for the Koszul differential d_i,
-    its reader raising AssertionError("map leaves the kernel of d_i")
-    where the plain reader returns None."""
-    basis, read = linalg.kernel_coordinates(cols)
-
-    def coords(vec):
-        found = read(vec)
-        if found is None:
-            raise AssertionError(f"map leaves the kernel of d_{i}")
-        return found
-
-    return basis, coords
 
 
 def _compositions(m: int, parts: int) -> int:
@@ -849,13 +725,25 @@ class DiffStrands:
     Combinatorial Commutative Algebra, GTM 227, ch. 1), so the block at
     β reads the kernel of d_i at the support of β + μ for each μ with
     β + μ >= 0, with the same vectors, in the order of its subsets, as
-    `_diff_mats` has at every α of that support.  The block therefore
-    depends only on β clipped to [1 - n, 1] in each coordinate: β_v >= 1
-    puts v in every support, and β_v < 1 - n does not occur, because μ
-    has degree at most n - 1.
+    the flat Koszul kernel of `kernel_of` in total degree |α| has at
+    every α of that support.  The block therefore depends only on β
+    clipped to [1 - n, 1] in each coordinate: β_v >= 1 puts v in every
+    support, and β_v < 1 - n does not occur, because μ has degree at
+    most n - 1.
 
-    A pattern p in [1 - n, 1]^n stands for the β with β_v = p_v where
-    p_v <= 0 and β_v >= 1 where p_v = 1; in total degree j there are
+    For n >= 2 a pattern with an entry p_v = 1 - n has every term
+    empty, so only [2 - n, 1]^n is walked.  Term 0 needs every β_v >= 1.
+    In term n - i, a_v >= 0 and μ of degree i <= n - 1 make
+    β_v = 1 - n force i = n - 1 and μ = (n - 1)e_v, so α = β + μ has
+    α_v = 0 and its support is at most the other n - 1 variables.  The
+    simplex complex on that support has no (n - 1)-face but the whole
+    support, and the top Koszul differential of a nonempty simplex is
+    injective (e_supp has a nonzero image on each facet), so
+    ker d_(n-1) = 0.  For n = 1 the entry 0 = 1 - n stays, since
+    Diff^0 = S is no such kernel; the walk is over [min(0, 2 - n), 1]^n.
+
+    A pattern p stands for the β with β_v = p_v where p_v <= 0 and
+    β_v >= 1 where p_v = 1; in total degree j there are
     `_compositions(j - Σ_(p_v <= 0) p_v, #{p_v = 1})` of them.  Each
     pattern that occurs in the window is built once: its basis per term,
     its maps (the kernel readers certify that every image lies in its
@@ -872,7 +760,7 @@ class DiffStrands:
         self.blocks = []  # per pattern: (basis size per term, columns per position)
         self.live = {j: [] for j in range(lo, hi + 1)}  # j -> [(block, count)]
         self._ranks = {}  # (block, position, char) -> rank
-        for p in itertools.product(range(1 - n, 2), repeat=n):
+        for p in itertools.product(range(min(0, 2 - n), 2), repeat=n):
             rest = sum(x for x in p if x < 1)
             counts = [(j, _compositions(j - rest, p.count(1))) for j in self.live]
             counts = [(j, k) for j, k in counts if k]
@@ -888,17 +776,18 @@ class DiffStrands:
     def _kernel(self, supp: tuple[int, ...], i: int):
         """ker d_i in a multidegree of support supp: the i-subsets of
         supp in order, their index, the kernel basis over them and its
-        coordinate reader."""
+        coordinate reader (`linalg.kernel_coordinates`)."""
         key = (supp, i)
         if key not in self._kernels:
             subs = list(itertools.combinations(supp, i))
             index = {s: k for k, s in enumerate(subs)}
             if i == 0:  # S = Diff^0: e_∅ is its own kernel
-                basis, coords = [{0: 1}], dict.items
+                basis, read = [{0: 1}], dict.items
             else:
                 faces = {s: k for k, s in enumerate(itertools.combinations(supp, i - 1))}
-                basis, coords = _kernel_reader(i, [_koszul_column(s, faces) for s in subs])
-            self._kernels[key] = subs, index, basis, coords
+                cols = [_koszul_column(s, faces) for s in subs]
+                basis, read = linalg.kernel_coordinates(cols)
+            self._kernels[key] = subs, index, basis, read
         return self._kernels[key]
 
     def _block(self, p: tuple[int, ...]):
@@ -927,8 +816,10 @@ class DiffStrands:
             col = {}
             for mu, vec in images.items():
                 if vec:
-                    _, _, _, coords = self._kernel(support(mu), i)
-                    for k, v in coords(vec):
+                    found = self._kernel(support(mu), i)[3](vec)
+                    if found is None:
+                        raise AssertionError(f"map leaves the kernel of d_{i}")
+                    for k, v in found:
                         col[bases[n - i][mu, k]] = v
             return col
 
@@ -1008,8 +899,8 @@ def extend_diagonal(c: DegreewiseComplex, specA: WeightedRingSpec) -> Degreewise
     """Tensor a one-sided degreewise complex with the other polynomial
     factor and take the (j, j) diagonal: the piece in degree j becomes
     A_j ⊗ (original piece in degree j).  It is ranked through c's ranks
-    (`ExtendedStrands`) and expands its matrices, from c's, only when
-    `mats` is first read."""
+    (`ExtendedStrands`) and has no flat matrices: a read of `mats`
+    raises AttributeError."""
     dims = []
     for table in c.dims:
         out = {}
@@ -1025,24 +916,4 @@ def extend_diagonal(c: DegreewiseComplex, specA: WeightedRingSpec) -> Degreewise
         None,
         c.window,
         strands=ExtendedStrands(c, specA),
-        expand=partial(_extended_mats, c, specA),
     )
-
-
-def _extended_mats(c: DegreewiseComplex, specA: WeightedRingSpec) -> list[dict]:
-    """The scalar matrices of `extend_diagonal(c, specA)`, column-wise."""
-    mats = []
-    for t, table in enumerate(c.mats):
-        out = {}
-        for j, cols in table.items():
-            da = len(monomials(specA, j))
-            if not da or not cols:
-                continue
-            nrows_orig = c.dim(t + 1, j)
-            newcols = []
-            for ia in range(da):
-                for col in cols:
-                    newcols.append({ia * nrows_orig + r: v for r, v in col.items()})
-            out[j] = newcols
-        mats.append(out)
-    return mats

@@ -325,36 +325,63 @@ def test_catalog_sequences_reject_an_empty_window():
 def test_diff_complex_pattern_ranks_match_flat_matrices(n, lo, width, char):
     """rank_at, dims and homology of diff_complex and of its extension
     over A2, ranked by multidegree pattern, against rank_of over the
-    expanded matrices; the last term S has the dims of S (times A_j)."""
+    flat matrices of `reference_diff_complex` and their expansion over
+    A2; the last term S has the dims of S (times A_j)."""
     spec = ring(tuple(f"y{i}" for i in range(n)), (1,) * n)
     window = (lo, lo + width)
     dc = diff_complex(spec, window)
-    for c, spread in ((dc, lambda j: 1), (extend_diagonal(dc, A2), lambda j: j + 1)):
+    ref = reference_diff_complex(spec, window)
+    for c, mats, spread in (
+        (dc, ref.mats, lambda j: 1),
+        (extend_diagonal(dc, A2), _extended(ref, A2), lambda j: j + 1),
+    ):
         got = {
             (t, j): (c.dim(t, j), c.rank_at(t, j, char))
             for t in range(len(c.dims))
             for j in range(lo, lo + width + 1)
         }
-        h = c.homology(char)
         last = len(c.dims) - 1
+        want_h = {}
         for (t, j), (dim, rank) in got.items():
-            cols = c.mats[t].get(j, []) if t < last else []
+            cols = mats[t].get(j, []) if t < last else []
             want = len(cols) if t < last else spread(j) * len(monomials(spec, j))
             assert dim == want, (t, j)
             assert rank == (linalg.rank_of(cols, char) if cols else 0), (t, j)
-        flat = DegreewiseComplex(c.labels, c.dims, c.mats, c.window)
-        assert flat.strands is None and h == flat.homology(char)
+            # the flat homology, from the same ranks: H = dim - rank - rank into t
+            k = dim - rank - got.get((t - 1, j), (0, 0))[1]
+            if k:
+                want_h[t, j] = k
+        assert c.homology(char) == want_h
 
 
-def test_contraction_homology_reads_no_flat_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("flat matrices expanded")
+def _extended(c, spec):
+    """The flat matrices of extend_diagonal(c, spec) from c's: in degree
+    j, each column of c once per monomial ia of A_j, its rows offset by
+    ia times c's row count."""
+    mats = []
+    for t, table in enumerate(c.mats):
+        out = {}
+        for j, cols in table.items():
+            rows, da = c.dim(t + 1, j), len(monomials(spec, j))
+            if da:
+                out[j] = [
+                    {ia * rows + r: v for r, v in col.items()} for ia in range(da) for col in cols
+                ]
+        mats.append(out)
+    return mats
 
-    monkeypatch.setattr(complexes, "_diff_mats", refuse)
-    monkeypatch.setattr(complexes, "_extended_mats", refuse)
+
+def test_kernel_complexes_are_rank_only():
+    """diff_complex and its extension (claim 3's complex) have no flat
+    matrices, and contraction-suite ranks by pattern over Q, F_2 and F_3
+    alike."""
+    seq = catalog.claim3_core_sequence((0, 5))
+    for c in (diff_complex(XYZ, (0, 5)), seq.complex):
+        with pytest.raises(AttributeError, match="mats"):
+            c.mats
     arts = [cli.check_contraction_suite({"window": 10, "char": p}) for p in (0, 2, 3)]
     assert arts[0]["pass"] and arts[1] == arts[0] and arts[2] == arts[0]
-    assert catalog.claim3_core_sequence((0, 5)).verify()["exact"]
+    assert seq.verify()["exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +389,8 @@ def test_contraction_homology_reads_no_flat_matrix(monkeypatch):
 
 
 def _matrix_at_reference(c, t, j):
-    """FreeComplex.matrix_at as one mono_mul and index lookup per term."""
+    """The scalar columns of c.diffs[t] in internal degree j, one
+    mono_mul and index lookup per term."""
     src, dst = c.terms[t], c.terms[t + 1]
 
     def offsets(gens):
@@ -500,23 +528,23 @@ drawn_complexes = (
 
 
 def _drawn_complex(wa, wb, kind, twist, thr_a, thr_b):
-    """A bigraded complex from Koszul complexes on drawn weights, and the
-    (twisted) Koszul complex of its first factor."""
+    """A bigraded complex from Koszul complexes on drawn weights, the
+    first one twisted."""
     A = ring(tuple(f"a{i}" for i in range(len(wa))), tuple(wa))
     B = ring(tuple(f"b{i}" for i in range(len(wb))), tuple(wb))
     kA, kB = koszul(A).twist(twist), koszul(B)
     if kind == "tensor":
-        return tensor(kA, kB), kA
+        return tensor(kA, kB)
     if kind == "glue":
         sA = truncate_split(kA, lambda g: g >= thr_a)
         sB = truncate_split(kB, lambda g: g >= thr_b)
         try:
-            return glue_split_tensor(sA, sB), kA
+            return glue_split_tensor(sA, sB)
         except ValueError:
             assume(False)
     if kind == "bifyA":
-        return bify(kA, B, "A"), kA
-    return bify(kB, A, "B"), kA
+        return bify(kA, B, "A")
+    return bify(kB, A, "B")
 
 
 @settings(max_examples=30, deadline=None)
@@ -524,13 +552,8 @@ def _drawn_complex(wa, wb, kind, twist, thr_a, thr_b):
 def test_diagonal_tables_match_reference_on_random_complexes(
     wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
 ):
-    bi, kA = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
+    bi = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
     _assert_diagonal_matches(bi, shift, (lo, lo + width))
-    for t in range(len(kA.diffs)):
-        for j in range(lo, lo + width + 1):
-            assert [list(c.items()) for c in kA.matrix_at(t, j)] == [
-                list(c.items()) for c in _matrix_at_reference(kA, t, j)
-            ]
 
 
 def test_misdegreed_entries_still_raise():
@@ -545,13 +568,6 @@ def test_misdegreed_entries_still_raise():
         _diagonal_reference(bad, 0, (0, 3))
     with pytest.raises(AssertionError, match="diagonal degree mismatch"):
         diagonal(bad, 0, (0, 3))
-    k = koszul(a)
-    kdiffs = [dict(d) for d in k.diffs]
-    rc, poly = next(iter(kdiffs[-1].items()))
-    kdiffs[-1][rc] = {tuple(2 * e for e in u): v for u, v in poly.items()}
-    badk = FreeComplex(a, k.terms, kdiffs)
-    with pytest.raises(AssertionError, match="entry degree mismatch"):
-        badk.matrix_at(len(kdiffs) - 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +729,7 @@ def test_strand_ranks_match_expanded_ranks_on_bundled_diagonals():
 def test_strand_ranks_match_expanded_ranks_on_random_complexes(
     wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
 ):
-    bi, _ = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
+    bi = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
     _assert_strand_ranks(diagonal(bi, shift, (lo, lo + width)))
 
 
@@ -877,7 +893,7 @@ def test_broken_complex_without_strands_raises_degreewise():
 def test_strand_certificate_implies_the_degreewise_check(
     wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
 ):
-    bi, _ = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
+    bi = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
     diagonal(bi, shift, (lo, lo + width)).assert_dd()
 
 
@@ -899,30 +915,6 @@ def test_manifest_sequences_skip_the_degreewise_check(monkeypatch):
     cli.check_koszul_diagonal_suite({})
     assert len(built) == 3 + 12 and None not in built
     assert all(s is None for s in checked)
-
-
-def test_diff_complex_builds_top_koszul_matrix_once_per_degree(monkeypatch):
-    built = Counter()
-    real = FreeComplex.matrix_at
-
-    def counted(self, t, j):
-        built[(t, j)] += 1
-        return real(self, t, j)
-
-    monkeypatch.setattr(FreeComplex, "matrix_at", counted)
-    for n in (1, 2, 3):
-        built.clear()
-        spec = ring(tuple(f"y{i}" for i in range(n)), (1,) * n)
-        dc = diff_complex(spec, (0, 5))
-        assert dc.homology() == {(n, 0): 1}
-        # the pattern blocks build their own simplex kernels
-        assert not built
-        assert dc.mats
-        top = {j: k for (t, j), k in built.items() if t == 0}
-        assert top and max(top.values()) == 1
-        # every Koszul position: one kernel cache per call
-        assert {t for t, _ in built} == set(range(n))
-        assert max(built.values()) == 1
 
 
 def _reference_sym_monomials(n, d):
@@ -980,14 +972,14 @@ def reference_diff_complex(spec, window):
             {j: len(monomials(spec, j - 1)) for j in range(lo, hi + 1) if j >= 1},
             {j: len(monomials(spec, j)) for j in range(lo, hi + 1) if j >= 0},
         ]
-        mats = [{j: kos.matrix_at(0, j) for j in range(max(lo, 1), hi + 1)}]
+        mats = [{j: _matrix_at_reference(kos, 0, j) for j in range(max(lo, 1), hi + 1)}]
         return DegreewiseComplex(["Sxwedge^1", "S"], dims, mats, window)
 
     @lru_cache(maxsize=None)
     def kernel_basis(i, s):
         # kernel of d_i : S⊗wedge^i -> S⊗wedge^(i-1) in S-degree s,
         # positions n-i -> n-i+1 in the koszul complex
-        return linalg.kernel_of(kos.matrix_at(n - i, s))
+        return linalg.kernel_of(_matrix_at_reference(kos, n - i, s))
 
     @lru_cache(maxsize=None)
     def kernel_solver(i, s):
@@ -1015,14 +1007,14 @@ def reference_diff_complex(spec, window):
     # first map: s⊗top ↦ Σ_i d_n(s·m_i ⊗ top) ⊗ μ_i
     first = {}
     sym_top = _reference_sym_monomials(n, n - 1)
-    rows = complexes._mul_rows(spec, "top map degree mismatch")
+    rows = complexes._mul_rows(spec)
     for j in range(lo, hi + 1):
         src = monomials(spec, j - n)
         if not src:
             continue
         solver = kernel_solver(n - 1, j + n - 1)
         nduals = len(sym_top)
-        images = kos.matrix_at(0, j + n - 1)
+        images = _matrix_at_reference(kos, 0, j + n - 1)
         prods = [rows(mi, j - n, j - 1) for mi in sym_top]
         cols = []
         for k_s in range(len(src)):
@@ -1125,11 +1117,18 @@ def _contraction_fields(c):
 
 
 def test_contraction_complexes_match_reference():
+    """diff_complex's labels, dims and homology (over Q and F_3), and
+    every field of alpha_complex, against the reference builders."""
     for n in (1, 2, 3, 4):
         spec = ring(tuple(f"y{i}" for i in range(n)), (1,) * n)
         for window in ((-2, 5), (n + 1, 10)):
             got, want = diff_complex(spec, window), reference_diff_complex(spec, window)
-            assert _contraction_fields(got) == _contraction_fields(want), (n, window)
+            assert got.labels == want.labels, (n, window)
+            assert [list(d.items()) for d in got.dims] == [
+                list(d.items()) for d in want.dims
+            ], (n, window)
+            for char in (0, 3):
+                assert got.homology(char) == want.homology(char), (n, window, char)
         for m in range(-6, 7):
             got, want = alpha_complex(n, m), reference_alpha_complex(n, m)
             assert _contraction_fields(got) == _contraction_fields(want), (n, m)
