@@ -134,7 +134,9 @@ def sink_sequence_at_omega(window) -> NamedSequence:
     The splice of the second-factor Koszul diagonal at shift -1 with the
     first-factor Koszul diagonal at shift 1 is exact; its co-image part
     is the sink sequence ending in the canonical module, with the second
-    syzygy as the left end.
+    syzygy as the left end.  The two join at M_-1, a term of one
+    generator, so the splice is taken on the bigraded complexes and the
+    sequence is ranked by fine-degree strands like the diagonals.
     """
     left = koszul_diagonal("k2_k3", 2, -1, window)
     right = koszul_diagonal("k2_k3", 1, 1, window)
@@ -146,13 +148,17 @@ def sink_sequence_at_syzygy2(window) -> NamedSequence:
 
     Built by splicing the first-factor Koszul diagonal at shift 2
     (twisted down by 3) into the second-factor Koszul diagonal at shift
-    -1, then cutting at the image term.
+    -1, then cutting at the image term.  Twist and splice are taken on
+    the bigraded complexes, and the cut keeps the strands of the splice:
+    the image term's dims are the rational ranks of the map into it, so
+    over F_p its homology is rank_Q - rank_p of that map.
     """
     lo, hi = window
     left = koszul_diagonal("k2_k3", 1, 2, (lo - 3, hi - 3)).twisted(-3)
     right = koszul_diagonal("k2_k3", 2, -1, window)
     s = left.spliced(right)
-    cut = DegreewiseComplex(s.labels[:4], s.dims[:4], s.mats[:3], s.window).image_truncated()
+    cut = DegreewiseComplex(s.labels[:4], s.dims[:4], None, s.window, strands=s.strands)
+    cut = cut.image_truncated()
     return NamedSequence("sink sequence at the second syzygy", cut, None)
 
 

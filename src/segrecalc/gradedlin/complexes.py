@@ -6,31 +6,31 @@ Complexes come in three layers.  `FreeComplex` is a symbolic complex of
 free modules over one weighted ring (polynomial differential entries).
 `BiFreeComplex` is the bigraded analogue over a pair of rings.
 `DegreewiseComplex` is the degreewise object: per internal degree,
-dimensions and explicit scalar matrices; homology is computed by exact
-rank calculations, and d∘d = 0 is asserted when one is built.
+dimensions and a way to rank each differential; homology is computed by
+exact rank calculations, and d∘d = 0 is certified when one is built.
 
-When every differential entry of a bigraded complex is a single
-monomial pair, its diagonal is graded by the full exponent lattice
-Z^n × Z^m, and `diagonal` attaches the fine degrees (`strands.Strands`):
-the rank of a differential in a degree is then a sum over fine-degree
-blocks, each distinct block ranked once per complex, and d∘d = 0 is
-checked once, on the scalar differentials.  `diff_complex` is graded
-by Z^n in the same way, and is ranked by multidegree pattern
-(`DiffStrands`): each pattern's block is built, checked and ranked once
-per field, and counted with the number of multidegrees it stands for.
-`extend_diagonal` ranks its complex through the ranks of the one it
-extends (`ExtendedStrands`).  These two have ranks and dims only, and a
-read of their `mats` raises AttributeError.  `diagonal` expands its
-scalar matrices only when something reads `mats` (twists, splices, the
-image term of a sink sequence, a test against the reference
-expansion).  Every other complex is built with its matrices and ranked
-and checked as one matrix per differential and degree.
+A degreewise complex is flat or stranded from construction.  A flat one
+carries its scalar matrices and is ranked one matrix per differential
+and degree; only `alpha_complex` (and tests) build them.  A stranded one
+has `mats` None and ranks through its `strands`:
 
-The diagonal's scalar matrices are expanded through multiplication
-tables built once per call (`_mul_rows`), one per factor, since the row
-of (ua·mA)⊗(ub·mB) splits into an A part and a B part: for an entry
-monomial u and a source and target degree, one tuple holds the target
-index of u·m for every source monomial m.
+- `diagonal` takes a bigraded complex whose differential entries are
+  single monomial pairs.  Its diagonal is graded by the full exponent
+  lattice Z^n × Z^m (`strands.Strands`): the rank of a differential in a
+  degree is a sum over fine-degree blocks, each distinct block ranked
+  once per complex, and d∘d = 0 is checked once, on the scalar
+  differentials.  Any other bigraded complex raises ValueError.
+- `twisted`, `spliced` and `image_truncated` act on the bigraded complex
+  that a `Strands` keeps, so the sink sequences of `catalog`, spliced
+  from two Koszul diagonals at a term of one generator, are stranded
+  too.  The image term keeps the strands and takes the rational ranks
+  of the map into it as its dims, so over F_p its homology is
+  rank_Q − rank_p of that map.
+- `diff_complex` is graded by Z^n in the same way and is ranked by
+  multidegree pattern (`DiffStrands`): each pattern's block is built,
+  checked and ranked once per field, and counted with the number of
+  multidegrees it stands for.  `extend_diagonal` ranks its complex
+  through the ranks of the one it extends (`ExtendedStrands`).
 
 Both contraction complexes take their contractions from one rule,
 `_contract`.  In `diff_complex`, d_0 = 0 makes S = Diff^0, so the map
@@ -46,13 +46,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
-from typing import Callable
-
 from .. import linalg
 from ..hilbert import WeightedRingSpec, ring
-from .poly import Mono, monomials, monomial_index, variable
+from .poly import Mono, mono_mul, monomials, variable
 from .strands import Strands
 
 
@@ -80,36 +78,6 @@ class FreeComplex:
     def twist(self, l: int) -> "FreeComplex":
         terms = [tuple(g - l for g in t) for t in self.terms]
         return FreeComplex(self.ring, terms, self.diffs)
-
-
-def _mul_rows(spec: WeightedRingSpec):
-    """Multiplication tables of one ring, each built once and kept for
-    as long as the caller keeps `rows`.
-
-    `rows(u, d, e)[k]` is the index of u·m_k in the degree-e monomial
-    basis, m_k the k-th monomial of degree d.  A product outside that
-    basis (deg u + d != e) raises AssertionError("diagonal degree
-    mismatch"), since only `diagonal` expands through them; an empty
-    degree-d basis gives an empty table and raises nothing.
-    """
-    memo = {}
-
-    def rows(u: Mono, d: int, e: int) -> tuple[int, ...]:
-        key = (u, d, e)
-        out = memo.get(key)
-        if out is None:
-            index = monomial_index(spec, e)
-            try:
-                out = tuple(
-                    index[tuple(x + y for x, y in zip(u, m))]
-                    for m in monomials(spec, d)
-                )
-            except KeyError:
-                raise AssertionError("diagonal degree mismatch") from None
-            memo[key] = out
-        return out
-
-    return rows
 
 
 def koszul(spec: WeightedRingSpec) -> FreeComplex:
@@ -344,30 +312,36 @@ def bify(c: FreeComplex, other: WeightedRingSpec, side: str) -> BiFreeComplex:
 
 
 # ---------------------------------------------------------------------------
-# fully expanded complexes
+# degreewise complexes
 
 
 @dataclass
 class DegreewiseComplex:
     """Complex of graded pieces: per position a degree->dim table and a
-    human-readable label, per adjacent pair and internal degree a scalar
-    matrix (stored column-wise).  d∘d = 0 is asserted at construction:
-    by whatever builds the strands when the complex has them (an
-    extension's holds by its inner complex's), else by `assert_dd`
-    degree by degree on the window.
+    human-readable label, and a way to rank each differential in each
+    internal degree.  A complex is flat or stranded from construction.
 
-    `strands` ranks the differentials through `rank(t, j, char, dim)`,
-    which raises AssertionError unless its blocks cover the dim columns:
-    the fine degrees of a monomial bigraded complex (`Strands`, from
-    `diagonal`), the multidegree patterns of `diff_complex`
-    (`DiffStrands`) or an extension's ranks (`ExtendedStrands`).  Such a
-    complex is built with `mats` None.  Only `diagonal` passes `expand`,
-    which builds the matrices on first read, so a diagonal whose
-    matrices nothing reads never expands them; a read of `mats` on the
-    other two raises AttributeError.  `diagonal` also lists, in
-    `summands`, (shift index m, twist, multiplicity) per position.
-    Every other complex leaves the last three fields None.
-    ValueError("empty window") when the window has lo > hi."""
+    A flat complex has `mats`, per adjacent pair and internal degree a
+    scalar matrix (stored column-wise); it is ranked one matrix at a
+    time, and `assert_dd` checks d∘d = 0 on it, degree by degree on the
+    window, when it is built.  Only `alpha_complex` and the tests build
+    flat complexes.
+
+    A stranded complex has `mats` None and `strands`, which ranks the
+    differentials through `rank(t, j, char, dim)` and raises
+    AssertionError unless its blocks cover the dim columns: the fine
+    degrees of a monomial bigraded complex (`Strands`, from `diagonal`
+    and the three operations below), the multidegree patterns of
+    `diff_complex` (`DiffStrands`) or an extension's ranks
+    (`ExtendedStrands`).  Whatever builds the strands checks d∘d = 0 (an
+    extension's holds by its inner complex's).  `twisted`, `spliced` and
+    `image_truncated` work on the bigraded complex of a `Strands`, and
+    raise ValueError naming themselves on any other complex.  `diagonal`
+    also lists, in `summands`, (shift index m, twist, multiplicity) per
+    position; every other complex leaves it None.
+    ValueError("empty window") when the window has lo > hi, and
+    ValueError when the complex has both or neither of `mats` and
+    `strands`."""
 
     labels: list[str]
     dims: list[dict]
@@ -377,23 +351,15 @@ class DegreewiseComplex:
     strands: Strands | DiffStrands | ExtendedStrands | None = field(
         default=None, compare=False, repr=False
     )
-    expand: Callable[[], list[dict]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         lo, hi = self.window
         if lo > hi:
             raise ValueError("empty window")
-        if self.mats is None:
-            del self.mats  # `__getattr__` builds it
+        if (self.mats is None) == (self.strands is None):
+            raise ValueError("a complex is flat (mats) or stranded (strands), not both or neither")
         if self.strands is None:
             self.assert_dd()
-
-    def __getattr__(self, name):
-        # reached only while `mats` is unbuilt
-        if name != "mats" or self.expand is None:
-            raise AttributeError(name)
-        self.mats = self.expand()
-        return self.mats
 
     def dim(self, t: int, j: int) -> int:
         return self.dims[t].get(j, 0)
@@ -438,56 +404,98 @@ class DegreewiseComplex:
                     out[(t, j)] = h
         return out
 
+    def _source(self, op: str) -> Strands:
+        if not isinstance(self.strands, Strands):
+            raise ValueError(f"{op} needs a complex stranded from a bigraded complex")
+        return self.strands
+
     def twisted(self, s: int) -> "DegreewiseComplex":
         """Degree shift: the twisted complex has piece at j equal to the
-        original piece at j + s."""
+        original piece at j + s.  It is the diagonal of the bigraded
+        complex with every twist pair (a, b) replaced by (a - s, b - s)."""
+        src = self._source("twisted")
+        bi = src.bi
+        terms = [tuple((a - s, b - s) for a, b in term) for term in bi.terms]
         lo, hi = self.window
-        dims = [{j - s: v for j, v in d.items()} for d in self.dims]
-        mats = [{j - s: m for j, m in mm.items()} for mm in self.mats]
         return DegreewiseComplex(
-            [f"{l}({s})" if s else l for l in self.labels], dims, mats, (lo - s, hi - s)
+            [f"{l}({s})" if s else l for l in self.labels],
+            [{j - s: v for j, v in d.items()} for d in self.dims],
+            None,
+            (lo - s, hi - s),
+            strands=Strands.of(BiFreeComplex(bi.ringA, bi.ringB, terms, bi.diffs), src.shift),
         )
 
     def spliced(self, other: "DegreewiseComplex") -> "DegreewiseComplex":
         """Splice through a shared term: the last term of self must agree
         with the first term of other, and the junction map becomes the
-        composite through it."""
+        composite through it.
+
+        Both are diagonals of bigraded complexes.  Adding
+        self.shift - other.shift to the A twist of every generator of
+        other writes other as a diagonal at self's shift, piece for piece;
+        the two terms being joined must then be equal, else
+        ValueError("splice terms differ").  The composite is taken entry
+        by entry on the bigraded maps, and the result is the diagonal of
+        the spliced bigraded complex on the intersection of the windows."""
+        a, b = self._source("spliced"), other._source("spliced")
+        n = len(self.dims) - 1
+        da = a.shift - b.shift
+        rest = [tuple((x + da, y) for x, y in term) for term in b.bi.terms]
+        if a.specs != b.specs or a.bi.terms[n] != rest[0]:
+            raise ValueError("splice terms differ")
+        bi = BiFreeComplex(
+            *a.specs,
+            a.bi.terms[:n] + rest[1:],
+            a.bi.diffs[: n - 1] + [_composite(a.bi.diffs[n - 1], b.bi.diffs[0])] + b.bi.diffs[1:],
+        )
         (lo_a, hi_a), (lo_b, hi_b) = self.window, other.window
-        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-        for j in range(lo, hi + 1):
-            if self.dim(len(self.dims) - 1, j) != other.dim(0, j):
-                raise ValueError("splice terms differ")
-        junction = {}
-        for j in range(lo, hi + 1):
-            a = self.mats[-1].get(j, [])
-            b = other.mats[0].get(j, [])
-            if a:
-                junction[j] = linalg.compose(b, a) if b else [dict() for _ in a]
-        labels = self.labels[:-1] + other.labels[1:]
-        dims = self.dims[:-1] + other.dims[1:]
-        mats = self.mats[:-1] + [junction] + other.mats[1:]
-        return DegreewiseComplex(labels, dims, mats, (lo, hi))
+        return DegreewiseComplex(
+            self.labels[:-1] + other.labels[1:],
+            self.dims[:-1] + other.dims[1:],
+            None,
+            (max(lo_a, lo_b), min(hi_a, hi_b)),
+            strands=Strands.of(bi, a.shift),
+        )
 
     def image_truncated(self) -> "DegreewiseComplex":
-        """Replace the final term by the image of the final map: in each
-        degree, the accepted columns of one tracked elimination are its
-        basis, and every column's coordinates over them give the map."""
+        """Replace the final term by the image of the final map: its dims
+        are the rational ranks of that map, and the strands stay.  Over
+        F_p the homology at the image term is therefore rank_Q - rank_p
+        of the final map, which is zero exactly when the map keeps its
+        rational rank mod p."""
+        self._source("image_truncated")
         lo, hi = self.window
-        dims = dict()
-        mats = {}
+        t = len(self.dims) - 2
+        dims = {}
         for j in range(lo, hi + 1):
-            cols = self.mats[-1].get(j, [])
-            ech = linalg.Echelon(track=True)
-            for c in cols:
-                # the tag is the column's position in the basis if accepted
-                ech.add(c, tag=ech.rank)
-            if ech.rank:
-                dims[j] = ech.rank
-                mats[j] = [dict(sorted(ech.coordinates(c).items())) for c in cols]
-        labels = self.labels[:-1] + [f"im({self.labels[-1]})"]
+            r = self.rank_at(t, j)
+            if r:
+                dims[j] = r
         return DegreewiseComplex(
-            labels, self.dims[:-1] + [dims], self.mats[:-1] + [mats], self.window
+            self.labels[:-1] + [f"im({self.labels[-1]})"],
+            self.dims[:-1] + [dims],
+            None,
+            self.window,
+            strands=self.strands,
         )
+
+
+def _composite(first: dict, second: dict) -> dict:
+    """The entries of second∘first for two bigraded maps given by their
+    entries: (r, c) is the sum over k of second[r, k]·first[k, c], each
+    product a product of monomial pairs."""
+    into = {}  # k -> [(c, first[k, c])]
+    for (k, c), poly in first.items():
+        into.setdefault(k, []).append((c, poly))
+    out = {}
+    for (r, k), outer in second.items():
+        for c, inner in into.get(k, ()):
+            entry = out.setdefault((r, c), {})
+            for (ua, ub), x in inner.items():
+                for (va, vb), y in outer.items():
+                    u = (mono_mul(ua, va), mono_mul(ub, vb))
+                    entry[u] = entry.get(u, 0) + x * y
+    return out
 
 
 def diagonal(
@@ -498,12 +506,14 @@ def diagonal(
     A bigraded free summand S(-a, -b) restricts to the diagonal module
     M_(shift + b - a) twisted by -b; labels record that identification.
 
-    The scalar matrices are expanded by `_diagonal_mats` when `mats` is
-    first read.  A complex without strands reads them at once, in
-    `assert_dd`; one with strands ranks and checks d∘d without them, and
-    its degree certificate is `Strands.of`: the twists agree with the fine
-    degrees exactly when every nonzero entry u from S(-a, -b) to
-    S(-a', -b') has degree (a - a', b - b').
+    The diagonal is stranded (`Strands.of`): it is ranked by fine-degree
+    blocks and checked for d∘d = 0 once, and no scalar matrix of it is
+    ever built.  A bigraded complex whose nonzero entries are not single
+    monomial pairs with consistent fine degrees has no strands, and
+    `Strands.of` raises ValueError for it.  Its degree certificate is
+    that the twists agree with the fine degrees, which holds exactly when
+    every nonzero entry u from S(-a, -b) to S(-a', -b') has degree
+    (a - a', b - b').
     """
     lo, hi = window
     dims = []
@@ -512,9 +522,12 @@ def diagonal(
     for term in bi.terms:
         table = {}
         for j in range(lo, hi + 1):
-            offs, _ = _diag_basis(bi, shift, term, j)
-            if offs[-1]:
-                table[j] = offs[-1]
+            d = sum(
+                len(monomials(bi.ringA, shift + j - a)) * len(monomials(bi.ringB, j - b))
+                for (a, b) in term
+            )
+            if d:
+                table[j] = d
         dims.append(table)
         labels.append(_diag_label(term, shift))
         summ = {}
@@ -523,72 +536,8 @@ def diagonal(
             summ[key] = summ.get(key, 0) + 1
         structured.append(sorted((m, tw, k) for (m, tw), k in summ.items()))
     return DegreewiseComplex(
-        labels,
-        dims,
-        None,
-        window,
-        summands=structured,
-        strands=Strands.of(bi, shift),
-        expand=partial(_diagonal_mats, bi, shift, window),
+        labels, dims, None, window, summands=structured, strands=Strands.of(bi, shift)
     )
-
-
-def _diag_basis(bi: BiFreeComplex, shift: int, term, j: int):
-    offs = [0]
-    blocks = []
-    for (a, b) in term:
-        ma = monomials(bi.ringA, shift + j - a)
-        mb = monomials(bi.ringB, j - b)
-        blocks.append((ma, mb))
-        offs.append(offs[-1] + len(ma) * len(mb))
-    return offs, blocks
-
-
-def _diagonal_mats(bi: BiFreeComplex, shift: int, window: tuple[int, int]) -> list[dict]:
-    """The scalar matrices of `diagonal(bi, shift, window)`, column-wise."""
-    lo, hi = window
-    rowsA, rowsB = _mul_rows(bi.ringA), _mul_rows(bi.ringB)
-    mats = []
-    for t, entries in enumerate(bi.diffs):
-        src, dst = bi.terms[t], bi.terms[t + 1]
-        table = {}
-        for j in range(lo, hi + 1):
-            soffs, sblocks = _diag_basis(bi, shift, src, j)
-            doffs, dblocks = _diag_basis(bi, shift, dst, j)
-            if soffs[-1] == 0:
-                continue
-            cols = [dict() for _ in range(soffs[-1])]
-            for (r, c), poly in entries.items():
-                ma, mb = sblocks[c]
-                if not ma or not mb:
-                    continue
-                # the row of (ua·mA) ⊗ (ub·mB) is doffs[r] + ra·len(tb) + rb,
-                # ra from the A table of ua and rb from the B table of ub;
-                # a zero term adds nothing and has no degree to check
-                (a, b), (a2, b2) = src[c], dst[r]
-                tib = len(dblocks[r][1])
-                terms = []
-                for (ua, ub), coeff in poly.items():
-                    if not coeff:
-                        continue
-                    ras = rowsA(ua, shift + j - a, shift + j - a2)
-                    rbs = rowsB(ub, j - b, j - b2)
-                    terms.append(([doffs[r] + ra * tib for ra in ras], rbs, coeff))
-                base, nb = soffs[c], len(mb)
-                for ia in range(len(ma)):
-                    at_ia = [(keys[ia], rbs, coeff) for keys, rbs, coeff in terms]
-                    for ib in range(nb):
-                        col = cols[base + ia * nb + ib]
-                        for ka, rbs, coeff in at_ia:
-                            key = ka + rbs[ib]
-                            val = col.get(key, 0) + coeff
-                            if val:
-                                col[key] = val
-                            elif key in col:
-                                del col[key]
-            table[j] = cols
-        mats.append(table)
-    return mats
 
 
 def _diag_label(term, shift: int) -> str:
@@ -676,8 +625,7 @@ def diff_complex(spec: WeightedRingSpec, window: tuple[int, int]) -> DegreewiseC
 
     The complex is ranked, and its dims counted, by multidegree pattern
     (`DiffStrands`), which builds every map once per pattern and so
-    raises at construction.  It has no flat matrices: a read of `mats`
-    raises AttributeError.
+    raises at construction.  It is stranded: `mats` is None.
     """
     if any(w != 1 for w in spec.weights):
         raise ValueError("diff_complex needs the standard grading")
@@ -899,8 +847,7 @@ def extend_diagonal(c: DegreewiseComplex, specA: WeightedRingSpec) -> Degreewise
     """Tensor a one-sided degreewise complex with the other polynomial
     factor and take the (j, j) diagonal: the piece in degree j becomes
     A_j ⊗ (original piece in degree j).  It is ranked through c's ranks
-    (`ExtendedStrands`) and has no flat matrices: a read of `mats`
-    raises AttributeError."""
+    (`ExtendedStrands`) and is stranded: `mats` is None."""
     dims = []
     for table in c.dims:
         out = {}

@@ -53,10 +53,13 @@ from .poly import mono_mul, monomial_codes, monomials
 class Strands:
     """Fine degrees of one bigraded complex, built by `of`, and the block
     ranks of its diagonal, each computed once per (position, column
-    mask, field)."""
+    mask, field).  `bi` is that complex and `shift` its diagonal, so the
+    operations of `complexes.DegreewiseComplex` (twist, splice, image
+    term) build their strands from it."""
 
-    def __init__(self, specs, shift, cols, parts):
-        self.specs = specs
+    def __init__(self, bi, shift, cols, parts):
+        self.bi = bi
+        self.specs = (bi.ringA, bi.ringB)
         self.shift = shift
         self.cols = cols  # cols[t][c] = {r: coefficient}, the columns of D_t
         # parts[t]: per component, its twist constants (a - wA·f_A, b - wB·f_B)
@@ -65,12 +68,13 @@ class Strands:
         self._ranks = {}  # (t, column mask, char) -> rank of the block
 
     @classmethod
-    def of(cls, bi, shift: int) -> Strands | None:
+    def of(cls, bi, shift: int) -> Strands:
         """The strands of `diagonal(bi, shift, ·)` for a `BiFreeComplex`
-        bi; None when an entry is not a single monomial pair or the fine
-        degrees disagree.  Raises AssertionError when a product
-        D_(t+1)·D_t of the scalar columns is not zero, or when an entry's
-        degree is not the difference of its twists."""
+        bi.  Raises ValueError when an entry is not a single monomial pair
+        or two paths give one generator two fine degrees (bi has no
+        strands), and AssertionError when a product D_(t+1)·D_t of the
+        scalar columns is not zero, or when an entry's degree is not the
+        difference of its twists."""
         n = len(bi.ringA.variables)
         cols = [[dict() for _ in term] for term in bi.terms]
         edges = {}  # generator -> [(neighbour, its fine degree minus ours)]
@@ -80,7 +84,7 @@ class Strands:
                 if not terms:
                     continue
                 if len(terms) > 1:
-                    return None
+                    raise ValueError("no strands: an entry is not a single monomial pair")
                 ((ua, ub), v), = terms
                 cols[t][c][r] = v
                 step = ua + ub
@@ -101,7 +105,7 @@ class Strands:
                             fine[other], comp[other] = f, comp[node]
                             stack.append(other)
                         elif fine[other] != f:
-                            return None
+                            raise ValueError("no strands: a generator has two fine degrees")
         for t in range(len(cols) - 1):
             if any(linalg.compose(cols[t + 1], cols[t])):
                 raise AssertionError(f"d∘d != 0 at position {t} (scalar strand matrices)")
@@ -122,7 +126,7 @@ class Strands:
                 side_a[(fa, da)] = side_a.get((fa, da), 0) | 1 << c
                 side_b[(fb, db)] = side_b.get((fb, db), 0) | 1 << c
             parts.append([(consts[k], sa, sb) for k, (sa, sb) in groups.items()])
-        return cls((bi.ringA, bi.ringB), shift, cols, parts)
+        return cls(bi, shift, cols, parts)
 
     def table(self, t: int, j: int) -> Counter:
         """{column mask: number of fine degrees κ} at position t, degree j:

@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import hilbert
 from .hilbert import WeightedRingSpec
 
 
@@ -327,11 +326,6 @@ class VeroneseSideData:
 
     def component_degree(self, r: int, s: int, n: int) -> int:
         return self.order * n + s - r
-
-
-# Segre products with a one-variable standard factor are the identity:
-# k[t] has a one-dimensional piece in every degree
-TRIVIAL_SIDE = VeroneseSideData(hilbert.ring(("t",), (1,)))
 
 
 def _monomial_codes(spec: WeightedRingSpec | None, d: int, base: int):

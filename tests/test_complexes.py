@@ -377,15 +377,61 @@ def test_kernel_complexes_are_rank_only():
     alike."""
     seq = catalog.claim3_core_sequence((0, 5))
     for c in (diff_complex(XYZ, (0, 5)), seq.complex):
-        with pytest.raises(AttributeError, match="mats"):
-            c.mats
+        assert c.mats is None and c.strands is not None
     arts = [cli.check_contraction_suite({"window": 10, "char": p}) for p in (0, 2, 3)]
     assert arts[0]["pass"] and arts[1] == arts[0] and arts[2] == arts[0]
     assert seq.verify()["exact"]
 
 
+def test_repr_and_eq_of_every_catalog_complex_rank_nothing(monkeypatch):
+    """repr() and == return on every kind of complex the catalog builds,
+    and on a NamedSequence, without ranking a matrix."""
+    window = (0, 5)
+    builders = {
+        "koszul diagonal": lambda: catalog.koszul_diagonal("k2_k3", 1, 0, window),
+        "almost-split": lambda: catalog.almost_split_sequence("k3_w12", "at-R", window).complex,
+        "sink at omega": lambda: catalog.sink_sequence_at_omega(window).complex,
+        "sink at syz2": lambda: catalog.sink_sequence_at_syzygy2(window).complex,
+        "diff_complex": lambda: diff_complex(B3, window),
+        "extend_diagonal": lambda: catalog.claim3_core_sequence(window).complex,
+        "alpha_complex": lambda: alpha_complex(3, 0),
+    }
+    pairs = {kind: (build(), build()) for kind, build in builders.items()}
+    seq = catalog.claim3_core_sequence(window)
+    ranked = []
+    monkeypatch.setattr(linalg, "rank_of", lambda *a: ranked.append(a))
+    for kind, (x, y) in pairs.items():
+        assert repr(x).startswith("DegreewiseComplex(labels="), kind
+        assert ("mats=None" in repr(x)) == (kind != "alpha_complex"), kind
+        assert x == y, kind
+    assert pairs["sink at omega"][0] != pairs["sink at syz2"][0]
+    assert repr(seq).startswith("NamedSequence(name='kernel-complex diagonal core sequence'")
+    assert ranked == []
+
+
+def test_manifest_builds_no_flat_matrix_but_alpha_complex(monkeypatch, tmp_path):
+    """Every degreewise complex of `reproduce-paper --section all` is
+    stranded, except alpha_complex's, which are flat by construction."""
+    flat, alphas = [], []
+    real_init, real_alpha = DegreewiseComplex.__post_init__, complexes.alpha_complex
+
+    def post_init(self):
+        if self.mats is not None:
+            flat.append(self)
+        real_init(self)
+
+    def alpha(n, m):
+        alphas.append(real_alpha(n, m))
+        return alphas[-1]
+
+    monkeypatch.setattr(DegreewiseComplex, "__post_init__", post_init)
+    monkeypatch.setattr(complexes, "alpha_complex", alpha)
+    assert cli.main(["reproduce-paper", "--section", "all", "--out", str(tmp_path / "r")]) == 0
+    assert alphas and [id(c) for c in flat] == [id(c) for c in alphas]
+
+
 # ---------------------------------------------------------------------------
-# per-factor multiplication tables against the mono_mul expansion
+# reference expansions of Koszul maps and diagonals
 
 
 def _matrix_at_reference(c, t, j):
@@ -413,7 +459,9 @@ def _matrix_at_reference(c, t, j):
 
 
 def _diagonal_reference(bi, shift, window):
-    """The diagonal matrices as one mono_mul per (term, mA, mB) triple."""
+    """The diagonal matrices: the row of (ua·mA) ⊗ (ub·mB) from one
+    mono_mul per (term, mA) and one per (term, mB), looked up in the
+    target's monomial bases."""
     lo, hi = window
     specA, specB = bi.ringA, bi.ringB
 
@@ -441,12 +489,13 @@ def _diagonal_reference(bi, shift, window):
                 tib = len(dblocks[r][1])
                 idxA = monomial_index(specA, shift + j - bi.terms[t + 1][r][0])
                 idxB = monomial_index(specB, j - bi.terms[t + 1][r][1])
+                rows_b = [[idxB.get(mono_mul(ub, mB)) for mB in mb] for _, ub in poly]
                 for ia, mA in enumerate(ma):
-                    for ib, mB in enumerate(mb):
+                    rows_a = [idxA.get(mono_mul(ua, mA)) for ua, _ in poly]
+                    for ib in range(len(mb)):
                         col = cols[soffs[c] + ia * len(mb) + ib]
-                        for (ua, ub), coeff in poly.items():
-                            ra = idxA.get(mono_mul(ua, mA))
-                            rb = idxB.get(mono_mul(ub, mB))
+                        for ra, rbs, coeff in zip(rows_a, rows_b, poly.values()):
+                            rb = rbs[ib]
                             if ra is None or rb is None:
                                 raise AssertionError("diagonal degree mismatch")
                             key = doffs[r] + ra * tib + rb
@@ -465,20 +514,42 @@ def _ordered(mats):
     return [{j: [list(col.items()) for col in cols] for j, cols in m.items()} for m in mats]
 
 
-def _assert_diagonal_matches(bi, shift, window):
-    dc = diagonal(bi, shift, window)
-    assert _ordered(dc.mats) == _ordered(_diagonal_reference(bi, shift, window))
+def _expanded(dc):
+    """The reference expansion of a stranded diagonal: the scalar
+    matrices of the bigraded complex its strands keep."""
+    return _diagonal_reference(dc.strands.bi, dc.strands.shift, dc.window)
+
+
+def _reference_dims(bi, shift, window):
+    """{degree: dimension} per term of the diagonal, by counting monomials."""
     lo, hi = window
-    for t, term in enumerate(bi.terms):
-        expected = {}
+    out = []
+    for term in bi.terms:
+        table = {}
         for j in range(lo, hi + 1):
             n = sum(
                 len(monomials(bi.ringA, shift + j - a)) * len(monomials(bi.ringB, j - b))
                 for (a, b) in term
             )
             if n:
-                expected[j] = n
-        assert list(dc.dims[t].items()) == list(expected.items())
+                table[j] = n
+        out.append(table)
+    return out
+
+
+def _flat_diagonal(bi, shift, window):
+    """The diagonal as a flat complex over the reference matrices."""
+    dims = _reference_dims(bi, shift, window)
+    mats = _diagonal_reference(bi, shift, window)
+    return DegreewiseComplex([""] * len(bi.terms), dims, mats, window)
+
+
+def _assert_diagonal_matches(bi, shift, window):
+    dc = diagonal(bi, shift, window)
+    assert dc.mats is None and dc.strands.bi is bi and dc.strands.shift == shift
+    want = _reference_dims(bi, shift, window)
+    for t, term in enumerate(bi.terms):
+        assert list(dc.dims[t].items()) == list(want[t].items())
         summ = Counter((shift + b - a, -b) for (a, b) in term)
         assert dc.summands[t] == sorted((m, tw, k) for (m, tw), k in summ.items())
     return dc
@@ -500,7 +571,7 @@ def test_diagonal_tables_match_reference_on_almost_split_sequences():
                 dc = _assert_diagonal_matches(bi, shift, window)
                 seq = catalog.almost_split_sequence(key, at, window)
                 assert dc.labels == seq.complex.labels
-                assert _ordered(dc.mats) == _ordered(seq.complex.mats)
+                assert _ordered(_expanded(dc)) == _ordered(_expanded(seq.complex))
 
 
 def test_diagonal_tables_match_reference_on_koszul_diagonals():
@@ -510,7 +581,7 @@ def test_diagonal_tables_match_reference_on_koszul_diagonals():
             dc = _assert_diagonal_matches(bi, shift, (-1, 5))
             kd = catalog.koszul_diagonal("k2_k3", variant, shift, (-1, 5))
             assert dc.labels == kd.labels and dc.summands == kd.summands
-            assert _ordered(dc.mats) == _ordered(kd.mats)
+            assert _ordered(_expanded(dc)) == _ordered(_expanded(kd))
 
 
 small_weights = st.lists(st.integers(1, 3), min_size=1, max_size=3)
@@ -566,7 +637,8 @@ def test_misdegreed_entries_still_raise():
     bad = BiFreeComplex(bi.ringA, bi.ringB, bi.terms, diffs)
     with pytest.raises(AssertionError, match="diagonal degree mismatch"):
         _diagonal_reference(bad, 0, (0, 3))
-    with pytest.raises(AssertionError, match="diagonal degree mismatch"):
+    # x0² on one path of the Koszul square, x0 on the other: no fine degrees
+    with pytest.raises(ValueError, match="two fine degrees"):
         diagonal(bad, 0, (0, 3))
 
 
@@ -583,28 +655,22 @@ def test_homology_ranks_each_matrix_once(monkeypatch):
         return real(cols, char)
 
     monkeypatch.setattr(linalg, "rank_of", counted)
-    # no strands: every nonempty expanded matrix is ranked, each once
-    dc = catalog.sink_sequence_at_syzygy2((0, 4)).complex
-    assert dc.strands is None
-    dc.homology()
-    lo, hi = dc.window
-    nonempty = [id(m[j]) for m in dc.mats for j in range(lo, hi + 1) if m.get(j)]
-    assert sorted(ranked) == sorted(nonempty)
-    # strands: homology expands no matrix at all, and each distinct
-    # (position, column mask) block is ranked once per complex
-    expanded = []
-    real_mats = complexes._diagonal_mats
-
-    def counted_mats(*args):
-        expanded.append(args)
-        return real_mats(*args)
-
-    monkeypatch.setattr(complexes, "_diagonal_mats", counted_mats)
+    # flat: every nonempty matrix is ranked, each once
+    for n, m in ((3, 0), (4, -2)):
+        dc = alpha_complex(n, m)
+        assert dc.strands is None
+        ranked.clear()
+        dc.homology()
+        lo, hi = dc.window
+        nonempty = [id(mm[j]) for mm in dc.mats for j in range(lo, hi + 1) if mm.get(j)]
+        assert nonempty and sorted(ranked) == sorted(nonempty)
+    # strands: each distinct (position, column mask) block is ranked once
+    # per complex
     for seq in catalog.almost_split_suite("k3_w12", (-1, 4)):
         dc = seq.complex
         ranked.clear()
         dc.homology()
-        assert expanded == [] and "mats" not in vars(dc)
+        assert dc.mats is None
         lo, hi = dc.window
         blocks = {
             (t, mask)
@@ -618,62 +684,170 @@ def test_homology_ranks_each_matrix_once(monkeypatch):
         ranked.clear()
         dc.homology()
         assert ranked == []
-    # the first read expands every table, once
-    assert dc.mats is dc.mats
-    assert len(expanded) == 1
 
 
 # ---------------------------------------------------------------------------
-# lazily expanded matrices against the reference expansion
+# twist, splice and image term of stranded diagonals against flat references
 
 
-def test_lazy_mats_read_after_homology_match_reference():
-    window = (-1, 5)
-    cases = []
-    for key, recipes in catalog.AR_RECIPES.items():
-        for at in recipes:
-            bi, shift = _glued(key, at)
-            cases.append((bi, shift, catalog.almost_split_sequence(key, at, window).complex))
-    a, b = catalog.ring_pair("k2_k3")
-    for variant, bi in ((1, bify(koszul(a), b, "A")), (2, bify(koszul(b), a, "B"))):
-        for shift in range(-2, 4):
-            cases.append((bi, shift, catalog.koszul_diagonal("k2_k3", variant, shift, window)))
-    assert len(cases) == 6 + 12
-    for bi, shift, dc in cases:
-        assert dc.strands is not None
-        dc.homology()
-        assert "mats" not in vars(dc)
-        assert _ordered(dc.mats) == _ordered(_diagonal_reference(bi, shift, window))
+def reference_twisted(c, s):
+    """Degree shift of a flat complex: the piece at j is c's at j + s."""
+    lo, hi = c.window
+    dims = [{j - s: v for j, v in d.items()} for d in c.dims]
+    mats = [{j - s: m for j, m in mm.items()} for mm in c.mats]
+    return DegreewiseComplex(
+        [f"{l}({s})" if s else l for l in c.labels], dims, mats, (lo - s, hi - s)
+    )
 
 
-def _assert_same_complex(x, y):
-    assert (x.labels, x.dims, x.window) == (y.labels, y.dims, y.window)
-    assert _ordered(x.mats) == _ordered(y.mats)
+def reference_spliced(x, y):
+    """Splice of two flat complexes through a shared term, the junction
+    map the composite of the scalar matrices through it."""
+    (lo_a, hi_a), (lo_b, hi_b) = x.window, y.window
+    lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+    for j in range(lo, hi + 1):
+        if x.dim(len(x.dims) - 1, j) != y.dim(0, j):
+            raise ValueError("splice terms differ")
+    junction = {}
+    for j in range(lo, hi + 1):
+        a = x.mats[-1].get(j, [])
+        b = y.mats[0].get(j, [])
+        if a:
+            junction[j] = linalg.compose(b, a) if b else [dict() for _ in a]
+    labels = x.labels[:-1] + y.labels[1:]
+    dims = x.dims[:-1] + y.dims[1:]
+    mats = x.mats[:-1] + [junction] + y.mats[1:]
+    return DegreewiseComplex(labels, dims, mats, (lo, hi))
 
 
-def test_twist_and_splice_of_lazy_diagonals_match_reference():
-    a, b = catalog.ring_pair("k2_k3")
-    bis = {1: bify(koszul(a), b, "A"), 2: bify(koszul(b), a, "B")}
-
-    def both(variant, shift, window):
-        lazy = catalog.koszul_diagonal("k2_k3", variant, shift, window)
-        mats = _diagonal_reference(bis[variant], shift, window)
-        return lazy, DegreewiseComplex(lazy.labels, lazy.dims, mats, window)
-
-    for lo, hi in ((0, 5), (-2, 4)):
-        # the two sink sequences of `catalog`, through both paths
-        left, left_ref = both(1, 2, (lo - 3, hi - 3))
-        right, right_ref = both(2, -1, (lo, hi))
-        _assert_same_complex(left.twisted(-3), left_ref.twisted(-3))
-        _assert_same_complex(
-            left.twisted(-3).spliced(right), left_ref.twisted(-3).spliced(right_ref)
-        )
-        left, left_ref = both(2, -1, (lo, hi))
-        right, right_ref = both(1, 1, (lo, hi))
-        _assert_same_complex(left.spliced(right), left_ref.spliced(right_ref))
+def _koszul_piece(key, variant, shift, twist, window):
+    """A Koszul diagonal twisted by `twist` onto `window`, with the flat
+    reference of the same: the untwisted diagonal over its reference
+    matrices, twisted by `reference_twisted`."""
+    lo, hi = window
+    dc = catalog.koszul_diagonal(key, variant, shift, (lo + twist, hi + twist))
+    ref = DegreewiseComplex(dc.labels, dc.dims, _expanded(dc), dc.window)
+    return dc.twisted(twist), reference_twisted(ref, twist)
 
 
-def test_misdegreed_entry_of_a_stranded_complex_raises_when_built(monkeypatch):
+def _assert_matches_flat(dc, ref, chars=(0, 2, 10007)):
+    """Labels, dims and window equal, and every rank the rank_of of the
+    reference matrix."""
+    assert (dc.labels, dc.dims, dc.window) == (ref.labels, ref.dims, ref.window)
+    assert dc.mats is None
+    lo, hi = dc.window
+    for char in chars:
+        for t in range(len(dc.dims) - 1):
+            for j in range(lo, hi + 1):
+                cols = ref.mats[t].get(j)
+                want = linalg.rank_of(cols, char) if cols else 0
+                assert dc.rank_at(t, j, char) == want, (t, j, char)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["k2_k3", "k3_w12"]),
+    st.sampled_from([1, 2]),
+    st.integers(-2, 3),
+    st.integers(-3, 3),
+    st.sampled_from([1, 2]),
+    st.integers(-3, 4),
+    st.integers(0, 4),
+    st.integers(-3, 4),
+    st.integers(0, 4),
+    st.integers(2, 6),
+)
+@example("k2_k3", 2, -1, 0, 1, 0, 5, 0, 5, 6)  # sink sequence at omega
+@example("k2_k3", 1, 2, -3, 2, 0, 5, 0, 5, 4)  # sink sequence at syz², cut at 4
+def test_twist_and_splice_of_stranded_diagonals_match_reference(
+    key, v_left, shift, twist, v_right, lo_a, width_a, lo_b, width_b, keep
+):
+    """twisted, spliced and image_truncated on stranded Koszul diagonals
+    against the flat operations on their reference matrices, over Q, F_2
+    and F_10007.  The left piece is a Koszul diagonal twisted by `twist`;
+    its last term is S(twist, twist), so the right piece's shift and
+    twist are the ones that make its first term equal to it."""
+    a, b = catalog.ring_pair(key)
+    if v_right == 1:
+        shift_b, twist_b = shift + sum(a.weights), twist
+    else:
+        shift_b, twist_b = shift - sum(b.weights), twist + sum(b.weights)
+    window_a, window_b = (lo_a, lo_a + width_a), (lo_b, lo_b + width_b)
+    assume(max(lo_a, lo_b) <= min(window_a[1], window_b[1]))
+    x, x_ref = _koszul_piece(key, v_left, shift, twist, window_a)
+    y, y_ref = _koszul_piece(key, v_right, shift_b, twist_b, window_b)
+    _assert_matches_flat(x, x_ref)
+    _assert_matches_flat(y, y_ref)
+    s, s_ref = x.spliced(y), reference_spliced(x_ref, y_ref)
+    _assert_matches_flat(s, s_ref)
+    # the catalog's cut of a splice keeps its strands
+    keep = min(keep, len(s.dims))
+    cut = DegreewiseComplex(s.labels[:keep], s.dims[:keep], None, s.window, strands=s.strands)
+    cut_ref = DegreewiseComplex(
+        s_ref.labels[:keep], s_ref.dims[:keep], s_ref.mats[: keep - 1], s.window
+    )
+    _assert_matches_flat(cut, cut_ref)
+    # the image term: the rational rank of the map into it, so over F_p
+    # its homology is rank_Q - rank_p of that map
+    im = cut.image_truncated()
+    dims, _ = reference_image_truncated(cut_ref)
+    assert im.labels == cut.labels[:-1] + [f"im({cut.labels[-1]})"]
+    assert im.dims == cut.dims[:-1] + [dims] and im.window == cut.window
+    last = keep - 1
+    for char in (0, 2, 10007):
+        h = im.homology(char)
+        for j in range(im.window[0], im.window[1] + 1):
+            cols = cut_ref.mats[-1].get(j)
+            lost = dims.get(j, 0) - (linalg.rank_of(cols, char) if cols else 0)
+            assert h.get((last, j), 0) == lost, (j, char)
+            assert im.rank_at(last - 1, j, char) == cut.rank_at(last - 1, j, char)
+
+
+def test_stranded_operations_name_themselves_on_other_complexes():
+    """twisted, spliced and image_truncated need a complex stranded from
+    a bigraded complex: a flat one, diff_complex's and an extension's
+    raise ValueError naming the operation."""
+    kd = catalog.koszul_diagonal("k2_k3", 1, 0, (0, 3))
+    others = {
+        "flat": alpha_complex(2, 0),
+        "DiffStrands": diff_complex(B3, (0, 3)),
+        "ExtendedStrands": catalog.claim3_core_sequence((0, 3)).complex,
+    }
+    for kind, c in others.items():
+        for op, call in (
+            ("twisted", lambda: c.twisted(1)),
+            ("spliced", lambda: c.spliced(kd)),
+            ("spliced", lambda: kd.spliced(c)),
+            ("image_truncated", c.image_truncated),
+        ):
+            with pytest.raises(ValueError, match=f"^{op} needs a complex stranded"):
+                call()
+
+
+def test_a_complex_is_flat_or_stranded():
+    dc = catalog.koszul_diagonal("k2_k3", 1, 0, (0, 3))
+    flat = DegreewiseComplex(dc.labels, dc.dims, _expanded(dc), dc.window)
+    for mats, strands in ((None, None), (flat.mats, dc.strands)):
+        with pytest.raises(ValueError, match="flat .mats. or stranded"):
+            DegreewiseComplex(dc.labels, dc.dims, mats, dc.window, strands=strands)
+
+
+def test_splice_rejects_unequal_join_terms():
+    # the sink at omega joins M_-1 to M_-1; one step off in shift or
+    # twist, or another ring pair, is another term
+    left = catalog.koszul_diagonal("k2_k3", 2, -1, (0, 4))
+    assert left.spliced(catalog.koszul_diagonal("k2_k3", 1, 1, (0, 4))).labels[-1] == "M1"
+    for right in (
+        catalog.koszul_diagonal("k2_k3", 1, 2, (0, 4)),
+        catalog.koszul_diagonal("k2_k3", 1, 1, (0, 4)).twisted(1),
+        catalog.koszul_diagonal("k2_k3", 2, -1, (0, 4)),
+        catalog.koszul_diagonal("k3_k3", 1, 2, (0, 4)),
+    ):
+        with pytest.raises(ValueError, match="splice terms differ"):
+            left.spliced(right)
+
+
+def test_misdegreed_entry_of_a_stranded_complex_raises_when_built():
     t = ring(("t",), (1,))
     unit = (0, 0, 0)
     k = koszul(t)  # S(-1) -> S by t
@@ -684,34 +858,29 @@ def test_misdegreed_entry_of_a_stranded_complex_raises_when_built(monkeypatch):
     bad = BiFreeComplex(t, B3, good.terms, [{(0, 0): {((2,), unit): 1}}])
     with pytest.raises(AssertionError, match="diagonal degree mismatch"):
         _diagonal_reference(bad, 0, (0, 3))
-    monkeypatch.setattr(complexes, "_diagonal_mats", lambda *a: pytest.fail("expanded"))
     with pytest.raises(AssertionError, match="fine degrees disagree with the twists"):
         diagonal(bad, 0, (0, 3))
-    monkeypatch.undo()
-    # a zero term has no degree: it neither raises nor changes a matrix
+    # a zero term has no degree: it neither raises nor changes a rank
     zero = BiFreeComplex(t, B3, good.terms, [{(0, 0): {((1,), unit): 1, ((2,), unit): 0}}])
     dc = diagonal(zero, 0, (0, 3))
-    assert _ordered(dc.mats) == _ordered(_diagonal_reference(good, 0, (0, 3)))
+    ref = _diagonal_reference(good, 0, (0, 3))
+    assert [dc.rank_at(0, j) for j in range(4)] == [
+        linalg.rank_of(ref[0][j]) if ref[0].get(j) else 0 for j in range(4)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # fine-degree strands against the expanded matrices
 
 
-def _expanded_homology(dc, char=0):
-    """Homology from one rank_of per expanded matrix, without strands."""
-    plain = DegreewiseComplex(dc.labels, dc.dims, dc.mats, dc.window)
-    assert plain.strands is None
-    return plain.homology(char)
-
-
 def _assert_strand_ranks(dc, chars=(0, 10007)):
     assert dc.strands is not None
     lo, hi = dc.window
+    mats = _expanded(dc)
     for char in chars:
-        for t in range(len(dc.mats)):
+        for t in range(len(mats)):
             for j in range(lo, hi + 1):
-                cols = dc.mats[t].get(j, [])
+                cols = mats[t].get(j, [])
                 assert dc.rank_at(t, j, char) == linalg.rank_of(cols, char), (t, j, char)
 
 
@@ -739,10 +908,9 @@ def test_complexes_without_fine_degrees_get_no_strands():
     x0, x1 = ((1, 0), unit), ((0, 1), unit)
     # S(-1) -> S by x0 + x1: the cokernel is k[t] # B, dim B_j in degree j
     bi = BiFreeComplex(a, b, [((1, 0),), ((0, 0),)], [{(0, 0): {x0: 1, x1: 1}}])
-    dc = diagonal(bi, 0, (0, 4))
-    assert dc.strands is None
-    assert dc.homology() == _expanded_homology(dc)
-    assert dc.homology() == {(1, j): comb(j + 2, 2) for j in range(5)}
+    with pytest.raises(ValueError, match="not a single monomial pair"):
+        diagonal(bi, 0, (0, 4))
+    assert _flat_diagonal(bi, 0, (0, 4)).homology() == {(1, j): comb(j + 2, 2) for j in range(5)}
     # S(-1)^2 -> S^2 by [[x0, x1], [x1, x0]]: monomial entries, but from
     # the first source generator at 0 the walk reaches the second one at
     # both x1 - x0 and x0 - x1
@@ -752,10 +920,13 @@ def test_complexes_without_fine_degrees_get_no_strands():
         [((1, 0), (1, 0)), ((0, 0), (0, 0))],
         [{(0, 0): {x0: 1}, (1, 0): {x1: 1}, (0, 1): {x1: 1}, (1, 1): {x0: 1}}],
     )
-    dc = diagonal(bi, 0, (0, 4))
-    assert dc.strands is None
-    for char in (0, 10007):
-        assert dc.homology(char) == _expanded_homology(dc, char)
+    with pytest.raises(ValueError, match="two fine degrees"):
+        diagonal(bi, 0, (0, 4))
+    # the map is injective (its determinant x0² - x1² is not zero), so
+    # its cokernel has dimension 2 in each degree of A, times dim B_j
+    for char in (0, 2, 10007):
+        h = _flat_diagonal(bi, 0, (0, 4)).homology(char)
+        assert h == {(1, j): 2 * comb(j + 2, 2) for j in range(5)}, char
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +982,7 @@ def test_strand_tables_match_reference_on_bundled_diagonals():
     ]
     for dc in complexes_:
         assert dc.strands is not None
-        for t in range(len(dc.mats)):
+        for t in range(len(dc.dims) - 1):
             for j in range(0, 11):
                 assert dc.strands.table(t, j) == reference_table(dc.strands, t, j), (t, j)
 
@@ -880,12 +1051,13 @@ def test_broken_complex_without_strands_raises_degreewise():
         {(0, 0): {x1: 1}, (1, 0): {x0: -1, x1: -1}},
         {(0, 0): {x0: 1, x1: 1}, (0, 1): {x1: 1}},
     ]
-    dc = diagonal(BiFreeComplex(a, b, terms, diffs), 0, (0, 4))
-    assert dc.strands is None
-    assert dc.homology() == {(2, 0): 1}
+    bi = BiFreeComplex(a, b, terms, diffs)
+    with pytest.raises(ValueError, match="not a single monomial pair"):
+        diagonal(bi, 0, (0, 4))
+    assert _flat_diagonal(bi, 0, (0, 4)).homology() == {(2, 0): 1}
     diffs[0][(1, 0)] = {x0: -2, x1: -1}
     with pytest.raises(AssertionError, match="d∘d != 0 at position 0, degree 2"):
-        diagonal(BiFreeComplex(a, b, terms, diffs), 0, (0, 4))
+        _flat_diagonal(BiFreeComplex(a, b, terms, diffs), 0, (0, 4))
 
 
 @settings(max_examples=30, deadline=None)
@@ -894,7 +1066,8 @@ def test_strand_certificate_implies_the_degreewise_check(
     wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
 ):
     bi = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
-    diagonal(bi, shift, (lo, lo + width)).assert_dd()
+    diagonal(bi, shift, (lo, lo + width))
+    _flat_diagonal(bi, shift, (lo, lo + width))  # asserts d∘d = 0 degreewise
 
 
 def test_manifest_sequences_skip_the_degreewise_check(monkeypatch):
@@ -1007,7 +1180,6 @@ def reference_diff_complex(spec, window):
     # first map: s⊗top ↦ Σ_i d_n(s·m_i ⊗ top) ⊗ μ_i
     first = {}
     sym_top = _reference_sym_monomials(n, n - 1)
-    rows = complexes._mul_rows(spec)
     for j in range(lo, hi + 1):
         src = monomials(spec, j - n)
         if not src:
@@ -1015,7 +1187,8 @@ def reference_diff_complex(spec, window):
         solver = kernel_solver(n - 1, j + n - 1)
         nduals = len(sym_top)
         images = _matrix_at_reference(kos, 0, j + n - 1)
-        prods = [rows(mi, j - n, j - 1) for mi in sym_top]
+        index = monomial_index(spec, j - 1)
+        prods = [[index[mono_mul(mi, m)] for m in src] for mi in sym_top]
         cols = []
         for k_s in range(len(src)):
             col = {}
@@ -1180,36 +1353,27 @@ def _typed(mats):
     return {j: [[(k, type(v), v) for k, v in c.items()] for c in cols] for j, cols in mats.items()}
 
 
-int_column = st.dictionaries(
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=-3, max_value=3).filter(bool),
-    max_size=4,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(int_column, min_size=1, max_size=4),
-    st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2), st.integers(-2, 2)),
-        max_size=4,
-    ),
-)
-def test_image_truncated_matches_two_elimination_reference(base, mixes):
-    # dependent columns are combinations of drawn ones; zero columns
-    # appear both drawn and as a column of their own
-    cols = list(base) + [{}]
-    for a, b, ca, cb in mixes:
-        cols.append(linalg.combine(base[a % len(base)], base[b % len(base)], ca, cb))
-    n = len(cols)
-    dc = DegreewiseComplex(
-        ["A", "B"],
-        [{0: n, 1: n, 2: 1}, {0: 4, 1: 4}],
-        [{0: cols, 1: cols[::-1], 2: [{}]}],
-        (0, 2),
+@settings(max_examples=30, deadline=None)
+@given(*drawn_complexes)
+def test_image_truncated_matches_two_elimination_reference(
+    wa, wb, kind, shift, twist, thr_a, thr_b, lo, width
+):
+    """The image term of a stranded diagonal against the coordinate
+    construction over Q: the flat complex whose last map is written over
+    the independent columns of the reference matrix
+    (`reference_image_truncated`) has the same labels, dims and
+    homology."""
+    bi = _drawn_complex(wa, wb, kind, twist, thr_a, thr_b)
+    assume(len(bi.terms) >= 2)
+    dc = diagonal(bi, shift, (lo, lo + width))
+    flat = DegreewiseComplex(dc.labels, dc.dims, _expanded(dc), dc.window)
+    dims, mats = reference_image_truncated(flat)
+    ref = DegreewiseComplex(
+        flat.labels[:-1] + [f"im({flat.labels[-1]})"],
+        flat.dims[:-1] + [dims],
+        flat.mats[:-1] + [mats],
+        flat.window,
     )
     out = dc.image_truncated()
-    dims, mats = reference_image_truncated(dc)
-    assert out.labels == ["A", "im(B)"]
-    assert out.dims[-1] == dims
-    assert _typed(out.mats[-1]) == _typed(mats)
+    assert (out.labels, out.dims, out.window) == (ref.labels, ref.dims, ref.window)
+    assert out.homology() == ref.homology()

@@ -15,7 +15,6 @@ from segrecalc.quivers import (
     EndoQuiver,
     Quiver,
     VeroneseSideData,
-    TRIVIAL_SIDE,
     fold_d3,
     fold_d4,
     middle_multiplicities,
@@ -27,6 +26,9 @@ A2 = ring(("x0", "x1"), (1, 1))
 B3 = ring(("y0", "y1", "y2"), (1, 1, 1))
 XYZ = ring(("x", "y", "z"), (1, 1, 1))
 UV = ring(("u", "v"), (1, 2))
+# Segre products with a one-variable standard factor are the identity:
+# k[t] has a one-dimensional piece in every degree
+TRIVIAL_SIDE = VeroneseSideData(ring(("t",), (1,)))
 
 
 def test_quiver_basics():
