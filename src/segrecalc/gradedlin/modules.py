@@ -48,6 +48,7 @@ class DiagonalModule:
     ringB: WeightedRingSpec
     shift: int
     twist: int = 0
+    invariant = True  # each piece is spanned by all monomial pairs of its bidegree
 
     @property
     def label(self) -> str:
@@ -119,6 +120,7 @@ class FreeModule:
     ringA: WeightedRingSpec
     ringB: WeightedRingSpec
     gens: tuple[int, ...]
+    invariant = True  # every generator sits at the fine degree 0
 
     @property
     def label(self) -> str:
@@ -184,13 +186,20 @@ class SyzygyModule:
     builds each degree's basis on its first read (`fine_basis`, `act`),
     and counts it (`dim`) and lists its `nonempty_degrees` without
     building any.
+
+    `invariant` says the module is G-invariant by construction, G the
+    permutations of equal-weight variables within each factor: σ*N ≅ N
+    for σ in G.  `free_resolution` sets it on the syzygies of a module
+    that is (DiagonalModule and FreeModule are), and `ext_dims` then
+    counts δ-blocks by G-orbits; a module built by hand is not.
     """
 
-    def __init__(self, ambient: FreeModule, bases, label: str, fine: tuple):
+    def __init__(self, ambient: FreeModule, bases, label: str, fine: tuple, invariant: bool = False):
         self.ambient = ambient
         self.bases = bases  # degree -> [(fine degree, scalar form)]
         self.label = label
         self.fine = fine  # fine degree of each ambient generator
+        self.invariant = invariant
         self._echelons = {}  # degree -> {fine degree: tracked Echelon}
         self._act_cache = {}  # (pair, p, j) -> act columns
         degs = getattr(bases, "nonempty_degrees", None)

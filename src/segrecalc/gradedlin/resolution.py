@@ -72,6 +72,10 @@ again under the same bits and mask is solved once per call: ranked
 δ of each block and never lists them; `hom_space` lists the δ of a
 block only when it has a kernel.
 
+Over Q, `ext_dims` between G-invariant modules, G the permutations of
+equal-weight variables within each factor, ranks one block per pair of
+orbits of δ and counts it by their sizes (`_orbit`; proof in `ext_dims`).
+
 A map M -> N stays in this fine form: (δ, {(g, q): c}, {(g, e): c}),
 with c its coefficient on the q-th test of the rectangle that holds
 κ = δ·f(g) in N_(d + deg g), in its value on the generator g of F_0,
@@ -103,7 +107,7 @@ from .. import linalg
 from ..linalg import CertificationError
 from .modules import _UNIT, DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
 from .poly import monomial_index, monomials
-from .strands import dual_column, kappa_masks, scalar_rows
+from .strands import assert_invariant, dual_column, kappa_masks, orbit_rep, scalar_rows, weight_classes
 
 
 def rings_of(module):
@@ -470,10 +474,12 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     Kernels are computed block by block (`_cover_step`), each distinct
     block once over the steps; the k-th syzygy is stored with its basis
     vectors in fine form and the fine degrees of its ambient generators,
-    and remains usable as a module afterwards.
+    and remains usable as a module afterwards.  Each syzygy is marked
+    G-invariant exactly when the module is (`SyzygyModule.invariant`).
     """
     ringA, ringB = rings_of(module)
     cur = module
+    invariant = getattr(module, "invariant", False)
     res = Resolution(module, lo, hi, [], [], [])
     blocks = {}
     for step in range(depth + 1):
@@ -492,7 +498,7 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
                     entries[(g_idx, col)] = {_pair_sub(kappa, cur.fine[g_idx]): coeff}
         if step:
             res.diffs.append(entries)
-        cur = SyzygyModule(free, bases, f"syz^{step + 1}", tuple(fine))
+        cur = SyzygyModule(free, bases, f"syz^{step + 1}", tuple(fine), invariant)
         res.syzygies.append(cur)
     res.check_minimality()
     return res
@@ -512,7 +518,17 @@ def _act_cached(N, pair, p: int, j: int):
     return _act_matrix_frozen(N, pair, p, j)
 
 
-def _delta_blocks(bits, fine) -> list:
+def _orbit(res: Resolution, N, char: int):
+    """The classes of G on each side where `ext_dims` counts δ by orbits:
+    over Q, when the module `res` resolves and N are both G-invariant by
+    construction (`invariant`); None elsewhere, or when G is trivial."""
+    if char or not (getattr(res.module, "invariant", False) and getattr(N, "invariant", False)):
+        return None
+    orbit = tuple(map(weight_classes, rings_of(res.module)))
+    return orbit if any(orbit) else None
+
+
+def _delta_blocks(bits, fine, orbit=None) -> list:
     """The δ-blocks of a dual map, found by masks.  The b-th bit (g, r,
     (S_A, S_B, ...)) pairs a generator g, of fine degree fine[g], with
     the rectangle of fine degrees named r: it is set in the A mask of
@@ -521,7 +537,13 @@ def _delta_blocks(bits, fine) -> list:
     rectangle holds δ·f(g).  Bits of one rectangle and one f_A (f_B) set
     the same A (B) masks, so each such group is walked once.  Returns
     [(mask, [δ_A], [δ_B])], one per pair of an A group and a B group of
-    equal masks (`_split`) whose masks meet."""
+    equal masks (`_split`) whose masks meet.
+
+    With `orbit`, the classes of G on each side (`weight_classes`), a δ
+    is grouped by the mask of its representative under G instead of its
+    own (`ext_dims` proves the blocks' ranks equal), so each list holds
+    the members of the orbits whose representatives share that mask.
+    AssertionError when a representative is not a δ of its side."""
     split = []
     for x in (0, 1):  # the A side, then the B side
         groups = {}
@@ -532,7 +554,15 @@ def _delta_blocks(bits, fine) -> list:
             for kappa in kappas:
                 key = tuple(map(sub, kappa, f))
                 side[key] = side.get(key, 0) | mask
-        split.append(_split(side, side))
+        masks = side
+        if orbit and orbit[x]:
+            masks = {}
+            for key in side:
+                rep = orbit_rep(orbit[x], key)
+                if rep not in side:
+                    raise AssertionError(f"the orbit representative {rep} is not a δ of its side")
+                masks[key] = side[rep]
+        split.append(_split(side, masks))
     split_a, split_b = split
     return [
         (ma & mb, part_a, part_b)
@@ -553,15 +583,17 @@ class _Dual:
     first, then basis order at κ, the order of listing the columns (g, n)
     one by one.  `solve` runs once per mask of the bits of one (i, d),
     which are interned, so a mask seen again under the same bits is found
-    by ints before any column is built.
+    by ints before any column is built.  With `orbit` (`_orbit`), δ are
+    grouped by their orbits under G (`_delta_blocks`), after checking
+    that the fine degrees of F_i and F_(i+1) are G-invariant.
     """
 
-    def __init__(self, res: Resolution, N, char: int, solve):
+    def __init__(self, res: Resolution, N, char: int, solve, orbit=None):
         if isinstance(N, SyzygyModule):
             self.width = len(N.ambient.gens)
         else:
             self.width = len(N.gens) if isinstance(N, FreeModule) else 1
-        self.res, self.N, self.char, self.solve = res, N, char, solve
+        self.res, self.N, self.char, self.solve, self.orbit = res, N, char, solve, orbit
         self.gens = [F.gens for F in res.frees]
         self.rows, self.read, self.checked = {}, set(), set()
         self._degrees = {}  # j -> [(S_A, S_B, tests, tests id)]
@@ -571,13 +603,18 @@ class _Dual:
 
     def guard(self, i: int, d: int):
         """Read N.dim at d + deg over F_i and then F_(i+1), once per
-        degree (CertificationError above the window), then the entries of
-        the i-th differential (ValueError on an entry of two pairs)."""
+        degree (CertificationError above the window), then with `orbit`
+        the fine degrees of F_i and F_(i+1) (AssertionError unless
+        G-invariant), then the entries of the i-th differential
+        (ValueError on an entry of two pairs)."""
         for dg in dict.fromkeys(self.gens[i] + self.gens[i + 1]):
             if d + dg not in self.read:
                 self.N.dim(d + dg)
                 self.read.add(d + dg)
         if i not in self.rows:
+            if self.orbit:
+                for k in (i, i + 1):
+                    assert_invariant(self.res.syzygies[k].fine, self.orbit, k)
             self.rows[i] = scalar_rows(self.res.diffs[i], len(self.gens[i]))
 
     def degree(self, j: int):
@@ -605,7 +642,7 @@ class _Dual:
         sig = (i, tuple((g, rect[3]) for g, _, rect in bits))
         sid = self._bits.setdefault(sig, len(self._bits))
         out = []
-        for mask, part_a, part_b in _delta_blocks(bits, self.res.syzygies[i].fine):
+        for mask, part_a, part_b in _delta_blocks(bits, self.res.syzygies[i].fine, self.orbit):
             hit = self._by_mask.get((sid, mask))
             if hit is None:
                 block = [bits[b] for b in range(mask.bit_length()) if mask >> b & 1]
@@ -635,14 +672,39 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     F_(i+1) (CertificationError above the window), then the entries of
     the i-th differential (ValueError on an entry of two pairs), then for
     a syzygy N over F_p the mod-p independence (CertificationError);
-    `hom_space` raises in this order too.  No i gives {}."""
+    `hom_space` raises in this order too.  No i gives {}.
+
+    Over Q, when the module M that `res` resolves and N are both
+    G-invariant by construction (`_orbit`), a δ takes the block of its
+    orbit's representative, so one block is ranked per pair of orbits.
+    The ranks are equal.  σ in G is a graded automorphism of R with
+    σ*M ≅ M and σ*N ≅ N, each sending the fine degree κ to σκ.  So σ*F
+    is a minimal resolution of M, and the comparison map σ*F -> F is an
+    isomorphism of complexes (Eisenbud, *Commutative Algebra*, Thm 20.2;
+    Miller-Sturmfels, GTM 227) that sends the generators at f to those
+    at σf.  It keeps total degree, so it restricts to the part of F
+    generated in degrees <= hi, which is what `res` holds, and to N's
+    degrees inside the window.  Hom(−, N) of it, with σ*N ≅ N, maps
+    Hom(F_i, N)_δ onto Hom(F_i, N)_σδ and commutes with the dual maps,
+    so each dual map has the same rank and the same columns at δ and at
+    σδ.  That is a relabelling of rows and columns, not an
+    order-preserving one, so the masks of δ and σδ differ in general and
+    the mask grouping ranks both.  Over F_p the same argument needs
+    F ⊗ F_p to be a minimal resolution of M ⊗ F_p, which nothing
+    certifies yet, so the orbit count runs at char 0 only.  Two guards
+    turn a broken precondition into an AssertionError, never a wrong
+    number: the fine degrees of the generators of each F_i read form a
+    G-invariant multiset (`assert_invariant`), and each representative
+    is a δ of its side (`_delta_blocks`)."""
     i_values = sorted(set(i_values))
     if not i_values:
         return {}
     depth = i_values[-1] + 1
     if len(res.frees) < depth + 1:
         raise CertificationError("resolution not deep enough for the Ext range")
-    dual = _Dual(res, N, char, lambda cols: (len(cols), linalg.rank_of(cols, char)))
+    dual = _Dual(
+        res, N, char, lambda cols: (len(cols), linalg.rank_of(cols, char)), _orbit(res, N, char)
+    )
     out = {}
     for d in d_values:
         dims, rank_at = {}, {-1: 0}

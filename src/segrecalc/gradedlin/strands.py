@@ -31,7 +31,10 @@ value for the whole process: complexes rebuilt from the same pieces
 `kappa_masks`, the same map with the κ themselves as keys, splits the
 cover steps of `resolution` into fine-degree blocks.  `scalar_rows`
 and `dual_column` write a δ-block of the dual of a resolution over the
-scalar forms of the target (`resolution._Dual`).
+scalar forms of the target (`resolution._Dual`), and `weight_classes`,
+`orbit_rep` and `assert_invariant` give the group G that permutes the
+equal-weight variables of each factor, by which `resolution.ext_dims`
+counts δ-blocks over Q.
 
 This code is kept out of `complexes` and `resolution` to keep those
 files small: where no bytecode is cached (PYTHONDONTWRITEBYTECODE), every
@@ -229,3 +232,43 @@ def scalar_rows(entries: dict, n: int) -> list[dict]:
         [(_, c)] = poly.items()
         rows[g][h] = c
     return rows
+
+
+@lru_cache(maxsize=None)
+def weight_classes(spec) -> tuple:
+    """The positions of the variables of one weight, for each weight that
+    two or more variables share: G permutes the variables within each
+    class, a graded automorphism of the factor."""
+    at = {}
+    for k, w in enumerate(spec.weights):
+        at.setdefault(w, []).append(k)
+    return tuple(tuple(c) for c in at.values() if len(c) > 1)
+
+
+def orbit_rep(classes, e) -> tuple:
+    """The representative of the exponent vector e under G: its entries
+    sorted within each class."""
+    e = list(e)
+    for c in classes:
+        for k, v in zip(c, sorted(e[k] for k in c)):
+            e[k] = v
+    return tuple(e)
+
+
+def assert_invariant(fine, orbit, k: int):
+    """AssertionError unless the multiset of the fine degrees of the
+    generators of F_k is G-invariant: fixed by each swap of two neighbours
+    in a class, which generate G."""
+    count = Counter(fine)
+    for x, classes in enumerate(orbit):
+        for c in classes:
+            for a, b in zip(c, c[1:]):
+                moved = Counter()
+                for f, n in count.items():
+                    e = list(f[x])
+                    e[a], e[b] = e[b], e[a]
+                    moved[(tuple(e), f[1]) if x == 0 else (f[0], tuple(e))] = n
+                if moved != count:
+                    raise AssertionError(
+                        f"the fine degrees of the generators of F_{k} are not G-invariant"
+                    )
