@@ -37,18 +37,17 @@ one block per fine degree κ of M_j: its columns are the scalar forms of
 the generators with f(g) <= κ, in generator order, and its tests are the
 basis vectors of M_j at κ.  A column at κ only meets pivots at κ, so the
 blocks eliminated one by one perform exactly the operations of one
-elimination of the whole degree, in the same order.  Blocks equal after
-an order-preserving relabelling of their rows are eliminated once per
-`free_resolution` call.  The generators with f(g) <= κ are those in both
-the A mask of κ_A and the B mask of κ_B, so fine degrees come in
-rectangles S_A × S_B whose κ carry the same tests and meet one block: a
-diagonal degree is one rectangle, and a syzygy degree not yet assembled
-is the previous step's rectangles whose block has a kernel.
-Each degree splits its rectangles by mask on either side and takes one
-block per (mask, tests); only a block with new generators is read at
-single κ.  A kernel vector of a block stays in fine form, (κ, scalar
-form over the generators), and the vectors of a degree come in the order
-one elimination of the whole degree gives.  A cover step keeps each
+elimination of the whole degree, in the same order.  The generators
+with f(g) <= κ are those in both the A mask of κ_A and the B mask of
+κ_B, so fine degrees come in rectangles S_A × S_B whose κ carry the same
+tests and meet one block: a diagonal degree is one rectangle, and a
+syzygy degree not yet assembled is the previous step's rectangles whose
+block has a kernel.  Each degree splits its rectangles by mask on either
+side and takes one block per (mask, tests), eliminated once per cover
+step; only a block with new generators is read at single κ.  A kernel
+vector of a block stays in fine form, (κ, scalar form over the
+generators), and the vectors of a degree come in the order one
+elimination of the whole degree gives.  A cover step keeps each
 degree's blocks (`_KernelBases.covers`), and assembles a syzygy's basis
 of a degree from them the first time it is read: by the next cover step
 only where it finds a generator, so the last syzygy of a resolution,
@@ -90,8 +89,8 @@ the section of its cover at (κ, q), and sums their ψ(s): it lands at
 is φ: M -> R times the scalar form of a generator of N
 (`through_free_vectors`).  Maps are ranked in ambient coordinates, one
 echelon per δ: the forms at one κ are the tests' span, so the rank is
-that over the tests while they stay independent, which over F_p is
-checked at every degree a map into a syzygy lands in.
+that over the tests while they stay independent, which is checked at
+every degree a map into a syzygy lands in (`_check_independent`).
 """
 
 from __future__ import annotations
@@ -157,22 +156,6 @@ class _Block:
             self.coords.append(dict(sorted(coords.items())))
 
 
-def _block(memo: dict, cols, tests) -> _Block:
-    """The block of these columns and tests, taken from `memo` when one
-    equal to it after an order-preserving relabelling of the rows, dict
-    order included, was eliminated before."""
-    rows = sorted({r for v in cols for r in v}.union(*tests))
-    index = {r: k for k, r in enumerate(rows)}
-    key = (
-        tuple(tuple((index[r], c) for r, c in v.items()) for v in cols),
-        tuple(tuple((index[r], c) for r, c in v.items()) for v in tests),
-    )
-    block = memo.get(key)
-    if block is None:
-        block = memo[key] = _Block([dict(v) for v in key[0]], [dict(v) for v in key[1]])
-    return block
-
-
 def _by_kappa(basis) -> dict:
     """κ -> the indices of the basis vectors at κ, in basis order."""
     at = {}
@@ -220,7 +203,7 @@ def _split(side, masks: dict) -> list:
     return list(groups.items())
 
 
-def _cover_degree(module, j: int, gens, memo: dict, seen: dict):
+def _cover_degree(module, j: int, gens, seen: dict):
     """Degree j of the cover of M by its generators `gens` of degree < j,
     one fine-degree block per rectangle of fine degrees.
 
@@ -233,9 +216,8 @@ def _cover_degree(module, j: int, gens, memo: dict, seen: dict):
     each rectangle of `_rectangles` splits by mask on either side into
     sub-rectangles whose fine degrees all meet one block.  A block is
     fixed by its column mask and its tests while the generators are, so
-    `seen`, (mask, tests) -> (columns, block), spares `_block` relabelling
-    each repeat within one cover step; blocks come from `memo`
-    (`_block`), and only a block with new generators is read at single
+    `seen`, (mask, tests) -> (columns, block), eliminates each once per
+    cover step, and only a block with new generators is read at single
     fine degrees.  Returns the new generators (j, {i: 1}) in
     basis order, (dg, f(s), scalar form) per generator, per
     sub-rectangle the tuple (S_A, S_B, column generators, tests, block),
@@ -263,7 +245,7 @@ def _cover_degree(module, j: int, gens, memo: dict, seen: dict):
                 hit = seen.get((mask, tkey))
                 if hit is None:
                     cols = [s for s in range(mask.bit_length()) if mask >> s & 1]
-                    block = _block(memo, [gen_data[s][2] for s in cols], tests)
+                    block = _Block([gen_data[s][2] for s in cols], tests)
                     hit = seen[(mask, tkey)] = cols, block
                 cols, block = hit
                 covered += len(cols) * len(part_a) * len(part_b)
@@ -275,7 +257,7 @@ def _cover_degree(module, j: int, gens, memo: dict, seen: dict):
     return [(j, {i: 1}) for i in sorted(new)], gen_data, parts, index_of
 
 
-def _cover_step(module, lo: int, hi: int, memo: dict):
+def _cover_step(module, lo: int, hi: int):
     """Minimal generators and cover kernel on [lo, hi].
 
     One `_cover_degree` per degree j finds the generators of degree j.
@@ -300,7 +282,7 @@ def _cover_step(module, lo: int, hi: int, memo: dict):
         )
     gens, covers, seen = [], {}, {}
     for j in range(lo, hi + 1):
-        covers[j] = _cover_degree(module, j, gens, memo, seen)
+        covers[j] = _cover_degree(module, j, gens, seen)
         gens += covers[j][0]
     return gens, _KernelBases(rings_of(module), covers)
 
@@ -386,7 +368,7 @@ def minimal_generators(module, lo: int, hi: int) -> list[tuple[int, dict]]:
     (R_+ M)_j and the span of w_0 .. w_(i-1); its representative is
     {i: 1}.  See `_cover_step` for completeness and certification.
     """
-    return _cover_step(module, lo, hi, {})[0]
+    return _cover_step(module, lo, hi)[0]
 
 
 def generation_degrees(module, lo: int, hi: int) -> dict:
@@ -455,7 +437,7 @@ class Resolution:
 
     def to_json_dict(self) -> dict:
         return {
-            "module": getattr(self.module, "label", "module"),
+            "module": self.module.label,
             "window": [self.lo, self.hi],
             "betti": self.betti_table(),
             "differentials": [
@@ -472,18 +454,16 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
     """Resolve to homological depth `depth`, exactly on [lo, hi].
 
     Kernels are computed block by block (`_cover_step`), each distinct
-    block once over the steps; the k-th syzygy is stored with its basis
+    block once per step; the k-th syzygy is stored with its basis
     vectors in fine form and the fine degrees of its ambient generators,
     and remains usable as a module afterwards.  Each syzygy is marked
     G-invariant exactly when the module is (`SyzygyModule.invariant`).
     """
     ringA, ringB = rings_of(module)
     cur = module
-    invariant = getattr(module, "invariant", False)
     res = Resolution(module, lo, hi, [], [], [])
-    blocks = {}
     for step in range(depth + 1):
-        gens, bases = _cover_step(cur, lo, hi, blocks)
+        gens, bases = _cover_step(cur, lo, hi)
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         res.frees.append(free)
         res.generators.append(gens)
@@ -498,7 +478,7 @@ def free_resolution(module, depth: int, lo: int, hi: int) -> Resolution:
                     entries[(g_idx, col)] = {_pair_sub(kappa, cur.fine[g_idx]): coeff}
         if step:
             res.diffs.append(entries)
-        cur = SyzygyModule(free, bases, f"syz^{step + 1}", tuple(fine), invariant)
+        cur = SyzygyModule(free, bases, f"syz^{step + 1}", tuple(fine), module.invariant)
         res.syzygies.append(cur)
     res.check_minimality()
     return res
@@ -522,7 +502,7 @@ def _orbit(res: Resolution, N, char: int):
     """The classes of G on each side where `ext_dims` counts δ by orbits:
     over Q, when the module `res` resolves and N are both G-invariant by
     construction (`invariant`); None elsewhere, or when G is trivial."""
-    if char or not (getattr(res.module, "invariant", False) and getattr(N, "invariant", False)):
+    if char or not (res.module.invariant and N.invariant):
         return None
     orbit = tuple(map(weight_classes, rings_of(res.module)))
     return orbit if any(orbit) else None
@@ -630,10 +610,11 @@ class _Dual:
 
     def blocks(self, i: int, d: int):
         """[(block bits [(g, r, rectangle)], [δ_A], [δ_B], solution)] of the
-        i-th dual map in degree d; for a syzygy N over F_p after checking
-        the degrees of F_(i+1) (`_check_independent_mod_p`)."""
-        if self.char and isinstance(self.N, SyzygyModule):
-            _check_independent_mod_p(self.N, [d + dh for dh in self.gens[i + 1]], self.char, self.checked)
+        i-th dual map in degree d, after checking the independence of a
+        syzygy N's tests at the degrees of F_i and then F_(i+1)
+        (`_check_independent`)."""
+        degrees = [d + dg for dg in self.gens[i] + self.gens[i + 1]]
+        _check_independent(self.N, degrees, self.char, self.checked)
         bits = [
             (g, (d + dg, r), rect)
             for g, dg in enumerate(self.gens[i])
@@ -665,14 +646,15 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     Ranks each δ-block of the dual map Hom(F_i, N)_d -> Hom(F_(i+1),
     N)_d (`_Dual`), never the flat map, and counts it once per δ of its
     mask groups, |δ_A|·|δ_B| times.  N_κ sits inside the scalars of N,
-    so the rank is that of the flat map; for a syzygy N over F_p while
-    its scalar forms at each fine degree stay independent mod p, checked
-    at every degree the blocks land in, once per distinct tests.  For
+    so the rank is that of the flat map; for a syzygy N while its scalar
+    forms at each fine degree stay independent, checked at every degree
+    the blocks read, once per distinct tests (`_check_independent`).  For
     each d and each i < depth in turn, N.dim is read over F_i and then
     F_(i+1) (CertificationError above the window), then the entries of
     the i-th differential (ValueError on an entry of two pairs), then for
-    a syzygy N over F_p the mod-p independence (CertificationError);
-    `hom_space` raises in this order too.  No i gives {}.
+    a syzygy N the independence at the degrees of F_i and then F_(i+1)
+    (CertificationError); `hom_space` raises in this order too.  No i
+    gives {}.
 
     Over Q, when the module M that `res` resolves and N are both
     G-invariant by construction (`_orbit`), a δ takes the block of its
@@ -723,14 +705,21 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     return out
 
 
-def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
+def _check_independent(N, degrees, char: int, checked: set):
     """CertificationError unless the scalar forms of N_j at each fine
-    degree stay independent over F_char, for j in `degrees` in turn.
-    Every κ of a rectangle (`_rectangles`) carries its tests, so each
-    degree and each distinct tests are ranked once per `checked`: per
-    rectangle of a syzygy's cover step, per κ for a syzygy given as a
-    dict.  A degree enters `checked` only once all its tests pass, so a
-    `checked` that outlives a raise never skips a dependent degree."""
+    degree are independent over F_char (Q for 0), for j in `degrees` in
+    turn, when N is a syzygy: over F_p every syzygy, over Q one whose
+    bases are given as a dict.  A cover step's bases are independent over
+    Q by construction: the tests of a rectangle are one block's tracked
+    kernel vectors, in free-column form (`linalg.kernel_of`), so each is
+    nonzero at its own dependent column and no other is.  Every κ of a
+    rectangle (`_rectangles`) carries its tests, so each degree and each
+    distinct tests are ranked once per `checked`: per rectangle of a
+    syzygy's cover step, per κ for a syzygy given as a dict.  A degree
+    enters `checked` only once all its tests pass, so a `checked` that
+    outlives a raise never skips a dependent degree."""
+    if not isinstance(N, SyzygyModule) or not char and isinstance(N.bases, _KernelBases):
+        return
     for j in degrees:
         if j in checked:
             continue
@@ -741,7 +730,7 @@ def _check_independent_mod_p(N: SyzygyModule, degrees, char: int, checked: set):
             if linalg.rank_of(tests, char) < len(tests):
                 raise CertificationError(
                     f"syzygy basis vectors at the fine degree {(sa[0], sb[0])} of degree {j}"
-                    f" are dependent mod {char}"
+                    f" are dependent {f'mod {char}' if char else 'over Q'}"
                 )
             checked.add(key)
         checked.add(j)
@@ -760,15 +749,13 @@ def hom_space(res: Resolution, N, d: int, char: int) -> list[tuple]:
     two dicts (never mutated, like `_UNIT`), and no degree of N is
     indexed or assembled.  Every test of a diagonal N is {0: 1}, so there
     the form is the coefficient dict itself.  Raises as `ext_dims` does,
-    and in its order, after a CertificationError when `res` has no F_1;
-    for a syzygy N over F_p the mod-p independence is checked at the
-    degrees of F_0, where the values land, and then of F_1."""
+    and in its order, after a CertificationError when `res` has no F_1:
+    for a syzygy N the independence is checked at the degrees of F_0,
+    where the values land, and then of F_1."""
     if len(res.frees) < 2:
         raise CertificationError("resolution not deep enough for the Hom space")
     dual = _Dual(res, N, char, lambda cols: linalg.kernel_of(cols, char))
     dual.guard(0, d)
-    if char and isinstance(N, SyzygyModule):
-        _check_independent_mod_p(N, [d + dg for dg in dual.gens[0]], char, dual.checked)
     out = []
     for block, part_a, part_b, kernel in dual.blocks(0, d):
         if not kernel:
@@ -829,7 +816,7 @@ class HomCalculator:
         self._res = {}
         self._hom = {}
         self._section = {}
-        self._checked = {}  # syzygy -> degrees and tests found independent mod char
+        self._checked = {}  # syzygy -> degrees and tests found independent over F_char
         self._elem_cache = {}
         self._ext = {}  # (M, N, i, d) -> dim Ext^i(M, N)_d
 
@@ -907,13 +894,12 @@ class HomCalculator:
 
     def land(self, N, j: int):
         """Read N.dim(j), where values of maps into N land
-        (CertificationError above the window); over F_p for a syzygy N,
-        then check that its tests there stay independent mod p
-        (`_check_independent_mod_p`), which ranking forms in ambient
-        coordinates needs."""
+        (CertificationError above the window); for a syzygy N, then check
+        that its tests there are independent (`_check_independent`),
+        which ranking forms in ambient coordinates needs."""
         N.dim(j)
-        if self.char and isinstance(N, SyzygyModule):
-            _check_independent_mod_p(N, [j], self.char, self._checked.setdefault(N, set()))
+        if isinstance(N, SyzygyModule):
+            _check_independent(N, [j], self.char, self._checked.setdefault(N, set()))
 
     def element_matrix(self, M, N, d: int, phi, t: int) -> list[dict]:
         """Columns of the degree-d map phi (as `hom_basis` gives it) on the

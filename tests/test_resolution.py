@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -86,6 +88,29 @@ def test_free_resolution_betti():
     # Koszul diagonal
     om2 = res.syzygy(2)
     assert [om2.dim(j) for j in range(0, 8)] == [0, 0, 6, 24, 60, 120, 210, 336]
+
+
+# sha256 of json.dumps(to_json_dict(), sort_keys=True) of M_-1's resolution
+# on (depth, lo, hi), each past the sizes the manifest resolves
+SCALE_RESOLUTIONS = [
+    ("k2_k3", 5, -4, 14, [3, 6, 12, 24, 48, 96],
+     "a66655763199577889061af5a7020946de759bec1c49f9b13a4dde93b22f57b2"),
+    ("k3_w12", 3, -4, 12, [4, 17, 81, 388],
+     "824b152c4139e67018deafc6aa56ffeee713cd7d9d4fd34542e226b8b93f084b"),
+]
+
+
+@pytest.mark.parametrize(
+    "pair, depth, lo, hi, betti, digest", SCALE_RESOLUTIONS, ids=[r[0] for r in SCALE_RESOLUTIONS]
+)
+def test_resolutions_past_the_manifest_keep_their_digests(pair, depth, lo, hi, betti, digest):
+    """Byte identity of whole resolutions above the manifest's sizes: the
+    generators, differentials and window of `to_json_dict`, with dict
+    order fixed by sort_keys."""
+    res = free_resolution(catalog.diagonal_module(pair, -1), depth, lo, hi)
+    assert [len(F.gens) for F in res.frees] == betti
+    text = json.dumps(res.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_resolution_of_free_module():
@@ -441,7 +466,7 @@ def test_fused_cover_step_matches_two_pass_reference(wa, wb, shift, lo, extra):
         assert fused == ref
 
 
-def reference_cover_degree(module, j, gens, memo):
+def reference_cover_degree(module, j, gens):
     """`resolution._cover_degree` one fine degree at a time: the block at
     each κ of M_j, its columns the generators in masks_A[κ_A] &
     masks_B[κ_B] and its tests the basis vectors at κ.  Returns the new
@@ -469,7 +494,7 @@ def reference_cover_degree(module, j, gens, memo):
         hit = seen.get(key)
         if hit is None:
             cols = [s for s in range(mask.bit_length()) if mask >> s & 1]
-            block = resolution._block(memo, [gen_data[s][2] for s in cols], [basis[i][1] for i in idx])
+            block = resolution._Block([gen_data[s][2] for s in cols], [basis[i][1] for i in idx])
             hit = seen[key] = cols, block
         cols, block = hit
         covered += len(cols)
@@ -487,9 +512,9 @@ def reference_kernel_bases(module, lo, hi):
     cover column u * s, by s and then by the position of u = κ / f(s) in
     R_(j - deg s)."""
     specA, specB = resolution.rings_of(module)
-    gens, bases, memo = [], {}, {}
+    gens, bases = [], {}
     for j in range(lo, hi + 1):
-        new, gen_data, parts = reference_cover_degree(module, j, gens, memo)
+        new, gen_data, parts = reference_cover_degree(module, j, gens)
         kernel = []
         for kappa, cols, _, block in parts:
             for dep, vec in block.kernel:
@@ -604,26 +629,30 @@ def test_first_syzygies_are_assembled_only_where_they_gain_generators(monkeypatc
 
 
 def test_cover_step_takes_one_block_per_distinct_mask_and_tests(monkeypatch):
-    calls = []
-    block = resolution._block
+    built = []
 
-    def spy(memo, cols, tests):
-        calls.append(1)
-        return block(memo, cols, tests)
+    class CountingBlock(resolution._Block):
+        def __init__(self, cols, tests):
+            built.append(self)
+            super().__init__(cols, tests)
 
-    monkeypatch.setattr(resolution, "_block", spy)
+    monkeypatch.setattr(resolution, "_Block", CountingBlock)
     omega = catalog.diagonal_module("k2_k3", 1)
     res = free_resolution(omega, 2, 0, 8)
     for module in [omega] + res.syzygies[:-1]:
-        calls.clear()
-        _, bases = resolution._cover_step(module, 0, 8, {})
+        built.clear()
+        _, bases = resolution._cover_step(module, 0, 8)
         per_degree = [
             {(tuple(cols), tuple(tuple(t.items()) for t in tests)) for _, _, cols, tests, _ in parts}
             for _, _, parts, _ in bases.covers.values()
         ]
-        assert len(calls) == len(set().union(*per_degree))
+        # one elimination per distinct (mask, tests) of the step, and every
+        # block the step keeps is one of them
+        assert len(built) == len(set().union(*per_degree))
+        kept = {id(block) for _, _, parts, _ in bases.covers.values() for *_, block in parts}
+        assert kept == set(map(id, built))
         # blocks recur across degrees, so one memo per degree took more
-        assert len(calls) < sum(map(len, per_degree))
+        assert len(built) < sum(map(len, per_degree))
 
 
 def item_fields(res):
@@ -668,9 +697,9 @@ def reference_block_resolution(module, depth, lo, hi):
     cur = module
     res = Resolution(module, lo, hi, [], [], [])
     for step in range(depth + 1):
-        gens, memo = [], {}
+        gens = []
         for j in range(lo, hi + 1):
-            gens += reference_cover_degree(cur, j, gens, memo)[0]
+            gens += reference_cover_degree(cur, j, gens)[0]
         free = FreeModule(ringA, ringB, tuple(g for g, _ in gens))
         res.frees.append(free)
         res.generators.append(gens)
@@ -691,7 +720,7 @@ def reference_block_section(module, gens, t):
     """`HomCalculator.section` of the cover by `gens` in degree t, read
     off `reference_cover_degree` one fine degree at a time."""
     before = [g for g in gens if g[0] < t]
-    new, gen_data, parts = reference_cover_degree(module, t, before, {})
+    new, gen_data, parts = reference_cover_degree(module, t, before)
     index = {i: len(before) + r for r, (_, (i,)) in enumerate(new)}
     sections = [None] * module.dim(t)
     for kappa, cols, tests, block in parts:
@@ -737,35 +766,32 @@ def test_rectangle_cover_matches_per_kappa_reference(wa, wb, shift, extra):
     ]
 
 
-def distinct_blocks(res) -> set:
-    """The fine-degree blocks of every step and degree of res, found by
-    comparing fine degrees directly, up to an order-preserving
-    relabelling of their rows."""
-    keys = set()
+def step_blocks(res) -> list[set]:
+    """The fine-degree blocks of each cover step of res, found by
+    comparing fine degrees directly: per step, the distinct (column
+    generators, tests) over its degrees and fine degrees."""
+    out = []
     for step, mod in enumerate([res.module] + res.syzygies[:-1]):
+        keys = set()
         for j in range(res.lo, res.hi + 1):
             basis = mod.fine_basis(j)
-            gens = [mod.fine_basis(dg)[i] for dg, (i,) in res.generators[step] if dg < j]
+            gens = [
+                (s, mod.fine_basis(dg)[i][0])
+                for s, (dg, (i,)) in enumerate(res.generators[step])
+                if dg < j
+            ]
             for kappa in dict.fromkeys(k for k, _ in basis):
-                cols = [
-                    sc
-                    for f, sc in gens
-                    if all(x <= y for x, y in zip(f[0] + f[1], kappa[0] + kappa[1]))
-                ]
-                tests = [sc for k, sc in basis if k == kappa]
-                rows = {r: n for n, r in enumerate(sorted({r for v in cols + tests for r in v}))}
-                keys.add(
-                    tuple(
-                        tuple(tuple((rows[r], c) for r, c in v.items()) for v in vecs)
-                        for vecs in (cols, tests)
-                    )
+                cols = tuple(
+                    s for s, f in gens if all(x <= y for x, y in zip(f[0] + f[1], kappa[0] + kappa[1]))
                 )
-    return keys
+                keys.add((cols, tuple(tuple(sc.items()) for k, sc in basis if k == kappa)))
+        out.append(keys)
+    return out
 
 
 def test_free_resolution_builds_one_echelon_per_step_and_degree(monkeypatch):
-    # one Echelon per distinct fine-degree block of the whole resolution,
-    # fewer than the blocks of a single degree at depth 3
+    # one Echelon per distinct fine-degree block of each cover step, fewer
+    # than the fine degrees of a single degree at depth 3
     built = []
 
     class CountingEchelon(linalg.Echelon):
@@ -776,8 +802,7 @@ def test_free_resolution_builds_one_echelon_per_step_and_degree(monkeypatch):
     monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
     res = free_resolution(catalog.diagonal_module("k2_k3", 1), 3, 0, 8)
     monkeypatch.undo()
-    blocks = distinct_blocks(res)
-    assert 0 < len(built) <= len(blocks)
+    assert 0 < len(built) == sum(map(len, step_blocks(res)))
     largest_degree = max(
         len({k for k, _ in mod.fine_basis(j)})
         for mod in [res.module] + res.syzygies[:-1]
@@ -1345,7 +1370,7 @@ def reference_hom_space(res, N, d, char):
         width = len(N.ambient.gens)
         if char:
             degrees = [d + dg for dg in gens + next_gens]
-            resolution._check_independent_mod_p(N, degrees, char, set())
+            resolution._check_independent(N, degrees, char, set())
     position = {}  # (g, n) -> q
     for g, dg in enumerate(gens):
         seen = Counter()

@@ -13,7 +13,6 @@ rests on with a test-side group that shares no code with the orbit path.
 """
 
 from collections import Counter
-from contextlib import suppress
 from functools import lru_cache
 from itertools import permutations, product
 from unittest import mock
@@ -206,13 +205,25 @@ def test_prime_fields_hand_built_syzygies_and_hom_space_take_the_mask_path(monke
         call()
         assert seen and not any(seen)
     # hand-built syzygies: as targets, and as resolved modules, whose
-    # syzygies free_resolution leaves unmarked too
-    for N in hand_built(syz, syz.min_degree):
+    # syzygies free_resolution leaves unmarked too.  Neither is a module,
+    # and here neither gives a number: `dropped` is not closed under R and
+    # its Ext goes negative, and the forms of `repeated` at one fine degree
+    # are dependent, over Q as over F_3, which raises before any block
+    # there is ranked
+    dropped, repeated = hand_built(syz, syz.min_degree)
+    for N, error, match in (
+        (dropped, AssertionError, "negative Ext dimension"),
+        (repeated, CertificationError, "dependent over Q"),
+    ):
         assert not N.invariant
         seen.clear()
-        with suppress(AssertionError):  # `repeated` is no module: its Ext can go negative
+        with pytest.raises(error, match=match):
             ext_dims(res, N, *args, 0)
         assert seen and not any(seen)
+    with pytest.raises(CertificationError, match="dependent mod 3"):
+        ext_dims(res, repeated, *args, 3)
+    with pytest.raises(CertificationError, match="dependent over Q"):
+        hom_space(res, repeated, 1, 0)
     rebuilt = SyzygyModule(syz.ambient, {j: syz.fine_basis(j) for j in syz.bases}, "rebuilt", syz.fine)
     tail = free_resolution(rebuilt, 2, 0, 6)
     assert not any(s.invariant for s in tail.syzygies)
