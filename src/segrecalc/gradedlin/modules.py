@@ -190,8 +190,9 @@ class SyzygyModule:
     `invariant` says the module is G-invariant by construction, G the
     permutations of equal-weight variables within each factor: σ*N ≅ N
     for σ in G.  `free_resolution` sets it on the syzygies of a module
-    that is (DiagonalModule and FreeModule are), and `ext_dims` then
-    counts δ-blocks by G-orbits; a module built by hand is not.
+    that is (DiagonalModule and FreeModule are), and `ext_dims`,
+    `stable_hom_dims` and `EndoQuiver` then count by G-orbits; a module
+    built by hand is not.
     """
 
     def __init__(self, ambient: FreeModule, bases, label: str, fine: tuple, invariant: bool = False):
@@ -238,6 +239,20 @@ class SyzygyModule:
                         f"syzygy basis vectors at one fine degree of degree {j} are dependent"
                     )
         return echs
+
+    def check_closed(self, j: int, char: int = 0):
+        """CertificationError unless u·(κ, s) = (κ·u, s) lies in degree j
+        for every (κ, s) of a lower degree i and monomial pair u of degree
+        j - i: s in the span over F_char (Q for 0) of the forms at κ·u."""
+        spans = {}
+        for kappa, form in self.fine_basis(j):
+            spans.setdefault(kappa, linalg.Echelon(char)).add(form)
+        for i in range(self.min_degree, j):
+            for (ka, kb), form in self.bases.get(i, ()):
+                for ua, ub in r_basis(self.ambient.ringA, self.ambient.ringB, j - i):
+                    ech = spans.get((mono_mul(ka, ua), mono_mul(kb, ub)))
+                    if ech is None or not ech.contains(form):
+                        raise CertificationError(f"{self.label} is not closed under R into degree {j}")
 
     def act(self, pair, p: int, j: int) -> list[dict]:
         self._check_window(j + p)

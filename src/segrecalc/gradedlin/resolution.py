@@ -71,9 +71,11 @@ again under the same bits and mask is solved once per call: ranked
 δ of each block and never lists them; `hom_space` lists the δ of a
 block only when it has a kernel.
 
-Over Q, `ext_dims` between G-invariant modules, G the permutations of
-equal-weight variables within each factor, ranks one block per pair of
-orbits of δ and counts it by their sizes (`_orbit`; proof in `ext_dims`).
+Over Q, between G-invariant modules (`_orbit`), G the permutations of
+equal-weight variables within each factor, `ext_dims` ranks one block
+per pair of orbits of δ and counts it by their sizes (proof in
+`ext_dims`), and `quotient_dim` ranks maps at one δ per orbit (proof in
+`quivers.EndoQuiver`).
 
 A map M -> N stays in this fine form: (δ, {(g, q): c}, {(g, e): c}),
 with c its coefficient on the q-th test of the rectangle that holds
@@ -106,7 +108,9 @@ from .. import linalg
 from ..linalg import CertificationError
 from .modules import _UNIT, DiagonalModule, FreeModule, SyzygyModule, r_basis, r_index
 from .poly import monomial_index, monomials
-from .strands import assert_invariant, dual_column, kappa_masks, orbit_rep, scalar_rows, weight_classes
+from .strands import (
+    assert_invariant, dual_column, kappa_masks, orbit_rep, orbit_weights, scalar_rows, weight_classes
+)
 
 
 def rings_of(module):
@@ -498,13 +502,13 @@ def _act_cached(N, pair, p: int, j: int):
     return _act_matrix_frozen(N, pair, p, j)
 
 
-def _orbit(res: Resolution, N, char: int):
-    """The classes of G on each side where `ext_dims` counts δ by orbits:
-    over Q, when the module `res` resolves and N are both G-invariant by
+def _orbit(char: int, *modules):
+    """The classes of G on each side (`weight_classes`) by which numbers
+    are counted over Q when every module involved is G-invariant by
     construction (`invariant`); None elsewhere, or when G is trivial."""
-    if char or not (res.module.invariant and N.invariant):
+    if char or not all(m.invariant for m in modules):
         return None
-    orbit = tuple(map(weight_classes, rings_of(res.module)))
+    orbit = tuple(map(weight_classes, rings_of(modules[0])))
     return orbit if any(orbit) else None
 
 
@@ -685,7 +689,7 @@ def ext_dims(res: Resolution, N, i_values, d_values, char: int) -> dict:
     if len(res.frees) < depth + 1:
         raise CertificationError("resolution not deep enough for the Ext range")
     dual = _Dual(
-        res, N, char, lambda cols: (len(cols), linalg.rank_of(cols, char)), _orbit(res, N, char)
+        res, N, char, lambda cols: (len(cols), linalg.rank_of(cols, char)), _orbit(char, res.module, N)
     )
     out = {}
     for d in d_values:
@@ -715,9 +719,10 @@ def _check_independent(N, degrees, char: int, checked: set):
     nonzero at its own dependent column and no other is.  Every κ of a
     rectangle (`_rectangles`) carries its tests, so each degree and each
     distinct tests are ranked once per `checked`: per rectangle of a
-    syzygy's cover step, per κ for a syzygy given as a dict.  A degree
-    enters `checked` only once all its tests pass, so a `checked` that
-    outlives a raise never skips a dependent degree."""
+    syzygy's cover step, per κ for a syzygy given as a dict, which must
+    also be closed under R (`SyzygyModule.check_closed`).  A degree enters
+    `checked` only once all its checks pass, so a `checked` that outlives
+    a raise never skips a dependent degree."""
     if not isinstance(N, SyzygyModule) or not char and isinstance(N.bases, _KernelBases):
         return
     for j in degrees:
@@ -733,6 +738,8 @@ def _check_independent(N, degrees, char: int, checked: set):
                     f" are dependent {f'mod {char}' if char else 'over Q'}"
                 )
             checked.add(key)
+        if not isinstance(N.bases, _KernelBases):
+            N.check_closed(j, char)
         checked.add(j)
 
 
@@ -1053,18 +1060,40 @@ def through_free_vectors(calc: HomCalculator, a, b, d: int) -> list[tuple]:
     return out
 
 
+def quotient_dim(calc: HomCalculator, a, b, d: int, basis, orbit, free: bool, fill=None) -> int:
+    """dim Hom(a, b)_d, spanned by `basis`, modulo the maps through frees
+    (with `free`) and those `fill(echs, target)` adds while some δ is below
+    target[δ] = dim Hom_δ, in one echelon per δ.  With `orbit` (`_orbit`)
+    only representatives are ranked, each counted by its orbit's size
+    (`orbit_weights`; proof in `quivers.EndoQuiver`).  AssertionError when
+    a map through frees lies at no δ of `basis`, or the ranks miss it."""
+    target = Counter(delta for delta, *_ in basis)
+    weights = orbit_weights(orbit, target)
+    echs = {delta: linalg.Echelon(calc.char) for delta in weights}
+    for delta, v in through_free_vectors(calc, a, b, d) if free else ():
+        if delta in echs:
+            echs[delta].add(v)
+        elif delta not in target:
+            raise AssertionError(f"a map through frees lies at {delta}, where Hom_{d} is 0")
+    if fill and any(ech.rank < target[delta] for delta, ech in echs.items()):
+        fill(echs, {delta: target[delta] for delta in weights})
+    covered = sum(w * echs[delta].rank for delta, w in weights.items())
+    for delta, _, form in basis:
+        if delta in echs:
+            echs[delta].add(form)
+    rank = sum(w * echs[delta].rank for delta, w in weights.items())
+    if rank != len(basis):
+        raise AssertionError(f"degree {d}: the maps rank {rank}, not dim Hom = {len(basis)}")
+    return rank - covered
+
+
 def stable_hom_dims(calc: HomCalculator, a, b, d_values) -> dict:
-    """dim Hom_d and dim of the stable quotient (mod maps through frees),
-    ranked in one echelon per δ: maps of different δ have disjoint
-    values."""
+    """d -> (dim Hom_d, dim of its stable quotient, mod maps through
+    frees), by orbits of δ over Q between G-invariant a and b
+    (`quotient_dim`)."""
+    orbit = _orbit(calc.char, a, b)
     out = {}
     for d in d_values:
         basis = calc.hom_basis(a, b, d)
-        echs = defaultdict(lambda: linalg.Echelon(calc.char))
-        for delta, v in through_free_vectors(calc, a, b, d):
-            echs[delta].add(v)
-        p_dim = sum(ech.rank for ech in echs.values())
-        for delta, _, form in basis:
-            echs[delta].add(form)
-        out[d] = (len(basis), sum(ech.rank for ech in echs.values()) - p_dim)
+        out[d] = (len(basis), quotient_dim(calc, a, b, d, basis, orbit, True))
     return out

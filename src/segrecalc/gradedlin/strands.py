@@ -32,9 +32,10 @@ value for the whole process: complexes rebuilt from the same pieces
 cover steps of `resolution` into fine-degree blocks.  `scalar_rows`
 and `dual_column` write a δ-block of the dual of a resolution over the
 scalar forms of the target (`resolution._Dual`), and `weight_classes`,
-`orbit_rep` and `assert_invariant` give the group G that permutes the
-equal-weight variables of each factor, by which `resolution.ext_dims`
-counts δ-blocks over Q.
+`orbit_rep`, `assert_invariant` and `orbit_weights` give the group G that
+permutes the equal-weight variables of each factor, by which
+`resolution.ext_dims` counts δ-blocks and `resolution.quotient_dim` maps
+over Q.
 
 This code is kept out of `complexes` and `resolution` to keep those
 files small: where no bytecode is cached (PYTHONDONTWRITEBYTECODE), every
@@ -272,3 +273,21 @@ def assert_invariant(fine, orbit, k: int):
                     raise AssertionError(
                         f"the fine degrees of the generators of F_{k} are not G-invariant"
                     )
+
+
+def orbit_weights(orbit, counts) -> dict:
+    """{representative δ: its orbit's size} over the δ of `counts` (δ ->
+    dim Hom_δ) under the classes `orbit`, or {δ: 1} without them.
+    AssertionError when a representative is no δ of `counts`, or its
+    count differs from that of a δ of its orbit."""
+    if not orbit:
+        return dict.fromkeys(counts, 1)
+    weights = Counter()
+    for delta, n in counts.items():
+        rep = tuple(map(orbit_rep, orbit, delta))
+        if rep not in counts:
+            raise AssertionError(f"the orbit representative {rep} is not a δ of the hom basis")
+        if counts[rep] != n:
+            raise AssertionError(f"dim Hom is {n} at {delta} but {counts[rep]} at its representative")
+        weights[rep] += 1
+    return weights

@@ -4,9 +4,8 @@ two folding constructions (doubling for d=3, tripling for d=4)."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .hilbert import WeightedRingSpec
 
@@ -113,16 +112,36 @@ class EndoQuiver:
     sum of its pieces Hom_δ, so rad, rad², the maps through frees and
     their ranks split by δ, and each δ is ranked in its own echelon up to
     dim Hom_δ, on the ambient forms: a map carries its form from
-    `hom_space`.
+    `hom_space` (`resolution.quotient_dim`).
+
+    Over Q, when every summand is G-invariant by construction (`_orbit`),
+    G the permutations of equal-weight variables within each factor, F +
+    rad² + rad is ranked at one δ per orbit, whose new arrows count once
+    per δ of the orbit; products still come from the full hom bases.  The
+    count is G-invariant.  σ in G is a graded automorphism of R with σ*M
+    ≅ M for every summand: diagonal and free modules, and the syzygies
+    `free_resolution` makes of them.  Conjugating by these is an
+    automorphism of End(⊕ M) that sends Hom_δ onto Hom_σδ and keeps rad,
+    rad², the maps through R and total degree, hence the window's cuts
+    (`_d_top`, skipped splits).  An arrow count is a number read off
+    ranks and returns no basis, so it may count by orbits; sections
+    return bases and keep the full path.  Over F_p the argument needs F ⊗
+    F_p to be a minimal resolution, which nothing certifies yet, so F_p
+    and summands built by hand rank every δ.  Guards raise AssertionError,
+    never a wrong count, unless each representative is a δ of rad with
+    the dim Hom_δ of every δ of its orbit (`strands.orbit_weights`).
     """
 
     def __init__(self, calc, summands, degree_top: int = 3):
+        from .gradedlin.resolution import _orbit
+
         self.summands = list(summands)
         labels = [l for l, _ in self.summands]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate summand labels")
         self.calc = calc
         self.degree_top = degree_top
+        self._orbit = _orbit(calc.char, *(m for _, m in self.summands))
         self._stable = {}  # frozenset of dropped labels -> stable quiver
         self._gen_tops, self._d_tops = {}, {}  # module -> its top, read once
         for label, mod in self.summands:
@@ -222,8 +241,7 @@ class EndoQuiver:
                 )
 
     def _arrows(self, drop_free) -> Quiver:
-        from . import linalg
-        from .gradedlin.resolution import through_free_vectors
+        from .gradedlin.resolution import quotient_dim
 
         keep = [
             (l, m) for l, m in self.summands if not drop_free or l not in drop_free
@@ -242,23 +260,8 @@ class EndoQuiver:
                     # composition of fine degree δ lies in the span of
                     # rad's maps at δ: once F + rad^2 spans dim Hom_δ at
                     # every δ no further product can matter
-                    target = Counter(delta for delta, *_ in rad)
-                    echs = {delta: linalg.Echelon(self.calc.char) for delta in target}
-                    if drop_free:
-                        for delta, v in through_free_vectors(self.calc, a, b, d):
-                            echs.setdefault(delta, linalg.Echelon(self.calc.char)).add(v)
-                    if any(echs[delta].rank < n for delta, n in target.items()):
-                        self._rad_square(a, b, d, mods, echs, target)
-                    covered = sum(ech.rank for ech in echs.values())
-                    for delta, _, form in rad:
-                        echs[delta].add(form)
-                    rank = sum(ech.rank for ech in echs.values())
-                    if rank != len(rad):
-                        raise AssertionError(
-                            f"{la}->{lb} in degree {d}: F + rad^2 + rad has rank "
-                            f"{rank}, not dim Hom = {len(rad)}"
-                        )
-                    total += rank - covered
+                    fill = partial(self._rad_square, a, b, d, mods)
+                    total += quotient_dim(self.calc, a, b, d, rad, self._orbit, bool(drop_free), fill)
                 if total:
                     arrows[(la, lb)] = total
         return Quiver(tuple(l for l, _ in keep), arrows)

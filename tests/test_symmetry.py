@@ -7,9 +7,10 @@ module M_s, so every fine invariant of a minimal resolution of M_s is
 constant on the G-orbits of fine degrees: its fine Betti numbers, the δ
 of its hom bases and the ranks of its dual δ-blocks.  Over Q,
 `ext_dims` between G-invariant modules ranks one δ-block per pair of
-orbits and counts it by the orbits' sizes; the properties here tie that
-count to the mask-grouped one it replaces, and check the invariance it
-rests on with a test-side group that shares no code with the orbit path.
+orbits and counts it by the orbits' sizes, and `stable_hom_dims` and the
+endo-quivers rank maps at one δ per orbit; the properties here tie those
+counts to the per-δ ones they replace, and check the invariance they
+rest on with a test-side group that shares no code with the orbit path.
 """
 
 from collections import Counter
@@ -31,8 +32,11 @@ from segrecalc.gradedlin.resolution import (
     ext_dims,
     free_resolution,
     hom_space,
+    stable_hom_dims,
 )
+from segrecalc.gradedlin.strands import orbit_weights
 from segrecalc.hilbert import ring
+from segrecalc.quivers import EndoQuiver
 
 A2 = ring(("x0", "x1"), (1, 1))
 B3 = ring(("y0", "y1", "y2"), (1, 1, 1))
@@ -139,7 +143,7 @@ def test_orbit_counted_ext_equals_mask_grouped_ext(wa, wb, source, target, i, d_
         return
     args = (res, N, [i], d_values, 0)
     assert M.invariant and N.invariant
-    orbit = resolution._orbit(res, N, 0)
+    orbit = resolution._orbit(0, res.module, N)
     assert (orbit is not None) == (len(group(specA, specB)) > 1)
     (fast, ranked), (slow, ranked_all) = counted(ext_dims, *args), counted(mask_ext_dims, *args)
     assert fast == slow
@@ -206,18 +210,14 @@ def test_prime_fields_hand_built_syzygies_and_hom_space_take_the_mask_path(monke
         assert seen and not any(seen)
     # hand-built syzygies: as targets, and as resolved modules, whose
     # syzygies free_resolution leaves unmarked too.  Neither is a module,
-    # and here neither gives a number: `dropped` is not closed under R and
-    # its Ext goes negative, and the forms of `repeated` at one fine degree
-    # are dependent, over Q as over F_3, which raises before any block
-    # there is ranked
+    # and here neither gives a number: `dropped` is not closed under R, and
+    # the forms of `repeated` at one fine degree are dependent, over Q as
+    # over F_3, which raises before any block there is ranked
     dropped, repeated = hand_built(syz, syz.min_degree)
-    for N, error, match in (
-        (dropped, AssertionError, "negative Ext dimension"),
-        (repeated, CertificationError, "dependent over Q"),
-    ):
+    for N, match in ((dropped, "not closed under R"), (repeated, "dependent over Q")):
         assert not N.invariant
         seen.clear()
-        with pytest.raises(error, match=match):
+        with pytest.raises(CertificationError, match=match):
             ext_dims(res, N, *args, 0)
         assert seen and not any(seen)
     with pytest.raises(CertificationError, match="dependent mod 3"):
@@ -233,6 +233,30 @@ def test_prime_fields_hand_built_syzygies_and_hom_space_take_the_mask_path(monke
     seen.clear()
     assert ext_dims(res.tail(1), syz, *args, 0) == by_hand
     assert seen and all(seen)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_a_hand_built_syzygy_not_closed_under_r_raises(char):
+    """`dropped` lacks the basis vectors of degree 2 at one fine degree
+    that R maps its degree 1 into.  Ext^0_2, Ext^1_2 and Ext^2_1 into it
+    read 5, 1 and 2 where the syzygy it was cut from gives 6, 0 and 0,
+    with no error; each now raises before any number, as `hom_space` and
+    `HomCalculator.land` do, while the syzygy rebuilt whole as a dict
+    gives the syzygy's values."""
+    res = free_resolution(DiagonalModule(A2, B3, 1), 3, 0, 6)
+    syz = res.syzygy(1)
+    dropped, _ = hand_built(syz, syz.min_degree)
+    rebuilt = SyzygyModule(syz.ambient, {j: syz.fine_basis(j) for j in syz.bases}, "rebuilt", syz.fine)
+    for i, d in ((0, 2), (1, 2), (2, 1)):
+        with pytest.raises(CertificationError, match="not closed under R"):
+            ext_dims(res, dropped, [i], [d], char)
+        assert ext_dims(res, rebuilt, [i], [d], char) == ext_dims(res, syz, [i], [d], char)
+    with pytest.raises(CertificationError, match="not closed under R"):
+        hom_space(res, dropped, 2, char)
+    calc = HomCalculator(A2, B3, 0, 6, char=char)
+    with pytest.raises(CertificationError, match="not closed under R"):
+        calc.land(dropped, 2)
+    calc.land(rebuilt, 2)
 
 
 def principal(mark: bool, hi: int) -> SyzygyModule:
@@ -259,6 +283,115 @@ def test_broken_invariance_trips_the_orbit_guards():
     with pytest.raises(AssertionError, match="orbit representative"):
         ext_dims(res, principal(True, 5), [0], [1], 0)
     assert ext_dims(res, principal(False, 5), [0], [1], 0) == {(0, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# maps ranked at one δ per orbit: stable Hom and endo-quivers
+
+
+def echelons_built(fn, *args):
+    """(outcome of fn(*args), the number of `linalg.Echelon`s built)."""
+    built = []
+    real = linalg.Echelon
+
+    class Spy(real):
+        def __init__(self, *a, **kw):
+            built.append(1)
+            super().__init__(*a, **kw)
+
+    with mock.patch.object(linalg, "Echelon", Spy):
+        return outcome(fn, *args), len(built)
+
+
+def per_delta_stable_hom_dims(*args):
+    """`stable_hom_dims` with every δ ranked: the path the orbit count
+    replaces."""
+    with mock.patch.object(resolution, "_orbit", lambda *_: None):
+        return stable_hom_dims(*args)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    weights,
+    weights,
+    st.tuples(st.sampled_from(["diagonal", 1]), st.integers(min_value=-1, max_value=1)),
+    st.tuples(st.sampled_from(["diagonal", 1]), st.integers(min_value=-1, max_value=1)),
+    st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3, unique=True),
+)
+@example([1, 1], [1, 1, 1], ("diagonal", 1), ("diagonal", 1), [0, 1, 2, 3])  # stable End ω
+@example([1, 1, 1], [1, 2], ("diagonal", -1), (1, 1), [1, 2])  # k3_w12
+@example([1, 2, 1], [1, 1], (1, 0), ("diagonal", 0), [2, 3])  # G only partly symmetric
+@example([1, 1], [1, 1, 1], (1, 1), (1, 1), [-1, 0, 1])  # stable End of k2_k3's syz ω
+def test_orbit_counted_stable_hom_equals_per_delta_stable_hom(wa, wb, source, target, d_values):
+    """Over Q, between G-invariant diagonals and syzygies,
+    `stable_hom_dims` ranking one δ per orbit equals the per-δ ranking,
+    value or CertificationError, with at most as many echelons."""
+    specA, specB = rings(wa, wb)
+    hi = DiagonalModule(specA, specB, max(source[1], target[1], 0)).generation_bound() + 2
+    calc = HomCalculator(specA, specB, 0, hi)
+    M = outcome(module, specA, specB, calc, *source)
+    N = outcome(module, specA, specB, calc, *target)
+    if isinstance(M, tuple) or isinstance(N, tuple):
+        return  # CertificationError: the resolution properties compare those
+    args = (calc, M, N, d_values)
+    outcome(per_delta_stable_hom_dims, *args)  # fills the calculator's hom bases
+    (fast, built), (slow, built_all) = (
+        echelons_built(stable_hom_dims, *args),
+        echelons_built(per_delta_stable_hom_dims, *args),
+    )
+    assert fast == slow
+    assert built <= built_all
+
+
+def orbit_count(deltas, G) -> int:
+    """The number of G-orbits that the fine degrees `deltas` meet."""
+    return len({frozenset(sigma(delta) for sigma in G) for delta in deltas})
+
+
+@pytest.mark.parametrize("char", [0, 10007])
+def test_endo_quiver_builds_echelons_at_representatives_over_q(char):
+    """On k3_k3, an endo-quiver and its stable part over a calculator
+    that already holds every hom basis and section build one echelon per
+    G-orbit of the δ of each Hom(a, b)_d over Q, and one per δ over a
+    prime, and give the same quivers as the first build."""
+    calc = HomCalculator(*catalog.RINGS["k3_k3"], 0, 7, char=char)
+    mods = [(f"M{s}" if s else "R", catalog.diagonal_module("k3_k3", s)) for s in (-1, 0, 1)]
+    first = EndoQuiver(calc, mods, degree_top=3)
+    quivers = first.quiver, first.stable_reduce(["R"])
+    G = group(calc.ringA, calc.ringB)
+    expected = Counter()
+    for drop in (set(), {"R"}):
+        keep = [m for label, m in mods if label not in drop]
+        for a, b in product(keep, keep):
+            for d in range(first._d_floor(a, b), first.degree_top + 1):
+                deltas = {delta for delta, *_ in first._rad_basis(a, b, d)}
+                expected["orbits"] += orbit_count(deltas, G)
+                expected["deltas"] += len(deltas)
+    assert expected["orbits"] < expected["deltas"]
+    eq = EndoQuiver(calc, mods, degree_top=3)
+    got, built = echelons_built(lambda: (eq.quiver, eq.stable_reduce(["R"])))
+    assert got == quivers
+    assert built == expected["orbits" if char == 0 else "deltas"]
+
+
+def test_broken_invariance_trips_the_quiver_guards():
+    """x0·y0·R wrongly marked G-invariant raises AssertionError in the
+    endo-quiver over Q (a representative that is no δ of rad), and gives
+    the per-δ quiver where it is not marked or over a prime; both
+    guards of `orbit_weights` raise on counts built by hand."""
+    R = DiagonalModule(A2, B3, 0)
+    with pytest.raises(AssertionError, match="orbit representative"):
+        EndoQuiver(HomCalculator(A2, B3, 0, 6), [("R", R), ("P", principal(True, 6))], 2).quiver
+    plain = EndoQuiver(HomCalculator(A2, B3, 0, 6), [("R", R), ("P", principal(False, 6))], 2)
+    modular = EndoQuiver(HomCalculator(A2, B3, 0, 6, char=3), [("R", R), ("P", principal(True, 6))], 2)
+    assert plain.quiver.arrows == modular.quiver.arrows
+    assert plain.quiver.arrows[("R", "P")] == 1
+    orbit = (((0, 1),), ())
+    with pytest.raises(AssertionError, match="orbit representative"):
+        orbit_weights(orbit, Counter({((1, 0), ()): 1}))
+    with pytest.raises(AssertionError, match="at its representative"):
+        orbit_weights(orbit, Counter({((1, 0), ()): 1, ((0, 1), ()): 2}))
+    assert orbit_weights(orbit, Counter({((1, 0), ()): 2, ((0, 1), ()): 2})) == {((0, 1), ()): 2}
 
 
 # ---------------------------------------------------------------------------
